@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .core import F2Set, distinct_sumset_power
 from .dissociation import FamilySpec, in_family, is_dissociated, random_dissociated
 from .energy import additive_energy
-from .exact import PRECISIONS, certify_le, floor_log2, log2_bounds
+from .exact import certify_ladder, floor_log2, log2_bounds
 from .wht import IntFunction, large_spectrum, spectrum_of_set, wht
 
 
@@ -99,15 +99,12 @@ def check_chang(a: F2Set, alpha: Fraction, lam: F2Set) -> BoundReport:
         # log(1/delta) = 0: bound trivial, only an empty Lambda passes
         status = "holds" if len(lam) == 0 else "violated"
         return _finish(name, inst, len(lam), 0, "le", status, start)
-    status = "undecided"
-    rhs = None
-    for prec in PRECISIONS:
+
+    def bracket_at(prec: int) -> tuple[Fraction, Fraction]:
         lo, hi = log2_bounds(1 / delta, prec)
-        rhs = (factor * lo, factor * hi)
-        verdict = certify_le(Fraction(len(lam)), rhs)
-        if verdict != "unknown":
-            status = verdict
-            break
+        return factor * lo, factor * hi
+
+    status, rhs = certify_ladder(Fraction(len(lam)), bracket_at)
     return _finish(name, inst, len(lam), rhs[0], "le", status, start)
 
 
@@ -247,15 +244,12 @@ def check_bourgain_intersection(a: F2Set, lam: F2Set, alpha: Fraction, d: int) -
     spectrum = large_spectrum(a, alpha)
     lhs = len(sumset.intersection(spectrum))
     factor = (delta / alpha) ** 2
-    status = "undecided"
-    rhs = None
-    for prec in PRECISIONS:
+
+    def bracket_at(prec: int) -> tuple[Fraction, Fraction]:
         lo, hi = log2_bounds(1 / delta, prec)
-        rhs = (factor * (lo * 2**12 / d) ** d, factor * (hi * 2**12 / d) ** d)
-        verdict = certify_le(Fraction(lhs), rhs)
-        if verdict != "unknown":
-            status = verdict
-            break
+        return factor * (lo * 2**12 / d) ** d, factor * (hi * 2**12 / d) ** d
+
+    status, rhs = certify_ladder(Fraction(lhs), bracket_at)
     return _finish(name, inst, lhs, rhs[0], "le", status, start)
 
 

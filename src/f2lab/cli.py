@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -42,6 +43,8 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"rational required (p/q), got {text!r}")
     if "/" in text:
         num, den = text.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 
@@ -82,7 +85,20 @@ def _status_exit(statuses) -> int:
 # command execution on inlined configurations
 
 
-def run_config(config: dict) -> tuple[dict, int]:
+@dataclass(frozen=True)
+class Outcome:
+    """What every command handler returns.
+
+    `results` is the block that replay compares byte for byte; `side_text`
+    is written to the command's --out file when one is given.
+    """
+
+    results: dict
+    exit_code: int
+    side_text: Optional[str] = None
+
+
+def run_config(config: dict) -> Outcome:
     command = config["command"]
     handler = _HANDLERS.get(command)
     if handler is None:
@@ -90,7 +106,7 @@ def run_config(config: dict) -> tuple[dict, int]:
     return handler(config)
 
 
-def _cmd_energy(config: dict) -> tuple[dict, int]:
+def _cmd_energy(config: dict) -> Outcome:
     a = parse_set(config["set_text"])
     k = config["k"]
     method = config.get("method", "all")
@@ -103,10 +119,10 @@ def _cmd_energy(config: dict) -> tuple[dict, int]:
         "k": k,
         "set_size": rep.set_size,
     }
-    return results, 0 if rep.agree else 1
+    return Outcome(results, 0 if rep.agree else 1)
 
 
-def _cmd_spectrum(config: dict) -> tuple[dict, int]:
+def _cmd_spectrum(config: dict) -> Outcome:
     a = parse_set(config["set_text"])
     table = spectrum_of_set(a)
     csv_lines = ["r,coefficient"]
@@ -125,11 +141,10 @@ def _cmd_spectrum(config: dict) -> tuple[dict, int]:
         spec = large_spectrum_from_table(table, alpha)
         results["alpha"] = fraction_str(alpha)
         results["large_spectrum"] = [bits_to_string(e, a.dim) for e in spec.elems]
-    exit_code = 0 if results["parseval_ok"] else 1
-    return results, exit_code, csv_text  # type: ignore[return-value]
+    return Outcome(results, 0 if results["parseval_ok"] else 1, csv_text)
 
 
-def _cmd_dissociate(config: dict) -> tuple[dict, int]:
+def _cmd_dissociate(config: dict) -> Outcome:
     l = parse_set(config["set_text"])
     k = config["k"]
     if config.get("r_text"):
@@ -144,16 +159,15 @@ def _cmd_dissociate(config: dict) -> tuple[dict, int]:
         if check.witness is None
         else [bits_to_string(e, l.dim) for e in check.witness],
     }
-    exit_code = {"true": 0, "false": 1, "undecided": 2}[check.status]
-    return results, exit_code
+    return Outcome(results, {"true": 0, "false": 1, "undecided": 2}[check.status])
 
 
-def _cmd_permanent(config: dict) -> tuple[dict, int]:
+def _cmd_permanent(config: dict) -> Outcome:
     mat = parse_matrix(config["matrix_text"])
-    return {"permanent": permanent(mat), "x": mat.x, "y": mat.y}, 0
+    return Outcome({"permanent": permanent(mat), "x": mat.x, "y": mat.y}, 0)
 
 
-def _cmd_fk_test(config: dict) -> tuple[dict, int]:
+def _cmd_fk_test(config: dict) -> Outcome:
     mat = parse_matrix(config["matrix_text"])
     res = fk_zero_test(mat)
     results = {
@@ -162,10 +176,10 @@ def _cmd_fk_test(config: dict) -> tuple[dict, int]:
         "zero_rows": list(res.zero_rows),
         "zero_cols": list(res.zero_cols),
     }
-    return results, 0
+    return Outcome(results, 0)
 
 
-def _cmd_lemma_per0(config: dict) -> tuple[dict, int]:
+def _cmd_lemma_per0(config: dict) -> Outcome:
     import itertools
 
     from .permanent import CombMatrix
@@ -192,38 +206,42 @@ def _cmd_lemma_per0(config: dict) -> tuple[dict, int]:
         "hypotheses_satisfied": satisfied,
         "all_reduced_permanents_positive": all_positive,
     }
-    return results, 0 if all_positive else 1
+    return Outcome(results, 0 if all_positive else 1)
 
 
-def _cmd_bench(config: dict) -> tuple[dict, int]:
-    theorem = config["theorem"]
-    seed = config.get("seed", 0)
-    count = config.get("count", 20)
-    if theorem == "chang":
-        reports = bench_mod.sweep_chang(count, seed)
-    elif theorem == "diss":
-        reports = bench_mod.sweep_diss_energy(count, seed)
-    elif theorem == "dissd":
-        reports = bench_mod.sweep_sumset_energy(count, seed)
-    elif theorem == "exact":
-        reports = bench_mod.sweep_full_sumset_lower(count, seed)
-    elif theorem == "maing":
-        reports = bench_mod.sweep_spectrum_energy_lower(count, seed)
-    elif theorem == "bourgain":
-        reports = bench_mod.sweep_bourgain(count, seed)
-    elif theorem == "majority":
-        from .exact import floor_log2
+def _seeded_sweep(sweep):
+    return lambda config: sweep(config.get("count", 20), config.get("seed", 0))
 
-        delta = parse_fraction(config.get("delta", "1/64"))
-        if config.get("n"):
-            k = floor_log2(1 / (4 * delta))
-            nprimes = [config["n"] - k]
-        else:
-            nprimes = config.get("nprimes") or list(range(3, 11))
-        d = config.get("d", 1)
-        reports = bench_mod.sweep_majority(nprimes, delta, d)
+
+def _majority_sweep(config: dict):
+    from .exact import floor_log2
+
+    delta = parse_fraction(config.get("delta", "1/64"))
+    if config.get("n"):
+        k = floor_log2(1 / (4 * delta))
+        nprimes = [config["n"] - k]
     else:
+        nprimes = config.get("nprimes") or list(range(3, 11))
+    return bench_mod.sweep_majority(nprimes, delta, config.get("d", 1))
+
+
+_BENCH_SWEEPS = {
+    "chang": _seeded_sweep(bench_mod.sweep_chang),
+    "diss": _seeded_sweep(bench_mod.sweep_diss_energy),
+    "dissd": _seeded_sweep(bench_mod.sweep_sumset_energy),
+    "exact": _seeded_sweep(bench_mod.sweep_full_sumset_lower),
+    "maing": _seeded_sweep(bench_mod.sweep_spectrum_energy_lower),
+    "bourgain": _seeded_sweep(bench_mod.sweep_bourgain),
+    "majority": _majority_sweep,
+}
+
+
+def _cmd_bench(config: dict) -> Outcome:
+    theorem = config["theorem"]
+    sweep = _BENCH_SWEEPS.get(theorem)
+    if sweep is None:
         raise ValueError(f"unknown theorem family {theorem!r}")
+    reports = sweep(config)
     rows = _report_rows(reports)
     statuses = [r.status for r in reports]
     results = {
@@ -232,7 +250,7 @@ def _cmd_bench(config: dict) -> tuple[dict, int]:
         "violated": statuses.count("violated"),
         "other": len(statuses) - statuses.count("holds") - statuses.count("violated"),
     }
-    return results, _status_exit(statuses)
+    return Outcome(results, _status_exit(statuses))
 
 
 def _extract_params(config: dict) -> InverseParams:
@@ -259,7 +277,7 @@ def _params_resolved(params: InverseParams) -> dict:
     return out
 
 
-def _cmd_extract(config: dict) -> tuple[dict, int]:
+def _cmd_extract(config: dict) -> Outcome:
     q = parse_set(config["q_text"])
     lam = parse_set(config["lambda_text"])
     d = config.get("d", 2)
@@ -285,7 +303,7 @@ def _cmd_extract(config: dict) -> tuple[dict, int]:
             "params_resolved": _params_resolved(params),
             "reference_epsilon": fraction_str(params.reference_epsilon()),
         }
-        return results, 0
+        return Outcome(results, 0)
     rep_d = extract_rectangles_d(q, lam, d, params)
     rect = rep_d.rectangle
     results = {
@@ -301,10 +319,10 @@ def _cmd_extract(config: dict) -> tuple[dict, int]:
         "params_resolved": _params_resolved(params),
         "reference_epsilon": fraction_str(params.reference_epsilon()),
     }
-    return results, 0
+    return Outcome(results, 0)
 
 
-def _cmd_plant(config: dict) -> tuple[dict, int]:
+def _cmd_plant(config: dict) -> Outcome:
     inst = plant_instance(
         config["h"],
         config["lsize"],
@@ -327,7 +345,7 @@ def _cmd_plant(config: dict) -> tuple[dict, int]:
             for r, c in zip(inst.rows, inst.cols)
         ],
     }
-    return results, 0
+    return Outcome(results, 0)
 
 
 _HANDLERS = {
@@ -347,21 +365,16 @@ def execute(config: dict, out_path: Optional[str] = None) -> tuple[dict, int]:
     """Run a configuration and assemble the replayable report."""
     start = time.perf_counter()
     outcome = run_config(config)
-    side_text = None
-    if len(outcome) == 3:
-        results, exit_code, side_text = outcome
-    else:
-        results, exit_code = outcome
     report = {
         "command": config["command"],
         "config": config,
-        "results": results,
+        "results": outcome.results,
         "meta": {"runtime_s": round(time.perf_counter() - start, 6)},
     }
-    if out_path and side_text is not None:
+    if out_path and outcome.side_text is not None:
         with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(side_text)
-    return report, exit_code
+            fh.write(outcome.side_text)
+    return report, outcome.exit_code
 
 
 def replay(report: dict) -> tuple[dict, int]:
@@ -371,10 +384,8 @@ def replay(report: dict) -> tuple[dict, int]:
         raise ValueError("report lacks a replayable config")
     if config["command"] != "replay" and "seed" not in config and _needs_seed(config["command"]):
         raise ValueError("report config lacks the seed needed for replay")
-    outcome = run_config(config)
-    new_results = outcome[0]
     old = canonical_results(report["results"])
-    new = canonical_results(new_results)
+    new = canonical_results(run_config(config).results)
     match = old == new
     results = {"match": match, "bytes": len(new)}
     return results, 0 if match else 1
@@ -422,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--theorem",
         required=True,
-        choices=("chang", "diss", "dissd", "exact", "maing", "bourgain", "majority"),
+        choices=tuple(_BENCH_SWEEPS),
     )
     p_bench.add_argument("--count", type=int, default=20)
     p_bench.add_argument("--seed", type=int, default=0)

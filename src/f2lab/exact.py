@@ -10,6 +10,7 @@ verdict is only reported once the bracket decides the comparison.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, Optional
 
 # Precision ladder (bits of dyadic precision) used by escalating checks.
 PRECISIONS = (12, 24, 48, 96, 192)
@@ -140,24 +141,6 @@ def pow2_bounds(x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     return base * lo, base * hi
 
 
-def mul_bounds(
-    a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]
-) -> tuple[Fraction, Fraction]:
-    """Interval product for nonnegative intervals."""
-    if a[0] < 0 or b[0] < 0:
-        raise ValueError("mul_bounds expects nonnegative intervals")
-    return a[0] * b[0], a[1] * b[1]
-
-
-def div_bounds(
-    a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]
-) -> tuple[Fraction, Fraction]:
-    """Interval quotient, requiring a >= 0 and b strictly positive."""
-    if a[0] < 0 or b[0] <= 0:
-        raise ValueError("div_bounds expects a >= 0 and b > 0")
-    return a[0] / b[1], a[1] / b[0]
-
-
 def pow_bounds(
     base: tuple[Fraction, Fraction], exp: tuple[Fraction, Fraction], prec: int
 ) -> tuple[Fraction, Fraction]:
@@ -185,13 +168,38 @@ def certify_le(lhs: Fraction | int, rhs: tuple[Fraction, Fraction]) -> str:
     return "unknown"
 
 
+def certify_ladder(
+    lhs: Fraction | int,
+    bracket_at: Callable[[int], Optional[tuple[Fraction, Fraction]]],
+) -> tuple[str, Optional[tuple[Fraction, Fraction]]]:
+    """Decide lhs <= rhs up the precision ladder.
+
+    bracket_at(prec) brackets rhs at each precision of PRECISIONS in turn,
+    or returns None to escalate without deciding.  Returns the status
+    ("holds", "violated" or "undecided") and the last bracket computed,
+    None if every rung escalated.
+    """
+    bracket = None
+    for prec in PRECISIONS:
+        rung = bracket_at(prec)
+        if rung is None:
+            continue
+        bracket = rung
+        verdict = certify_le(lhs, bracket)
+        if verdict != "unknown":
+            return verdict, bracket
+    return "undecided", bracket
+
+
 def root_sum_dominates(total: int, part_a: int, part_b: int, e: int) -> bool:
     """Exact check of total^(1/e) <= part_a^(1/e) + part_b^(1/e).
 
     All arguments are nonnegative integers, e >= 1.  Roots are cleared by
-    scaled integer floor roots at escalating precision; raises
-    ExactnessError if the bracket never decides (not expected: equality
-    can only occur through a zero side, which is handled directly).
+    scaled integer floor roots at escalating precision.  Equality with both
+    parts positive (sqrt 18 = sqrt 2 + sqrt 8) needs part_a/part_b to be a
+    rational e-th power (u/v)^e, and then the sum of roots is exactly
+    (part_b (u/v + 1)^e)^(1/e); that case is decided directly.  Raises
+    ExactnessError only if no bracket decides a non-equality case.
     """
     if total < 0 or part_a < 0 or part_b < 0:
         raise ValueError("negative energy")
@@ -208,4 +216,9 @@ def root_sum_dominates(total: int, part_a: int, part_b: int, e: int) -> bool:
             return True
         if total * scaled > (la + lb + 2) ** e:
             return False
+    ratio = Fraction(part_a, part_b)
+    u = iroot(ratio.numerator, e)
+    v = iroot(ratio.denominator, e)
+    if u**e == ratio.numerator and v**e == ratio.denominator:
+        return total * v**e <= part_b * (u + v) ** e
     raise ExactnessError("root comparison did not resolve at max precision")

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from .core import BudgetError, F2Set
 from .dissociation import FamilySpec, in_family
 from .energy import additive_energy, energy_excess_compare
-from .exact import PRECISIONS, EULER_HI, EULER_LO, certify_le, log2_bounds, pow_bounds
+from .exact import EULER_HI, EULER_LO, certify_ladder, log2_bounds, pow_bounds
 
 
 # ---------------------------------------------------------------------------
@@ -527,19 +527,17 @@ def inverse2_bound(
         [len(set(da.elems) & set(db.elems)) for _, db in nonempty] for _, da in nonempty
     ]
 
-    status = "undecided"
-    rhs_lo = rhs_hi = None
     d0_bounds = None
     ceil_d0 = None
-    for prec in PRECISIONS:
-        log_m = log2_bounds_interval(2 * EULER_LO * m_param, 2 * EULER_HI * m_param, prec)
+
+    def bracket_at(prec: int) -> Optional[tuple[Fraction, Fraction]]:
+        nonlocal d0_bounds, ceil_d0
+        log_m = (
+            log2_bounds(2 * EULER_LO * m_param, prec)[0],
+            log2_bounds(2 * EULER_HI * m_param, prec)[1],
+        )
         num = (p * log_m[0], p * log_m[1])  # may be negative for small M
-        den = log2_bounds(ratio, prec)
-        if den[0] <= 0:
-            failures = ("log |Q|/(s2 p) not positive",)
-            return Inverse2Report(
-                "hypothesis-not-met", energy, None, None, failures, None, None
-            )
+        den = log2_bounds(ratio, prec)  # positive: the hypotheses give ratio >= 2
         raw_lo = num[0] / (den[1] if num[0] >= 0 else den[0])
         raw_hi = num[1] / (den[0] if num[1] >= 0 else den[1])
         d0 = (max(raw_lo, Fraction(1)), max(raw_hi, Fraction(1)))
@@ -547,7 +545,7 @@ def inverse2_bound(
         c_lo = -((-d0[0].numerator) // d0[0].denominator)
         c_hi = -((-d0[1].numerator) // d0[1].denominator)
         if c_lo != c_hi:
-            continue  # escalate precision to pin the ceiling
+            return None  # escalate precision to pin the ceiling
         ceil_d0 = c_lo
         if d0[0] == d0[1] == 1:
             x_bounds = (Fraction(1), Fraction(1))
@@ -573,17 +571,11 @@ def inverse2_bound(
             double_sum += Fraction(inner, (p * s2) ** r)
         tail = Fraction(p ** (2 * p) * m**p) / (2 * m_param**p)
         scale = 2 ** (5 * p) * p ** (3 * p) * s2**p
-        rhs_lo = scale * x_bounds[0] * double_sum + tail
-        rhs_hi = scale * x_bounds[1] * double_sum + tail
-        verdict = certify_le(energy, (rhs_lo, rhs_hi))
-        if verdict != "unknown":
-            status = verdict
-            break
+        return scale * x_bounds[0] * double_sum + tail, scale * x_bounds[1] * double_sum + tail
+
+    status, rhs = certify_ladder(energy, bracket_at)
+    rhs_lo, rhs_hi = rhs if rhs is not None else (None, None)
     return Inverse2Report(status, energy, rhs_lo, rhs_hi, (), d0_bounds, ceil_d0)
-
-
-def log2_bounds_interval(lo: Fraction, hi: Fraction, prec: int) -> tuple[Fraction, Fraction]:
-    return log2_bounds(lo, prec)[0], log2_bounds(hi, prec)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -941,7 +933,6 @@ def extract_rectangles_d(
         for qq in q.elems:
             combo = subset_of[qq]
             used = [0] * d
-            ok = True
             for e in combo:
                 for i, prt in enumerate(parts):
                     if e in prt:

@@ -12,15 +12,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
+from operator import add
 from typing import Optional, Sequence
 
 from .core import BudgetError, F2Set
 from .dissociation import FamilySpec, in_family
 from .energy import energy_multiset
-from .exact import PRECISIONS, certify_le, pow_bounds
+from .exact import certify_ladder, pow_bounds
 
-RYSER_BUDGET = 2_000_000
+RYSER_BUDGET = 1 << 22  # every y <= 22 fits: sum_{s<=x} C(y, s) <= 2^y
 
 
 @dataclass(frozen=True)
@@ -88,62 +89,30 @@ def permanent(h: CombMatrix, budget: int = RYSER_BUDGET) -> int:
     """Exact permanent by rectangular Ryser inclusion-exclusion.
 
     per H = (-1)^x sum_{S <= [y]} (-1)^|S| C(y-|S|, y-x) prod_i sum_{j in S} h_ij,
-    with the sum effectively over |S| <= x.  Tall input is transposed.
+    with the sum effectively over |S| <= x.  Tall input is transposed.  The
+    subsets are walked depth-first in increasing column order, each adding
+    one column to its parent's row sums; more than `budget` of them raises
+    BudgetError.
     """
     if h.x > h.y:
         h = h.transpose()
     x, y = h.x, h.y
     work = sum(comb(y, s) for s in range(x + 1))
     if work > budget:
-        if y <= 22:
-            return _permanent_expand(h)
         raise BudgetError(f"Ryser subset count {work} exceeds budget {budget}")
-    rows = h.rows
-    total = 0
-    for s in range(x + 1):
-        coef = comb(y - s, y - x)
-        if coef == 0:
-            continue
-        sign = -1 if s & 1 else 1
-        sub = 0
-        for cols in itertools.combinations(range(y), s):
-            prod = 1
-            for row in rows:
-                rs = 0
-                for j in cols:
-                    rs += row[j]
-                if rs == 0:
-                    prod = 0
-                    break
-                prod *= rs
-            sub += prod
-        total += sign * coef * sub
+    cols = list(zip(*h.rows))
+    sub = [0] * (x + 1)  # sub[s]: sum over |S| = s of prod_i (row sum i over S)
+
+    def walk(sums: list[int], start: int, s: int) -> None:
+        for j in range(start, y):
+            row_sums = list(map(add, sums, cols[j]))
+            sub[s] += prod(row_sums)
+            if s < x:
+                walk(row_sums, j + 1, s + 1)
+
+    walk([0] * x, 0, 1)
+    total = sum((-1) ** s * comb(y - s, y - x) * sub[s] for s in range(1, x + 1))
     return total if x % 2 == 0 else -total
-
-
-def _permanent_expand(h: CombMatrix) -> int:
-    """Row-by-row expansion with memoisation on the used-column mask."""
-    x, y = h.x, h.y
-    rows = h.rows
-    memo: dict[int, int] = {}
-
-    def go(used: int) -> int:
-        i = used.bit_count()
-        if i == x:
-            return 1
-        cached = memo.get(used)
-        if cached is not None:
-            return cached
-        acc = 0
-        row = rows[i]
-        for j in range(y):
-            v = row[j]
-            if v and not (used >> j) & 1:
-                acc += v * go(used | (1 << j))
-        memo[used] = acc
-        return acc
-
-    return go(0)
 
 
 @dataclass(frozen=True)
@@ -313,21 +282,17 @@ def pi_value(ts: Sequence[int], p: int, delta0: Fraction) -> PiValueReport:
             pi *= (top - i) ** alphas[i]
         pi *= (top - z) ** q_z
     scale = 2 ** (3 * p)
-    if delta0 <= 1:
-        bound = (Fraction(scale), Fraction(scale))
-    elif delta0.denominator == 1:
-        exact = Fraction(int(delta0) ** (4 * int(delta0)))
-        bound = (scale * exact, scale * exact)
-    else:
-        bound = None
-        for prec in PRECISIONS:
+
+    def bracket_at(prec: int) -> tuple[Fraction, Fraction]:
+        if delta0 <= 1:
+            x_lo = x_hi = Fraction(1)
+        elif delta0.denominator == 1:
+            x_lo = x_hi = Fraction(int(delta0) ** (4 * int(delta0)))
+        else:
             x_lo, x_hi = pow_bounds((delta0, delta0), (4 * delta0, 4 * delta0), prec)
-            bound = (scale * x_lo, scale * x_hi)
-            if certify_le(pi, bound) != "unknown":
-                break
-    status = certify_le(pi, bound)
-    if status == "unknown":
-        status = "undecided"
+        return scale * x_lo, scale * x_hi
+
+    status, bound = certify_ladder(pi, bracket_at)
     return PiValueReport(
         pi, bound[0], bound[1], status, not failures, tuple(failures), top, alphas, z, q_z
     )

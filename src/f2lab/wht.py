@@ -1,17 +1,14 @@
 """Exact fast Walsh-Hadamard transform and large-spectrum extraction.
 
 Tables hold arbitrary-precision Python integers throughout, so Parseval and
-all downstream energy computations are exact.  The butterfly may be split
-across threads (F2LAB_THREADS); stages write disjoint index pairs, so the
-parallel result is identical to the serial one.
+all downstream energy computations are exact.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .core import BudgetError, DimensionError, F2Set, bits_to_string
 from .exact import ExactnessError
@@ -53,48 +50,17 @@ class SpectrumTable:
             raise DimensionError("table length must be exactly 2^n")
 
 
-def thread_count() -> int:
-    raw = os.environ.get("F2LAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"F2LAB_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
-
-
-def _stage(vals: list[int], starts: Iterable[int], h: int) -> None:
-    for start in starts:
-        for i in range(start, start + h):
-            a = vals[i]
-            b = vals[i + h]
-            vals[i] = a + b
-            vals[i + h] = a - b
-
-
 def _butterfly(vals: list[int]) -> None:
     n = len(vals)
-    workers = thread_count()
-    pool = None
-    if workers > 1 and n >= 1 << 12:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        h = 1
-        while h < n:
-            step = 2 * h
-            starts = range(0, n, step)
-            if pool is not None and len(starts) >= workers * 2:
-                chunks = [starts[i::workers] for i in range(workers)]
-                futures = [pool.submit(_stage, vals, c, h) for c in chunks]
-                for f in futures:
-                    f.result()
-            else:
-                _stage(vals, starts, h)
-            h = step
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    h = 1
+    while h < n:
+        for start in range(0, n, 2 * h):
+            for i in range(start, start + h):
+                a = vals[i]
+                b = vals[i + h]
+                vals[i] = a + b
+                vals[i + h] = a - b
+        h *= 2
 
 
 def wht(f: IntFunction) -> SpectrumTable:
@@ -127,8 +93,6 @@ def inverse_wht(s: SpectrumTable) -> IntFunction:
 
 def large_spectrum(a: F2Set, alpha: Fraction) -> F2Set:
     """R_alpha = { r : |A_hat(r)| >= alpha * N }, threshold compared exactly."""
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if len(a) == 0:
         raise ValueError("large spectrum of an empty set")
     table = spectrum_of_set(a)
@@ -136,6 +100,8 @@ def large_spectrum(a: F2Set, alpha: Fraction) -> F2Set:
 
 
 def large_spectrum_from_table(table: SpectrumTable, alpha: Fraction) -> F2Set:
+    if not 0 < alpha <= 1:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     n = 1 << table.dim
     p, q = alpha.numerator, alpha.denominator
     hits = [r for r, v in enumerate(table.values) if abs(v) * q >= p * n]

@@ -7,13 +7,17 @@ definition-level oracles in oracles.py.
 """
 
 import itertools
+import json
 import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import f2lab
 from f2lab.bench import (
     build_majority,
     check_diss_energy,
@@ -40,6 +44,14 @@ from f2lab.wht import IntFunction, wht
 
 from oracles import energy_tuples, naive_wht
 
+SRC_DIR = os.path.dirname(os.path.dirname(f2lab.__file__))
+# runs a JSON list of configurations read from stdin in a fresh interpreter
+REPLAY_CHILD = (
+    "import json, sys\n"
+    "from f2lab.cli import canonical_results, execute\n"
+    "configs = json.load(sys.stdin)\n"
+    "print(json.dumps([canonical_results(execute(c)[0]['results']) for c in configs]))\n"
+)
 
 def report(number, name, start, budget, extra=""):
     elapsed = time.perf_counter() - start
@@ -295,7 +307,8 @@ def test_criterion_09_inverse_pipeline_recovery():
 
 
 def test_criterion_10_replay_determinism():
-    """Byte-identical numerical fields across thread counts 1 and 4."""
+    """Byte-identical numerical fields across two processes with different
+    hash seeds, and under replay."""
     start = time.perf_counter()
     rng = random.Random(10)
     big_set = F2Set.from_bits(12, rng.sample(range(1 << 12), 700))
@@ -313,22 +326,20 @@ def test_criterion_10_replay_determinism():
         },
         {"command": "plant", "h": 2, "lsize": 3, "lpsize": 3, "noise": "1/10", "seed": 5},
     ]
-    old = os.environ.get("F2LAB_THREADS")
-    try:
-        blobs = {}
-        for threads in ("1", "4"):
-            os.environ["F2LAB_THREADS"] = threads
-            blobs[threads] = [canonical_results(execute(cfg)[0]["results"]) for cfg in configs]
-        assert blobs["1"] == blobs["4"], "thread count changed numerical output"
-        os.environ["F2LAB_THREADS"] = "4"
-        for cfg in configs:
-            recorded, code = execute(cfg)
-            assert code == 0
-            results, rcode = replay(recorded)
-            assert rcode == 0 and results["match"] is True
-    finally:
-        if old is None:
-            os.environ.pop("F2LAB_THREADS", None)
-        else:
-            os.environ["F2LAB_THREADS"] = old
-    report(10, "replay-determinism", start, 120, f"{len(configs)} configs x 2 thread counts")
+    in_process = [canonical_results(execute(cfg)[0]["results"]) for cfg in configs]
+    hashseed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    child = subprocess.run(
+        [sys.executable, "-c", REPLAY_CHILD],
+        input=json.dumps(configs),
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=SRC_DIR),
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == in_process, "a second process changed numerical output"
+    for cfg in configs:
+        recorded, code = execute(cfg)
+        assert code == 0
+        results, rcode = replay(recorded)
+        assert rcode == 0 and results["match"] is True
+    report(10, "replay-determinism", start, 120, f"{len(configs)} configs x 2 processes")

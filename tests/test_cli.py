@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import f2lab
 from f2lab.cli import (
     canonical_results,
     execute,
@@ -196,18 +197,26 @@ def test_replay_cli_file_flow(tmp_path):
 
 def test_thread_count_does_not_change_results(tmp_path):
     path = write(tmp_path, "basis3.set", SET_BASIS3)
-    old = os.environ.get("F2LAB_THREADS")
-    try:
-        os.environ["F2LAB_THREADS"] = "1"
-        _, rep1 = run_cli(["spectrum", "--set", path], tmp_path)
-        os.environ["F2LAB_THREADS"] = "4"
-        _, rep4 = run_cli(["spectrum", "--set", path], tmp_path)
-    finally:
-        if old is None:
-            os.environ.pop("F2LAB_THREADS", None)
-        else:
-            os.environ["F2LAB_THREADS"] = old
-    assert canonical_results(rep1["results"]) == canonical_results(rep4["results"])
+    src = os.path.dirname(os.path.dirname(f2lab.__file__))
+    blobs = []
+    for hashseed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "f2lab.cli", "spectrum", "--set", path, "--alpha", "1/4"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        blobs.append(canonical_results(json.loads(proc.stdout)["results"]))
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("alpha", ["0", "-1/2", "1/0"])
+def test_spectrum_bad_alpha_exit2(tmp_path, capsys, alpha):
+    path = write(tmp_path, "basis3.set", SET_BASIS3)
+    code, report = run_cli(["spectrum", "--set", path, f"--alpha={alpha}"], tmp_path)
+    assert code == 2 and report is None
+    assert "error" in json.loads(capsys.readouterr().err)
 
 
 def test_console_entrypoint_subprocess(tmp_path):

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f2lab.exact import (
+    PRECISIONS,
+    certify_ladder,
     certify_le,
     floor_log2,
     iroot,
@@ -91,6 +93,45 @@ def test_root_sum_dominates_basic():
     # equality through a zero side
     assert root_sum_dominates(21, 21, 0, 4)
     assert not root_sum_dominates(22, 21, 0, 4)
+
+
+def test_root_sum_dominates_equality_with_both_sides_positive():
+    # sqrt 18 = sqrt 2 + sqrt 8 and cbrt 54 = cbrt 2 + cbrt 16, exactly
+    assert root_sum_dominates(18, 2, 8, 2)
+    assert root_sum_dominates(54, 2, 16, 3)
+    assert not root_sum_dominates(19, 2, 8, 2)
+    assert not root_sum_dominates(55, 2, 16, 3)
+
+
+def test_certify_ladder_stops_at_first_deciding_rung():
+    asked = []
+
+    def bracket_at(prec):
+        asked.append(prec)
+        return (Fraction(3), Fraction(4)) if prec >= 24 else (Fraction(0), Fraction(9))
+
+    assert certify_ladder(2, bracket_at) == ("holds", (3, 4))
+    assert asked == list(PRECISIONS[:2])
+
+
+def test_certify_ladder_escalates_past_none():
+    asked = []
+
+    def bracket_at(prec):
+        asked.append(prec)
+        return None if prec < 48 else (Fraction(1), Fraction(2))
+
+    assert certify_ladder(5, bracket_at) == ("violated", (1, 2))
+    assert asked == list(PRECISIONS[:3])
+
+
+def test_certify_ladder_undecided_returns_last_bracket():
+    status, bracket = certify_ladder(
+        Fraction(3, 2), lambda prec: (Fraction(1), 2 + Fraction(1, prec))
+    )
+    assert status == "undecided"
+    assert bracket == (1, 2 + Fraction(1, PRECISIONS[-1]))
+    assert certify_ladder(1, lambda prec: None) == ("undecided", None)
 
 
 @settings(max_examples=200)

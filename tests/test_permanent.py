@@ -1,10 +1,11 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from f2lab.core import F2Set
+from f2lab.core import BudgetError, F2Set
 from f2lab.permanent import (
     CombMatrix,
     fk_zero_test,
@@ -39,11 +40,21 @@ def test_permanent_tall_transposed():
 
 def test_permanent_matches_permutation_oracle():
     rng = random.Random(10)
-    for _ in range(60):
+    for wide in [False] * 60 + [True] * 20:
         x = rng.randint(1, 4)
-        y = rng.randint(x, 5)
+        y = rng.randint(x, x + 4 if wide else 5)
         rows = [[rng.randint(0, 3) for _ in range(y)] for _ in range(x)]
         assert permanent(m(*rows)) == permanent_perms(rows)
+
+
+@pytest.mark.parametrize("x, y", [(3, 7), (5, 5)])
+def test_permanent_budget_is_the_subset_count(x, y):
+    rng = random.Random(10 * x + y)
+    rows = [[rng.randint(0, 3) for _ in range(y)] for _ in range(x)]
+    w = sum(comb(y, s) for s in range(x + 1))
+    assert permanent(m(*rows), budget=w) == permanent_perms(rows)
+    with pytest.raises(BudgetError):
+        permanent(m(*rows), budget=w - 1)
 
 
 def test_permanent_row_permutation_invariant():
