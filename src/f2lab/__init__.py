@@ -3,13 +3,10 @@
 from .core import (
     BudgetError,
     DimensionError,
-    F2Element,
     F2Set,
     SetFileError,
-    add,
     distinct_sumset,
     distinct_sumset_power,
-    dot,
     parse_set,
     serialize_set,
 )

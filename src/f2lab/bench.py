@@ -28,8 +28,7 @@ class BoundReport:
     """Outcome of one inequality check on one instance.
 
     `orientation` is "le" when the claim is lhs <= rhs and "ge" when the
-    claim is lhs >= rhs; `holds` is None when the status is not a verdict
-    (precondition failure or an unresolved bracket).
+    claim is lhs >= rhs.
     """
 
     theorem: str
@@ -38,7 +37,6 @@ class BoundReport:
     rhs: object
     orientation: str
     status: str  # holds | violated | undecided | precondition-failed
-    holds: Optional[bool]
     slack: Optional[float]
     runtime: float
     detail: str = ""
@@ -54,7 +52,6 @@ def _finish(
     start: float,
     detail: str = "",
 ) -> BoundReport:
-    holds = {"holds": True, "violated": False}.get(status)
     slack = None
     try:
         lf, rf = float(lhs), float(rhs)
@@ -65,16 +62,12 @@ def _finish(
     except (TypeError, OverflowError, ZeroDivisionError):
         slack = None
     return BoundReport(
-        theorem, instance, lhs, rhs, orientation, status, holds,
-        slack, time.perf_counter() - start, detail,
+        theorem, instance, lhs, rhs, orientation, status, slack, time.perf_counter() - start, detail
     )
 
 
 def _precondition_failed(theorem, instance, start, why) -> BoundReport:
-    return BoundReport(
-        theorem, instance, None, None, "le", "precondition-failed", None,
-        None, time.perf_counter() - start, why,
-    )
+    return _finish(theorem, instance, None, None, "le", "precondition-failed", start, why)
 
 
 def _family_verified(lam: F2Set, weight: int) -> str:
@@ -378,10 +371,9 @@ def verify_majority(inst: MajorityInstance, d: int = 1) -> list[BoundReport]:
     formula = weight1_binomial_value(nprime)
     brute = abs(inst.weight_values[1]) if nprime >= 1 else 0
     reports.append(
-        BoundReport(
+        _finish(
             "majority-weight1-formula", inst_desc, brute, formula, "le",
-            "holds" if brute == formula else "violated",
-            brute == formula, 1.0, time.perf_counter() - start, "equality required",
+            "holds" if brute == formula else "violated", start, "equality required",
         )
     )
 
@@ -389,10 +381,9 @@ def verify_majority(inst: MajorityInstance, d: int = 1) -> list[BoundReport]:
     size = inst.full_size()
     ok_size = 2 ** (n - k - 2) <= size <= 2 ** (n - k)
     reports.append(
-        BoundReport(
+        _finish(
             "majority-size", inst_desc, size, (2 ** (n - k - 2), 2 ** (n - k)), "le",
-            "holds" if ok_size else "violated", ok_size, None,
-            time.perf_counter() - start,
+            "holds" if ok_size else "violated", start,
         )
     )
 
@@ -404,22 +395,16 @@ def verify_majority(inst: MajorityInstance, d: int = 1) -> list[BoundReport]:
     ref_ok = Fraction(w1 * w1) >= inst.alpha_sq_reference * n_full**2
     status = "holds" if ref_ok else ("holds" if n < 32 else "violated")
     detail = "reference alpha certified" if ref_ok else "re-derived alpha (n < 32)"
-    reports.append(
-        BoundReport(
-            "majority-alpha", inst_desc, w1, None, "ge", status, ref_ok or n < 32,
-            None, time.perf_counter() - start, detail,
-        )
-    )
+    reports.append(_finish("majority-alpha", inst_desc, w1, None, "ge", status, start, detail))
 
     # (d) |R_alpha| >= n' 2^k at the certified threshold
     alpha_sq = min(inst.alpha_sq_reference, inst.alpha_used**2) if ref_ok else inst.alpha_used**2
     r_count = inst.spectrum_count(alpha_sq)
     ok_r = r_count >= nprime * (1 << k)
     reports.append(
-        BoundReport(
+        _finish(
             "majority-spectrum-size", inst_desc, r_count, nprime * (1 << k), "ge",
-            "holds" if ok_r else "violated", ok_r,
-            r_count / (nprime * (1 << k)), time.perf_counter() - start,
+            "holds" if ok_r else "violated", start,
         )
     )
 
@@ -428,10 +413,9 @@ def verify_majority(inst: MajorityInstance, d: int = 1) -> list[BoundReport]:
     target = nprime * comb(k, d - 1)
     ok_inter = inter >= target
     reports.append(
-        BoundReport(
+        _finish(
             "majority-sumset-intersection", inst_desc, inter, target, "ge",
-            "holds" if ok_inter else "violated", ok_inter,
-            (inter / target) if target else None, time.perf_counter() - start,
+            "holds" if ok_inter else "violated", start,
         )
     )
     return reports

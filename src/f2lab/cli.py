@@ -12,7 +12,9 @@ Exit codes: 0 all bounds hold / decided true, 1 any violation / false,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import sys
 import time
@@ -33,7 +35,7 @@ from .dissociation import FamilySpec, in_family
 from .energy import energy_report
 from .inverse import InverseParams, extract_rectangles_d, extract_rectangles_pair, plant_instance
 from .permanent import fk_zero_test, parse_matrix, permanent, reduced_permanent_check
-from .wht import large_spectrum_from_table, spectrum_of_set, spectrum_rows
+from .wht import check_alpha, large_spectrum_from_table, spectrum_of_set, spectrum_rows
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -123,6 +125,10 @@ def _cmd_energy(config: dict) -> Outcome:
 
 
 def _cmd_spectrum(config: dict) -> Outcome:
+    alpha = None
+    if config.get("alpha"):
+        alpha = parse_fraction(config["alpha"])
+        check_alpha(alpha)
     a = parse_set(config["set_text"])
     table = spectrum_of_set(a)
     csv_lines = ["r,coefficient"]
@@ -136,8 +142,7 @@ def _cmd_spectrum(config: dict) -> Outcome:
         "csv_sha256": hashlib.sha256(csv_text.encode()).hexdigest(),
         "nonzero": sum(1 for v in table.values if v),
     }
-    if config.get("alpha"):
-        alpha = parse_fraction(config["alpha"])
+    if alpha is not None:
         spec = large_spectrum_from_table(table, alpha)
         results["alpha"] = fraction_str(alpha)
         results["large_spectrum"] = [bits_to_string(e, a.dim) for e in spec.elems]
@@ -250,7 +255,12 @@ def _cmd_bench(config: dict) -> Outcome:
         "violated": statuses.count("violated"),
         "other": len(statuses) - statuses.count("holds") - statuses.count("violated"),
     }
-    return Outcome(results, _status_exit(statuses))
+    csv_buf = io.StringIO()
+    columns = ("theorem", "instance", "lhs", "rhs", "status", "slack")  # the row keys
+    writer = csv.DictWriter(csv_buf, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return Outcome(results, _status_exit(statuses), csv_buf.getvalue())
 
 
 def _extract_params(config: dict) -> InverseParams:
@@ -273,8 +283,15 @@ def _params_resolved(params: InverseParams) -> dict:
             out[f.name] = fraction_str(val)
         else:
             out[f.name] = val
-    out["epsilon"] = fraction_str(params.derived_epsilon())
     return out
+
+
+def _rectangle_json(rect, dim: int) -> dict:
+    return {
+        "prefix": [bits_to_string(e, dim) for e in rect.prefix],
+        "rows": [bits_to_string(e, dim) for e in rect.rows],
+        "cols": [bits_to_string(e, dim) for e in rect.cols],
+    }
 
 
 def _cmd_extract(config: dict) -> Outcome:
@@ -284,41 +301,24 @@ def _cmd_extract(config: dict) -> Outcome:
     params = _extract_params(config)
     if d == 2:
         rep = extract_rectangles_pair(q, lam, params)
-        rects = [
-            {
-                "prefix": [],
-                "rows": [bits_to_string(e, q.dim) for e in r.rows],
-                "cols": [bits_to_string(e, q.dim) for e in r.cols],
-            }
-            for r in rep.rectangles
-        ]
         results = {
-            "rectangles": rects,
+            "rectangles": [_rectangle_json(r, q.dim) for r in rep.rectangles],
             "covered": rep.covered,
             "q_size": rep.q_size,
             "coverage": fraction_str(rep.coverage),
             "family_status": rep.family_status,
             "trace": list(rep.trace),
-            "warnings": list(rep.warnings),
-            "params_resolved": _params_resolved(params),
-            "reference_epsilon": fraction_str(params.reference_epsilon()),
         }
-        return Outcome(results, 0)
-    rep_d = extract_rectangles_d(q, lam, d, params)
-    rect = rep_d.rectangle
-    results = {
-        "rectangle": None
-        if rect is None
-        else {
-            "prefix": [bits_to_string(e, q.dim) for e in rect.prefix],
-            "rows": [bits_to_string(e, q.dim) for e in rect.rows],
-            "cols": [bits_to_string(e, q.dim) for e in rect.cols],
-        },
-        "excess_found": rep_d.excess_found,
-        "warnings": list(rep_d.warnings),
-        "params_resolved": _params_resolved(params),
-        "reference_epsilon": fraction_str(params.reference_epsilon()),
-    }
+    else:
+        rep = extract_rectangles_d(q, lam, d, params)
+        rect = rep.rectangle
+        results = {
+            "rectangle": None if rect is None else _rectangle_json(rect, q.dim),
+            "excess_found": rep.excess_found,
+        }
+    results["warnings"] = list(rep.warnings)
+    results["params_resolved"] = _params_resolved(params)
+    results["reference_epsilon"] = fraction_str(params.reference_epsilon())
     return Outcome(results, 0)
 
 
@@ -559,8 +559,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                     fh.write(report["results"]["q"])
                 with open(prefix + "_lambda.set", "w", encoding="ascii") as fh:
                     fh.write(report["results"]["lambda"])
-            if args.command == "bench" and getattr(args, "out", None):
-                _write_bench_csv(args.out, report["results"]["rows"])
     except (SetFileError, BudgetError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
@@ -570,18 +568,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             fh.write(text + "\n")
     print(text)
     return exit_code
-
-
-def _write_bench_csv(path: str, rows: list[dict]) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance", "lhs", "rhs", "holds", "slack"])
-        for row in rows:
-            writer.writerow(
-                [row["instance"], row["lhs"], row["rhs"], row["status"] == "holds", row["slack"]]
-            )
 
 
 if __name__ == "__main__":

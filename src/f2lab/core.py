@@ -34,29 +34,6 @@ def _check_dim(dim: int) -> None:
         raise DimensionError(f"dimension {dim} outside 1..{MAX_DIM}")
 
 
-@dataclass(frozen=True)
-class F2Element:
-    """A point of F_2^n stored as an n-bit word."""
-
-    bits: int
-    dim: int
-
-    def __post_init__(self) -> None:
-        _check_dim(self.dim)
-        if not 0 <= self.bits < (1 << self.dim):
-            raise DimensionError(f"bits {self.bits} out of range for n={self.dim}")
-
-    def __xor__(self, other: "F2Element") -> "F2Element":
-        return add(self, other)
-
-    def to_bitstring(self) -> str:
-        return bits_to_string(self.bits, self.dim)
-
-    @classmethod
-    def from_bitstring(cls, s: str) -> "F2Element":
-        return cls(string_to_bits(s), len(s))
-
-
 def bits_to_string(bits: int, dim: int) -> str:
     """Render as a {0,1}^n string, leftmost character = coordinate 1."""
     return "".join("1" if (bits >> i) & 1 else "0" for i in range(dim))
@@ -70,20 +47,6 @@ def string_to_bits(s: str) -> int:
         elif ch != "0":
             raise SetFileError(f"bad character {ch!r} in element string")
     return bits
-
-
-def add(x: F2Element, y: F2Element) -> F2Element:
-    """Group law of F_2^n: bitwise XOR."""
-    if x.dim != y.dim:
-        raise DimensionError("cannot add elements of different dimension")
-    return F2Element(x.bits ^ y.bits, x.dim)
-
-
-def dot(r: F2Element, x: F2Element) -> int:
-    """Standard bilinear form <r, x>: parity of the AND popcount."""
-    if r.dim != x.dim:
-        raise DimensionError("dot product needs equal dimensions")
-    return (r.bits & x.bits).bit_count() & 1
 
 
 @dataclass(frozen=True)
@@ -135,10 +98,6 @@ class F2Set:
     def issubset(self, other: "F2Set") -> bool:
         self._same_group(other)
         return set(self.elems) <= set(other.elems)
-
-    def translate(self, a: int) -> "F2Set":
-        """The coset {x + a : x in this set}."""
-        return F2Set.from_bits(self.dim, (e ^ a for e in self.elems))
 
     def _same_group(self, other: "F2Set") -> None:
         if self.dim != other.dim:
@@ -244,13 +203,3 @@ def serialize_set(s: F2Set) -> str:
     lines = [str(s.dim)]
     lines.extend(bits_to_string(e, s.dim) for e in s.elems)
     return "\n".join(lines) + "\n"
-
-
-def read_set_file(path: str) -> F2Set:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_set(fh.read())
-
-
-def write_set_file(path: str, s: F2Set) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(serialize_set(s))

@@ -144,20 +144,6 @@ def convolve(f: IntFunction, g: IntFunction) -> IntFunction:
     return inverse_wht(prod)
 
 
-def convolve_direct(f: IntFunction, g: IntFunction) -> IntFunction:
-    """Definition-level O(N^2) convolution; agrees exactly with convolve."""
-    if f.dim != g.dim:
-        raise DimensionError("convolution needs equal dimensions")
-    n = 1 << f.dim
-    out = [0] * n
-    for s, fv in enumerate(f.values):
-        if fv == 0:
-            continue
-        for x in range(n):
-            out[x] += fv * g.values[x ^ s]
-    return IntFunction(f.dim, tuple(out))
-
-
 def conv_power(f: IntFunction, k: int) -> IntFunction:
     """k-fold convolution power f * f * ... * f (k factors)."""
     if k < 1:

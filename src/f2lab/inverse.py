@@ -20,7 +20,7 @@ from math import comb, factorial
 from typing import Optional, Sequence
 
 from .core import BudgetError, F2Set
-from .dissociation import FamilySpec, in_family
+from .dissociation import FamilySpec, in_family, random_dissociated
 from .energy import additive_energy, energy_excess_compare
 from .exact import EULER_HI, EULER_LO, certify_ladder, log2_bounds, pow_bounds
 
@@ -69,34 +69,6 @@ class RefineResult:
     energy_final: int
 
 
-class _EnergyCache:
-    """T_k memo keyed by the sorted element tuple; shared across calls so
-    exhaustive sweeps over many Q reuse subset energies."""
-
-    def __init__(self, dim: int, k: int, store: Optional[dict] = None):
-        self.dim = dim
-        self.k = k
-        self.store = store if store is not None else {}
-
-    def __call__(self, s: F2Set) -> int:
-        return self.of_tuple(s.elems)
-
-    def of_tuple(self, elems: tuple[int, ...]) -> int:
-        val = self.store.get(elems)
-        if val is None:
-            val = additive_energy(F2Set(self.dim, elems), self.k)
-            self.store[elems] = val
-        return val
-
-
-def _violates(
-    t_b: int, b: int, t_q: int, m: int, k: int, c: Fraction
-) -> bool:
-    """Exact test of T_k(B) < C^2k (|B|/|Q|)^2k T_k(Q)."""
-    e = 2 * k
-    return t_b * c.denominator**e * m**e < c.numerator**e * b**e * t_q
-
-
 def refine_connected(
     q: F2Set,
     params: ConnectednessParams,
@@ -109,17 +81,27 @@ def refine_connected(
     increases the excess exponent D_k, which is asserted exactly.  Runs are
     "certified" connected only when the final pass searched every window
     subset (|Q| <= exhaustive_limit); larger sets get seeded random search
-    plus local moves and an honest best-effort tag.
+    plus local moves and an honest best-effort tag.  `energy_cache` maps
+    sorted element tuples to T_k and may be shared across calls.
     """
     k = params.k
-    energy = _EnergyCache(q.dim, k, energy_cache)
+    store = energy_cache if energy_cache is not None else {}
+
+    def energy(elems: tuple[int, ...]) -> int:
+        val = store.get(elems)
+        if val is None:
+            val = additive_energy(F2Set(q.dim, elems), k)
+            store[elems] = val
+        return val
+
     rng = random.Random(params.seed)
     cur = q
-    t_cur = energy(cur)
+    t_cur = energy(cur.elems)
     t_initial = t_cur
     m_initial = len(q)
     steps: list[RefineStep] = []
     certified = False
+    e = 2 * k
     while True:
         m = len(cur)
         if m <= 2:
@@ -130,48 +112,45 @@ def refine_connected(
         if lo > hi:
             certified = True  # no admissible B: connected vacuously
             break
+        # B violates iff T_k(B) C_den^2k m^2k < C_num^2k |B|^2k T_k(Q),
+        # i.e. T_k(B) * lhs_scale < rhs_base * |B|^2k
+        lhs_scale = params.constant.denominator**e * m**e
+        rhs_base = params.constant.numerator**e * t_cur
         violation = None
         exhaustive = m <= params.exhaustive_limit
         if exhaustive:
-            # hoisted constants: B violates iff T_k(B) * lhs_scale < rhs_size[b]
-            e = 2 * k
-            lhs_scale = params.constant.denominator**e * m**e
-            rhs_base = params.constant.numerator**e * t_cur
-            cache_get = energy.store.get
-            of_tuple = energy.of_tuple
+            cache_get = store.get
             for size in range(lo, hi + 1):
                 rhs_size = rhs_base * size**e
                 for combo in itertools.combinations(cur.elems, size):
                     t_b = cache_get(combo)
                     if t_b is None:
-                        t_b = of_tuple(combo)
+                        t_b = energy(combo)
                     if t_b * lhs_scale < rhs_size:
-                        violation = F2Set(cur.dim, combo)
+                        violation = combo
                         break
                 if violation is not None:
                     break
         else:
-            best: Optional[tuple[Fraction, F2Set]] = None
+            best: Optional[tuple[Fraction, tuple[int, ...]]] = None
             for _ in range(params.search_budget):
                 size = rng.randint(lo, hi)
                 combo = tuple(sorted(rng.sample(cur.elems, size)))
-                b = F2Set(cur.dim, combo)
-                t_b = energy(b)
-                if _violates(t_b, size, t_cur, m, k, params.constant):
-                    violation = b
+                lhs = energy(combo) * lhs_scale
+                rhs = rhs_base * size**e
+                if lhs < rhs:
+                    violation = combo
                     break
-                margin = Fraction(t_b * params.constant.denominator ** (2 * k) * m ** (2 * k)) / (
-                    params.constant.numerator ** (2 * k) * size ** (2 * k) * t_cur
-                )
+                margin = Fraction(lhs, rhs)
                 if best is None or margin < best[0]:
-                    best = (margin, b)
+                    best = (margin, combo)
             if violation is None and best is not None:
-                violation = _local_descent(best[1], cur, t_cur, energy, params, rng, lo, hi)
+                violation = _local_descent(best[1], cur, energy, lhs_scale, rhs_base, params, rng)
         if violation is None:
             certified = exhaustive
             break
-        nxt = cur.difference(violation)
-        t_nxt = energy(nxt)
+        nxt = cur.difference(F2Set(cur.dim, violation))
+        t_nxt = energy(nxt.elems)
         # strict D_k increase is guaranteed by subadditivity whenever C < 1/4
         if not energy_excess_compare(t_nxt, len(nxt), t_cur, m, k):
             if params.constant < Fraction(1, 4):
@@ -194,23 +173,19 @@ def refine_connected(
     return RefineResult(cur, tuple(steps), certified, step_bound_ok, t_initial, t_cur)
 
 
-def _local_descent(start, cur, t_cur, energy, params, rng, lo, hi):
+def _local_descent(start, cur, energy, lhs_scale, rhs_base, params, rng):
     """Swap-based descent from the least-connected sampled subset."""
-    k = params.k
-    m = len(cur)
-    b = list(start.elems)
-    outside = [e for e in cur.elems if e not in set(b)]
+    e = 2 * params.k
+    b = list(start)
+    outside = [x for x in cur.elems if x not in set(b)]
 
     def margin(elems):
-        t_b = energy(F2Set(cur.dim, tuple(sorted(elems))))
-        lhs = t_b * params.constant.denominator ** (2 * k) * m ** (2 * k)
-        rhs = params.constant.numerator ** (2 * k) * len(elems) ** (2 * k) * t_cur
-        return lhs - rhs
+        return energy(tuple(sorted(elems))) * lhs_scale - rhs_base * len(elems) ** e
 
     cur_margin = margin(b)
     for _ in range(max(8, params.search_budget // 8)):
         if cur_margin < 0:
-            return F2Set(cur.dim, tuple(sorted(b)))
+            return tuple(sorted(b))
         if not outside:
             break
         i = rng.randrange(len(b))
@@ -423,7 +398,7 @@ class FiberDecomposition:
     """Q inside Lambda_1 + Lambda_2, organised by first coordinate.
 
     fibers maps lambda in Lambda_1 to D(lambda) = {mu in Lambda_2 :
-    lambda + mu in Q}; s1 counts nonempty fibers, s2 = |Lambda_2|.
+    lambda + mu in Q}; s2 = |Lambda_2|.
     """
 
     lambda1: F2Set
@@ -440,10 +415,6 @@ class FiberDecomposition:
             d = tuple(mu for mu in lambda2.elems if (lam ^ mu) in qset)
             fibers.append((lam, F2Set(lambda2.dim, d)))
         return cls(lambda1, lambda2, tuple(fibers))
-
-    @property
-    def s1(self) -> int:
-        return sum(1 for _, d in self.fibers if len(d))
 
     @property
     def s2(self) -> int:
@@ -619,7 +590,7 @@ class InverseParams:
     p: int = 2
     big_k: Fraction = Fraction(1)
     eta: Fraction = Fraction(1, 2)
-    epsilon: Optional[Fraction] = None
+    epsilon: Fraction = Fraction(1, 4)
     zeta: Fraction = Fraction(1, 4)
     width: int = 8
     depth: int = 4
@@ -640,11 +611,6 @@ class InverseParams:
         if not 0 < self.eta <= Fraction(1, 2):
             raise ValueError("eta must lie in (0, 1/2]")
 
-    def derived_epsilon(self) -> Fraction:
-        if self.epsilon is not None:
-            return self.epsilon
-        return Fraction(1, 4)
-
     def reference_epsilon(self) -> Fraction:
         k1 = 2**13 * self.big_k
         return 1 / (16 * k1)
@@ -662,20 +628,9 @@ class ExtractionReport:
     warnings: tuple[str, ...]
 
 
-def _pair_table(lam: F2Set) -> dict[int, tuple[int, int]]:
-    """sum -> unordered pair of distinct Lambda elements (unique if
-    Lambda is in the weight-4 family)."""
-    table: dict[int, tuple[int, int]] = {}
-    for a, b in itertools.combinations(lam.elems, 2):
-        s = a ^ b
-        if s in table:
-            raise ValueError("pair sums collide; Lambda is not 4-dissociated")
-        table[s] = (a, b)
-    return table
-
-
 def _subset_table(lam: F2Set, d: int, budget: int = 2_000_000) -> dict[int, tuple[int, ...]]:
-    """sum -> d-subset of Lambda (unique under the weight-2d family)."""
+    """sum -> d-subset of Lambda in `combinations` order (unique under the
+    weight-2d family)."""
     if comb(len(lam), d) > budget:
         raise BudgetError("subset table too large")
     table: dict[int, tuple[int, ...]] = {}
@@ -774,7 +729,7 @@ def _bite_once(
         return None
     fiber_of = {lam_: set(d.elems) for lam_, d in nonempty}
     p1 = params.p
-    eps = params.derived_epsilon()
+    eps = params.epsilon
     min_support = max(params.min_rows, -((-eps.numerator * p1) // eps.denominator))
     # supports: for each second coordinate, the set of rows whose fiber holds it
     col_rows: dict[int, set[int]] = {}
@@ -792,12 +747,7 @@ def _bite_once(
     for s in sorted(raw_supports, key=lambda fs: (-len(fs), tuple(sorted(fs)))):
         ranked = sorted(s, key=lambda lam_: (-len(fiber_of[lam_]), lam_))
         trimmed.append(frozenset(ranked[:psize]))
-    supports = []
-    seen = set()
-    for s in trimmed:
-        if s not in seen:
-            seen.add(s)
-            supports.append(s)
+    supports = list(dict.fromkeys(trimmed))
     chosen = greedy_disjoint_supports(supports, params.zeta, params.width)
     candidate_rows = sorted(set().union(*(supports[i] for i in chosen)))
     sets = [frozenset(fiber_of[lam_]) for lam_ in candidate_rows]
@@ -847,7 +797,7 @@ def extract_rectangles_pair(
     fam = in_family(lam, FamilySpec.zero(min(4 * params.p, max(1, len(lam))), lam.dim))
     if fam.status != "true":
         warnings.append(f"Lambda family status: {fam.status}")
-    pair_of = _pair_table(lam)
+    pair_of = _subset_table(lam, 2)
     missing = [qq for qq in q.elems if qq not in pair_of]
     if missing:
         raise ValueError("Q is not contained in the 2-fold distinct sumset of Lambda")
@@ -894,6 +844,17 @@ class PrefixExtractionReport:
     warnings: tuple[str, ...]
 
 
+def _aligned(combo: tuple[int, ...], part_of: dict[int, int]) -> Optional[tuple[int, ...]]:
+    """The d-subset ordered by part, or None unless it meets every part once."""
+    out = [None] * len(combo)
+    for e in combo:
+        i = part_of[e]
+        if out[i] is not None:
+            return None
+        out[i] = e
+    return tuple(out)
+
+
 def extract_rectangles_d(
     q: F2Set, lam: F2Set, d: int, params: InverseParams
 ) -> PrefixExtractionReport:
@@ -927,55 +888,21 @@ def extract_rectangles_d(
     if sizes[-1] < 1:
         raise ValueError("Lambda too small to split into d parts")
     trace: list[dict] = []
-
-    def part_score(parts: list[frozenset]) -> int:
-        cnt = 0
-        for qq in q.elems:
-            combo = subset_of[qq]
-            used = [0] * d
-            for e in combo:
-                for i, prt in enumerate(parts):
-                    if e in prt:
-                        used[i] += 1
-                        break
-            if all(u == 1 for u in used):
-                cnt += 1
-        return cnt
-
-    best_parts = None
-    best_mass = -1
+    best_split = None
     for _ in range(params.split_trials):
         perm = rng.sample(lam.elems, n_lam)
-        parts = []
-        at = 0
-        for sz in sizes:
-            parts.append(frozenset(perm[at : at + sz]))
-            at += sz
-        mass = part_score(parts)
-        if mass > best_mass:
-            best_mass = mass
-            best_parts = parts
+        part_of = {e: j // a for j, e in enumerate(perm)}  # consecutive blocks of `sizes`
+        mass = sum(1 for qq in q.elems if _aligned(subset_of[qq], part_of) is not None)
+        if best_split is None or mass > best_split[0]:
+            best_split = (mass, part_of)
+    best_mass, part_of = best_split
     trace.append({"stage": "partition", "mass": best_mass, "sizes": sizes})
-    parts = best_parts
     # group Q by the (d-2)-prefix of its decomposition
     by_prefix: dict[tuple[int, ...], list[int]] = {}
     for qq in q.elems:
-        combo = subset_of[qq]
-        pref = []
-        tail = []
-        ok = True
-        for i, prt in enumerate(parts):
-            inside = [e for e in combo if e in prt]
-            if len(inside) != 1:
-                ok = False
-                break
-            (elem,) = inside
-            if i < d - 2:
-                pref.append(elem)
-            else:
-                tail.append(elem)
-        if ok:
-            by_prefix.setdefault(tuple(pref), []).append(qq)
+        aligned = _aligned(subset_of[qq], part_of)
+        if aligned is not None:
+            by_prefix.setdefault(aligned[: d - 2], []).append(qq)
     if not by_prefix:
         trace.append({"stage": "prefix", "note": "no aligned points"})
         return PrefixExtractionReport(None, (), False, None, tuple(trace), params, tuple(warnings))
@@ -997,7 +924,7 @@ def extract_rectangles_d(
     pool = with_excess if with_excess else candidates
     pool.sort(key=lambda c: (-c[1], c[2]))
     _, _, pref, translated = pool[0]
-    lam_pair = F2Set.from_bits(lam.dim, tuple(parts[d - 2] | parts[d - 1]))
+    lam_pair = F2Set.from_bits(lam.dim, (e for e, i in part_of.items() if i >= d - 2))
     sub_params = replace(params, seed=rng.randrange(1 << 30))
     pair_rep = extract_rectangles_pair(translated, lam_pair, sub_params)
     trace.extend(pair_rep.trace)
@@ -1049,7 +976,7 @@ def plant_instance(
     if h < 1 or row_size < 1 or col_size < 1:
         raise ValueError("need h, row and column sizes >= 1")
     rng = random.Random(seed)
-    lam = random_dissociated_for_plant(n, lambda_size, rng)
+    lam = random_dissociated(n, lambda_size, seed=rng.randrange(1 << 30))
     perm = rng.sample(lam.elems, lambda_size)
     rows: list[F2Set] = []
     cols: list[F2Set] = []
@@ -1090,9 +1017,3 @@ def plant_instance(
         F2Set.from_bits(n, noise),
         seed,
     )
-
-
-def random_dissociated_for_plant(n: int, m: int, rng: random.Random) -> F2Set:
-    from .dissociation import random_dissociated
-
-    return random_dissociated(n, m, seed=rng.randrange(1 << 30))

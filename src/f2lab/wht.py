@@ -16,6 +16,18 @@ from .exact import ExactnessError
 WHT_DIM_CAP = 26  # full tables above 2^26 entries are out of desk scale
 
 
+def _check_table_dim(dim: int) -> None:
+    """Refuse a 2^dim table above the cap before anything is allocated."""
+    if dim > WHT_DIM_CAP:
+        raise BudgetError(f"transform table 2^{dim} exceeds cap 2^{WHT_DIM_CAP}")
+
+
+def check_alpha(alpha: Fraction) -> None:
+    """Large-spectrum thresholds must lie in (0, 1]."""
+    if not 0 < alpha <= 1:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+
+
 @dataclass(frozen=True)
 class IntFunction:
     """An integer-valued function on F_2^n as a table of length 2^n."""
@@ -29,6 +41,7 @@ class IntFunction:
 
     @classmethod
     def indicator(cls, s: F2Set) -> "IntFunction":
+        _check_table_dim(s.dim)
         vals = [0] * (1 << s.dim)
         for e in s.elems:
             vals[e] = 1
@@ -65,8 +78,7 @@ def _butterfly(vals: list[int]) -> None:
 
 def wht(f: IntFunction) -> SpectrumTable:
     """A_hat(r) = sum_x f(x) (-1)^<r,x>, exact, O(N log N) integer ops."""
-    if f.dim > WHT_DIM_CAP:
-        raise BudgetError(f"transform table 2^{f.dim} exceeds cap 2^{WHT_DIM_CAP}")
+    _check_table_dim(f.dim)
     vals = list(f.values)
     _butterfly(vals)
     return SpectrumTable(f.dim, tuple(vals))
@@ -100,8 +112,7 @@ def large_spectrum(a: F2Set, alpha: Fraction) -> F2Set:
 
 
 def large_spectrum_from_table(table: SpectrumTable, alpha: Fraction) -> F2Set:
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    check_alpha(alpha)
     n = 1 << table.dim
     p, q = alpha.numerator, alpha.denominator
     hits = [r for r, v in enumerate(table.values) if abs(v) * q >= p * n]

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import f2lab
+from f2lab import cli
 from f2lab.cli import (
     canonical_results,
     execute,
@@ -134,7 +135,7 @@ def test_bench_cli_majority(tmp_path):
     assert code == 0
     assert report["results"]["violated"] == 0
     lines = open(out_csv).read().splitlines()
-    assert lines[0] == "instance,lhs,rhs,holds,slack"
+    assert lines[0] == "theorem,instance,lhs,rhs,status,slack"
     assert len(lines) == len(report["results"]["rows"]) + 1
 
 
@@ -212,7 +213,11 @@ def test_thread_count_does_not_change_results(tmp_path):
 
 
 @pytest.mark.parametrize("alpha", ["0", "-1/2", "1/0"])
-def test_spectrum_bad_alpha_exit2(tmp_path, capsys, alpha):
+def test_spectrum_bad_alpha_exit2(tmp_path, capsys, monkeypatch, alpha):
+    def no_transform(a):
+        raise AssertionError("alpha must be refused before the transform")
+
+    monkeypatch.setattr(cli, "spectrum_of_set", no_transform)
     path = write(tmp_path, "basis3.set", SET_BASIS3)
     code, report = run_cli(["spectrum", "--set", path, f"--alpha={alpha}"], tmp_path)
     assert code == 2 and report is None

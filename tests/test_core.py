@@ -1,88 +1,51 @@
 import itertools
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from f2lab.core import (
     BudgetError,
     DimensionError,
-    F2Element,
     F2Set,
     SetFileError,
-    add,
     bits_to_string,
     distinct_sumset,
     distinct_sumset_power,
-    dot,
     parse_set,
     serialize_set,
     string_to_bits,
 )
+from f2lab.wht import spectrum_of_set
 
 from oracles import distinct_sums
 
 
-def e(bits, dim=4):
-    return F2Element(bits, dim)
-
-
 def test_add_is_xor():
     # spec example: 1010 + 0110 = 1100 (leftmost char = coordinate 1)
-    x = F2Element.from_bitstring("1010")
-    y = F2Element.from_bitstring("0110")
-    assert add(x, y).to_bitstring() == "1100"
-
-
-def test_add_self_inverse_and_identity():
-    x = e(0b1011)
-    assert add(x, x).bits == 0
-    assert add(x, e(0)).bits == x.bits
+    x, y = parse_set("4\n1010\n"), parse_set("4\n0110\n")
+    assert serialize_set(distinct_sumset([x, y])) == "4\n1100\n"
 
 
 def test_add_dimension_mismatch():
     with pytest.raises(DimensionError):
-        add(F2Element(1, 3), F2Element(1, 4))
+        distinct_sumset([F2Set(3, (1,)), F2Set(4, (1,))])
 
 
-def test_add_group_laws_exhaustive_small():
-    # commutativity and self-inverse exhaustively over all pairs up to n = 8
-    for dim in range(1, 9):
-        top = 1 << dim
-        for a in range(top):
-            x = F2Element(a, dim)
-            assert add(x, x).bits == 0
-            for b in range(top):
-                y = F2Element(b, dim)
-                assert add(x, y).bits == add(y, x).bits
-    # associativity exhaustively over all triples up to n = 4
-    for dim in (1, 2, 3, 4):
-        top = 1 << dim
-        for a, b, c in itertools.product(range(top), repeat=3):
-            x, y, z = (F2Element(v, dim) for v in (a, b, c))
-            assert add(add(x, y), z).bits == add(x, add(y, z)).bits
-
-
-@given(st.integers(min_value=1, max_value=16), st.data())
-def test_add_group_laws_random(dim, data):
-    bits = st.integers(min_value=0, max_value=(1 << dim) - 1)
-    a, b, c = (F2Element(data.draw(bits), dim) for _ in range(3))
-    assert add(a, b).bits == add(b, a).bits
-    assert add(add(a, b), c).bits == add(a, add(b, c)).bits
-    assert add(a, a).bits == 0
+def pairing(r: str, x: str) -> int:
+    """<r, x> read off the transform of a point: A_hat(r) = (-1)^<r,x> for A = {x}."""
+    table = spectrum_of_set(F2Set(len(x), (string_to_bits(x),)))
+    return (1 - table.values[string_to_bits(r)]) // 2
 
 
 def test_dot_examples():
-    assert dot(F2Element.from_bitstring("1100"), F2Element.from_bitstring("1000")) == 1
-    assert dot(e(0b1111), e(0)) == 0
-    assert dot(F2Element.from_bitstring("1111"), F2Element.from_bitstring("1111")) == 0
+    assert pairing("1100", "1000") == 1
+    assert pairing("1111", "0000") == 0
+    assert pairing("1111", "1111") == 0
 
 
 def test_dot_bilinear():
-    for r, x, y in itertools.product(range(8), repeat=3):
-        lhs = dot(F2Element(r, 3), add(F2Element(x, 3), F2Element(y, 3)))
-        rhs = (dot(F2Element(r, 3), F2Element(x, 3)) + dot(F2Element(r, 3), F2Element(y, 3))) % 2
-        assert lhs == rhs
+    chars = [spectrum_of_set(F2Set(3, (x,))).values for x in range(8)]
+    for x, y in itertools.product(range(8), repeat=2):
+        assert chars[x ^ y] == tuple(a * b for a, b in zip(chars[x], chars[y]))
 
 
 def test_f2set_sorted_no_duplicates():

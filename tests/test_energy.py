@@ -9,7 +9,6 @@ from f2lab.energy import (
     additive_energy,
     conv_power,
     convolve,
-    convolve_direct,
     dk_zeta,
     energy_bruteforce,
     energy_convolution,
@@ -168,7 +167,6 @@ def test_convolve_commutative_and_matches_direct():
         fg = convolve(f, g)
         assert fg.values == convolve(g, f).values
         assert list(fg.values) == convolve_defn(list(f.values), list(g.values))
-        assert convolve_direct(f, g).values == fg.values
 
 
 def test_energy_function_indicator_agreement():

@@ -1,11 +1,12 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f2lab.core import F2Set
+from f2lab.core import BudgetError, F2Set
 from f2lab.exact import ExactnessError
 from f2lab.wht import (
     IntFunction,
@@ -162,3 +163,10 @@ def test_threaded_wht_identical_to_serial():
     rng = random.Random(5)
     vals = tuple(rng.randint(-9, 9) for _ in range(1 << 10))
     assert list(wht(IntFunction(10, vals)).values) == naive_wht(vals)
+
+
+def test_indicator_refuses_tables_above_cap(monkeypatch):
+    # f2lab.wht names the function, so reach the module through sys.modules
+    monkeypatch.setattr(sys.modules["f2lab.wht"], "WHT_DIM_CAP", 4)
+    with pytest.raises(BudgetError):
+        IntFunction.indicator(F2Set(12, (1,)))
