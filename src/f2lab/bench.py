@@ -20,7 +20,7 @@ from .core import F2Set, distinct_sumset_power
 from .dissociation import FamilySpec, in_family, is_dissociated, random_dissociated
 from .energy import additive_energy
 from .exact import certify_ladder, floor_log2, log2_bounds
-from .wht import IntFunction, large_spectrum, spectrum_of_set, wht
+from .wht import IntFunction, large_spectrum, large_spectrum_from_table, spectrum_of_set, wht
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,14 @@ def _finish(
     lhs,
     rhs,
     orientation: str,
-    status: str,
     start: float,
     detail: str = "",
+    status: Optional[str] = None,
 ) -> BoundReport:
+    """The report of one check; without a given status, lhs and rhs are
+    compared exactly in the stated orientation."""
+    if status is None:
+        status = "holds" if (lhs <= rhs if orientation == "le" else lhs >= rhs) else "violated"
     slack = None
     try:
         lf, rf = float(lhs), float(rhs)
@@ -67,12 +71,17 @@ def _finish(
 
 
 def _precondition_failed(theorem, instance, start, why) -> BoundReport:
-    return _finish(theorem, instance, None, None, "le", "precondition-failed", start, why)
+    return _finish(theorem, instance, None, None, "le", start, why, "precondition-failed")
 
 
-def _family_verified(lam: F2Set, weight: int) -> str:
+def _family_refusal(theorem, instance, start, lam: F2Set, weight: int) -> Optional[BoundReport]:
+    """None when Lambda is certified to lie in the weight-`weight` family
+    (capped at |Lambda|), else the precondition-failed report."""
     cap = min(weight, max(1, len(lam)))
-    return in_family(lam, FamilySpec.zero(cap, lam.dim)).status
+    fam = in_family(lam, FamilySpec.zero(cap, lam.dim)).status
+    if fam == "true":
+        return None
+    return _precondition_failed(theorem, instance, start, f"family status {fam}")
 
 
 def check_chang(a: F2Set, alpha: Fraction, lam: F2Set) -> BoundReport:
@@ -90,15 +99,14 @@ def check_chang(a: F2Set, alpha: Fraction, lam: F2Set) -> BoundReport:
     factor = 2 * (delta / alpha) ** 2
     if delta == 1:
         # log(1/delta) = 0: bound trivial, only an empty Lambda passes
-        status = "holds" if len(lam) == 0 else "violated"
-        return _finish(name, inst, len(lam), 0, "le", status, start)
+        return _finish(name, inst, len(lam), 0, "le", start)
 
     def bracket_at(prec: int) -> tuple[Fraction, Fraction]:
         lo, hi = log2_bounds(1 / delta, prec)
         return factor * lo, factor * hi
 
     status, rhs = certify_ladder(Fraction(len(lam)), bracket_at)
-    return _finish(name, inst, len(lam), rhs[0], "le", status, start)
+    return _finish(name, inst, len(lam), rhs[0], "le", start, status=status)
 
 
 def check_parseval_spectrum(a: F2Set, alpha: Fraction) -> BoundReport:
@@ -107,22 +115,17 @@ def check_parseval_spectrum(a: F2Set, alpha: Fraction) -> BoundReport:
     n = 1 << a.dim
     delta = Fraction(len(a), n)
     spectrum = large_spectrum(a, alpha)
-    rhs = delta / alpha**2
-    status = "holds" if len(spectrum) <= rhs else "violated"
     inst = f"n={a.dim} |A|={len(a)} alpha={alpha}"
-    return _finish("parseval-spectrum", inst, len(spectrum), rhs, "le", status, start)
+    return _finish("parseval-spectrum", inst, len(spectrum), delta / alpha**2, "le", start)
 
 
 def check_diss_energy(lam: F2Set, p: int) -> BoundReport:
     """T_p(Lambda) <= p^p |Lambda|^p for Lambda in the weight-2p family."""
     start = time.perf_counter()
     name, inst = "diss-energy", f"n={lam.dim} |L|={len(lam)} p={p}"
-    fam = _family_verified(lam, 2 * p)
-    if fam != "true":
-        return _precondition_failed(name, inst, start, f"family status {fam}")
-    lhs = additive_energy(lam, p)
-    rhs = p**p * len(lam) ** p
-    return _finish(name, inst, lhs, rhs, "le", "holds" if lhs <= rhs else "violated", start)
+    if refused := _family_refusal(name, inst, start, lam, 2 * p):
+        return refused
+    return _finish(name, inst, additive_energy(lam, p), p**p * len(lam) ** p, "le", start)
 
 
 def check_rudin_even(lam: F2Set, coeffs: Sequence[int], p: int) -> BoundReport:
@@ -133,27 +136,20 @@ def check_rudin_even(lam: F2Set, coeffs: Sequence[int], p: int) -> BoundReport:
     inst = f"n={lam.dim} |L|={len(lam)} p={p}"
     if len(coeffs) != len(lam):
         raise ValueError("need one coefficient per support element")
-    fam = _family_verified(lam, 2 * p)
-    if fam != "true":
-        return _precondition_failed(name, inst, start, f"family status {fam}")
-    n = 1 << lam.dim
-    table = [0] * n
-    for lam_elem, a_val in zip(lam.elems, coeffs):
-        table[lam_elem] = a_val
-    g = wht(IntFunction(lam.dim, tuple(table)))
+    if refused := _family_refusal(name, inst, start, lam, 2 * p):
+        return refused
+    g = wht(IntFunction.from_points(lam.dim, zip(lam.elems, coeffs)))
     total = sum(v ** (2 * p) for v in g.values)
-    moment, rem = divmod(total, n)
+    moment, rem = divmod(total, 1 << lam.dim)
     if rem:
         raise ArithmeticError("moment sum not divisible by N (bug)")
     weight = sum(a * a for a in coeffs)
-    rhs = p**p * weight**p
-    status = "holds" if moment <= rhs else "violated"
     # smallest feasible constant in the C^(2p) (2p)^p (sum a^2)^p shape
     detail = ""
     if weight and moment:
         c_min = (moment / ((2 * p) ** p * weight**p)) ** (1 / (2 * p))
         detail = f"c_min={c_min:.6f}"
-    return _finish(name, inst, moment, rhs, "le", status, start, detail)
+    return _finish(name, inst, moment, p**p * weight**p, "le", start, detail)
 
 
 def check_sumset_energy(q: F2Set, lam: F2Set, d: int, p: int) -> BoundReport:
@@ -161,17 +157,15 @@ def check_sumset_energy(q: F2Set, lam: F2Set, d: int, p: int) -> BoundReport:
     start = time.perf_counter()
     name = "sumset-energy"
     inst = f"n={lam.dim} |L|={len(lam)} d={d} p={p} |Q|={len(q)}"
-    fam = _family_verified(lam, 2 * d * p)
-    if fam != "true":
-        return _precondition_failed(name, inst, start, f"family status {fam}")
+    if refused := _family_refusal(name, inst, start, lam, 2 * d * p):
+        return refused
     ambient = distinct_sumset_power(lam, d)
     if not q.issubset(ambient):
         return _precondition_failed(name, inst, start, "Q outside the d-fold sumset")
     detail = "" if len(lam) >= 4 * d * d else "|Lambda| < 4d^2 (outside stated range)"
     lhs = additive_energy(q, p)
     rhs = 2 ** (8 * d * p) * p ** (d * p) * len(q) ** p
-    status = "holds" if lhs <= rhs else "violated"
-    return _finish(name, inst, lhs, rhs, "le", status, start, detail)
+    return _finish(name, inst, lhs, rhs, "le", start, detail)
 
 
 def check_full_sumset_lower(lam1: F2Set, d: int, p: int) -> BoundReport:
@@ -180,9 +174,8 @@ def check_full_sumset_lower(lam1: F2Set, d: int, p: int) -> BoundReport:
     start = time.perf_counter()
     name = "full-sumset-lower"
     inst = f"n={lam1.dim} |L1|={len(lam1)} d={d} p={p}"
-    fam = _family_verified(lam1, 2 * d)
-    if fam != "true":
-        return _precondition_failed(name, inst, start, f"family status {fam}")
+    if refused := _family_refusal(name, inst, start, lam1, 2 * d):
+        return refused
     if 2 * d * p > len(lam1):
         return _precondition_failed(name, inst, start, "p > |Lambda_1|/(2d)")
     q = distinct_sumset_power(lam1, d)
@@ -193,12 +186,8 @@ def check_full_sumset_lower(lam1: F2Set, d: int, p: int) -> BoundReport:
     intermediate = comb(len(lam1), p * d) * ways * ways
     rhs = Fraction(p ** (p * d) * len(q) ** p, 2 ** (3 * p * d))
     if lhs < intermediate:
-        return _finish(
-            name, inst, lhs, intermediate, "ge", "violated", start, "intermediate bound failed"
-        )
-    status = "holds" if Fraction(lhs) >= rhs else "violated"
-    detail = f"intermediate={intermediate}"
-    return _finish(name, inst, lhs, rhs, "ge", status, start, detail)
+        return _finish(name, inst, lhs, intermediate, "ge", start, "intermediate bound failed")
+    return _finish(name, inst, lhs, rhs, "ge", start, f"intermediate={intermediate}")
 
 
 def check_spectrum_energy_lower(a: F2Set, b: F2Set, k: int, alpha: Fraction) -> BoundReport:
@@ -211,10 +200,8 @@ def check_spectrum_energy_lower(a: F2Set, b: F2Set, k: int, alpha: Fraction) -> 
         return _precondition_failed(name, inst, start, "B not inside R_alpha")
     n = 1 << a.dim
     delta = Fraction(len(a), n)
-    lhs = additive_energy(b, k)
     rhs = delta * (alpha / delta) ** (2 * k) * len(b) ** (2 * k)
-    status = "holds" if Fraction(lhs) >= rhs else "violated"
-    return _finish(name, inst, lhs, rhs, "ge", status, start)
+    return _finish(name, inst, additive_energy(b, k), rhs, "ge", start)
 
 
 def check_bourgain_intersection(a: F2Set, lam: F2Set, alpha: Fraction, d: int) -> BoundReport:
@@ -229,10 +216,8 @@ def check_bourgain_intersection(a: F2Set, lam: F2Set, alpha: Fraction, d: int) -
         return _precondition_failed(name, inst, start, "delta > 1/4")
     if 2 ** (4 * d) * delta > 1:
         return _precondition_failed(name, inst, start, "d > log(1/delta)/4")
-    fam_weight = 2 * floor_log2(1 / delta)
-    fam = _family_verified(lam, fam_weight)
-    if fam != "true":
-        return _precondition_failed(name, inst, start, f"family status {fam}")
+    if refused := _family_refusal(name, inst, start, lam, 2 * floor_log2(1 / delta)):
+        return refused
     sumset = distinct_sumset_power(lam, d)
     spectrum = large_spectrum(a, alpha)
     lhs = len(sumset.intersection(spectrum))
@@ -243,7 +228,7 @@ def check_bourgain_intersection(a: F2Set, lam: F2Set, alpha: Fraction, d: int) -
         return factor * (lo * 2**12 / d) ** d, factor * (hi * 2**12 / d) ** d
 
     status, rhs = certify_ladder(Fraction(lhs), bracket_at)
-    return _finish(name, inst, lhs, rhs[0], "le", status, start)
+    return _finish(name, inst, lhs, rhs[0], "le", start, status=status)
 
 
 # ---------------------------------------------------------------------------
@@ -272,35 +257,28 @@ class MajorityInstance:
 
     @property
     def inner_size(self) -> int:
+        """|A|: the embedding into F_2^n leaves the cardinality unchanged."""
         return len(self.inner)
 
-    def full_size(self) -> int:
-        return len(self.inner)  # embedding leaves the cardinality unchanged
+    def is_large(self, w: int, alpha_sq: Fraction) -> bool:
+        """Whether inner weight-w frequencies satisfy |A_hat|^2 >= alpha^2 N^2."""
+        v = self.weight_values[w]
+        return v * v >= alpha_sq * (1 << self.n) ** 2
 
     def spectrum_count(self, alpha_sq: Fraction) -> int:
         """|R_alpha(A)| computed through the inner spectrum: the full
         transform satisfies A_hat(r) = A'_hat(r_inner), so each inner
         frequency of large modulus contributes 2^k shifts."""
-        n_full = 1 << self.n
-        inner_hits = 0
-        for w in range(self.nprime + 1):
-            v = self.weight_values[w]
-            if Fraction(v * v) >= alpha_sq * n_full**2:
-                inner_hits += comb(self.nprime, w)
-        return inner_hits * (1 << self.k)
+        ws = range(self.nprime + 1)
+        return sum(comb(self.nprime, w) for w in ws if self.is_large(w, alpha_sq)) << self.k
 
     def sumset_spectrum_count(self, d: int, alpha_sq: Fraction) -> int:
         """|d-fold sumset of the standard basis meet R_alpha|: weight-d
         vectors split into inner weight w and outer weight d - w."""
-        n_full = 1 << self.n
-        total = 0
-        for w in range(0, min(d, self.nprime) + 1):
-            if d - w > self.k:
-                continue
-            v = self.weight_values[w]
-            if Fraction(v * v) >= alpha_sq * n_full**2:
-                total += comb(self.nprime, w) * comb(self.k, d - w)
-        return total
+        ws = range(min(d, self.nprime) + 1)
+        return sum(
+            comb(self.nprime, w) * comb(self.k, d - w) for w in ws if self.is_large(w, alpha_sq)
+        )
 
 
 def hamming_sphere(nprime: int, weight: int) -> F2Set:
@@ -343,18 +321,11 @@ def build_majority(n: int, delta: Fraction) -> MajorityInstance:
     inner_elems = [x for x in range(1 << nprime) if x.bit_count() >= threshold]
     inner = F2Set.from_bits(nprime, inner_elems)
     table = spectrum_of_set(inner)
-    weight_values = [0] * (nprime + 1)
-    seen = [False] * (nprime + 1)
-    for r, v in enumerate(table.values):
-        w = r.bit_count()
-        if not seen[w]:
-            weight_values[w] = v
-            seen[w] = True
-        elif weight_values[w] != v:
-            raise ArithmeticError("inner spectrum not weight-symmetric (bug)")
+    weight_values = [table.values[(1 << w) - 1] for w in range(nprime + 1)]
+    if any(v != weight_values[r.bit_count()] for r, v in enumerate(table.values)):
+        raise ArithmeticError("inner spectrum not weight-symmetric (bug)")
     alpha_sq_reference = delta**2 / (2**24 * n)
-    n_full = 1 << n
-    alpha_used = Fraction(abs(weight_values[1]), n_full) if nprime >= 1 else Fraction(0)
+    alpha_used = Fraction(abs(weight_values[1]), 1 << n)
     return MajorityInstance(
         n, k, nprime, delta, inner, tuple(weight_values), alpha_sq_reference, alpha_used
     )
@@ -369,55 +340,40 @@ def verify_majority(inst: MajorityInstance, d: int = 1) -> list[BoundReport]:
 
     # (a) closed-form weight-1 value against the brute-force spectrum
     formula = weight1_binomial_value(nprime)
-    brute = abs(inst.weight_values[1]) if nprime >= 1 else 0
+    w1 = abs(inst.weight_values[1])
+    status = "holds" if w1 == formula else "violated"
     reports.append(
         _finish(
-            "majority-weight1-formula", inst_desc, brute, formula, "le",
-            "holds" if brute == formula else "violated", start, "equality required",
+            "majority-weight1-formula", inst_desc, w1, formula, "le", start, "equality required",
+            status,
         )
     )
 
     # (b) cardinality bounds 2^(n-k-2) <= |A| <= 2^(n-k)
-    size = inst.full_size()
-    ok_size = 2 ** (n - k - 2) <= size <= 2 ** (n - k)
-    reports.append(
-        _finish(
-            "majority-size", inst_desc, size, (2 ** (n - k - 2), 2 ** (n - k)), "le",
-            "holds" if ok_size else "violated", start,
-        )
-    )
+    size = inst.inner_size
+    status = "holds" if 2 ** (n - k - 2) <= size <= 2 ** (n - k) else "violated"
+    bounds = (2 ** (n - k - 2), 2 ** (n - k))
+    reports.append(_finish("majority-size", inst_desc, size, bounds, "le", start, status=status))
 
     # (c) weight-1 frequencies beat the reference threshold (its constants
     # assume n >= 32; for smaller n the certified threshold alpha_used is
     # the re-derived constant and the reference comparison is reported)
-    w1 = abs(inst.weight_values[1])
-    n_full = 1 << n
-    ref_ok = Fraction(w1 * w1) >= inst.alpha_sq_reference * n_full**2
-    status = "holds" if ref_ok else ("holds" if n < 32 else "violated")
+    ref_ok = inst.is_large(1, inst.alpha_sq_reference)
+    status = "holds" if ref_ok or n < 32 else "violated"
     detail = "reference alpha certified" if ref_ok else "re-derived alpha (n < 32)"
-    reports.append(_finish("majority-alpha", inst_desc, w1, None, "ge", status, start, detail))
+    reports.append(_finish("majority-alpha", inst_desc, w1, None, "ge", start, detail, status))
 
     # (d) |R_alpha| >= n' 2^k at the certified threshold
     alpha_sq = min(inst.alpha_sq_reference, inst.alpha_used**2) if ref_ok else inst.alpha_used**2
     r_count = inst.spectrum_count(alpha_sq)
-    ok_r = r_count >= nprime * (1 << k)
     reports.append(
-        _finish(
-            "majority-spectrum-size", inst_desc, r_count, nprime * (1 << k), "ge",
-            "holds" if ok_r else "violated", start,
-        )
+        _finish("majority-spectrum-size", inst_desc, r_count, nprime << k, "ge", start)
     )
 
     # (e) |d-fold basis sumset meet R_alpha| >= n' C(k, d-1)
     inter = inst.sumset_spectrum_count(d, alpha_sq)
     target = nprime * comb(k, d - 1)
-    ok_inter = inter >= target
-    reports.append(
-        _finish(
-            "majority-sumset-intersection", inst_desc, inter, target, "ge",
-            "holds" if ok_inter else "violated", start,
-        )
-    )
+    reports.append(_finish("majority-sumset-intersection", inst_desc, inter, target, "ge", start))
     return reports
 
 
@@ -442,7 +398,7 @@ def sweep_chang(count: int, seed: int, max_dim: int = 12) -> list[BoundReport]:
         alpha = Fraction(min(nonzero[idx], len(a)), n)
         if alpha <= 0:
             continue
-        spectrum = large_spectrum(a, alpha)
+        spectrum = large_spectrum_from_table(table, alpha)
         lam_elems: list[int] = []
         for r in spectrum.elems:  # greedy maximal dissociated subset
             if r and is_dissociated(F2Set.from_bits(dim, lam_elems + [r])):
@@ -509,7 +465,7 @@ def sweep_spectrum_energy_lower(count: int, seed: int, max_dim: int = 12) -> lis
         alpha = Fraction(nonzero[rng.randrange(min(4, len(nonzero)))], n)
         if alpha > Fraction(len(a), n):
             alpha = Fraction(len(a), n)
-        spectrum = large_spectrum(a, alpha)
+        spectrum = large_spectrum_from_table(table, alpha)
         bsize = rng.randint(1, len(spectrum))
         b = F2Set.from_bits(dim, rng.sample(spectrum.elems, bsize))
         k = rng.randint(2, 3)

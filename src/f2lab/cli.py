@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -100,7 +101,16 @@ class Outcome:
     side_text: Optional[str] = None
 
 
+class _Config(dict):
+    """A configuration whose missing required key is an input error; a
+    KeyError raised inside library code stays a KeyError."""
+
+    def __missing__(self, key):
+        raise ValueError(f"config lacks required key {key!r}")
+
+
 def run_config(config: dict) -> Outcome:
+    config = _Config(config)
     command = config["command"]
     handler = _HANDLERS.get(command)
     if handler is None:
@@ -264,18 +274,26 @@ def _cmd_bench(config: dict) -> Outcome:
 
 
 def _extract_params(config: dict) -> InverseParams:
+    """Overrides name InverseParams fields; each value has its default's JSON
+    type, except that rationals are "p/q" strings."""
     kwargs = {"p": config.get("p", 2), "seed": config.get("seed", 0)}
-    overrides = config.get("params") or {}
-    frac_fields = {"big_k", "eta", "epsilon", "zeta", "coverage_target"}
+    overrides = config.get("params", {})
+    if not isinstance(overrides, dict):
+        raise ValueError("params must be a JSON object")
+    defaults = {f.name: f.default for f in dataclasses.fields(InverseParams)}
     for key, val in overrides.items():
-        kwargs[key] = parse_fraction(val) if key in frac_fields else val
+        if key not in defaults:
+            raise ValueError(f"unknown parameter {key!r}")
+        kind = type(defaults[key])
+        if type(val) is not (str if kind is Fraction else kind):
+            want = 'a "p/q" string' if kind is Fraction else f"of type {kind.__name__}"
+            raise ValueError(f"parameter {key!r} must be {want}")
+        kwargs[key] = parse_fraction(val) if kind is Fraction else val
     return InverseParams(**kwargs)
 
 
 def _params_resolved(params: InverseParams) -> dict:
     """Every pipeline parameter, defaults included, for the report."""
-    import dataclasses
-
     out = {}
     for f in dataclasses.fields(params):
         val = getattr(params, f.name)
@@ -377,12 +395,15 @@ def execute(config: dict, out_path: Optional[str] = None) -> tuple[dict, int]:
     return report, outcome.exit_code
 
 
+_SEEDED_COMMANDS = ("bench", "extract", "plant")
+
+
 def replay(report: dict) -> tuple[dict, int]:
     """Re-execute a recorded configuration and compare results bytes."""
-    config = report.get("config")
-    if not config or "command" not in config:
-        raise ValueError("report lacks a replayable config")
-    if config["command"] != "replay" and "seed" not in config and _needs_seed(config["command"]):
+    config = report.get("config") if isinstance(report, dict) else None
+    if not isinstance(config, dict) or "command" not in config or "results" not in report:
+        raise ValueError("report lacks a replayable config or its results")
+    if "seed" not in config and config["command"] in _SEEDED_COMMANDS:
         raise ValueError("report config lacks the seed needed for replay")
     old = canonical_results(report["results"])
     new = canonical_results(run_config(config).results)
@@ -391,50 +412,47 @@ def replay(report: dict) -> tuple[dict, int]:
     return results, 0 if match else 1
 
 
-def _needs_seed(command: str) -> bool:
-    return command in ("bench", "extract", "plant")
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every flag's dest is its config key; file flags end in `_text`."""
     parser = argparse.ArgumentParser(
         prog="f2lab", description="Exact additive-combinatorics toolkit for F_2^n"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--report", dest="report_out", help="write the JSON report here")
+    matrix = argparse.ArgumentParser(add_help=False)
+    matrix.add_argument("--matrix", dest="matrix_text", metavar="MATRIX", required=True)
 
-    p_energy = sub.add_parser("energy", help="additive energy of a set")
-    p_energy.add_argument("--set", required=True)
+    def command(name: str, help: str, *extra) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, parents=[common, *extra])
+
+    p_energy = command("energy", "additive energy of a set")
+    p_energy.add_argument("--set", dest="set_text", metavar="SET", required=True)
     p_energy.add_argument("--k", type=int, required=True)
     p_energy.add_argument("--method", choices=("brute", "spectral", "conv", "all"), default="all")
 
-    p_spec = sub.add_parser("spectrum", help="Fourier table dump and large spectrum")
-    p_spec.add_argument("--set", required=True)
+    p_spec = command("spectrum", "Fourier table dump and large spectrum")
+    p_spec.add_argument("--set", dest="set_text", metavar="SET", required=True)
     p_spec.add_argument("--alpha", help="threshold as exact rational p/q")
     p_spec.add_argument("--out", help="CSV output path")
 
-    p_diss = sub.add_parser("dissociate", help="family membership test")
-    p_diss.add_argument("--check", required=True)
+    p_diss = command("dissociate", "family membership test")
+    p_diss.add_argument("--check", dest="set_text", metavar="CHECK", required=True)
     p_diss.add_argument("--k", type=int, required=True)
-    p_diss.add_argument("--R", dest="rfile")
+    p_diss.add_argument("--R", dest="r_text", metavar="RFILE")
 
-    p_perm = sub.add_parser("permanent", help="exact permanent of a matrix file")
-    p_perm.add_argument("--matrix", required=True)
+    command("permanent", "exact permanent of a matrix file", matrix)
+    command("fk-test", "zero-permanent certificate", matrix)
 
-    p_fk = sub.add_parser("fk-test", help="zero-permanent certificate")
-    p_fk.add_argument("--matrix", required=True)
-
-    p_l0 = sub.add_parser("lemma-per0", help="exhaustive reduced-permanent family")
+    p_l0 = command("lemma-per0", "exhaustive reduced-permanent family")
     p_l0.add_argument("--exhaustive", nargs=2, type=int, metavar=("P", "R"), required=True)
 
-    p_bench = sub.add_parser("bench", help="theorem sweep")
-    p_bench.add_argument(
-        "--theorem",
-        required=True,
-        choices=tuple(_BENCH_SWEEPS),
-    )
+    p_bench = command("bench", "theorem sweep")
+    p_bench.add_argument("--theorem", required=True, choices=tuple(_BENCH_SWEEPS))
     p_bench.add_argument("--count", type=int, default=20)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--delta", default="1/64")
@@ -442,15 +460,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--n", type=int, help="single majority instance at this n")
     p_bench.add_argument("--out", help="CSV output path")
 
-    p_ext = sub.add_parser("extract", help="rectangle extraction pipeline")
-    p_ext.add_argument("--q", required=True)
-    p_ext.add_argument("--lambda", dest="lam", required=True)
+    p_ext = command("extract", "rectangle extraction pipeline")
+    p_ext.add_argument("--q", dest="q_text", metavar="Q", required=True)
+    p_ext.add_argument("--lambda", dest="lambda_text", metavar="LAM", required=True)
     p_ext.add_argument("--d", type=int, default=2)
     p_ext.add_argument("--p", type=int, default=2)
     p_ext.add_argument("--seed", type=int, default=0)
     p_ext.add_argument("--params", help="JSON object of parameter overrides")
 
-    p_plant = sub.add_parser("plant", help="planted-instance generator")
+    p_plant = command("plant", "planted-instance generator")
     p_plant.add_argument("--h", type=int, required=True)
     p_plant.add_argument("--lsize", type=int, required=True)
     p_plant.add_argument("--lpsize", type=int, required=True)
@@ -460,22 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_plant.add_argument("--lambda-size", type=int, default=16)
     p_plant.add_argument("--out-prefix")
 
-    p_replay = sub.add_parser("replay", help="re-run a recorded report")
+    p_replay = command("replay", "re-run a recorded report")
     p_replay.add_argument("report")
-
-    for name, p in (
-        ("energy", p_energy),
-        ("spectrum", p_spec),
-        ("dissociate", p_diss),
-        ("permanent", p_perm),
-        ("fk-test", p_fk),
-        ("lemma-per0", p_l0),
-        ("bench", p_bench),
-        ("extract", p_ext),
-        ("plant", p_plant),
-        ("replay", p_replay),
-    ):
-        p.add_argument("--report", dest="report_out", help="write the JSON report here")
     return parser
 
 
@@ -484,61 +488,21 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+_OUTPUT_DESTS = ("report_out", "out", "out_prefix")
+
+
 def config_from_args(args: argparse.Namespace) -> dict:
-    cmd = args.command
-    if cmd == "energy":
-        return {"command": cmd, "set_text": _read(args.set), "k": args.k, "method": args.method}
-    if cmd == "spectrum":
-        cfg = {"command": cmd, "set_text": _read(args.set)}
-        if args.alpha:
-            parse_fraction(args.alpha)
-            cfg["alpha"] = args.alpha
-        return cfg
-    if cmd == "dissociate":
-        cfg = {"command": cmd, "set_text": _read(args.check), "k": args.k}
-        if args.rfile:
-            cfg["r_text"] = _read(args.rfile)
-        return cfg
-    if cmd in ("permanent", "fk-test"):
-        return {"command": cmd, "matrix_text": _read(args.matrix)}
-    if cmd == "lemma-per0":
-        return {"command": cmd, "p": args.exhaustive[0], "r": args.exhaustive[1]}
-    if cmd == "bench":
-        cfg = {
-            "command": cmd,
-            "theorem": args.theorem,
-            "count": args.count,
-            "seed": args.seed,
-            "delta": args.delta,
-            "d": args.d,
-        }
-        if args.n:
-            cfg["n"] = args.n
-        return cfg
-    if cmd == "extract":
-        cfg = {
-            "command": cmd,
-            "q_text": _read(args.q),
-            "lambda_text": _read(args.lam),
-            "d": args.d,
-            "p": args.p,
-            "seed": args.seed,
-        }
-        if args.params:
-            cfg["params"] = json.loads(args.params)
-        return cfg
-    if cmd == "plant":
-        return {
-            "command": cmd,
-            "h": args.h,
-            "lsize": args.lsize,
-            "lpsize": args.lpsize,
-            "noise": args.noise,
-            "seed": args.seed,
-            "n": args.n,
-            "lambda_size": args.lambda_size,
-        }
-    raise ValueError(f"unhandled command {cmd}")
+    """Every given flag under its dest, output paths excepted, with each
+    `*_text` path replaced by the file's contents."""
+    config = {k: v for k, v in vars(args).items() if v is not None and k not in _OUTPUT_DESTS}
+    for key in config:
+        if key.endswith("_text"):
+            config[key] = _read(config[key])
+    if "exhaustive" in config:
+        config["p"], config["r"] = config.pop("exhaustive")
+    if "params" in config:
+        config["params"] = json.loads(config["params"])
+    return config
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -550,20 +514,17 @@ def main(argv: Optional[list[str]] = None) -> int:
             results, exit_code = replay(recorded)
             report = {"command": "replay", "config": {"command": "replay"}, "results": results}
         else:
-            config = config_from_args(args)
-            out_path = getattr(args, "out", None)
-            report, exit_code = execute(config, out_path)
-            if args.command == "plant" and getattr(args, "out_prefix", None):
-                prefix = args.out_prefix
-                with open(prefix + "_q.set", "w", encoding="ascii") as fh:
+            report, exit_code = execute(config_from_args(args), getattr(args, "out", None))
+            if getattr(args, "out_prefix", None):
+                with open(args.out_prefix + "_q.set", "w", encoding="ascii") as fh:
                     fh.write(report["results"]["q"])
-                with open(prefix + "_lambda.set", "w", encoding="ascii") as fh:
+                with open(args.out_prefix + "_lambda.set", "w", encoding="ascii") as fh:
                     fh.write(report["results"]["lambda"])
     except (SetFileError, BudgetError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     text = json.dumps(report, indent=2, sort_keys=True)
-    if getattr(args, "report_out", None):
+    if args.report_out:
         with open(args.report_out, "w", encoding="ascii") as fh:
             fh.write(text + "\n")
     print(text)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import BudgetError, DimensionError, F2Set, bits_to_string
 from .exact import ExactnessError
@@ -40,12 +40,18 @@ class IntFunction:
             raise DimensionError("table length must be exactly 2^n")
 
     @classmethod
+    def from_points(cls, dim: int, pairs: Iterable[tuple[int, int]]) -> "IntFunction":
+        """The function with the given (point, value) pairs, zero elsewhere;
+        the table cap is checked before the table is allocated."""
+        _check_table_dim(dim)
+        vals = [0] * (1 << dim)
+        for x, v in pairs:
+            vals[x] = v
+        return cls(dim, tuple(vals))
+
+    @classmethod
     def indicator(cls, s: F2Set) -> "IntFunction":
-        _check_table_dim(s.dim)
-        vals = [0] * (1 << s.dim)
-        for e in s.elems:
-            vals[e] = 1
-        return cls(s.dim, tuple(vals))
+        return cls.from_points(s.dim, ((e, 1) for e in s.elems))
 
     def abs(self) -> "IntFunction":
         return IntFunction(self.dim, tuple(abs(v) for v in self.values))
@@ -107,8 +113,8 @@ def large_spectrum(a: F2Set, alpha: Fraction) -> F2Set:
     """R_alpha = { r : |A_hat(r)| >= alpha * N }, threshold compared exactly."""
     if len(a) == 0:
         raise ValueError("large spectrum of an empty set")
-    table = spectrum_of_set(a)
-    return large_spectrum_from_table(table, alpha)
+    check_alpha(alpha)
+    return large_spectrum_from_table(spectrum_of_set(a), alpha)
 
 
 def large_spectrum_from_table(table: SpectrumTable, alpha: Fraction) -> F2Set:

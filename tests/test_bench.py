@@ -1,9 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from f2lab import bench
 from f2lab.bench import (
     build_majority,
     check_bourgain_intersection,
@@ -25,7 +27,7 @@ from f2lab.bench import (
     verify_majority,
     weight1_binomial_value,
 )
-from f2lab.core import F2Set, distinct_sumset_power
+from f2lab.core import BudgetError, F2Set, distinct_sumset_power
 from f2lab.dissociation import random_dissociated
 from f2lab.energy import additive_energy
 from f2lab.exact import floor_log2
@@ -109,6 +111,19 @@ def test_rudin_random_signed():
         p = rng.randint(2, 3)
         rep = check_rudin_even(lam, coeffs, p)
         assert rep.status == "holds"
+
+
+def test_rudin_refuses_tables_above_cap(monkeypatch):
+    # f2lab.wht names the function, so reach the module through sys.modules
+    monkeypatch.setattr(sys.modules["f2lab.wht"], "WHT_DIM_CAP", 4)
+
+    def no_transform(f):
+        raise AssertionError("the cap must be checked before the table is built")
+
+    monkeypatch.setattr(bench, "wht", no_transform)
+    lam = F2Set(12, (1, 2, 4, 8))
+    with pytest.raises(BudgetError):
+        check_rudin_even(lam, [1, -2, 3, 1], 2)
 
 
 def test_sumset_energy_d1_reduces():

@@ -20,6 +20,8 @@ SET_BASIS3 = "4\n1000\n0100\n0010\n"
 SET_BAD = "3\n102\n"
 MATRIX_ALL_ONES = "2 3\n1 1 1\n1 1 1\n"
 MATRIX_ZERO_ROW = "2 2\n0 0\n1 1\n"
+SET_R = "4\n0000\n0110\n"
+SET_PAIRS3 = "4\n1100\n1010\n0110\n"  # the 2-fold distinct sumset of SET_BASIS3
 
 
 def run_cli(args, tmp_path):
@@ -184,6 +186,31 @@ def test_replay_missing_seed_rejected():
         replay(report)
 
 
+@pytest.mark.parametrize(
+    "recorded",
+    [
+        {"command": "energy", "config": {"command": "energy", "k": 2}, "results": {}},
+        {"command": "energy", "config": {"command": "energy", "set_text": SET_BASIS3, "k": 2}},
+        [{"command": "energy"}],
+    ],
+    ids=["config-without-set", "report-without-results", "report-is-list"],
+)
+def test_replay_malformed_report_exit2(tmp_path, capsys, recorded):
+    path = write(tmp_path, "bad.json", json.dumps(recorded))
+    code, report = run_cli(["replay", path], tmp_path)
+    assert code == 2 and report is None
+    assert "error" in json.loads(capsys.readouterr().err)
+
+
+def test_library_key_error_is_not_an_input_error(monkeypatch):
+    def lookup_bug(a, k, methods):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "energy_report", lookup_bug)
+    with pytest.raises(KeyError):
+        run_config({"command": "energy", "set_text": SET_BASIS3, "k": 2})
+
+
 def test_replay_cli_file_flow(tmp_path):
     path = write(tmp_path, "basis3.set", SET_BASIS3)
     report_path = str(tmp_path / "run.json")
@@ -233,3 +260,83 @@ def test_console_entrypoint_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["value"] == 21
+
+
+@pytest.mark.parametrize("params", ['{"bogus": 1}', "[1]", '{"epsilon": 3}', '{"width": "x"}'])
+def test_extract_bad_params_exit2(tmp_path, capsys, params):
+    lam = write(tmp_path, "basis3.set", SET_BASIS3)
+    q = write(tmp_path, "pairs.set", SET_PAIRS3)
+    code, report = run_cli(["extract", "--q", q, "--lambda", lam, "--params", params], tmp_path)
+    assert code == 2 and report is None
+    assert "error" in json.loads(capsys.readouterr().err)
+
+
+def test_extract_params_overrides_resolved(tmp_path):
+    lam = write(tmp_path, "basis3.set", SET_BASIS3)
+    q = write(tmp_path, "pairs.set", SET_PAIRS3)
+    params = '{"epsilon": "1/3", "min_rows": 2, "refine": false}'
+    code, report = run_cli(["extract", "--q", q, "--lambda", lam, "--params", params], tmp_path)
+    assert code == 0
+    resolved = report["results"]["params_resolved"]
+    assert (resolved["epsilon"], resolved["min_rows"], resolved["refine"]) == ("1/3", 2, False)
+
+
+# One argument list per command with every optional flag; recorded reports
+# replay only while these config keys hold.
+CONFIG_CASES = {
+    "energy": (
+        ["energy", "--set", "SET", "--k", "2", "--method", "brute", "--report", "OUT"],
+        {"command": "energy", "set_text": SET_BASIS3, "k": 2, "method": "brute"},
+    ),
+    "spectrum": (
+        ["spectrum", "--set", "SET", "--alpha", "3/16", "--out", "OUT", "--report", "OUT"],
+        {"command": "spectrum", "set_text": SET_BASIS3, "alpha": "3/16"},
+    ),
+    "dissociate": (
+        ["dissociate", "--check", "SET", "--k", "2", "--R", "RSET", "--report", "OUT"],
+        {"command": "dissociate", "set_text": SET_BASIS3, "k": 2, "r_text": SET_R},
+    ),
+    "permanent": (
+        ["permanent", "--matrix", "MAT", "--report", "OUT"],
+        {"command": "permanent", "matrix_text": MATRIX_ALL_ONES},
+    ),
+    "fk-test": (
+        ["fk-test", "--matrix", "MAT", "--report", "OUT"],
+        {"command": "fk-test", "matrix_text": MATRIX_ALL_ONES},
+    ),
+    "lemma-per0": (
+        ["lemma-per0", "--exhaustive", "2", "3", "--report", "OUT"],
+        {"command": "lemma-per0", "p": 2, "r": 3},
+    ),
+    "bench": (
+        ["bench", "--theorem", "majority", "--count", "3", "--seed", "4", "--delta", "1/32",
+         "--d", "2", "--n", "12", "--out", "OUT", "--report", "OUT"],
+        {"command": "bench", "theorem": "majority", "count": 3, "seed": 4, "delta": "1/32",
+         "d": 2, "n": 12},
+    ),
+    "extract": (
+        ["extract", "--q", "SET", "--lambda", "RSET", "--d", "3", "--p", "3", "--seed", "5",
+         "--params", '{"epsilon": "1/3", "width": 4}', "--report", "OUT"],
+        {"command": "extract", "q_text": SET_BASIS3, "lambda_text": SET_R, "d": 3, "p": 3,
+         "seed": 5, "params": {"epsilon": "1/3", "width": 4}},
+    ),
+    "plant": (
+        ["plant", "--h", "2", "--lsize", "3", "--lpsize", "4", "--noise", "1/10", "--seed", "5",
+         "--n", "16", "--lambda-size", "12", "--out-prefix", "OUT", "--report", "OUT"],
+        {"command": "plant", "h": 2, "lsize": 3, "lpsize": 4, "noise": "1/10", "seed": 5,
+         "n": 16, "lambda_size": 12},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_CASES))
+def test_config_from_args_pins_keys(tmp_path, command):
+    argv, expected = CONFIG_CASES[command]
+    paths = {
+        "SET": write(tmp_path, "s.set", SET_BASIS3),
+        "RSET": write(tmp_path, "r.set", SET_R),
+        "MAT": write(tmp_path, "m.mat", MATRIX_ALL_ONES),
+        "OUT": str(tmp_path / "out"),
+    }
+    args = cli.build_parser().parse_args([paths.get(a, a) for a in argv])
+    assert cli.config_from_args(args) == expected

@@ -170,3 +170,12 @@ def test_indicator_refuses_tables_above_cap(monkeypatch):
     monkeypatch.setattr(sys.modules["f2lab.wht"], "WHT_DIM_CAP", 4)
     with pytest.raises(BudgetError):
         IntFunction.indicator(F2Set(12, (1,)))
+
+
+def test_large_spectrum_checks_alpha_before_transform(monkeypatch):
+    def no_transform(a):
+        raise AssertionError("alpha must be refused before the transform")
+
+    monkeypatch.setattr(sys.modules["f2lab.wht"], "spectrum_of_set", no_transform)
+    with pytest.raises(ValueError):
+        large_spectrum(F2Set(4, (1, 2)), Fraction(0))
