@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .core import F2Set, distinct_sumset_power
 from .dissociation import FamilySpec, in_family, is_dissociated, random_dissociated
-from .energy import additive_energy
+from .energy import _spectral_moment, additive_energy
 from .exact import certify_ladder, floor_log2, log2_bounds
 from .wht import IntFunction, large_spectrum, large_spectrum_from_table, spectrum_of_set, wht
 
@@ -139,10 +139,7 @@ def check_rudin_even(lam: F2Set, coeffs: Sequence[int], p: int) -> BoundReport:
     if refused := _family_refusal(name, inst, start, lam, 2 * p):
         return refused
     g = wht(IntFunction.from_points(lam.dim, zip(lam.elems, coeffs)))
-    total = sum(v ** (2 * p) for v in g.values)
-    moment, rem = divmod(total, 1 << lam.dim)
-    if rem:
-        raise ArithmeticError("moment sum not divisible by N (bug)")
+    moment = _spectral_moment(g, p)
     weight = sum(a * a for a in coeffs)
     # smallest feasible constant in the C^(2p) (2p)^p (sum a^2)^p shape
     detail = ""
@@ -279,21 +276,6 @@ class MajorityInstance:
         return sum(
             comb(self.nprime, w) * comb(self.k, d - w) for w in ws if self.is_large(w, alpha_sq)
         )
-
-
-def hamming_sphere(nprime: int, weight: int) -> F2Set:
-    """All vectors of the given weight in F_2^nprime."""
-    if not 0 <= weight <= nprime:
-        raise ValueError("weight out of range")
-    import itertools
-
-    elems = []
-    for combo in itertools.combinations(range(nprime), weight):
-        bits = 0
-        for i in combo:
-            bits |= 1 << i
-        elems.append(bits)
-    return F2Set.from_bits(nprime, elems)
 
 
 def weight1_binomial_value(nprime: int) -> int:

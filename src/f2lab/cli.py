@@ -109,7 +109,34 @@ class _Config(dict):
         raise ValueError(f"config lacks required key {key!r}")
 
 
+# The JSON type of each config key as the parser records it: inlined files,
+# rationals and choices are strings, integer flags are ints (never bools).
+_CONFIG_TYPES = {
+    **dict.fromkeys(
+        ("command", "set_text", "r_text", "matrix_text", "q_text", "lambda_text",
+         "method", "theorem", "alpha", "delta", "noise"),
+        str,
+    ),
+    **dict.fromkeys(
+        ("k", "p", "r", "count", "seed", "d", "n", "h", "lsize", "lpsize", "lambda_size"), int
+    ),
+    "nprimes": list,
+    "params": dict,
+}
+_TYPE_NAMES = {str: "a string", int: "an integer", list: "a list of integers", dict: "an object"}
+
+
+def _check_config_types(config: dict) -> None:
+    for key, val in config.items():
+        kind = _CONFIG_TYPES.get(key)
+        if kind is None:
+            continue
+        if type(val) is not kind or (kind is list and any(type(v) is not int for v in val)):
+            raise ValueError(f"config key {key!r} must be {_TYPE_NAMES[kind]}")
+
+
 def run_config(config: dict) -> Outcome:
+    _check_config_types(config)
     config = _Config(config)
     command = config["command"]
     handler = _HANDLERS.get(command)
@@ -278,8 +305,6 @@ def _extract_params(config: dict) -> InverseParams:
     type, except that rationals are "p/q" strings."""
     kwargs = {"p": config.get("p", 2), "seed": config.get("seed", 0)}
     overrides = config.get("params", {})
-    if not isinstance(overrides, dict):
-        raise ValueError("params must be a JSON object")
     defaults = {f.name: f.default for f in dataclasses.fields(InverseParams)}
     for key, val in overrides.items():
         if key not in defaults:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 MAX_DIM = 30
@@ -104,6 +105,15 @@ class F2Set:
             raise DimensionError("sets live in different groups")
 
 
+def subset_sums(elems: Sequence[int], size: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield (XOR, subset) over the size-subsets of elems in `combinations` order."""
+    for combo in itertools.combinations(elems, size):
+        acc = 0
+        for e in combo:
+            acc ^= e
+        yield acc, combo
+
+
 def distinct_sumset(sets: Sequence[F2Set], budget: int = SUMSET_BUDGET) -> F2Set:
     """Sums a_1 + ... + a_d with a_i from the i-th set, all pairwise distinct.
 
@@ -119,16 +129,10 @@ def distinct_sumset(sets: Sequence[F2Set], budget: int = SUMSET_BUDGET) -> F2Set
     d = len(sets)
     if all(s.elems == sets[0].elems for s in sets):
         base = sets[0].elems
-        count = _ncomb(len(base), d)
+        count = comb(len(base), d)
         if count > budget:
             raise BudgetError(f"{count} combinations exceed budget {budget}")
-        out = set()
-        for combo in itertools.combinations(base, d):
-            acc = 0
-            for e in combo:
-                acc ^= e
-            out.add(acc)
-        return F2Set.from_bits(dim, out)
+        return F2Set.from_bits(dim, (x for x, _ in subset_sums(base, d)))
 
     total = 1
     for s in sets:
@@ -156,12 +160,6 @@ def distinct_sumset_power(a: F2Set, d: int, budget: int = SUMSET_BUDGET) -> F2Se
     if d < 1:
         raise ValueError("d must be >= 1")
     return distinct_sumset([a] * d, budget=budget)
-
-
-def _ncomb(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k) if 0 <= k <= n else 0
 
 
 def parse_set(text: str) -> F2Set:

@@ -9,27 +9,32 @@ correct family test for groups where signs matter.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
-from functools import reduce
 from math import comb
 from typing import Iterable, Optional
 
-from .core import F2Set
+from .core import F2Set, subset_sums
 
 DEFAULT_WORK_BUDGET = 5_000_000
+
+
+def _extend_basis(basis: list[int], v: int) -> bool:
+    """Reduce v over GF(2) against the descending basis and append the
+    nonzero remainder; True iff v was independent of the basis."""
+    for b in basis:
+        v = min(v, v ^ b)
+    if v:
+        basis.append(v)
+        basis.sort(reverse=True)
+    return v != 0
 
 
 def gf2_rank(vectors: Iterable[int]) -> int:
     """Rank of bit-vectors over GF(2), incremental elimination."""
     basis: list[int] = []
     for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
+        _extend_basis(basis, v)
     return len(basis)
 
 
@@ -65,14 +70,6 @@ class FamilyCheck:
     work: int  # subsets enumerated (or the estimate that broke the budget)
 
 
-def _subset_xors(elems: tuple[int, ...], max_size: int):
-    """Yield (xor, size) over all subsets of size <= max_size."""
-    yield 0, 0
-    for size in range(1, max_size + 1):
-        for combo in itertools.combinations(elems, size):
-            yield reduce(lambda a, b: a ^ b, combo), size
-
-
 def in_family(l: F2Set, spec: FamilySpec, budget: int = DEFAULT_WORK_BUDGET) -> FamilyCheck:
     """Meet-in-the-middle test of membership in the family Lambda_R(k).
 
@@ -94,56 +91,24 @@ def in_family(l: F2Set, spec: FamilySpec, budget: int = DEFAULT_WORK_BUDGET) -> 
     if total_work > budget:
         return FamilyCheck("undecided", None, total_work)
 
-    # min subset size per achievable XOR on the A side; 0 maps to the empty
-    # subset, so track the smallest *nonempty* subset reaching 0 separately.
-    min_size: dict[int, int] = {}
-    min_nonzero_at_zero = None
-    for x, size in _subset_xors(a_side, ka):
-        if size == 0:
-            continue
-        if x == 0:
-            if min_nonzero_at_zero is None or size < min_nonzero_at_zero:
-                min_nonzero_at_zero = size
-        cur = min_size.get(x)
-        if cur is None or size < cur:
-            min_size[x] = size
+    # first smallest nonempty A-side subset reaching each XOR
+    first: dict[int, tuple[int, ...]] = {}
+    for size in range(1, ka + 1):
+        for x, combo in subset_sums(a_side, size):
+            first.setdefault(x, combo)
 
+    # a B-side subset is the first with its (XOR, size): the test below
+    # depends on that pair alone, so an earlier twin would have returned.
+    # The A part is empty only when the B part is not.
     r_elems = spec.forbidden.elems
-
-    def witness_for(xa: int, sa: int, b_combo: tuple[int, ...]) -> tuple[int, ...]:
-        if sa == 0:
-            return tuple(sorted(b_combo))
-        for combo in itertools.combinations(a_side, sa):
-            if reduce(lambda a, b: a ^ b, combo) == xa:
-                return tuple(sorted(combo + b_combo))
-        raise AssertionError("witness reconstruction failed")
-
-    for xb, sb in _subset_xors(b_side, kb):
-        b_combo: Optional[tuple[int, ...]] = None
-        for r in r_elems:
-            target = xb ^ r
-            if target == 0:
-                sa = min_nonzero_at_zero if sb == 0 else 0
-                if sa is None:
-                    continue
-            else:
-                sa = min_size.get(target)
-                if sa is None:
-                    continue
-            if sa + sb <= k and sa + sb >= 1:
-                if b_combo is None:
-                    b_combo = _find_combo(b_side, xb, sb)
-                return FamilyCheck("false", witness_for(target, sa, b_combo), total_work)
+    for sb in range(kb + 1):
+        for xb, b_combo in subset_sums(b_side, sb):
+            for r in r_elems:
+                target = xb ^ r
+                a = () if target == 0 and sb else first.get(target)
+                if a is not None and len(a) + sb <= k:
+                    return FamilyCheck("false", tuple(sorted(a + b_combo)), total_work)
     return FamilyCheck("true", None, total_work)
-
-
-def _find_combo(elems: tuple[int, ...], xor: int, size: int) -> tuple[int, ...]:
-    if size == 0:
-        return ()
-    for combo in itertools.combinations(elems, size):
-        if reduce(lambda a, b: a ^ b, combo) == xor:
-            return combo
-    raise AssertionError("no combination with recorded xor")
 
 
 def random_dissociated(
@@ -172,14 +137,8 @@ def random_dissociated(
         if cand == 0 or cand in chosen:
             continue
         if spec is None:
-            red = cand
-            for b in basis:
-                red = min(red, red ^ b)
-            if red == 0:
-                continue
-            basis.append(red)
-            basis.sort(reverse=True)
-            chosen.append(cand)
+            if _extend_basis(basis, cand):
+                chosen.append(cand)
         else:
             trial = F2Set.from_bits(n, chosen + [cand])
             check = in_family(trial, spec)

@@ -194,12 +194,15 @@ def certify_ladder(
 def root_sum_dominates(total: int, part_a: int, part_b: int, e: int) -> bool:
     """Exact check of total^(1/e) <= part_a^(1/e) + part_b^(1/e).
 
-    All arguments are nonnegative integers, e >= 1.  Roots are cleared by
-    scaled integer floor roots at escalating precision.  Equality with both
-    parts positive (sqrt 18 = sqrt 2 + sqrt 8) needs part_a/part_b to be a
-    rational e-th power (u/v)^e, and then the sum of roots is exactly
-    (part_b (u/v + 1)^e)^(1/e); that case is decided directly.  Raises
-    ExactnessError only if no bracket decides a non-equality case.
+    All arguments are nonnegative integers, e >= 1.  At each rung of the
+    precision ladder, with m = 2^(4 prec / 3) (16 to 256 bits) and la, lb
+    the floor e-th roots of part_a m^e and part_b m^e, the e-th power of the
+    sum of roots lies between (la + lb)^e / m^e and (la + lb + 2)^e / m^e.
+    Equality with both parts positive (sqrt 18 = sqrt 2 + sqrt 8) needs
+    part_a/part_b to be a rational e-th power (u/v)^e, and then the sum of
+    roots is exactly (part_b (u/v + 1)^e)^(1/e); that case is decided
+    directly once the ladder is undecided.  Raises ExactnessError only if
+    no bracket decides a non-equality case.
     """
     if total < 0 or part_a < 0 or part_b < 0:
         raise ValueError("negative energy")
@@ -207,15 +210,15 @@ def root_sum_dominates(total: int, part_a: int, part_b: int, e: int) -> bool:
         return total <= part_b
     if part_b == 0:
         return total <= part_a
-    for prec in (16, 32, 64, 128, 256):
-        m = 1 << prec
-        scaled = m**e
-        la = iroot(part_a * scaled, e)
-        lb = iroot(part_b * scaled, e)
-        if total * scaled <= (la + lb) ** e:
-            return True
-        if total * scaled > (la + lb + 2) ** e:
-            return False
+
+    def bracket_at(prec: int) -> tuple[Fraction, Fraction]:
+        scaled = 1 << ((prec + prec // 3) * e)
+        root_sum = iroot(part_a * scaled, e) + iroot(part_b * scaled, e)
+        return Fraction(root_sum**e, scaled), Fraction((root_sum + 2) ** e, scaled)
+
+    status, _ = certify_ladder(total, bracket_at)
+    if status != "undecided":
+        return status == "holds"
     ratio = Fraction(part_a, part_b)
     u = iroot(ratio.numerator, e)
     v = iroot(ratio.denominator, e)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Optional, Sequence
 
-from .core import BudgetError, F2Set
+from .core import BudgetError, F2Set, subset_sums
 from .dissociation import FamilySpec, in_family, random_dissociated
 from .energy import additive_energy, energy_excess_compare
 from .exact import EULER_HI, EULER_LO, certify_ladder, log2_bounds, pow_bounds
@@ -634,10 +634,7 @@ def _subset_table(lam: F2Set, d: int, budget: int = 2_000_000) -> dict[int, tupl
     if comb(len(lam), d) > budget:
         raise BudgetError("subset table too large")
     table: dict[int, tuple[int, ...]] = {}
-    for combo in itertools.combinations(lam.elems, d):
-        s = 0
-        for e in combo:
-            s ^= e
+    for s, combo in subset_sums(lam.elems, d):
         if s in table:
             raise ValueError(f"{d}-subset sums collide; Lambda is not {2*d}-dissociated")
         table[s] = combo

@@ -16,7 +16,6 @@ from f2lab.bench import (
     check_rudin_even,
     check_spectrum_energy_lower,
     check_sumset_energy,
-    hamming_sphere,
     sweep_bourgain,
     sweep_chang,
     sweep_diss_energy,
@@ -188,13 +187,6 @@ def test_bourgain_delta_guard():
     g = F2Set(4, tuple(range(8)))
     rep = check_bourgain_intersection(g, F2Set(4, (1,)), Fraction(1, 4), 1)
     assert rep.status == "precondition-failed"
-
-
-def test_hamming_sphere_basics():
-    assert hamming_sphere(4, 0).elems == (0,)
-    assert hamming_sphere(4, 1).elems == (1, 2, 4, 8)
-    for w in range(5):
-        assert len(hamming_sphere(4, w)) == comb(4, w)
 
 
 def test_weight1_binomial_values_match_brute_spectrum():

@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import f2lab
 from f2lab import cli
@@ -15,6 +17,8 @@ from f2lab.cli import (
     replay,
     run_config,
 )
+from f2lab.core import parse_set
+from f2lab.permanent import parse_matrix
 
 SET_BASIS3 = "4\n1000\n0100\n0010\n"
 SET_BAD = "3\n102\n"
@@ -186,20 +190,47 @@ def test_replay_missing_seed_rejected():
         replay(report)
 
 
+ENERGY_CONFIG = {"command": "energy", "set_text": SET_BASIS3, "k": 2}
+
+
 @pytest.mark.parametrize(
     "recorded",
     [
         {"command": "energy", "config": {"command": "energy", "k": 2}, "results": {}},
         {"command": "energy", "config": {"command": "energy", "set_text": SET_BASIS3, "k": 2}},
         [{"command": "energy"}],
+        *(
+            {"command": "energy", "config": {**ENERGY_CONFIG, **bad}, "results": {}}
+            for bad in ({"set_text": 5}, {"command": ["x"]}, {"k": "2"}, {"k": 2.0})
+        ),
     ],
-    ids=["config-without-set", "report-without-results", "report-is-list"],
+    ids=["config-without-set", "report-without-results", "report-is-list",
+         "set-text-number", "command-list", "k-string", "k-float"],
 )
 def test_replay_malformed_report_exit2(tmp_path, capsys, recorded):
     path = write(tmp_path, "bad.json", json.dumps(recorded))
     code, report = run_cli(["replay", path], tmp_path)
     assert code == 2 and report is None
     assert "error" in json.loads(capsys.readouterr().err)
+
+
+# Any text, texts over the characters of the three formats, and short
+# line lists that often form a valid header and rows.
+PARSER_TEXT = (
+    st.text()
+    | st.text(alphabet="0123456789/-+ .e\n\tx", max_size=40)
+    | st.lists(st.text(alphabet="01 -2", max_size=6), max_size=6).map("\n".join)
+)
+
+
+@settings(max_examples=300)
+@given(PARSER_TEXT)
+def test_parsers_give_a_value_or_value_error(text):
+    for parse in (parse_set, parse_matrix, parse_fraction):
+        try:
+            parse(text)
+        except ValueError:
+            pass
 
 
 def test_library_key_error_is_not_an_input_error(monkeypatch):
@@ -340,3 +371,9 @@ def test_config_from_args_pins_keys(tmp_path, command):
     }
     args = cli.build_parser().parse_args([paths.get(a, a) for a in argv])
     assert cli.config_from_args(args) == expected
+
+
+def test_config_types_cover_every_parser_key():
+    for _, expected in CONFIG_CASES.values():
+        assert set(expected) <= set(cli._CONFIG_TYPES)
+        cli._check_config_types(expected)

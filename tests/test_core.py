@@ -1,4 +1,7 @@
+import ast
 import itertools
+import pathlib
+from functools import reduce
 
 import pytest
 
@@ -13,6 +16,7 @@ from f2lab.core import (
     parse_set,
     serialize_set,
     string_to_bits,
+    subset_sums,
 )
 from f2lab.wht import spectrum_of_set
 
@@ -136,3 +140,23 @@ def test_parse_set_errors():
 def test_bitstring_roundtrip_exhaustive_dim4():
     for bits in range(16):
         assert string_to_bits(bits_to_string(bits, 4)) == bits
+
+
+def test_subset_sums_in_combinations_order():
+    elems = (3, 5, 6, 9, 12)
+    for size in range(len(elems) + 1):
+        got = list(subset_sums(elems, size))
+        combos = list(itertools.combinations(elems, size))
+        assert [c for _, c in got] == combos
+        assert [x for x, _ in got] == [reduce(lambda a, b: a ^ b, c, 0) for c in combos]
+
+
+def test_oracles_import_no_f2lab_module():
+    tree = ast.parse((pathlib.Path(__file__).parent / "oracles.py").read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.append("." * node.level + (node.module or ""))
+    assert names and not any(n.startswith(("f2lab", ".")) for n in names)

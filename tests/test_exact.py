@@ -95,6 +95,14 @@ def test_root_sum_dominates_basic():
     assert not root_sum_dominates(22, 21, 0, 4)
 
 
+def test_root_sum_dominates_top_rung_is_256_bits():
+    # (1 + sqrt(x^2 + 1))^2 = x^2 + 2x + 2 + (about 1/x): a gap of 1e-35 that
+    # the 256-bit rung resolves and a 192-bit rung would not
+    x = 10**35
+    assert root_sum_dominates(x * x + 2 * x + 2, 1, x * x + 1, 2)
+    assert not root_sum_dominates(x * x + 2 * x + 3, 1, x * x + 1, 2)
+
+
 def test_root_sum_dominates_equality_with_both_sides_positive():
     # sqrt 18 = sqrt 2 + sqrt 8 and cbrt 54 = cbrt 2 + cbrt 16, exactly
     assert root_sum_dominates(18, 2, 8, 2)
