@@ -1,5 +1,15 @@
 """Exact desk-scale toolkit for additive combinatorics over F_2^n."""
 
+from .bench import (
+    BoundReport,
+    check_bombieri,
+    check_greedy_support,
+    check_holder,
+    check_inverse2,
+    check_pi,
+    check_sophisticated,
+    check_subadditivity,
+)
 from .core import (
     BudgetError,
     DimensionError,
@@ -14,13 +24,10 @@ from .dissociation import FamilySpec, in_family, is_dissociated, random_dissocia
 from .energy import (
     additive_energy,
     convolve,
-    dk_zeta,
     energy_bruteforce,
     energy_function,
     energy_multiset,
     energy_spectral,
-    holder_check,
-    subadditivity_check,
 )
 from .exact import ExactnessError
 from .inverse import (
@@ -28,11 +35,9 @@ from .inverse import (
     FiberDecomposition,
     InverseParams,
     Rectangle,
-    bombieri_intersection,
     extract_rectangles_d,
     extract_rectangles_pair,
     greedy_disjoint_supports,
-    inverse2_bound,
     plant_instance,
     refine_connected,
 )
@@ -40,9 +45,7 @@ from .permanent import (
     CombMatrix,
     fk_zero_test,
     permanent,
-    pi_value,
     reduced_permanent_check,
-    sophisticated_bound,
 )
 from .wht import IntFunction, SpectrumTable, inverse_wht, large_spectrum, spectrum_of_set, wht
 

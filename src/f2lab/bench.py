@@ -1,6 +1,8 @@
 """One checker per theorem-level inequality, plus explicit constructions.
 
-Every checker machine-verifies its own preconditions (dissociativity
+Every checker returns BoundReport rows built by `_finish`, with the status
+holds, violated, undecided or precondition-failed, and has a seeded sweep
+family.  It machine-verifies its own preconditions (dissociativity
 status, containment in the large spectrum, ...) and refuses to answer
 "holds" otherwise.  Logarithms and square roots on the bounding side are
 handled by exact rational brackets, rounded toward soundness; log means
@@ -9,18 +11,37 @@ log base 2 throughout.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-from typing import Optional, Sequence
+from functools import reduce
+from math import comb, factorial, prod
+from typing import Callable, Optional, Sequence
 
-from .core import F2Set, distinct_sumset_power
+from .core import BudgetError, F2Set, distinct_sumset_power
 from .dissociation import FamilySpec, in_family, is_dissociated, random_dissociated
-from .energy import _spectral_moment, additive_energy
-from .exact import certify_ladder, floor_log2, log2_bounds
-from .wht import IntFunction, large_spectrum, large_spectrum_from_table, spectrum_of_set, wht
+from .energy import _spectral_moment, additive_energy, convolve, energy_function, energy_multiset
+from .exact import (
+    EULER_HI,
+    EULER_LO,
+    certify_ladder,
+    floor_log2,
+    log2_bounds,
+    pow_bounds,
+    root_sum_dominates,
+)
+from .inverse import FiberDecomposition, _best_common_intersection, greedy_disjoint_supports
+from .permanent import CombMatrix, permanent
+from .wht import (
+    IntFunction,
+    _check_table_dim,
+    large_spectrum,
+    large_spectrum_from_table,
+    spectrum_of_set,
+    wht,
+)
 
 
 @dataclass(frozen=True)
@@ -75,10 +96,9 @@ def _precondition_failed(theorem, instance, start, why) -> BoundReport:
 
 
 def _family_refusal(theorem, instance, start, lam: F2Set, weight: int) -> Optional[BoundReport]:
-    """None when Lambda is certified to lie in the weight-`weight` family
-    (capped at |Lambda|), else the precondition-failed report."""
-    cap = min(weight, max(1, len(lam)))
-    fam = in_family(lam, FamilySpec.zero(cap, lam.dim)).status
+    """None when Lambda is certified to lie in the weight-`weight` family,
+    else the precondition-failed report."""
+    fam = in_family(lam, FamilySpec.zero(weight, lam.dim)).status
     if fam == "true":
         return None
     return _precondition_failed(theorem, instance, start, f"family status {fam}")
@@ -139,14 +159,8 @@ def check_rudin_even(lam: F2Set, coeffs: Sequence[int], p: int) -> BoundReport:
     if refused := _family_refusal(name, inst, start, lam, 2 * p):
         return refused
     g = wht(IntFunction.from_points(lam.dim, zip(lam.elems, coeffs)))
-    moment = _spectral_moment(g, p)
     weight = sum(a * a for a in coeffs)
-    # smallest feasible constant in the C^(2p) (2p)^p (sum a^2)^p shape
-    detail = ""
-    if weight and moment:
-        c_min = (moment / ((2 * p) ** p * weight**p)) ** (1 / (2 * p))
-        detail = f"c_min={c_min:.6f}"
-    return _finish(name, inst, moment, p**p * weight**p, "le", start, detail)
+    return _finish(name, inst, _spectral_moment(g, p), p**p * weight**p, "le", start)
 
 
 def check_sumset_energy(q: F2Set, lam: F2Set, d: int, p: int) -> BoundReport:
@@ -228,6 +242,291 @@ def check_bourgain_intersection(a: F2Set, lam: F2Set, alpha: Fraction, d: int) -
     return _finish(name, inst, lhs, rhs[0], "le", start, status=status)
 
 
+def check_holder(fs: Sequence[IntFunction], gs: Sequence[IntFunction]) -> BoundReport:
+    """Convolution Hoelder: |<f_1 * ... * f_s, g_1 * ... * g_t>| is at most
+    prod T_s(f_i)^(1/2s) prod T_t(g_j)^(1/2t), compared with the roots
+    cleared: lhs^(2st) against prod T_s(f_i)^t prod T_t(g_j)^s."""
+    start = time.perf_counter()
+    s, t = len(fs), len(gs)
+    if s < 2 or t < 2:
+        raise ValueError("need s, t >= 2")
+    conv_f, conv_g = reduce(convolve, fs), reduce(convolve, gs)
+    inner = sum(x * y for x, y in zip(conv_f.values, conv_g.values))
+    rhs = prod(energy_function(f, s) ** t for f in fs)
+    rhs *= prod(energy_function(g, t) ** s for g in gs)
+    return _finish("holder", f"n={fs[0].dim} s={s} t={t}", inner ** (2 * s * t), rhs, "le", start)
+
+
+def check_subadditivity(a: F2Set, b: F2Set, k: int) -> BoundReport:
+    """T_k(A u B)^(1/2k) <= T_k(A)^(1/2k) + T_k(B)^(1/2k); rhs is the pair
+    (T_k(A), T_k(B)) and the roots are compared exactly."""
+    start = time.perf_counter()
+    inst = f"n={a.dim} |A|={len(a)} |B|={len(b)} k={k}"
+    tu, ta, tb = (additive_energy(x, k) for x in (a.union(b), a, b))
+    status = "holds" if root_sum_dominates(tu, ta, tb, 2 * k) else "violated"
+    return _finish("subadditivity", inst, tu, (ta, tb), "le", start, status=status)
+
+
+def check_pi(ts: Sequence[int], p: int, delta0: Fraction) -> BoundReport:
+    """The cutoff product pi = T^a0 (T-1)^a1 ... of t_1..t_r (T = max t_j)
+    is at most 2^(3p) max(delta0^(4 delta0), 1).
+
+    The tuple must be well-formed (t_j >= 2, sum 2p).  The lemma's
+    delta0-linked hypotheses are named in the detail, not enforced, so
+    boundary examples stay evaluable.
+    """
+    start = time.perf_counter()
+    if any(t < 2 for t in ts):
+        raise ValueError("every t_j must be >= 2")
+    if sum(ts) != 2 * p:
+        raise ValueError("sum of t_j must equal 2p")
+    top = max(ts)
+    alphas = tuple(sum(1 for t in ts if t >= top - i) for i in range(top - 1))
+    # cutoff z: sum_{i<z} alpha_i <= p < sum_{i<=z} alpha_i; the all-2 tuple
+    # admits no such z, in which case pi = T^p by convention
+    z, q_z, pi = 0, p, top**p
+    acc = 0
+    for i, a in enumerate(alphas):
+        if acc <= p < acc + a:
+            z, q_z = i, p - acc
+            pi = prod((top - j) ** alphas[j] for j in range(z)) * (top - z) ** q_z
+            break
+        acc += a
+    failures = []
+    if len(ts) < p - delta0:
+        failures.append("r < p - delta0")
+    if p < 2 * delta0 + 3:
+        failures.append("p < 2 delta0 + 3")
+    detail = f"T={top} alphas={alphas} z={z} q_z={q_z}"
+    if failures:
+        detail += " hypotheses failed: " + ", ".join(failures)
+
+    def bracket_at(prec: int) -> tuple[Fraction, Fraction]:
+        if delta0 <= 1:
+            x_lo = x_hi = Fraction(1)
+        elif delta0.denominator == 1:
+            x_lo = x_hi = Fraction(int(delta0) ** (4 * int(delta0)))
+        else:
+            x_lo, x_hi = pow_bounds((delta0, delta0), (4 * delta0, 4 * delta0), prec)
+        return 2 ** (3 * p) * x_lo, 2 ** (3 * p) * x_hi
+
+    status, bound = certify_ladder(pi, bracket_at)
+    inst = f"ts={tuple(ts)} p={p} delta0={delta0}"
+    return _finish("pi", inst, pi, bound[0], "le", start, detail, status)
+
+
+def check_sophisticated(
+    es: Sequence[F2Set], classes: Sequence[Sequence[int]], lam: F2Set, p_cap: int = 4
+) -> list[BoundReport]:
+    """The solutions Z of l_1 + ... + l_2p = 0, l_i in E_i <= Lambda, are at
+    most the permanent-sum bound ("sophisticated"), and
+    Z^2 <= (2^(2p) p!)^2 prod |E_i| ("sophisticated-corollary").
+
+    The bound sums per M(S*) over the p-subsets S* of [2p] that hit every
+    partition class of size >= 2, where M(S*)_{ij} = |E_i cap E_j| for
+    i in S*, j outside.  Lambda must be certified in the weight-2p family.
+    """
+    start = time.perf_counter()
+    if len(es) % 2 != 0 or len(es) < 2:
+        raise ValueError("need 2p sets")
+    p = len(es) // 2
+    if p > p_cap:
+        raise BudgetError(f"p = {p} beyond documented cap {p_cap}")
+    if any(not c for c in classes) or sorted(v for c in classes for v in c) != list(range(2 * p)):
+        raise ValueError("classes must be nonempty and partition the index range")
+    if not all(e.issubset(lam) for e in es):
+        raise ValueError("every E_i must be a subset of Lambda")
+    inst = f"n={lam.dim} |L|={len(lam)} p={p} |E|={[len(e) for e in es]}"
+    if refused := _family_refusal("sophisticated", inst, start, lam, 2 * p):
+        return [refused]
+    solutions = energy_multiset(list(es))
+    inter = [[len(set(a.elems) & set(b.elems)) for b in es] for a in es]
+    big_classes = [frozenset(c) for c in classes if len(c) >= 2]
+    bound = admissible = 0
+    for s_star in itertools.combinations(range(2 * p), p):
+        if any(not cls.intersection(s_star) for cls in big_classes):
+            continue
+        admissible += 1
+        rest = [j for j in range(2 * p) if j not in s_star]
+        bound += permanent(CombMatrix(tuple(tuple(inter[i][j] for j in rest) for i in s_star)))
+    rhs_sq = (2 ** (2 * p) * factorial(p)) ** 2 * prod(len(e) for e in es)
+    return [
+        _finish("sophisticated", inst, solutions, bound, "le", start, f"admissible={admissible}"),
+        _finish("sophisticated-corollary", inst, solutions**2, rhs_sq, "le", start),
+    ]
+
+
+def check_inverse2(
+    q: F2Set,
+    decomp: FiberDecomposition,
+    p: int,
+    m_param: Fraction,
+    s1_cap: int = 14,
+    p_cap: int = 6,
+) -> BoundReport:
+    """T_p(Q) against the fiber-intersection upper bound.
+
+    The bound is 2^(5p) X p^(3p) s2^p * sum_{r} (p s2)^-r *
+    (sum over r-subsets S of the nonempty fibers of prod_{a in S}
+    sum_{b in S} |D_a cap D_b|) + p^(2p)|Q|^p / (2 M^p), with
+    delta0 = max(p log2(2 e M) / log2(|Q|/(s2 p)), 1), X = max(delta0^
+    (4 delta0), 1).  Transcendental pieces are bracketed rationally; a
+    ladder that never pins ceil(delta0) is undecided with rhs None.
+    """
+    start = time.perf_counter()
+    nonempty = decomp.nonempty()
+    s1, s2, m = len(nonempty), decomp.s2, len(q)
+    if s1 > s1_cap or p > p_cap:
+        raise BudgetError(f"s1 = {s1}, p = {p} beyond caps ({s1_cap}, {p_cap})")
+    if not set(q.elems) <= {l1 ^ l2 for l1 in decomp.lambda1 for l2 in decomp.lambda2}:
+        raise ValueError("Q must be contained in Lambda_1 + Lambda_2")
+    name, inst = "inverse2", f"n={q.dim} |Q|={m} s1={s1} s2={s2} p={p} M={m_param}"
+    if p < 5:
+        return _precondition_failed(name, inst, start, "p < 5")
+    if s2 == 0 or m == 0:
+        return _precondition_failed(name, inst, start, "degenerate instance")
+    if not (m >= 2 * s2 * p and m >= 2**8 * s2 * p * m_param**8):
+        return _precondition_failed(name, inst, start, "|Q| below max(2 s2 p, 2^8 s2 p M^8)")
+    if refused := _family_refusal(name, inst, start, decomp.lambda1.union(decomp.lambda2), 4 * p):
+        return refused
+    energy = additive_energy(q, p)
+    ratio = Fraction(m, s2 * p)
+    inter = [[len(set(da.elems) & set(db.elems)) for _, db in nonempty] for _, da in nonempty]
+    ceil_d0 = None
+
+    def bracket_at(prec: int) -> Optional[tuple[Fraction, Fraction]]:
+        nonlocal ceil_d0
+        log_m = (
+            log2_bounds(2 * EULER_LO * m_param, prec)[0],
+            log2_bounds(2 * EULER_HI * m_param, prec)[1],
+        )
+        num = (p * log_m[0], p * log_m[1])  # may be negative for small M
+        den = log2_bounds(ratio, prec)  # positive: the hypotheses give ratio >= 2
+        raw_lo = num[0] / (den[1] if num[0] >= 0 else den[0])
+        raw_hi = num[1] / (den[0] if num[1] >= 0 else den[1])
+        d0 = (max(raw_lo, Fraction(1)), max(raw_hi, Fraction(1)))
+        c_lo = -((-d0[0].numerator) // d0[0].denominator)
+        if c_lo != -((-d0[1].numerator) // d0[1].denominator):
+            return None  # escalate precision to pin the ceiling
+        ceil_d0 = c_lo
+        if d0[0] == d0[1] == 1:
+            x_bounds = (Fraction(1), Fraction(1))
+        else:
+            pw = pow_bounds(d0, (4 * d0[0], 4 * d0[1]), prec)
+            x_bounds = (max(pw[0], Fraction(1)), max(pw[1], Fraction(1)))
+        double_sum = Fraction(0)
+        for r in range(max(0, p - ceil_d0), min(p, s1) + 1):
+            inner = 0
+            for combo in itertools.combinations(range(s1), r):
+                term = 1
+                for a in combo:
+                    row = inter[a]
+                    term *= sum(row[b] for b in combo)
+                    if term == 0:
+                        break
+                inner += term
+            double_sum += Fraction(inner, (p * s2) ** r)
+        tail = Fraction(p ** (2 * p) * m**p) / (2 * m_param**p)
+        scale = 2 ** (5 * p) * p ** (3 * p) * s2**p
+        return scale * x_bounds[0] * double_sum + tail, scale * x_bounds[1] * double_sum + tail
+
+    status, rhs = certify_ladder(energy, bracket_at)
+    rhs_lo = None if rhs is None else rhs[0]
+    return _finish(name, inst, energy, rhs_lo, "le", start, f"ceil(delta0)={ceil_d0}", status)
+
+
+def check_bombieri(
+    universe: F2Set,
+    subsets: Sequence[F2Set],
+    lam: Fraction,
+    t: int,
+    budget: int = 10**6,
+    seed: int = 0,
+) -> BoundReport:
+    """Some t of q subsets B_i of B with |B_i| >= lam |B| share at least
+    (lam - t/q) C(q, t)^-1 |B| elements, for t <= lam q.
+
+    The largest t-fold intersection is searched exhaustively below `budget`
+    combinations, else by seeded greedy descent, whose miss is undecided.
+    """
+    start = time.perf_counter()
+    q, size = len(subsets), len(universe)
+    if q == 0:
+        raise ValueError("need at least one subset")
+    name, inst = "bombieri", f"n={universe.dim} |B|={size} q={q} t={t} lam={lam}"
+    if any(len(b) < lam * size for b in subsets):
+        return _precondition_failed(name, inst, start, "some |B_i| < lam |B|")
+    if not all(b.issubset(universe) for b in subsets):
+        return _precondition_failed(name, inst, start, "some B_i outside B")
+    if t > lam * q:
+        return _precondition_failed(name, inst, start, "t > lam q")
+    sets = [frozenset(b.elems) for b in subsets]
+    idx, inter, exhaustive = _best_common_intersection(sets, t, budget, random.Random(seed))
+    bound = (lam - Fraction(t, q)) / comb(q, t) * size
+    status = None if exhaustive or len(inter) >= bound else "undecided"
+    detail = f"sets={list(idx)} " + ("exhaustive" if exhaustive else "greedy")
+    return _finish(name, inst, len(inter), bound, "ge", start, detail, status)
+
+
+def greedy_support_threshold(
+    p: int, width: int, zeta: Fraction, block_sizes: Sequence[int], multiplicities: Sequence[int]
+) -> Fraction:
+    """The guarantee threshold 2*sigma* of the greedy-support lemma: from at
+    least this many supports the greedy selection returns the full width."""
+    if len(block_sizes) != len(multiplicities):
+        raise ValueError("need one multiplicity per block")
+    rho = len(block_sizes)
+    omega_min = -((-zeta.numerator * p) // zeta.denominator)  # ceil(zeta p)
+    total = Fraction(0)
+
+    def compositions(remaining: int, idx: int):
+        if idx == rho - 1:
+            if remaining <= multiplicities[idx]:
+                yield (remaining,)
+            return
+        for v in range(min(remaining, multiplicities[idx]) + 1):
+            for rest in compositions(remaining - v, idx + 1):
+                yield (v,) + rest
+
+    for omega in range(omega_min, p + 1):
+        inner = Fraction(0)
+        if rho:
+            for ns in compositions(p - omega, 0):
+                inner += prod(Fraction(a**n, factorial(n)) for a, n in zip(block_sizes, ns))
+        elif p - omega == 0:
+            inner = Fraction(1)
+        total += Fraction((p * width) ** omega, factorial(omega)) * inner
+    return 2 * total
+
+
+def check_greedy_support(
+    supports: Sequence[frozenset],
+    zeta: Fraction,
+    width: int,
+    blocks: Sequence[frozenset],
+    multiplicities: Sequence[int],
+) -> BoundReport:
+    """Given at least greedy_support_threshold many p-element supports, each
+    inside the disjoint blocks with at most multiplicities[i] elements in
+    block i, greedy_disjoint_supports returns the full width."""
+    start = time.perf_counter()
+    p = len(supports[0]) if supports else 0
+    name, inst = "greedy-support", f"p={p} q={len(supports)} width={width} zeta={zeta}"
+    threshold = greedy_support_threshold(p, width, zeta, [len(b) for b in blocks], multiplicities)
+    ground = frozenset().union(*blocks)
+    if sum(map(len, blocks)) != len(ground):
+        return _precondition_failed(name, inst, start, "blocks overlap")
+    if any(
+        not s <= ground or any(len(s & b) > c for b, c in zip(blocks, multiplicities))
+        for s in supports
+    ):
+        return _precondition_failed(name, inst, start, "a support breaks the block multiplicities")
+    if len(supports) < threshold:
+        return _precondition_failed(name, inst, start, f"fewer than {threshold} supports")
+    chosen = greedy_disjoint_supports(supports, zeta, width)
+    return _finish(name, inst, len(chosen), width, "ge", start)
+
+
 # ---------------------------------------------------------------------------
 # the majority-set lower-bound construction
 
@@ -299,6 +598,7 @@ def build_majority(n: int, delta: Fraction) -> MajorityInstance:
     nprime = n - k
     if nprime < 1:
         raise ValueError("n too small for this delta")
+    _check_table_dim(nprime)
     threshold = (nprime + 1) // 2  # at least nprime/2 ones
     inner_elems = [x for x in range(1 << nprime) if x.bit_count() >= threshold]
     inner = F2Set.from_bits(nprime, inner_elems)
@@ -363,60 +663,56 @@ def verify_majority(inst: MajorityInstance, d: int = 1) -> list[BoundReport]:
 # seeded sweep families
 
 
-def sweep_chang(count: int, seed: int, max_dim: int = 12) -> list[BoundReport]:
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        dim = rng.randint(4, max_dim)
-        n = 1 << dim
-        size = rng.randint(2, max(2, n // 4))
-        a = F2Set.from_bits(dim, rng.sample(range(n), size))
-        table = spectrum_of_set(a)
-        values = sorted((abs(v) for r, v in enumerate(table.values) if r), reverse=True)
-        nonzero = [v for v in values if v > 0]
-        if not nonzero:
-            continue
-        idx = rng.randrange(min(len(nonzero), 8))
-        alpha = Fraction(min(nonzero[idx], len(a)), n)
-        if alpha <= 0:
-            continue
-        spectrum = large_spectrum_from_table(table, alpha)
-        lam_elems: list[int] = []
-        for r in spectrum.elems:  # greedy maximal dissociated subset
-            if r and is_dissociated(F2Set.from_bits(dim, lam_elems + [r])):
-                lam_elems.append(r)
-        lam = F2Set.from_bits(dim, lam_elems)
-        out.append(check_chang(a, alpha, lam))
-        out.append(check_parseval_spectrum(a, alpha))
-    return out
+def _seeded_family(draw: Callable[[random.Random], list[BoundReport]]):
+    """The sweep of the rows of `count` instances drawn by `draw` from one
+    seeded RNG."""
+
+    def sweep(count: int, seed: int) -> list[BoundReport]:
+        rng = random.Random(seed)
+        return [row for _ in range(count) for row in draw(rng)]
+
+    return sweep
 
 
-def sweep_diss_energy(count: int, seed: int) -> list[BoundReport]:
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        n = rng.randint(6, 12)
-        m = rng.randint(2, min(10, n))
-        lam = random_dissociated(n, m, seed=rng.randrange(1 << 30))
-        p = rng.randint(2, 3)
-        out.append(check_diss_energy(lam, p))
-    return out
+def _draw_chang(rng: random.Random) -> list[BoundReport]:
+    dim = rng.randint(4, 12)
+    n = 1 << dim
+    size = rng.randint(2, max(2, n // 4))
+    a = F2Set.from_bits(dim, rng.sample(range(n), size))
+    table = spectrum_of_set(a)
+    values = sorted((abs(v) for r, v in enumerate(table.values) if r), reverse=True)
+    nonzero = [v for v in values if v > 0]
+    if not nonzero:
+        return []
+    idx = rng.randrange(min(len(nonzero), 8))
+    alpha = Fraction(min(nonzero[idx], len(a)), n)
+    if alpha <= 0:
+        return []
+    spectrum = large_spectrum_from_table(table, alpha)
+    lam_elems: list[int] = []
+    for r in spectrum.elems:  # greedy maximal dissociated subset
+        if r and is_dissociated(F2Set.from_bits(dim, lam_elems + [r])):
+            lam_elems.append(r)
+    lam = F2Set.from_bits(dim, lam_elems)
+    return [check_chang(a, alpha, lam), check_parseval_spectrum(a, alpha)]
 
 
-def sweep_sumset_energy(count: int, seed: int) -> list[BoundReport]:
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        n = rng.randint(8, 12)
-        d = rng.randint(1, 3)
-        m = rng.randint(max(2, d), min(10, n))
-        lam = random_dissociated(n, m, seed=rng.randrange(1 << 30))
-        ambient = distinct_sumset_power(lam, d)
-        size = rng.randint(1, len(ambient))
-        q = F2Set.from_bits(n, rng.sample(ambient.elems, size))
-        p = rng.randint(2, 3)
-        out.append(check_sumset_energy(q, lam, d, p))
-    return out
+def _draw_diss_energy(rng: random.Random) -> list[BoundReport]:
+    n = rng.randint(6, 12)
+    m = rng.randint(2, min(10, n))
+    lam = random_dissociated(n, m, seed=rng.randrange(1 << 30))
+    return [check_diss_energy(lam, rng.randint(2, 3))]
+
+
+def _draw_sumset_energy(rng: random.Random) -> list[BoundReport]:
+    n = rng.randint(8, 12)
+    d = rng.randint(1, 3)
+    m = rng.randint(max(2, d), min(10, n))
+    lam = random_dissociated(n, m, seed=rng.randrange(1 << 30))
+    ambient = distinct_sumset_power(lam, d)
+    size = rng.randint(1, len(ambient))
+    q = F2Set.from_bits(n, rng.sample(ambient.elems, size))
+    return [check_sumset_energy(q, lam, d, rng.randint(2, 3))]
 
 
 def sweep_full_sumset_lower(count: int, seed: int) -> list[BoundReport]:
@@ -432,11 +728,11 @@ def sweep_full_sumset_lower(count: int, seed: int) -> list[BoundReport]:
     return out
 
 
-def sweep_spectrum_energy_lower(count: int, seed: int, max_dim: int = 12) -> list[BoundReport]:
+def sweep_spectrum_energy_lower(count: int, seed: int) -> list[BoundReport]:
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        dim = rng.randint(4, max_dim)
+        dim = rng.randint(4, 12)
         n = 1 << dim
         size = rng.randint(1, max(1, n // 2))
         a = F2Set.from_bits(dim, rng.sample(range(n), size))
@@ -494,3 +790,103 @@ def sweep_majority(nprimes: Sequence[int], delta: Fraction, d: int = 1) -> list[
             raise AssertionError("nprime mismatch in sweep construction")
         out.extend(verify_majority(inst, d))
     return out
+
+
+def _draw_rudin_even(rng: random.Random) -> list[BoundReport]:
+    n = rng.randint(4, 8)
+    m = rng.randint(1, min(6, n))
+    lam = random_dissociated(n, m, seed=rng.randrange(1 << 30))
+    coeffs = [rng.randint(-4, 4) for _ in range(m)]
+    return [check_rudin_even(lam, coeffs, rng.randint(2, 3))]
+
+
+def _draw_holder(rng: random.Random) -> list[BoundReport]:
+    dim = rng.randint(1, 6)
+
+    def draw_fn() -> IntFunction:
+        return IntFunction(dim, tuple(rng.randint(0, 1) for _ in range(1 << dim)))
+
+    fs = [draw_fn() for _ in range(2)]
+    return [check_holder(fs, [draw_fn() for _ in range(rng.randint(2, 3))])]
+
+
+def _draw_subadditivity(rng: random.Random) -> list[BoundReport]:
+    dim = rng.randint(2, 8)
+    a, b = (
+        F2Set.from_bits(dim, rng.sample(range(1 << dim), rng.randint(1, min(6, 1 << dim))))
+        for _ in range(2)
+    )
+    return [check_subadditivity(a, b, rng.randint(2, 3))]
+
+
+def _draw_pi(rng: random.Random) -> list[BoundReport]:
+    """An admissible tuple: r >= p - delta0 parts >= 2 summing to 2p."""
+    p = rng.randint(5, 9)
+    delta0 = rng.randint(1, (p - 3) // 2)
+    r = rng.randint(p - delta0, p)
+    parts = [2] * r
+    for _ in range(2 * p - 2 * r):
+        parts[rng.randrange(r)] += 1
+    return [check_pi(parts, p, Fraction(delta0))]
+
+
+def _draw_sophisticated(rng: random.Random) -> list[BoundReport]:
+    p = rng.randint(2, 3)
+    n = rng.randint(7, 10)
+    m = rng.randint(2, 6)
+    lam = random_dissociated(n, m, seed=rng.randrange(1 << 30))
+    es = [F2Set.from_bits(n, rng.sample(lam.elems, rng.randint(1, m))) for _ in range(2 * p)]
+    idx = list(range(2 * p))
+    rng.shuffle(idx)
+    classes = []
+    while idx:
+        take = rng.randint(1, len(idx))
+        classes.append(tuple(idx[:take]))
+        idx = idx[take:]
+    return check_sophisticated(es, classes, lam)
+
+
+def _draw_inverse2(rng: random.Random) -> list[BoundReport]:
+    """Q inside Lambda_1 + Lambda_2 for a dissociated 16-element split, at
+    least 2 s2 p points, p = 5."""
+    lam = random_dissociated(16, 16, seed=rng.randrange(1 << 30))
+    s1 = rng.randint(10, 12)
+    l1, l2 = F2Set.from_bits(16, lam.elems[:s1]), F2Set.from_bits(16, lam.elems[s1:])
+    pairs = [a ^ b for a in l1.elems for b in l2.elems]
+    q = F2Set.from_bits(16, rng.sample(pairs, rng.randint(10 * len(l2), len(pairs))))
+    m_param = Fraction(1, rng.choice((4, 8)))
+    return [check_inverse2(q, FiberDecomposition.build(q, l1, l2), 5, m_param)]
+
+
+def _draw_bombieri(rng: random.Random) -> list[BoundReport]:
+    universe = F2Set.from_bits(6, rng.sample(range(64), 12))
+    q = rng.randint(3, 6)
+    subsets = [F2Set.from_bits(6, rng.sample(universe.elems, 6)) for _ in range(q)]
+    return [check_bombieri(universe, subsets, Fraction(1, 2), rng.randint(1, max(1, q // 2)))]
+
+
+def _draw_greedy_support(rng: random.Random) -> list[BoundReport]:
+    """Transversals of p blocks, as many as the threshold asks when the
+    blocks have that many."""
+    p = rng.randint(2, 4)
+    width = rng.randint(2, 4)
+    blocks = [frozenset(range(100 * i, 100 * i + rng.randint(8, 14))) for i in range(p)]
+    pool = list(itertools.product(*(sorted(b) for b in blocks)))
+    rng.shuffle(pool)
+    sizes = [len(b) for b in blocks]
+    threshold = greedy_support_threshold(p, width, Fraction(1, 2), sizes, [1] * p)
+    supports = [frozenset(t) for t in pool[: int(threshold) + 1]]
+    return [check_greedy_support(supports, Fraction(1, 2), width, blocks, [1] * p)]
+
+
+sweep_chang = _seeded_family(_draw_chang)
+sweep_diss_energy = _seeded_family(_draw_diss_energy)
+sweep_sumset_energy = _seeded_family(_draw_sumset_energy)
+sweep_rudin_even = _seeded_family(_draw_rudin_even)
+sweep_holder = _seeded_family(_draw_holder)
+sweep_subadditivity = _seeded_family(_draw_subadditivity)
+sweep_pi = _seeded_family(_draw_pi)
+sweep_sophisticated = _seeded_family(_draw_sophisticated)
+sweep_inverse2 = _seeded_family(_draw_inverse2)
+sweep_bombieri = _seeded_family(_draw_bombieri)
+sweep_greedy_support = _seeded_family(_draw_greedy_support)

@@ -79,7 +79,7 @@ def _report_rows(reports) -> list[dict]:
 def _status_exit(statuses) -> int:
     if any(s in ("violated", "false", "mismatch") for s in statuses):
         return 1
-    if any(s in ("undecided", "precondition-failed", "hypothesis-not-met") for s in statuses):
+    if any(s in ("undecided", "precondition-failed") for s in statuses):
         return 2
     return 0
 
@@ -275,6 +275,14 @@ _BENCH_SWEEPS = {
     "maing": _seeded_sweep(bench_mod.sweep_spectrum_energy_lower),
     "bourgain": _seeded_sweep(bench_mod.sweep_bourgain),
     "majority": _majority_sweep,
+    "rudin": _seeded_sweep(bench_mod.sweep_rudin_even),
+    "holder": _seeded_sweep(bench_mod.sweep_holder),
+    "subadd": _seeded_sweep(bench_mod.sweep_subadditivity),
+    "pi": _seeded_sweep(bench_mod.sweep_pi),
+    "soph": _seeded_sweep(bench_mod.sweep_sophisticated),
+    "inverse2": _seeded_sweep(bench_mod.sweep_inverse2),
+    "bombieri": _seeded_sweep(bench_mod.sweep_bombieri),
+    "greedy": _seeded_sweep(bench_mod.sweep_greedy_support),
 }
 
 

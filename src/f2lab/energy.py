@@ -1,4 +1,4 @@
-"""Exact additive energies, convolution machinery, and inequality checkers.
+"""Exact additive energies and convolution machinery.
 
 T_k counts 2k-tuples with equal k-fold sums.  Three independent routes are
 implemented (tuple meet-in-the-middle, spectral moments, convolution
@@ -9,14 +9,13 @@ implementation bug.
 
 from __future__ import annotations
 
-import math
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import BudgetError, DimensionError, F2Set
-from .exact import ExactnessError, root_sum_dominates
+from .exact import ExactnessError
 from .wht import IntFunction, SpectrumTable, inverse_wht, spectrum_of_set, wht
 
 BRUTE_BUDGET = 10**8
@@ -163,91 +162,6 @@ def energy_function(f: IntFunction, k: int) -> int:
     if by_conv != by_spec:
         raise ExactnessError("convolution and spectral T_k(f) disagree (bug)")
     return by_conv
-
-
-@dataclass(frozen=True)
-class HolderReport:
-    """Both sides of the convolution Hoelder inequality, roots cleared.
-
-    The inequality LHS <= prod T_s(f_i)^(1/2s) * prod T_t(g_j)^(1/2t) is
-    verified as LHS^(2st) <= prod T_s(f_i)^t * prod T_t(g_j)^s.
-    """
-
-    s: int
-    t: int
-    lhs: int
-    lhs_power: int
-    rhs_power: int
-    holds: bool
-    slack_log2: Optional[float]
-
-
-def holder_check(fs: Sequence[IntFunction], gs: Sequence[IntFunction]) -> HolderReport:
-    s, t = len(fs), len(gs)
-    if s < 2 or t < 2:
-        raise ValueError("need s, t >= 2")
-    conv_f = fs[0]
-    for f in fs[1:]:
-        conv_f = convolve(conv_f, f)
-    conv_g = gs[0]
-    for g in gs[1:]:
-        conv_g = convolve(conv_g, g)
-    lhs = abs(sum(x * y for x, y in zip(conv_f.values, conv_g.values)))
-    rhs_power = 1
-    for f in fs:
-        rhs_power *= energy_function(f, s) ** t
-    for g in gs:
-        rhs_power *= energy_function(g, t) ** s
-    lhs_power = lhs ** (2 * s * t)
-    holds = lhs_power <= rhs_power
-    slack = None
-    if lhs_power > 0 and rhs_power > 0:
-        slack = (_log2(rhs_power) - _log2(lhs_power)) / (2 * s * t)
-    return HolderReport(s, t, lhs, lhs_power, rhs_power, holds, slack)
-
-
-@dataclass(frozen=True)
-class SubadditivityReport:
-    """T_k(A u B)^(1/2k) <= T_k(A)^(1/2k) + T_k(B)^(1/2k), exact."""
-
-    k: int
-    energy_union: int
-    energy_a: int
-    energy_b: int
-    holds: bool
-
-
-def subadditivity_check(a: F2Set, b: F2Set, k: int) -> SubadditivityReport:
-    union = a.union(b)
-    tu = additive_energy(union, k)
-    ta = additive_energy(a, k)
-    tb = additive_energy(b, k)
-    holds = root_sum_dominates(tu, ta, tb, 2 * k)
-    return SubadditivityReport(k, tu, ta, tb, holds)
-
-
-def _log2(x: int) -> float:
-    if x <= 0:
-        raise ValueError("log2 of nonpositive")
-    if x.bit_length() <= 512:
-        return math.log2(x)
-    shift = x.bit_length() - 64
-    return math.log2(x >> shift) + shift
-
-
-def dk_zeta(a: F2Set, k: int) -> tuple[float, float]:
-    """Excess exponent D_k and log-ratio zeta_k of the exact energy.
-
-    D_k solves T_k = 2^D_k k^k |A|^k; zeta_k = log2 T_k / log2 |A|.
-    Floating on top of the exact T_k (1e-12 relative is plenty here).
-    """
-    if len(a) < 2:
-        raise ValueError("need |A| >= 2")
-    t = additive_energy(a, k)
-    log_t = _log2(t)
-    d_k = log_t - k * math.log2(k) - k * math.log2(len(a))
-    zeta = log_t / math.log2(len(a))
-    return d_k, zeta
 
 
 def energy_excess_compare(t_small: int, size_small: int, t_big: int, size_big: int, k: int) -> bool:

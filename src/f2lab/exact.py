@@ -171,16 +171,19 @@ def certify_le(lhs: Fraction | int, rhs: tuple[Fraction, Fraction]) -> str:
 def certify_ladder(
     lhs: Fraction | int,
     bracket_at: Callable[[int], Optional[tuple[Fraction, Fraction]]],
+    top: Optional[int] = None,
 ) -> tuple[str, Optional[tuple[Fraction, Fraction]]]:
     """Decide lhs <= rhs up the precision ladder.
 
     bracket_at(prec) brackets rhs at each precision of PRECISIONS in turn,
-    or returns None to escalate without deciding.  Returns the status
-    ("holds", "violated" or "undecided") and the last bracket computed,
-    None if every rung escalated.
+    or returns None to escalate without deciding.  A given `top` ends the
+    ladder: the rungs of PRECISIONS below it, then `top` itself.  Returns
+    the status ("holds", "violated" or "undecided") and the last bracket
+    computed, None if every rung escalated.
     """
+    rungs = PRECISIONS if top is None else (*(p for p in PRECISIONS if p < top), top)
     bracket = None
-    for prec in PRECISIONS:
+    for prec in rungs:
         rung = bracket_at(prec)
         if rung is None:
             continue
@@ -194,34 +197,33 @@ def certify_ladder(
 def root_sum_dominates(total: int, part_a: int, part_b: int, e: int) -> bool:
     """Exact check of total^(1/e) <= part_a^(1/e) + part_b^(1/e).
 
-    All arguments are nonnegative integers, e >= 1.  At each rung of the
-    precision ladder, with m = 2^(4 prec / 3) (16 to 256 bits) and la, lb
-    the floor e-th roots of part_a m^e and part_b m^e, the e-th power of the
-    sum of roots lies between (la + lb)^e / m^e and (la + lb + 2)^e / m^e.
-    Equality with both parts positive (sqrt 18 = sqrt 2 + sqrt 8) needs
-    part_a/part_b to be a rational e-th power (u/v)^e, and then the sum of
-    roots is exactly (part_b (u/v + 1)^e)^(1/e); that case is decided
-    directly once the ladder is undecided.  Raises ExactnessError only if
-    no bracket decides a non-equality case.
+    All arguments are nonnegative integers, e >= 1.  The rung at precision
+    prec takes m = 2^s with s = prec + prec // 3 (16 to 256 bits on the
+    default ladder); with la, lb the floor e-th roots of part_a m^e and
+    part_b m^e, the e-th power of the sum of roots lies between
+    (la + lb)^e / m^e and (la + lb + 2)^e / m^e.  A rung therefore leaves
+    the comparison open only if E = part_a^(1/e) + part_b^(1/e) -
+    total^(1/e) has |E| <= 2^(1-s).
+
+    E is an algebraic integer.  Its conjugates are zeta1 part_a^(1/e) +
+    zeta2 part_b^(1/e) - zeta3 total^(1/e) for e-th roots of unity zeta_i,
+    at most e^3 of them, each at most u = part_a^(1/e) + part_b^(1/e) +
+    total^(1/e) in absolute value.  A nonzero E has a nonzero integer norm,
+    so |E| >= u^(1 - e^3) (Burnikel, Fleischer, Mehlhorn and Schirra 2000).
+    The top rung has s > 1 + (e^3 - 1) log2 u, where an open comparison
+    means E = 0: the equality case, which holds.
     """
     if total < 0 or part_a < 0 or part_b < 0:
         raise ValueError("negative energy")
-    if part_a == 0:
-        return total <= part_b
-    if part_b == 0:
-        return total <= part_a
+    if part_a == 0 or part_b == 0:
+        return total <= part_a + part_b
+    # log2 u <= log2 3 + bits(max)/e < log2_u
+    log2_u = 2 - (-max(total, part_a, part_b).bit_length() // e)
 
     def bracket_at(prec: int) -> tuple[Fraction, Fraction]:
         scaled = 1 << ((prec + prec // 3) * e)
         root_sum = iroot(part_a * scaled, e) + iroot(part_b * scaled, e)
         return Fraction(root_sum**e, scaled), Fraction((root_sum + 2) ** e, scaled)
 
-    status, _ = certify_ladder(total, bracket_at)
-    if status != "undecided":
-        return status == "holds"
-    ratio = Fraction(part_a, part_b)
-    u = iroot(ratio.numerator, e)
-    v = iroot(ratio.denominator, e)
-    if u**e == ratio.numerator and v**e == ratio.denominator:
-        return total * v**e <= part_b * (u + v) ** e
-    raise ExactnessError("root comparison did not resolve at max precision")
+    status, _ = certify_ladder(total, bracket_at, top=2 + (e**3 - 1) * log2_u)
+    return status != "violated"

@@ -16,13 +16,12 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import Optional, Sequence
 
 from .core import BudgetError, F2Set, subset_sums
 from .dissociation import FamilySpec, in_family, random_dissociated
 from .energy import additive_energy, energy_excess_compare
-from .exact import EULER_HI, EULER_LO, certify_ladder, log2_bounds, pow_bounds
 
 
 # ---------------------------------------------------------------------------
@@ -251,54 +250,8 @@ def greedy_disjoint_supports(
     return chosen
 
 
-def greedy_support_threshold(
-    p: int, width: int, zeta: Fraction, block_sizes: Sequence[int], multiplicities: Sequence[int]
-) -> Fraction:
-    """The guarantee threshold 2*sigma* of the greedy-support lemma.
-
-    When the number of available supports is at least this value, the
-    greedy selection provably returns the full width.
-    """
-    if len(block_sizes) != len(multiplicities):
-        raise ValueError("need one multiplicity per block")
-    rho = len(block_sizes)
-    omega_min = -((-zeta.numerator * p) // zeta.denominator)  # ceil(zeta p)
-    total = Fraction(0)
-
-    def compositions(remaining: int, idx: int):
-        if idx == rho - 1:
-            if remaining <= multiplicities[idx]:
-                yield (remaining,)
-            return
-        for v in range(min(remaining, multiplicities[idx]) + 1):
-            for rest in compositions(remaining - v, idx + 1):
-                yield (v,) + rest
-
-    for omega in range(omega_min, p + 1):
-        inner = Fraction(0)
-        if rho:
-            for ns in compositions(p - omega, 0):
-                term = Fraction(1)
-                for a, n in zip(block_sizes, ns):
-                    term *= Fraction(a**n, factorial(n))
-                inner += term
-        elif p - omega == 0:
-            inner = Fraction(1)
-        total += Fraction((p * width) ** omega, factorial(omega)) * inner
-    return 2 * total
-
-
 # ---------------------------------------------------------------------------
 # Bombieri-style intersections
-
-
-@dataclass(frozen=True)
-class BombieriResult:
-    indices: tuple[int, ...]
-    intersection: F2Set
-    exhaustive: bool
-    bound: Fraction
-    bound_checked: bool
 
 
 def _best_common_intersection(
@@ -352,43 +305,6 @@ def _best_common_intersection(
     return tuple(best_idx), best_inter, False
 
 
-def bombieri_intersection(
-    universe: F2Set,
-    subsets: Sequence[F2Set],
-    lam: Fraction,
-    t: int,
-    budget: int = 10**6,
-    seed: int = 0,
-) -> BombieriResult:
-    """Find t subsets with large common intersection and check the bound.
-
-    Preconditions |B_i| >= lam |B| and t <= lam q are enforced; on the
-    exhaustive path the returned intersection is asserted to meet
-    (lam - t/q) C(q,t)^-1 |B|.
-    """
-    q = len(subsets)
-    if q == 0:
-        raise ValueError("need at least one subset")
-    size = len(universe)
-    for b in subsets:
-        if len(b) * lam.denominator < lam.numerator * size:
-            raise ValueError("every subset must have |B_i| >= lam |B|")
-        if not b.issubset(universe):
-            raise ValueError("subsets must live inside the universe")
-    if Fraction(t) > lam * q:
-        raise ValueError("depth t must be at most lam * q")
-    sets = [frozenset(b.elems) for b in subsets]
-    idx, inter, exhaustive = _best_common_intersection(sets, t, budget, random.Random(seed))
-    bound = (lam - Fraction(t, q)) / comb(q, t) * size
-    checked = False
-    if exhaustive:
-        if Fraction(len(inter)) < bound:
-            raise AssertionError("intersection bound violated on exhaustive search")
-        checked = True
-    dim = universe.dim
-    return BombieriResult(idx, F2Set.from_bits(dim, inter), exhaustive, bound, checked)
-
-
 # ---------------------------------------------------------------------------
 # fiber decompositions
 
@@ -435,118 +351,6 @@ class FiberDecomposition:
 
     def power_sum(self, x: int) -> int:
         return sum(len(d) ** x for _, d in self.fibers)
-
-
-# ---------------------------------------------------------------------------
-# the T_p upper bound through fiber intersections
-
-
-@dataclass(frozen=True)
-class Inverse2Report:
-    status: str  # holds | violated | undecided | hypothesis-not-met
-    energy: int
-    rhs_lo: Optional[Fraction]
-    rhs_hi: Optional[Fraction]
-    hypothesis_failures: tuple[str, ...]
-    delta0_bounds: Optional[tuple[Fraction, Fraction]]
-    ceil_delta0: Optional[int]
-
-
-def inverse2_bound(
-    q: F2Set,
-    decomp: FiberDecomposition,
-    p: int,
-    m_param: Fraction,
-    s1_cap: int = 14,
-    p_cap: int = 6,
-) -> Inverse2Report:
-    """Compare exact T_p(Q) against the fiber-intersection upper bound.
-
-    The bound is 2^(5p) X p^(3p) s2^p * sum_{r} (p s2)^-r *
-    (sum over r-subsets S of the nonempty fibers of prod_{a in S}
-    sum_{b in S} |D_a cap D_b|) + p^(2p)|Q|^p / (2 M^p), with
-    delta0 = max(p log2(2 e M) / log2(|Q|/(s2 p)), 1), X = max(delta0^
-    (4 delta0), 1).  Transcendental pieces are bracketed rationally and the
-    verdict is only issued when the bracket decides it.
-    """
-    nonempty = decomp.nonempty()
-    s1, s2 = len(nonempty), decomp.s2
-    if s1 > s1_cap or p > p_cap:
-        raise BudgetError(f"s1 = {s1}, p = {p} beyond caps ({s1_cap}, {p_cap})")
-    failures = []
-    if p < 5:
-        failures.append("p < 5")
-    lam_all = decomp.lambda1.union(decomp.lambda2)
-    fam = in_family(lam_all, FamilySpec.zero(min(4 * p, max(1, len(lam_all))), lam_all.dim))
-    if fam.status != "true":
-        failures.append(f"Lambda_1 u Lambda_2 family status: {fam.status}")
-    pair_sums = {l1 ^ l2 for l1 in decomp.lambda1 for l2 in decomp.lambda2}
-    if not set(q.elems) <= pair_sums:
-        raise ValueError("Q must be contained in Lambda_1 + Lambda_2")
-    m = len(q)
-    if s2 == 0 or m == 0:
-        failures.append("degenerate instance")
-    else:
-        if not (m >= 2 * s2 * p and Fraction(m) >= 2**8 * s2 * p * m_param**8):
-            failures.append("|Q| below max(2 s2 p, 2^8 s2 p M^8)")
-    energy = additive_energy(q, p)
-    if failures:
-        return Inverse2Report("hypothesis-not-met", energy, None, None, tuple(failures), None, None)
-
-    ratio = Fraction(m, s2 * p)
-    inter = [
-        [len(set(da.elems) & set(db.elems)) for _, db in nonempty] for _, da in nonempty
-    ]
-
-    d0_bounds = None
-    ceil_d0 = None
-
-    def bracket_at(prec: int) -> Optional[tuple[Fraction, Fraction]]:
-        nonlocal d0_bounds, ceil_d0
-        log_m = (
-            log2_bounds(2 * EULER_LO * m_param, prec)[0],
-            log2_bounds(2 * EULER_HI * m_param, prec)[1],
-        )
-        num = (p * log_m[0], p * log_m[1])  # may be negative for small M
-        den = log2_bounds(ratio, prec)  # positive: the hypotheses give ratio >= 2
-        raw_lo = num[0] / (den[1] if num[0] >= 0 else den[0])
-        raw_hi = num[1] / (den[0] if num[1] >= 0 else den[1])
-        d0 = (max(raw_lo, Fraction(1)), max(raw_hi, Fraction(1)))
-        d0_bounds = d0
-        c_lo = -((-d0[0].numerator) // d0[0].denominator)
-        c_hi = -((-d0[1].numerator) // d0[1].denominator)
-        if c_lo != c_hi:
-            return None  # escalate precision to pin the ceiling
-        ceil_d0 = c_lo
-        if d0[0] == d0[1] == 1:
-            x_bounds = (Fraction(1), Fraction(1))
-        else:
-            pw = pow_bounds(d0, (4 * d0[0], 4 * d0[1]), prec)
-            x_bounds = (max(pw[0], Fraction(1)), max(pw[1], Fraction(1)))
-        double_sum = Fraction(0)
-        for r in range(max(0, p - ceil_d0), p + 1):
-            if r > s1:
-                continue
-            inner = 0
-            for combo in itertools.combinations(range(s1), r):
-                prod = 1
-                for a in combo:
-                    row = inter[a]
-                    acc = 0
-                    for b in combo:
-                        acc += row[b]
-                    prod *= acc
-                    if prod == 0:
-                        break
-                inner += prod
-            double_sum += Fraction(inner, (p * s2) ** r)
-        tail = Fraction(p ** (2 * p) * m**p) / (2 * m_param**p)
-        scale = 2 ** (5 * p) * p ** (3 * p) * s2**p
-        return scale * x_bounds[0] * double_sum + tail, scale * x_bounds[1] * double_sum + tail
-
-    status, rhs = certify_ladder(energy, bracket_at)
-    rhs_lo, rhs_hi = rhs if rhs is not None else (None, None)
-    return Inverse2Report(status, energy, rhs_lo, rhs_hi, (), d0_bounds, ceil_d0)
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +595,7 @@ def extract_rectangles_pair(
     a legitimate outcome; rectangles are never fabricated.
     """
     warnings = []
-    fam = in_family(lam, FamilySpec.zero(min(4 * params.p, max(1, len(lam))), lam.dim))
+    fam = in_family(lam, FamilySpec.zero(4 * params.p, lam.dim))
     if fam.status != "true":
         warnings.append(f"Lambda family status: {fam.status}")
     pair_of = _subset_table(lam, 2)
@@ -871,7 +675,7 @@ def extract_rectangles_d(
             rect, (), True, rep, rep.trace, params, rep.warnings
         )
     warnings = []
-    fam = in_family(lam, FamilySpec.zero(min(2 * d * params.p, max(1, len(lam))), lam.dim))
+    fam = in_family(lam, FamilySpec.zero(2 * d * params.p, lam.dim))
     if fam.status != "true":
         warnings.append(f"Lambda family status: {fam.status}")
     subset_of = _subset_table(lam, d)

@@ -1,4 +1,4 @@
-"""Permanents, Frobenius-Koenig structure, and the counting lemmas.
+"""Permanents, Frobenius-Koenig structure, and the reduced-permanent lemma.
 
 The permanent of an x-by-y matrix (x <= y) sums products over injective
 row-to-column maps; tall matrices are transposed first, which matches the
@@ -9,17 +9,12 @@ inclusion-exclusion permanent in the tests.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, prod
 from operator import add
 from typing import Optional, Sequence
 
-from .core import BudgetError, F2Set
-from .dissociation import FamilySpec, in_family
-from .energy import energy_multiset
-from .exact import certify_ladder, pow_bounds
+from .core import BudgetError
 
 RYSER_BUDGET = 1 << 22  # every y <= 22 fits: sum_{s<=x} C(y, s) <= 2^y
 
@@ -77,12 +72,6 @@ def parse_matrix(text: str) -> CombMatrix:
             raise ValueError(f"row length {len(row)} != {y}")
         rows.append(row)
     return CombMatrix(tuple(rows))
-
-
-def serialize_matrix(m: CombMatrix) -> str:
-    out = [f"{m.x} {m.y}"]
-    out.extend(" ".join(str(v) for v in row) for row in m.rows)
-    return "\n".join(out) + "\n"
 
 
 def permanent(h: CombMatrix, budget: int = RYSER_BUDGET) -> int:
@@ -225,154 +214,3 @@ def reduced_permanent_check(h: CombMatrix) -> ReducedPermanentReport:
     reduced = CombMatrix(tuple(tuple(row[j] for j in keep) for row in h.rows))
     positive = fk_zero_test(reduced).kind == "positive"
     return ReducedPermanentReport(True, (), reduced, positive)
-
-
-@dataclass(frozen=True)
-class PiValueReport:
-    """The cutoff product pi(t_1..t_r) against its 2^(3p) X bound."""
-
-    pi: int
-    bound_lo: Fraction
-    bound_hi: Fraction
-    status: str  # "holds" | "violated" | "undecided"
-    hypotheses_hold: bool
-    failures: tuple[str, ...]
-    top: int
-    alphas: tuple[int, ...]
-    z: int
-    q_z: int
-
-
-def pi_value(ts: Sequence[int], p: int, delta0: Fraction) -> PiValueReport:
-    """Evaluate pi = T^a0 (T-1)^a1 ... and compare with 2^(3p) max(d0^(4d0), 1).
-
-    The tuple itself must be well-formed (t_j >= 2, sum = 2p); the lemma's
-    delta0-linked hypotheses are reported, not enforced, so boundary
-    examples remain evaluable.
-    """
-    r = len(ts)
-    if any(t < 2 for t in ts):
-        raise ValueError("every t_j must be >= 2")
-    if sum(ts) != 2 * p:
-        raise ValueError("sum of t_j must equal 2p")
-    failures = []
-    if not (Fraction(r) >= p - delta0):
-        failures.append("r < p - delta0")
-    if not (Fraction(p) >= 2 * delta0 + 3):
-        failures.append("p < 2*delta0 + 3")
-    top = max(ts)
-    alphas = tuple(sum(1 for t in ts if t >= top - i) for i in range(top - 1))
-    # cutoff z: sum_{i<z} alpha_i <= p < sum_{i<=z} alpha_i; the all-2 tuple
-    # admits no such z, in which case pi = T^p by convention
-    z = None
-    acc = 0
-    for i, a in enumerate(alphas):
-        if acc <= p < acc + a:
-            z = i
-            break
-        acc += a
-    if z is None:
-        z = 0
-        q_z = p
-        pi = top**p
-    else:
-        q_z = p - sum(alphas[:z])
-        pi = 1
-        for i in range(z):
-            pi *= (top - i) ** alphas[i]
-        pi *= (top - z) ** q_z
-    scale = 2 ** (3 * p)
-
-    def bracket_at(prec: int) -> tuple[Fraction, Fraction]:
-        if delta0 <= 1:
-            x_lo = x_hi = Fraction(1)
-        elif delta0.denominator == 1:
-            x_lo = x_hi = Fraction(int(delta0) ** (4 * int(delta0)))
-        else:
-            x_lo, x_hi = pow_bounds((delta0, delta0), (4 * delta0, 4 * delta0), prec)
-        return scale * x_lo, scale * x_hi
-
-    status, bound = certify_ladder(pi, bracket_at)
-    return PiValueReport(
-        pi, bound[0], bound[1], status, not failures, tuple(failures), top, alphas, z, q_z
-    )
-
-
-def validate_partition(classes: Sequence[Sequence[int]], size: int) -> None:
-    seen: set[int] = set()
-    for cls in classes:
-        if not cls:
-            raise ValueError("partition classes must be nonempty")
-        for v in cls:
-            if v in seen or not 0 <= v < size:
-                raise ValueError("classes must partition the index range")
-            seen.add(v)
-    if len(seen) != size:
-        raise ValueError("classes must cover the index range")
-
-
-@dataclass(frozen=True)
-class SophisticatedReport:
-    """Solution count Z against the permanent-sum bound and its corollary."""
-
-    p: int
-    solutions: int
-    permanent_bound: int
-    holds: bool
-    corollary_rhs_squared: int
-    corollary_holds: bool
-    admissible_supports: int
-
-
-def sophisticated_bound(
-    es: Sequence[F2Set],
-    classes: Sequence[Sequence[int]],
-    lam: F2Set,
-    p_cap: int = 4,
-) -> SophisticatedReport:
-    """Bound the solutions of l_1 + ... + l_2p = 0, l_i in E_i <= Lambda.
-
-    The bound sums per M(S*) over the p-subsets S* of [2p] that hit every
-    partition class of size >= 2, where M(S*)_{ij} = |E_i cap E_j| for
-    i in S*, j outside.  Refuses to run unless Lambda's membership in the
-    weight-2p family is machine-verified.
-    """
-    if len(es) % 2 != 0 or len(es) < 2:
-        raise ValueError("need 2p sets")
-    p = len(es) // 2
-    if p > p_cap:
-        raise BudgetError(f"p = {p} beyond documented cap {p_cap}")
-    validate_partition(classes, 2 * p)
-    for e in es:
-        if not e.issubset(lam):
-            raise ValueError("every E_i must be a subset of Lambda")
-    fam = in_family(lam, FamilySpec.zero(2 * p, lam.dim))
-    if fam.status != "true":
-        raise ValueError(f"Lambda not verified in the weight-{2 * p} family: {fam.status}")
-
-    solutions = energy_multiset(list(es))
-
-    inter = [[len(set(a.elems) & set(b.elems)) for b in es] for a in es]
-    big_classes = [frozenset(c) for c in classes if len(c) >= 2]
-    bound = 0
-    admissible = 0
-    for s_star in itertools.combinations(range(2 * p), p):
-        chosen = set(s_star)
-        if any(not (cls & chosen) for cls in big_classes):
-            continue
-        admissible += 1
-        rest = [j for j in range(2 * p) if j not in chosen]
-        m = CombMatrix(tuple(tuple(inter[i][j] for j in rest) for i in s_star))
-        bound += permanent(m)
-    rhs_sq = (2 ** (2 * p) * factorial(p)) ** 2
-    for e in es:
-        rhs_sq *= len(e)
-    return SophisticatedReport(
-        p,
-        solutions,
-        bound,
-        solutions <= bound,
-        rhs_sq,
-        solutions * solutions <= rhs_sq,
-        admissible,
-    )

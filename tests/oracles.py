@@ -87,3 +87,10 @@ def distinct_sums(elems, d):
     for combo in itertools.combinations(elems, d):
         out.add(reduce(lambda a, b: a ^ b, combo, 0))
     return out
+
+
+def root_sum_dominates_sq(total, part_a, part_b):
+    """sqrt(total) <= sqrt(part_a) + sqrt(part_b) by squaring twice: with
+    g = total - a - b, it holds iff g <= 0 or g^2 <= 4ab."""
+    gap = total - part_a - part_b
+    return gap <= 0 or gap * gap <= 4 * part_a * part_b

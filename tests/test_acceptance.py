@@ -15,13 +15,12 @@ import sys
 import time
 from fractions import Fraction
 
-import pytest
-
 import f2lab
 from f2lab.bench import (
     build_majority,
     check_diss_energy,
     check_full_sumset_lower,
+    check_sophisticated,
     check_spectrum_energy_lower,
     check_sumset_energy,
     sweep_spectrum_energy_lower,
@@ -39,7 +38,7 @@ from f2lab.inverse import (
     plant_instance,
     refine_connected,
 )
-from f2lab.permanent import CombMatrix, fk_zero_test, permanent, reduced_permanent_check, sophisticated_bound
+from f2lab.permanent import CombMatrix, fk_zero_test, permanent, reduced_permanent_check
 from f2lab.wht import IntFunction, wht
 
 from oracles import energy_tuples, naive_wht
@@ -248,9 +247,9 @@ def test_criterion_07_sophisticated_bound():
             take = rng.randint(1, len(idx))
             classes.append(tuple(idx[:take]))
             idx = idx[take:]
-        rep = sophisticated_bound(es, classes, lam)
-        assert rep.holds, (i, rep.solutions, rep.permanent_bound)
-        assert rep.corollary_holds, i
+        rep, corollary = check_sophisticated(es, classes, lam)
+        assert rep.status == "holds", (i, rep.lhs, rep.rhs)
+        assert corollary.status == "holds", i
     report(7, "sophisticated-bound", start, 300, "200 instances")
 
 

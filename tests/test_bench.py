@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -29,7 +30,6 @@ from f2lab.bench import (
 from f2lab.core import BudgetError, F2Set, distinct_sumset_power
 from f2lab.dissociation import random_dissociated
 from f2lab.energy import additive_energy
-from f2lab.exact import floor_log2
 from f2lab.wht import spectrum_of_set
 
 from oracles import naive_wht
@@ -123,6 +123,19 @@ def test_rudin_refuses_tables_above_cap(monkeypatch):
     lam = F2Set(12, (1, 2, 4, 8))
     with pytest.raises(BudgetError):
         check_rudin_even(lam, [1, -2, 3, 1], 2)
+
+
+def test_majority_refuses_tables_above_cap(monkeypatch):
+    # n' = 16 words would take megabytes to list before the transform refuses
+    monkeypatch.setattr(sys.modules["f2lab.wht"], "WHT_DIM_CAP", 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            build_majority(20, Fraction(1, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18
 
 
 def test_sumset_energy_d1_reduces():

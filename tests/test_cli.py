@@ -123,6 +123,34 @@ def test_bench_cli_majority_single_n(tmp_path):
     assert any("n=20 " in row["instance"] for row in report["results"]["rows"])
 
 
+@pytest.mark.parametrize(
+    "family", ("rudin", "holder", "subadd", "pi", "soph", "inverse2", "bombieri", "greedy")
+)
+def test_bench_checker_family_exit_and_replay(tmp_path, family):
+    report_path = str(tmp_path / "run.json")
+    code, report = run_cli(
+        ["bench", "--theorem", family, "--count", "3", "--seed", "1", "--report", report_path],
+        tmp_path,
+    )
+    rows = report["results"]["rows"]
+    assert rows and code == cli._status_exit([row["status"] for row in rows])
+    code, replayed = run_cli(["replay", report_path], tmp_path)
+    assert code == 0 and replayed["results"]["match"] is True
+
+
+def test_bench_families_cover_every_checker():
+    from f2lab import bench
+
+    emitted = set()
+    for family in cli._BENCH_SWEEPS:
+        report, _ = execute({"command": "bench", "theorem": family, "count": 2, "seed": 0})
+        emitted.update(row["theorem"] for row in report["results"]["rows"])
+    checkers = {
+        name[len("check_"):].replace("_", "-") for name in dir(bench) if name.startswith("check_")
+    }
+    assert checkers <= emitted
+
+
 def test_dissociate_cli_with_forbidden_set(tmp_path):
     lpath = write(tmp_path, "l.set", "4\n1000\n0110\n")
     rpath = write(tmp_path, "r.set", "4\n0000\n0110\n")

@@ -1,23 +1,20 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
+from f2lab.bench import check_holder, check_subadditivity
 from f2lab.core import BudgetError, F2Set
 from f2lab.energy import (
     additive_energy,
-    conv_power,
     convolve,
-    dk_zeta,
     energy_bruteforce,
     energy_convolution,
+    energy_excess_compare,
     energy_function,
     energy_multiset,
     energy_report,
     energy_spectral,
-    holder_check,
-    subadditivity_check,
 )
 from f2lab.wht import IntFunction
 
@@ -193,11 +190,11 @@ def test_energy_function_vs_abs():
 
 def test_holder_equality_case():
     a = IntFunction.indicator(F2Set(3, (1, 2, 5)))
-    rep = holder_check([a, a], [a, a])
-    assert rep.holds
+    rep = check_holder([a, a], [a, a])
+    assert rep.status == "holds"
     # f_i = g_j identical, s = t = 2: LHS = T_2(A) and both sides agree
-    assert rep.lhs == additive_energy(F2Set(3, (1, 2, 5)), 2)
-    assert rep.lhs_power == rep.rhs_power
+    assert rep.lhs == additive_energy(F2Set(3, (1, 2, 5)), 2) ** 8
+    assert rep.lhs == rep.rhs
 
 
 def test_holder_random_01_functions():
@@ -207,27 +204,27 @@ def test_holder_random_01_functions():
         n = 1 << dim
         fs = [IntFunction(dim, tuple(rng.randint(0, 1) for _ in range(n))) for _ in range(2)]
         gs = [IntFunction(dim, tuple(rng.randint(0, 1) for _ in range(n))) for _ in range(rng.randint(2, 3))]
-        assert holder_check(fs, gs).holds
+        assert check_holder(fs, gs).status == "holds"
 
 
 def test_holder_zero_function():
     dim = 3
     zero = IntFunction(dim, (0,) * 8)
     f = IntFunction.indicator(F2Set(dim, (1, 2)))
-    rep = holder_check([f, zero], [f, f])
-    assert rep.lhs == 0 and rep.holds
+    rep = check_holder([f, zero], [f, f])
+    assert rep.lhs == 0 and rep.status == "holds"
 
 
 def test_subadditivity_empty_side_equality():
     a = F2Set(4, (1, 2, 4))
-    rep = subadditivity_check(a, F2Set(4, ()), 2)
-    assert rep.holds and rep.energy_union == rep.energy_a
+    rep = check_subadditivity(a, F2Set(4, ()), 2)
+    assert rep.status == "holds" and rep.lhs == rep.rhs[0]
 
 
 def test_subadditivity_dissociated_pair():
-    rep = subadditivity_check(F2Set(4, (1,)), F2Set(4, (2,)), 2)
-    assert rep.energy_union == 8  # brute force over quadruples gives 8
-    assert rep.holds  # 8 <= (1 + 1)^4 = 16
+    rep = check_subadditivity(F2Set(4, (1,)), F2Set(4, (2,)), 2)
+    assert rep.lhs == 8  # brute force over quadruples gives 8
+    assert rep.status == "holds"  # 8 <= (1 + 1)^4 = 16
 
 
 def test_subadditivity_random():
@@ -238,22 +235,25 @@ def test_subadditivity_random():
         a = F2Set.from_bits(dim, rng.sample(range(n), rng.randint(1, min(6, n))))
         b = F2Set.from_bits(dim, rng.sample(range(n), rng.randint(1, min(6, n))))
         k = rng.randint(2, 3)
-        assert subadditivity_check(a, b, k).holds
+        assert check_subadditivity(a, b, k).status == "holds"
 
 
 def test_dk_zeta_subgroup():
-    # subgroup of size h: T_2 = h^3, zeta_2 = 3 exactly
+    # subgroup of size h: T_2 = h^3, so zeta_2 = log T_2 / log h = 3, and
+    # T_2 = 2^D_2 2^2 h^2 gives D_2 = log2(64) - 2 - 2 * 2 = 0 at h = 4
     sub = F2Set(4, (0, 3, 5, 6))
-    d2, zeta = dk_zeta(sub, 2)
-    assert abs(zeta - 3.0) < 1e-12
-    assert abs(d2 - (math.log2(64) - 2 - 2 * 2)) < 1e-12
+    t = additive_energy(sub, 2)
+    assert t == len(sub) ** 3
+    assert t == 2**2 * len(sub) ** 2
 
 
 def test_dk_zeta_basis_m4():
     basis = F2Set(5, (1, 2, 4, 8))
     assert energy_tuples(basis.elems, 2) == 40  # oracle: 3*16 - 8
-    d2, _ = dk_zeta(basis, 2)
-    assert abs(d2 - (math.log2(40) - 2 - 4)) < 1e-12
+    # D_2 = log2(40) - 2 - 4 < 0, the D_2 of a 4-element subgroup (T_2 = 64)
+    assert additive_energy(basis, 2) == 40
+    assert energy_excess_compare(64, 4, 40, 4, 2)
+    assert not energy_excess_compare(40, 4, 64, 4, 2)
 
 
 def test_dk_lower_bound_instances():

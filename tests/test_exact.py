@@ -17,6 +17,8 @@ from f2lab.exact import (
     root_sum_dominates,
 )
 
+from oracles import root_sum_dominates_sq
+
 
 @given(st.integers(min_value=0, max_value=10**24), st.integers(min_value=1, max_value=7))
 def test_iroot_floor_property(n, k):
@@ -140,6 +142,51 @@ def test_certify_ladder_undecided_returns_last_bracket():
     assert status == "undecided"
     assert bracket == (1, 2 + Fraction(1, PRECISIONS[-1]))
     assert certify_ladder(1, lambda prec: None) == ("undecided", None)
+
+
+def test_root_sum_dominates_decides_below_the_256_bit_rung():
+    # a gap near 1e-80 between sqrt(x^2 + 2x + 2) and 1 + sqrt(x^2 + 1)
+    x = 10**80
+    assert root_sum_dominates(x * x + 2 * x + 2, 1, x * x + 1, 2)
+    assert not root_sum_dominates(x * x + 2 * x + 3, 1, x * x + 1, 2)
+    # equality (1 + x)^(e) with parts 1 and x^e sits at the top rung
+    for e in (1, 2, 3, 4):
+        assert root_sum_dominates((1 + x) ** e, 1, x**e, e)
+        assert not root_sum_dominates((1 + x) ** e + 1, 1, x**e, e)
+
+
+def test_certify_ladder_top_rung_ends_the_ladder():
+    asked = []
+
+    def bracket_at(prec):
+        asked.append(prec)
+        return (Fraction(1), Fraction(3))
+
+    assert certify_ladder(2, bracket_at, top=40) == ("undecided", (1, 3))
+    assert asked == [12, 24, 40]
+    asked.clear()
+    assert certify_ladder(2, bracket_at, top=1000)[0] == "undecided"
+    assert asked == [*PRECISIONS, 1000]
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(min_value=1, max_value=10**40),
+    st.integers(min_value=1, max_value=10**40),
+    st.integers(min_value=-3, max_value=3),
+)
+def test_root_sum_dominates_square_roots_vs_oracle(part_a, part_b, offset):
+    # totals next to (sqrt a + sqrt b)^2 = a + b + 2 sqrt(ab), where the
+    # brackets are narrowest
+    total = max(part_a + part_b + 2 * math.isqrt(part_a * part_b) + offset, 0)
+    want = root_sum_dominates_sq(total, part_a, part_b)
+    assert root_sum_dominates(total, part_a, part_b, 2) == want
+    # equality sqrt(a (u + v)^2) = sqrt(a u^2) + sqrt(a v^2), and just above it
+    u, v = 1 + abs(offset), 1 + part_b % 7
+    for extra, want in ((0, True), (1, False)):
+        args = (part_a * (u + v) ** 2 + extra, part_a * u * u, part_a * v * v)
+        assert root_sum_dominates_sq(*args) is want
+        assert root_sum_dominates(*args, 2) is want
 
 
 @settings(max_examples=200)

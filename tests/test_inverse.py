@@ -4,26 +4,27 @@ from fractions import Fraction
 
 import pytest
 
+from f2lab import bench
+from f2lab.bench import (
+    check_bombieri,
+    check_greedy_support,
+    check_inverse2,
+    greedy_support_threshold,
+)
 from f2lab.core import F2Set, distinct_sumset_power
 from f2lab.dissociation import random_dissociated
 from f2lab.energy import additive_energy
 from f2lab.inverse import (
-    BombieriResult,
     ConnectednessParams,
     FiberDecomposition,
     InverseParams,
     Rectangle,
-    bombieri_intersection,
     extract_rectangles_d,
     extract_rectangles_pair,
     greedy_disjoint_supports,
-    greedy_support_threshold,
-    inverse2_bound,
     plant_instance,
     refine_connected,
 )
-
-from oracles import energy_tuples
 
 
 def test_refine_subgroup_no_step():
@@ -143,24 +144,38 @@ def test_greedy_threshold_guarantees_full_width():
         if q_count > len(pool):
             continue
         supports = [frozenset(t) for t in pool[:q_count]]
-        got = greedy_disjoint_supports(supports, zeta, w)
-        assert len(got) == w, (p, w, threshold, q_count)
+        rep = check_greedy_support(supports, zeta, w, [frozenset(b) for b in blocks], [1] * p)
+        assert rep.status == "holds" and rep.lhs == w, (p, w, threshold, q_count)
+
+
+def test_greedy_support_refusals():
+    blocks = [frozenset(range(8)), frozenset(range(100, 108))]
+    pool = [frozenset(t) for t in itertools.product(sorted(blocks[0]), sorted(blocks[1]))]
+    threshold = greedy_support_threshold(2, 2, Fraction(1, 2), [8, 8], [1, 1])
+    assert threshold > len(pool)
+    rep = check_greedy_support(pool, Fraction(1, 2), 2, blocks, [1, 1])
+    assert rep.status == "precondition-failed"
+    assert rep.detail == f"fewer than {threshold} supports"
+    rep = check_greedy_support([frozenset((0, 1))], Fraction(1, 2), 2, blocks, [1, 1])
+    assert rep.detail == "a support breaks the block multiplicities"
+    rep = check_greedy_support(pool, Fraction(1, 2), 2, [blocks[0], blocks[0]], [1, 1])
+    assert rep.detail == "blocks overlap"
 
 
 def test_bombieri_all_equal():
     universe = F2Set(4, (1, 2, 4, 8))
     subsets = [universe] * 3
-    res = bombieri_intersection(universe, subsets, Fraction(1), 2)
-    assert res.intersection == universe
-    assert res.bound_checked
+    rep = check_bombieri(universe, subsets, Fraction(1), 2)
+    assert rep.lhs == len(universe)  # the intersection is the whole universe
+    assert rep.status == "holds"
 
 
 def test_bombieri_t1_trivial():
     universe = F2Set(4, tuple(range(1, 9)))
     subsets = [F2Set(4, (1, 2, 3, 4)), F2Set(4, (5, 6, 7, 8)), F2Set(4, (1, 3, 5, 7))]
-    res = bombieri_intersection(universe, subsets, Fraction(1, 2), 1)
-    assert len(res.intersection) >= 4  # >= lam |B|
-    assert res.bound_checked
+    rep = check_bombieri(universe, subsets, Fraction(1, 2), 1)
+    assert rep.lhs >= 4  # >= lam |B|
+    assert rep.status == "holds"
 
 
 def test_bombieri_random_exhaustive_meets_bound():
@@ -175,18 +190,30 @@ def test_bombieri_random_exhaustive_meets_bound():
             F2Set.from_bits(dim, rng.sample(universe.elems, size)) for _ in range(q)
         ]
         t = rng.randint(1, max(1, int(lam * q)))
-        res = bombieri_intersection(universe, subsets, lam, t)
-        assert res.exhaustive and res.bound_checked
-        assert len(res.intersection) >= res.bound
+        rep = check_bombieri(universe, subsets, lam, t)
+        assert rep.detail.endswith(" exhaustive") and rep.status == "holds"
+        assert rep.lhs >= rep.rhs
 
 
 def test_bombieri_precondition_errors():
     universe = F2Set(4, (1, 2, 4, 8))
     small = F2Set(4, (1,))
-    with pytest.raises(ValueError):
-        bombieri_intersection(universe, [small], Fraction(1, 2), 1)
-    with pytest.raises(ValueError):
-        bombieri_intersection(universe, [universe], Fraction(1, 2), 1)  # t > lam q
+    rep = check_bombieri(universe, [small], Fraction(1, 2), 1)
+    assert (rep.status, rep.detail) == ("precondition-failed", "some |B_i| < lam |B|")
+    rep = check_bombieri(universe, [universe], Fraction(1, 2), 1)  # t > lam q
+    assert (rep.status, rep.detail) == ("precondition-failed", "t > lam q")
+
+
+def test_bombieri_search_outcomes_are_reported(monkeypatch):
+    # an exhaustive search below the bound is a violation; a greedy one is
+    # undecided unless it reaches the bound
+    universe = F2Set(4, (1, 2, 4, 8))
+    for exhaustive, status in ((True, "violated"), (False, "undecided")):
+        monkeypatch.setattr(
+            bench, "_best_common_intersection", lambda *a, e=exhaustive: ((0, 1), frozenset(), e)
+        )
+        rep = check_bombieri(universe, [universe] * 3, Fraction(1), 2)
+        assert (rep.lhs, rep.rhs, rep.status) == (0, Fraction(4, 9), status)
 
 
 def test_fiber_decomposition_mass_and_disjointness():
@@ -207,16 +234,28 @@ def test_fiber_decomposition_mass_and_disjointness():
             assert dec.power_sum(x) <= dec.s2 ** (x - 1) * dec.total_mass()
 
 
-def test_inverse2_full_product_holds():
+def full_product_instance():
     lam = random_dissociated(16, 16, seed=4)
     l1 = F2Set.from_bits(16, lam.elems[:10])
     l2 = F2Set.from_bits(16, lam.elems[10:])
     q = F2Set.from_bits(16, (a ^ b for a in l1 for b in l2))
-    dec = FiberDecomposition.build(q, l1, l2)
-    rep = inverse2_bound(q, dec, 5, Fraction(1, 4))
+    return q, FiberDecomposition.build(q, l1, l2)
+
+
+def test_inverse2_full_product_holds():
+    q, dec = full_product_instance()
+    rep = check_inverse2(q, dec, 5, Fraction(1, 4))
     assert rep.status == "holds"
-    assert rep.energy == additive_energy(q, 5)
-    assert rep.rhs_lo is not None and rep.energy <= rep.rhs_lo
+    assert rep.lhs == additive_energy(q, 5)
+    assert rep.rhs is not None and rep.lhs <= rep.rhs
+
+
+def test_inverse2_unpinned_ceiling_is_undecided(monkeypatch):
+    # brackets too wide to pin ceil(delta0) escalate every rung
+    monkeypatch.setattr(bench, "log2_bounds", lambda x, prec: (Fraction(1), Fraction(64)))
+    q, dec = full_product_instance()
+    rep = check_inverse2(q, dec, 5, Fraction(1, 4))
+    assert (rep.status, rep.rhs) == ("undecided", None)
 
 
 def test_inverse2_planted_rectangle_holds():
@@ -228,10 +267,10 @@ def test_inverse2_planted_rectangle_holds():
     chosen = rng.sample(pairs, 40)
     q = F2Set.from_bits(16, (a ^ b for a, b in chosen))
     dec = FiberDecomposition.build(q, l1, l2)
-    rep = inverse2_bound(q, dec, 5, Fraction(1, 8))
-    assert rep.status in ("holds", "hypothesis-not-met")
+    rep = check_inverse2(q, dec, 5, Fraction(1, 8))
+    assert rep.status in ("holds", "precondition-failed")
     if rep.status == "holds":
-        assert rep.energy <= rep.rhs_lo
+        assert rep.lhs <= rep.rhs
 
 
 def test_inverse2_hypothesis_guard():
@@ -240,9 +279,9 @@ def test_inverse2_hypothesis_guard():
     l2 = F2Set.from_bits(12, lam.elems[4:])
     q = F2Set.from_bits(12, (l1.elems[0] ^ b for b in l2.elems))
     dec = FiberDecomposition.build(q, l1, l2)
-    rep = inverse2_bound(q, dec, 5, Fraction(1))
-    assert rep.status == "hypothesis-not-met"
-    assert rep.hypothesis_failures
+    rep = check_inverse2(q, dec, 5, Fraction(1))
+    assert rep.status == "precondition-failed"
+    assert rep.detail
 
 
 def test_rectangle_invariants():

@@ -5,16 +5,15 @@ from math import comb
 
 import pytest
 
+from f2lab.bench import check_pi, check_sophisticated
 from f2lab.core import BudgetError, F2Set
+from f2lab.exact import PRECISIONS, pow_bounds
 from f2lab.permanent import (
     CombMatrix,
     fk_zero_test,
     parse_matrix,
     permanent,
-    pi_value,
     reduced_permanent_check,
-    serialize_matrix,
-    sophisticated_bound,
 )
 
 from oracles import energy_tuples_multiset, permanent_perms
@@ -22,6 +21,12 @@ from oracles import energy_tuples_multiset, permanent_perms
 
 def m(*rows):
     return CombMatrix(tuple(tuple(r) for r in rows))
+
+
+def serialize_matrix(mat: CombMatrix) -> str:
+    """The matrix-file text that parse_matrix reads: "x y", then x rows."""
+    lines = [f"{mat.x} {mat.y}"] + [" ".join(map(str, row)) for row in mat.rows]
+    return "\n".join(lines) + "\n"
 
 
 def test_permanent_identity():
@@ -177,41 +182,42 @@ def test_reduced_permanent_exhaustive_small():
 
 
 def test_pi_value_all_twos_convention():
-    rep = pi_value([2, 2, 2], 3, Fraction(1))
-    assert rep.pi == 2**3
+    rep = check_pi([2, 2, 2], 3, Fraction(1))
+    assert rep.lhs == 2**3
     assert rep.status == "holds"  # 8 <= 2^9
 
 
 def test_pi_value_worked_example():
-    # ts = (4,2,2), p = 4: T=4, alphas=(1,1,3), z=2, q_z=2, pi = 4*3*4 = 48
-    rep = pi_value([4, 2, 2], 4, Fraction(1))
-    assert rep.top == 4
-    assert rep.alphas == (1, 1, 3)
-    assert rep.z == 2 and rep.q_z == 2
-    assert rep.pi == 48
+    # ts = (4,2,2), p = 4: T=4, alphas=(1,1,3), z=2, q_z=2, pi = 4*3*4 = 48;
+    # r >= p - d0 and p >= 2 d0 + 3 clash here
+    rep = check_pi([4, 2, 2], 4, Fraction(1))
+    assert rep.detail == "T=4 alphas=(1, 1, 3) z=2 q_z=2 hypotheses failed: p < 2 delta0 + 3"
+    assert rep.lhs == 48
     assert rep.status == "holds"  # 48 <= 2^12
-    assert not rep.hypotheses_hold  # r >= p - d0 and p >= 2 d0 + 3 clash here
 
 
 def test_pi_value_small_delta_trivial_bound():
     # delta0 < 1: the trivial estimate pi <= T^p <= 2^(2p) applies
-    rep = pi_value([2, 2, 2, 2], 4, Fraction(1, 2))
-    assert rep.pi <= 2 ** (2 * 4)
+    rep = check_pi([2, 2, 2, 2], 4, Fraction(1, 2))
+    assert rep.lhs <= 2 ** (2 * 4)
     assert rep.status == "holds"
 
 
 def test_pi_value_fractional_delta_bound():
-    rep = pi_value([3, 3, 2], 4, Fraction(3, 2))
-    # X = (3/2)^6 = 11.39..., bound = 2^12 * X
-    assert rep.bound_lo <= Fraction(3, 2) ** 6 * 2**12 <= rep.bound_hi
+    rep = check_pi([3, 3, 2], 4, Fraction(3, 2))
+    # X = (3/2)^6 = 11.39..., bound = 2^12 * X; the row carries the lower end
+    # of the first rung's bracket of X, which contains X
+    lo, hi = pow_bounds((Fraction(3, 2),) * 2, (Fraction(6),) * 2, PRECISIONS[0])
+    assert rep.rhs == 2**12 * lo
+    assert lo <= Fraction(3, 2) ** 6 <= hi
     assert rep.status == "holds"
 
 
 def test_pi_value_structural_errors():
     with pytest.raises(ValueError):
-        pi_value([1, 3], 2, Fraction(1))
+        check_pi([1, 3], 2, Fraction(1))
     with pytest.raises(ValueError):
-        pi_value([2, 2], 3, Fraction(1))
+        check_pi([2, 2], 3, Fraction(1))
 
 
 def test_pi_value_random_admissible():
@@ -227,9 +233,9 @@ def test_pi_value_random_admissible():
         parts = [2] * r
         for _ in range(extra):
             parts[rng.randrange(r)] += 1
-        rep = pi_value(parts, p, delta0)
-        assert rep.hypotheses_hold
-        assert rep.status == "holds", (parts, p, delta0, rep.pi, rep.bound_lo)
+        rep = check_pi(parts, p, delta0)
+        assert "hypotheses" not in rep.detail
+        assert rep.status == "holds", (parts, p, delta0, rep.lhs, rep.rhs)
 
 
 def lam_basis(n, size):
@@ -240,9 +246,9 @@ def test_sophisticated_all_equal_sets():
     lam = lam_basis(6, 5)
     es = [lam] * 4  # p = 2
     classes = [(0, 1), (2, 3)]
-    rep = sophisticated_bound(es, classes, lam)
-    assert rep.solutions == energy_tuples_multiset([lam.elems] * 4)
-    assert rep.holds
+    rep, _ = check_sophisticated(es, classes, lam)
+    assert rep.lhs == energy_tuples_multiset([lam.elems] * 4)
+    assert rep.status == "holds"
 
 
 def test_sophisticated_disjoint_sets_zero():
@@ -253,23 +259,24 @@ def test_sophisticated_disjoint_sets_zero():
         F2Set(6, (4,)),
         F2Set(6, (8,)),
     ]
-    rep = sophisticated_bound(es, [(0, 1, 2, 3)], lam)
-    assert rep.solutions == 0
-    assert rep.holds
+    rep, _ = check_sophisticated(es, [(0, 1, 2, 3)], lam)
+    assert rep.lhs == 0
+    assert rep.status == "holds"
 
 
 def test_sophisticated_singletons_paired():
     lam = lam_basis(6, 4)
     es = [F2Set(6, (1,)), F2Set(6, (1,)), F2Set(6, (2,)), F2Set(6, (2,))]
-    rep = sophisticated_bound(es, [(0, 1), (2, 3)], lam)
-    assert rep.solutions == 1
-    assert rep.holds
+    rep, _ = check_sophisticated(es, [(0, 1), (2, 3)], lam)
+    assert rep.lhs == 1
+    assert rep.status == "holds"
 
 
 def test_sophisticated_refuses_undecided_or_dependent():
     dependent = F2Set(4, (1, 2, 3))
-    with pytest.raises(ValueError):
-        sophisticated_bound([dependent] * 4, [(0, 1), (2, 3)], dependent)
+    (rep,) = check_sophisticated([dependent] * 4, [(0, 1), (2, 3)], dependent)
+    assert rep.status == "precondition-failed"
+    assert rep.detail == "family status false"
 
 
 def test_sophisticated_random_instances():
@@ -287,8 +294,9 @@ def test_sophisticated_random_instances():
         rng.shuffle(idx)
         cut = rng.randint(1, 2 * p)
         classes = [tuple(idx[:cut]), tuple(idx[cut:])] if cut < 2 * p else [tuple(idx)]
-        rep = sophisticated_bound(es, classes, lam)
-        assert rep.holds
-        assert rep.corollary_holds
+        rep, corollary = check_sophisticated(es, classes, lam)
+        assert rep.status == "holds"
+        assert corollary.status == "holds"
         oracle = energy_tuples_multiset([e.elems for e in es])
-        assert rep.solutions == oracle
+        assert rep.lhs == oracle
+        assert corollary.lhs == oracle**2
