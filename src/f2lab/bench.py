@@ -1,8 +1,8 @@
 """One checker per theorem-level inequality, plus explicit constructions.
 
 Every checker returns BoundReport rows built by `_finish`, with the status
-holds, violated, undecided or precondition-failed, and has a seeded sweep
-family.  It machine-verifies its own preconditions (dissociativity
+holds, violated, undecided or precondition-failed, and is reached by a
+seeded family of `FAMILIES`.  It machine-verifies its own preconditions (dissociativity
 status, containment in the large spectrum, ...) and refuses to answer
 "holds" otherwise.  Logarithms and square roots on the bounding side are
 handled by exact rational brackets, rounded toward soundness; log means
@@ -21,7 +21,7 @@ from math import comb, factorial, prod
 from typing import Callable, Optional, Sequence
 
 from .core import BudgetError, F2Set, distinct_sumset_power
-from .dissociation import FamilySpec, in_family, is_dissociated, random_dissociated
+from .dissociation import FamilySpec, _extend_basis, in_family, is_dissociated, random_dissociated
 from .energy import _spectral_moment, additive_energy, convolve, energy_function, energy_multiset
 from .exact import (
     EULER_HI,
@@ -42,6 +42,9 @@ from .wht import (
     spectrum_of_set,
     wht,
 )
+
+SOPHISTICATED_P_CAP = 4
+INVERSE2_S1_CAP, INVERSE2_P_CAP = 14, 6
 
 
 @dataclass(frozen=True)
@@ -104,39 +107,34 @@ def _family_refusal(theorem, instance, start, lam: F2Set, weight: int) -> Option
     return _precondition_failed(theorem, instance, start, f"family status {fam}")
 
 
-def check_chang(a: F2Set, alpha: Fraction, lam: F2Set) -> BoundReport:
+def check_chang(a: F2Set, alpha: Fraction, lam: F2Set) -> list[BoundReport]:
     """Dissociated subsets of the large spectrum have size at most
-    2 (delta/alpha)^2 log(1/delta)."""
+    2 (delta/alpha)^2 log(1/delta) ("chang"), and |R_alpha| <= delta /
+    alpha^2 is the Parseval baseline ("parseval-spectrum")."""
     start = time.perf_counter()
-    name, inst = "chang", f"n={a.dim} |A|={len(a)} alpha={alpha} |L|={len(lam)}"
-    if not is_dissociated(lam):
-        return _precondition_failed(name, inst, start, "Lambda not dissociated")
+    inst = f"n={a.dim} |A|={len(a)} alpha={alpha}"
+    delta = Fraction(len(a), 1 << a.dim)
     spectrum = large_spectrum(a, alpha)
+    parseval = _finish("parseval-spectrum", inst, len(spectrum), delta / alpha**2, "le", start)
+    return [_chang_row(lam, spectrum, delta, alpha, f"{inst} |L|={len(lam)}", start), parseval]
+
+
+def _chang_row(lam, spectrum, delta, alpha, inst, start) -> BoundReport:
+    if not is_dissociated(lam):
+        return _precondition_failed("chang", inst, start, "Lambda not dissociated")
     if not lam.issubset(spectrum):
-        return _precondition_failed(name, inst, start, "Lambda not inside R_alpha")
-    n = 1 << a.dim
-    delta = Fraction(len(a), n)
+        return _precondition_failed("chang", inst, start, "Lambda not inside R_alpha")
     factor = 2 * (delta / alpha) ** 2
     if delta == 1:
         # log(1/delta) = 0: bound trivial, only an empty Lambda passes
-        return _finish(name, inst, len(lam), 0, "le", start)
+        return _finish("chang", inst, len(lam), 0, "le", start)
 
     def bracket_at(prec: int) -> tuple[Fraction, Fraction]:
         lo, hi = log2_bounds(1 / delta, prec)
         return factor * lo, factor * hi
 
     status, rhs = certify_ladder(Fraction(len(lam)), bracket_at)
-    return _finish(name, inst, len(lam), rhs[0], "le", start, status=status)
-
-
-def check_parseval_spectrum(a: F2Set, alpha: Fraction) -> BoundReport:
-    """|R_alpha| <= delta / alpha^2, the Parseval baseline."""
-    start = time.perf_counter()
-    n = 1 << a.dim
-    delta = Fraction(len(a), n)
-    spectrum = large_spectrum(a, alpha)
-    inst = f"n={a.dim} |A|={len(a)} alpha={alpha}"
-    return _finish("parseval-spectrum", inst, len(spectrum), delta / alpha**2, "le", start)
+    return _finish("chang", inst, len(lam), rhs[0], "le", start, status=status)
 
 
 def check_diss_energy(lam: F2Set, p: int) -> BoundReport:
@@ -316,7 +314,7 @@ def check_pi(ts: Sequence[int], p: int, delta0: Fraction) -> BoundReport:
 
 
 def check_sophisticated(
-    es: Sequence[F2Set], classes: Sequence[Sequence[int]], lam: F2Set, p_cap: int = 4
+    es: Sequence[F2Set], classes: Sequence[Sequence[int]], lam: F2Set
 ) -> list[BoundReport]:
     """The solutions Z of l_1 + ... + l_2p = 0, l_i in E_i <= Lambda, are at
     most the permanent-sum bound ("sophisticated"), and
@@ -330,8 +328,8 @@ def check_sophisticated(
     if len(es) % 2 != 0 or len(es) < 2:
         raise ValueError("need 2p sets")
     p = len(es) // 2
-    if p > p_cap:
-        raise BudgetError(f"p = {p} beyond documented cap {p_cap}")
+    if p > SOPHISTICATED_P_CAP:
+        raise BudgetError(f"p = {p} beyond documented cap {SOPHISTICATED_P_CAP}")
     if any(not c for c in classes) or sorted(v for c in classes for v in c) != list(range(2 * p)):
         raise ValueError("classes must be nonempty and partition the index range")
     if not all(e.issubset(lam) for e in es):
@@ -356,14 +354,7 @@ def check_sophisticated(
     ]
 
 
-def check_inverse2(
-    q: F2Set,
-    decomp: FiberDecomposition,
-    p: int,
-    m_param: Fraction,
-    s1_cap: int = 14,
-    p_cap: int = 6,
-) -> BoundReport:
+def check_inverse2(q: F2Set, decomp: FiberDecomposition, p: int, m_param: Fraction) -> BoundReport:
     """T_p(Q) against the fiber-intersection upper bound.
 
     The bound is 2^(5p) X p^(3p) s2^p * sum_{r} (p s2)^-r *
@@ -376,8 +367,8 @@ def check_inverse2(
     start = time.perf_counter()
     nonempty = decomp.nonempty()
     s1, s2, m = len(nonempty), decomp.s2, len(q)
-    if s1 > s1_cap or p > p_cap:
-        raise BudgetError(f"s1 = {s1}, p = {p} beyond caps ({s1_cap}, {p_cap})")
+    if s1 > INVERSE2_S1_CAP or p > INVERSE2_P_CAP:
+        raise BudgetError(f"s1 = {s1}, p = {p} beyond caps ({INVERSE2_S1_CAP}, {INVERSE2_P_CAP})")
     if not set(q.elems) <= {l1 ^ l2 for l1 in decomp.lambda1 for l2 in decomp.lambda2}:
         raise ValueError("Q must be contained in Lambda_1 + Lambda_2")
     name, inst = "inverse2", f"n={q.dim} |Q|={m} s1={s1} s2={s2} p={p} M={m_param}"
@@ -590,11 +581,16 @@ def weight1_binomial_value(nprime: int) -> int:
     return q
 
 
-def build_majority(n: int, delta: Fraction) -> MajorityInstance:
-    """Construct the majority instance for the given density target."""
+def _majority_codim(delta: Fraction) -> int:
+    """The codimension k = floor(log(1/(4 delta))) of the majority set."""
     if not 0 < delta <= Fraction(1, 16):
         raise ValueError("need 0 < delta <= 1/16")
-    k = floor_log2(1 / (4 * delta))
+    return floor_log2(1 / (4 * delta))
+
+
+def build_majority(n: int, delta: Fraction) -> MajorityInstance:
+    """Construct the majority instance for the given density target."""
+    k = _majority_codim(delta)
     nprime = n - k
     if nprime < 1:
         raise ValueError("n too small for this delta")
@@ -659,42 +655,33 @@ def verify_majority(inst: MajorityInstance, d: int = 1) -> list[BoundReport]:
     return reports
 
 
+def sweep_majority(delta: Fraction, d: int = 1, n: Optional[int] = None) -> list[BoundReport]:
+    """The rows of the instances with n' = 3..10, or of the one instance at n."""
+    k = _majority_codim(delta)
+    sizes = range(3 + k, 11 + k) if n is None else (n,)
+    return [row for size in sizes for row in verify_majority(build_majority(size, delta), d)]
+
+
 # ---------------------------------------------------------------------------
-# seeded sweep families
-
-
-def _seeded_family(draw: Callable[[random.Random], list[BoundReport]]):
-    """The sweep of the rows of `count` instances drawn by `draw` from one
-    seeded RNG."""
-
-    def sweep(count: int, seed: int) -> list[BoundReport]:
-        rng = random.Random(seed)
-        return [row for _ in range(count) for row in draw(rng)]
-
-    return sweep
+# seeded sweep families: each draw takes the family's one RNG and returns
+# the rows of one instance
 
 
 def _draw_chang(rng: random.Random) -> list[BoundReport]:
+    """alpha N is one of the 8 largest nonzero |A_hat(r)|, r != 0: Parseval
+    leaves |A|(N - |A|) > 0 of mass off r = 0, and |A_hat| <= |A| keeps
+    alpha <= delta.  Lambda is a greedy maximal dissociated subset of R_alpha."""
     dim = rng.randint(4, 12)
     n = 1 << dim
     size = rng.randint(2, max(2, n // 4))
     a = F2Set.from_bits(dim, rng.sample(range(n), size))
     table = spectrum_of_set(a)
-    values = sorted((abs(v) for r, v in enumerate(table.values) if r), reverse=True)
-    nonzero = [v for v in values if v > 0]
-    if not nonzero:
-        return []
-    idx = rng.randrange(min(len(nonzero), 8))
-    alpha = Fraction(min(nonzero[idx], len(a)), n)
-    if alpha <= 0:
-        return []
+    nonzero = sorted((abs(v) for v in table.values[1:] if v), reverse=True)
+    alpha = Fraction(nonzero[rng.randrange(min(len(nonzero), 8))], n)
     spectrum = large_spectrum_from_table(table, alpha)
-    lam_elems: list[int] = []
-    for r in spectrum.elems:  # greedy maximal dissociated subset
-        if r and is_dissociated(F2Set.from_bits(dim, lam_elems + [r])):
-            lam_elems.append(r)
-    lam = F2Set.from_bits(dim, lam_elems)
-    return [check_chang(a, alpha, lam), check_parseval_spectrum(a, alpha)]
+    basis: list[int] = []
+    lam = F2Set.from_bits(dim, [r for r in spectrum.elems if _extend_basis(basis, r)])
+    return check_chang(a, alpha, lam)
 
 
 def _draw_diss_energy(rng: random.Random) -> list[BoundReport]:
@@ -715,81 +702,43 @@ def _draw_sumset_energy(rng: random.Random) -> list[BoundReport]:
     return [check_sumset_energy(q, lam, d, rng.randint(2, 3))]
 
 
-def sweep_full_sumset_lower(count: int, seed: int) -> list[BoundReport]:
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        d = rng.randint(1, 2)
-        p = rng.randint(2, 3)
-        m = rng.randint(2 * d * p, min(12, 2 * d * p + 4))
-        n = rng.randint(m, m + 4)
-        lam = random_dissociated(n, m, seed=rng.randrange(1 << 30))
-        out.append(check_full_sumset_lower(lam, d, p))
-    return out
+def _draw_full_sumset_lower(rng: random.Random) -> list[BoundReport]:
+    d = rng.randint(1, 2)
+    p = rng.randint(2, 3)
+    m = rng.randint(2 * d * p, min(12, 2 * d * p + 4))
+    n = rng.randint(m, m + 4)
+    lam = random_dissociated(n, m, seed=rng.randrange(1 << 30))
+    return [check_full_sumset_lower(lam, d, p)]
 
 
-def sweep_spectrum_energy_lower(count: int, seed: int) -> list[BoundReport]:
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        dim = rng.randint(4, 12)
-        n = 1 << dim
-        size = rng.randint(1, max(1, n // 2))
-        a = F2Set.from_bits(dim, rng.sample(range(n), size))
-        table = spectrum_of_set(a)
-        nonzero = sorted({abs(v) for v in table.values if v}, reverse=True)
-        if not nonzero:
-            continue
-        alpha = Fraction(nonzero[rng.randrange(min(4, len(nonzero)))], n)
-        if alpha > Fraction(len(a), n):
-            alpha = Fraction(len(a), n)
-        spectrum = large_spectrum_from_table(table, alpha)
-        bsize = rng.randint(1, len(spectrum))
-        b = F2Set.from_bits(dim, rng.sample(spectrum.elems, bsize))
-        k = rng.randint(2, 3)
-        out.append(check_spectrum_energy_lower(a, b, k, alpha))
-    return out
+def _draw_spectrum_energy_lower(rng: random.Random) -> list[BoundReport]:
+    """alpha N is one of the 4 largest distinct |A_hat(r)|; the list is
+    never empty, since A_hat(0) = |A| >= 1 bounds every |A_hat(r)|."""
+    dim = rng.randint(4, 12)
+    n = 1 << dim
+    size = rng.randint(1, max(1, n // 2))
+    a = F2Set.from_bits(dim, rng.sample(range(n), size))
+    table = spectrum_of_set(a)
+    nonzero = sorted({abs(v) for v in table.values if v}, reverse=True)
+    alpha = Fraction(nonzero[rng.randrange(min(4, len(nonzero)))], n)
+    spectrum = large_spectrum_from_table(table, alpha)
+    b = F2Set.from_bits(dim, rng.sample(spectrum.elems, rng.randint(1, len(spectrum))))
+    return [check_spectrum_energy_lower(a, b, rng.randint(2, 3), alpha)]
 
 
-def sweep_bourgain(count: int, seed: int) -> list[BoundReport]:
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        dim = rng.randint(8, 12)
-        n = 1 << dim
-        d = rng.randint(1, 2)
-        # delta <= 2^-4d keeps d within log(1/delta)/4
-        max_size = n // (1 << (4 * d))
-        if max_size < 1:
-            continue
-        size = rng.randint(1, max_size)
-        a = F2Set.from_bits(dim, rng.sample(range(n), size))
-        delta = Fraction(size, n)
-        fam_weight = 2 * floor_log2(1 / delta)
-        m = rng.randint(max(2, d), min(8, dim))
-        lam = random_dissociated(
-            dim, m, spec=FamilySpec.zero(min(fam_weight, m), dim), seed=rng.randrange(1 << 30)
-        )
-        table = spectrum_of_set(a)
-        nonzero = sorted({abs(v) for v in table.values if v}, reverse=True)
-        if not nonzero:
-            continue
-        alpha = min(Fraction(nonzero[0], n), delta)
-        if alpha <= 0:
-            continue
-        out.append(check_bourgain_intersection(a, lam, alpha, d))
-    return out
-
-
-def sweep_majority(nprimes: Sequence[int], delta: Fraction, d: int = 1) -> list[BoundReport]:
-    out = []
-    for nprime in nprimes:
-        k = floor_log2(1 / (4 * delta))
-        inst = build_majority(nprime + k, delta)
-        if inst.nprime != nprime:
-            raise AssertionError("nprime mismatch in sweep construction")
-        out.extend(verify_majority(inst, d))
-    return out
+def _draw_bourgain(rng: random.Random) -> list[BoundReport]:
+    """delta <= 2^-4d keeps d within log(1/delta)/4, and dim >= 8 leaves
+    room for one point.  Lambda has m <= 8 <= 2 log(1/delta) elements, so
+    full dissociativity is the family the checker asks for, and alpha =
+    delta, the largest |A_hat(r)| / N, which A_hat(0) = |A| attains."""
+    dim = rng.randint(8, 12)
+    n = 1 << dim
+    d = rng.randint(1, 2)
+    size = rng.randint(1, n // (1 << (4 * d)))
+    a = F2Set.from_bits(dim, rng.sample(range(n), size))
+    m = rng.randint(max(2, d), min(8, dim))
+    lam = random_dissociated(dim, m, seed=rng.randrange(1 << 30))
+    return [check_bourgain_intersection(a, lam, Fraction(size, n), d)]
 
 
 def _draw_rudin_even(rng: random.Random) -> list[BoundReport]:
@@ -879,14 +828,27 @@ def _draw_greedy_support(rng: random.Random) -> list[BoundReport]:
     return [check_greedy_support(supports, Fraction(1, 2), width, blocks, [1] * p)]
 
 
-sweep_chang = _seeded_family(_draw_chang)
-sweep_diss_energy = _seeded_family(_draw_diss_energy)
-sweep_sumset_energy = _seeded_family(_draw_sumset_energy)
-sweep_rudin_even = _seeded_family(_draw_rudin_even)
-sweep_holder = _seeded_family(_draw_holder)
-sweep_subadditivity = _seeded_family(_draw_subadditivity)
-sweep_pi = _seeded_family(_draw_pi)
-sweep_sophisticated = _seeded_family(_draw_sophisticated)
-sweep_inverse2 = _seeded_family(_draw_inverse2)
-sweep_bombieri = _seeded_family(_draw_bombieri)
-sweep_greedy_support = _seeded_family(_draw_greedy_support)
+FAMILIES: dict[str, Callable[[random.Random], list[BoundReport]]] = {
+    "chang": _draw_chang,
+    "diss": _draw_diss_energy,
+    "dissd": _draw_sumset_energy,
+    "exact": _draw_full_sumset_lower,
+    "maing": _draw_spectrum_energy_lower,
+    "bourgain": _draw_bourgain,
+    "rudin": _draw_rudin_even,
+    "holder": _draw_holder,
+    "subadd": _draw_subadditivity,
+    "pi": _draw_pi,
+    "soph": _draw_sophisticated,
+    "inverse2": _draw_inverse2,
+    "bombieri": _draw_bombieri,
+    "greedy": _draw_greedy_support,
+}
+
+
+def run_family(name: str, count: int, seed: int) -> list[BoundReport]:
+    """The rows of `count` instances drawn for family `name` from one
+    seeded RNG."""
+    rng = random.Random(seed)
+    draw = FAMILIES[name]
+    return [row for _ in range(count) for row in draw(rng)]

@@ -120,10 +120,9 @@ _CONFIG_TYPES = {
     **dict.fromkeys(
         ("k", "p", "r", "count", "seed", "d", "n", "h", "lsize", "lpsize", "lambda_size"), int
     ),
-    "nprimes": list,
     "params": dict,
 }
-_TYPE_NAMES = {str: "a string", int: "an integer", list: "a list of integers", dict: "an object"}
+_TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object"}
 
 
 def _check_config_types(config: dict) -> None:
@@ -131,7 +130,7 @@ def _check_config_types(config: dict) -> None:
         kind = _CONFIG_TYPES.get(key)
         if kind is None:
             continue
-        if type(val) is not kind or (kind is list and any(type(v) is not int for v in val)):
+        if type(val) is not kind:
             raise ValueError(f"config key {key!r} must be {_TYPE_NAMES[kind]}")
 
 
@@ -163,7 +162,7 @@ def _cmd_energy(config: dict) -> Outcome:
 
 def _cmd_spectrum(config: dict) -> Outcome:
     alpha = None
-    if config.get("alpha"):
+    if "alpha" in config:
         alpha = parse_fraction(config["alpha"])
         check_alpha(alpha)
     a = parse_set(config["set_text"])
@@ -189,10 +188,7 @@ def _cmd_spectrum(config: dict) -> Outcome:
 def _cmd_dissociate(config: dict) -> Outcome:
     l = parse_set(config["set_text"])
     k = config["k"]
-    if config.get("r_text"):
-        r = parse_set(config["r_text"])
-    else:
-        r = F2Set(l.dim, (0,))
+    r = parse_set(config["r_text"]) if "r_text" in config else F2Set(l.dim, (0,))
     check = in_family(l, FamilySpec(k, r))
     results = {
         "status": check.status,
@@ -251,47 +247,15 @@ def _cmd_lemma_per0(config: dict) -> Outcome:
     return Outcome(results, 0 if all_positive else 1)
 
 
-def _seeded_sweep(sweep):
-    return lambda config: sweep(config.get("count", 20), config.get("seed", 0))
-
-
-def _majority_sweep(config: dict):
-    from .exact import floor_log2
-
-    delta = parse_fraction(config.get("delta", "1/64"))
-    if config.get("n"):
-        k = floor_log2(1 / (4 * delta))
-        nprimes = [config["n"] - k]
-    else:
-        nprimes = config.get("nprimes") or list(range(3, 11))
-    return bench_mod.sweep_majority(nprimes, delta, config.get("d", 1))
-
-
-_BENCH_SWEEPS = {
-    "chang": _seeded_sweep(bench_mod.sweep_chang),
-    "diss": _seeded_sweep(bench_mod.sweep_diss_energy),
-    "dissd": _seeded_sweep(bench_mod.sweep_sumset_energy),
-    "exact": _seeded_sweep(bench_mod.sweep_full_sumset_lower),
-    "maing": _seeded_sweep(bench_mod.sweep_spectrum_energy_lower),
-    "bourgain": _seeded_sweep(bench_mod.sweep_bourgain),
-    "majority": _majority_sweep,
-    "rudin": _seeded_sweep(bench_mod.sweep_rudin_even),
-    "holder": _seeded_sweep(bench_mod.sweep_holder),
-    "subadd": _seeded_sweep(bench_mod.sweep_subadditivity),
-    "pi": _seeded_sweep(bench_mod.sweep_pi),
-    "soph": _seeded_sweep(bench_mod.sweep_sophisticated),
-    "inverse2": _seeded_sweep(bench_mod.sweep_inverse2),
-    "bombieri": _seeded_sweep(bench_mod.sweep_bombieri),
-    "greedy": _seeded_sweep(bench_mod.sweep_greedy_support),
-}
-
-
 def _cmd_bench(config: dict) -> Outcome:
     theorem = config["theorem"]
-    sweep = _BENCH_SWEEPS.get(theorem)
-    if sweep is None:
+    if theorem == "majority":
+        delta = parse_fraction(config.get("delta", "1/64"))
+        reports = bench_mod.sweep_majority(delta, config.get("d", 1), config.get("n"))
+    elif theorem in bench_mod.FAMILIES:
+        reports = bench_mod.run_family(theorem, config.get("count", 20), config.get("seed", 0))
+    else:
         raise ValueError(f"unknown theorem family {theorem!r}")
-    reports = sweep(config)
     rows = _report_rows(reports)
     statuses = [r.status for r in reports]
     results = {
@@ -485,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_l0.add_argument("--exhaustive", nargs=2, type=int, metavar=("P", "R"), required=True)
 
     p_bench = command("bench", "theorem sweep")
-    p_bench.add_argument("--theorem", required=True, choices=tuple(_BENCH_SWEEPS))
+    p_bench.add_argument("--theorem", required=True, choices=(*bench_mod.FAMILIES, "majority"))
     p_bench.add_argument("--count", type=int, default=20)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--delta", default="1/64")

@@ -111,39 +111,24 @@ def in_family(l: F2Set, spec: FamilySpec, budget: int = DEFAULT_WORK_BUDGET) -> 
     return FamilyCheck("true", None, total_work)
 
 
-def random_dissociated(
-    n: int,
-    m: int,
-    spec: Optional[FamilySpec] = None,
-    seed: int = 0,
-    max_tries: Optional[int] = None,
-) -> F2Set:
-    """Greedy rejection sampling of an m-element set in the given family.
+def random_dissociated(n: int, m: int, seed: int = 0) -> F2Set:
+    """Greedy rejection sampling of an m-element dissociated set in F_2^n.
 
-    With spec=None the target is full dissociativity (so m <= n is needed);
-    deterministic for a fixed seed.  Raises after the retry budget.
+    Deterministic for a fixed seed.  Raises if 256 m draws give fewer than
+    m independent words; each draw is independent of the ones kept with
+    probability >= 1/2, so the odds of that are below 2^-200.
     """
-    if spec is None and m > n:
+    if m > n:
         raise ValueError("a dissociated set in F_2^n has at most n elements")
     rng = random.Random(seed)
-    tries_left = max_tries if max_tries is not None else 256 * max(m, 1)
     chosen: list[int] = []
     basis: list[int] = []
-    while len(chosen) < m:
-        if tries_left <= 0:
-            raise RuntimeError(f"could not extend to {m} elements within retry budget")
-        tries_left -= 1
+    for _ in range(256 * m):
+        if len(chosen) == m:
+            break
         cand = rng.getrandbits(n)
-        if cand == 0 or cand in chosen:
-            continue
-        if spec is None:
-            if _extend_basis(basis, cand):
-                chosen.append(cand)
-        else:
-            trial = F2Set.from_bits(n, chosen + [cand])
-            check = in_family(trial, spec)
-            if check.status == "undecided":
-                raise RuntimeError("family check undecided during generation; refusing")
-            if check.status == "true":
-                chosen.append(cand)
+        if _extend_basis(basis, cand):  # rejects 0 and every repeat
+            chosen.append(cand)
+    if len(chosen) < m:
+        raise RuntimeError(f"could not extend to {m} elements within retry budget")
     return F2Set.from_bits(n, chosen)

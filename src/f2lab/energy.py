@@ -33,13 +33,17 @@ def _tuple_sum_counts(elems: Sequence[int], j: int) -> dict[int, int]:
     return counts
 
 
+def _brute_fits(size: int, k: int, budget: int = BRUTE_BUDGET) -> bool:
+    return size**k <= budget
+
+
 def energy_bruteforce(a: F2Set, k: int, budget: int = BRUTE_BUDGET) -> int:
     """T_k by meet-in-the-middle over k-tuples of partial sums."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(a) == 0:
         return 0
-    if len(a) ** k > budget:
+    if not _brute_fits(len(a), k, budget):
         raise BudgetError(f"|A|^k = {len(a) ** k} exceeds budget {budget}")
     k1 = (k + 1) // 2
     c1 = _tuple_sum_counts(a.elems, k1)
@@ -75,13 +79,15 @@ def energy_convolution(a: F2Set, k: int) -> int:
 
 
 def additive_energy(a: F2Set, k: int, method: str = "auto") -> int:
-    """T_k(A) by the requested route ("auto" picks the cheaper exact one)."""
+    """T_k(A) by the requested route ("auto" picks the cheaper exact one,
+    and the brute route only within its budget)."""
     if method == "auto":
         if len(a) == 0:
             return 0
         spectral_cost = (1 << a.dim) * (a.dim + 2 * k)
         brute_cost = len(a) ** ((k + 1) // 2) * (len(a) + 4)
-        method = "spectral" if spectral_cost <= brute_cost else "brute"
+        cheap = brute_cost < spectral_cost and _brute_fits(len(a), k)
+        method = "brute" if cheap else "spectral"
     if method == "brute":
         return energy_bruteforce(a, k)
     if method == "spectral":

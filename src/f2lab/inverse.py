@@ -64,8 +64,6 @@ class RefineResult:
     steps: tuple[RefineStep, ...]
     certified: bool  # final no-violation pass was exhaustive
     step_bound_ok: Optional[bool]
-    energy_initial: int
-    energy_final: int
 
 
 def refine_connected(
@@ -169,7 +167,7 @@ def refine_connected(
         )
         if not step_bound_ok:
             raise AssertionError("step-count bound violated")
-    return RefineResult(cur, tuple(steps), certified, step_bound_ok, t_initial, t_cur)
+    return RefineResult(cur, tuple(steps), certified, step_bound_ok)
 
 
 def _local_descent(start, cur, energy, lhs_scale, rhs_base, params, rng):
@@ -338,19 +336,6 @@ class FiberDecomposition:
 
     def nonempty(self) -> list[tuple[int, F2Set]]:
         return [(lam, d) for lam, d in self.fibers if len(d)]
-
-    def total_mass(self) -> int:
-        return sum(len(d) for _, d in self.fibers)
-
-    def covered_points(self) -> set[int]:
-        out: set[int] = set()
-        for lam, d in self.fibers:
-            for mu in d.elems:
-                out.add(lam ^ mu)
-        return out
-
-    def power_sum(self, x: int) -> int:
-        return sum(len(d) ** x for _, d in self.fibers)
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +624,6 @@ class PrefixExtractionReport:
     rectangle: Optional[Rectangle]
     prefix: tuple[int, ...]
     excess_found: bool
-    pair_report: Optional[ExtractionReport]
     trace: tuple[dict, ...]
     params: InverseParams
     warnings: tuple[str, ...]
@@ -671,9 +655,7 @@ def extract_rectangles_d(
     if d == 2:
         rep = extract_rectangles_pair(q, lam, params)
         rect = max(rep.rectangles, key=lambda r: (r.area(),), default=None)
-        return PrefixExtractionReport(
-            rect, (), True, rep, rep.trace, params, rep.warnings
-        )
+        return PrefixExtractionReport(rect, (), True, rep.trace, params, rep.warnings)
     warnings = []
     fam = in_family(lam, FamilySpec.zero(2 * d * params.p, lam.dim))
     if fam.status != "true":
@@ -706,7 +688,7 @@ def extract_rectangles_d(
             by_prefix.setdefault(aligned[: d - 2], []).append(qq)
     if not by_prefix:
         trace.append({"stage": "prefix", "note": "no aligned points"})
-        return PrefixExtractionReport(None, (), False, None, tuple(trace), params, tuple(warnings))
+        return PrefixExtractionReport(None, (), False, tuple(trace), params, tuple(warnings))
     m_cor = 2**13 * (8 * params.big_k) ** (d - 1)
     candidates = []
     for pref, pts in by_prefix.items():
@@ -736,7 +718,7 @@ def extract_rectangles_d(
         if not rect.points() <= set(q.elems):
             raise AssertionError("prefixed rectangle escapes Q (bug)")
     return PrefixExtractionReport(
-        rect, tuple(pref), excess_found, pair_rep, tuple(trace), params, tuple(warnings)
+        rect, tuple(pref), excess_found, tuple(trace), params, tuple(warnings)
     )
 
 

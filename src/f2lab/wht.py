@@ -53,9 +53,6 @@ class IntFunction:
     def indicator(cls, s: F2Set) -> "IntFunction":
         return cls.from_points(s.dim, ((e, 1) for e in s.elems))
 
-    def abs(self) -> "IntFunction":
-        return IntFunction(self.dim, tuple(abs(v) for v in self.values))
-
 
 @dataclass(frozen=True)
 class SpectrumTable:

@@ -23,7 +23,7 @@ from f2lab.bench import (
     check_sophisticated,
     check_spectrum_energy_lower,
     check_sumset_energy,
-    sweep_spectrum_energy_lower,
+    run_family,
     verify_majority,
     weight1_binomial_value,
 )
@@ -157,7 +157,7 @@ def test_criterion_04_spectrum_energy_lower():
     """Appendix lower bound on 1000 seeded instances plus the subspace
     equality family at alpha = delta."""
     start = time.perf_counter()
-    reports = sweep_spectrum_energy_lower(1000, seed=20260804)
+    reports = run_family("maing", 1000, seed=20260804)
     bad = [r for r in reports if r.status != "holds"]
     assert not bad, bad[:3]
     assert len(reports) >= 1000

@@ -13,17 +13,11 @@ from f2lab.bench import (
     check_chang,
     check_diss_energy,
     check_full_sumset_lower,
-    check_parseval_spectrum,
     check_rudin_even,
     check_spectrum_energy_lower,
     check_sumset_energy,
-    sweep_bourgain,
-    sweep_chang,
-    sweep_diss_energy,
-    sweep_full_sumset_lower,
+    run_family,
     sweep_majority,
-    sweep_spectrum_energy_lower,
-    sweep_sumset_energy,
     verify_majority,
     weight1_binomial_value,
 )
@@ -44,7 +38,7 @@ def test_chang_subspace_case():
     h = subspace(6, 4)  # delta = 1/4, codimension 2
     delta = Fraction(len(h), 64)
     lam = F2Set(6, (16, 32))  # dissociated inside the annihilator
-    rep = check_chang(h, delta, lam)
+    rep, _ = check_chang(h, delta, lam)
     assert rep.status == "holds"
     assert rep.lhs == 2  # <= 2 * log(1/delta) = 4
 
@@ -52,20 +46,21 @@ def test_chang_subspace_case():
 def test_chang_precondition_failures():
     h = subspace(6, 4)
     bad_lam = F2Set(6, (16, 32, 48))  # dependent
-    assert check_chang(h, Fraction(1, 4), bad_lam).status == "precondition-failed"
+    assert check_chang(h, Fraction(1, 4), bad_lam)[0].status == "precondition-failed"
     outside = F2Set(6, (1,))  # not in R_alpha for the subspace
-    assert check_chang(h, Fraction(1, 4), outside).status == "precondition-failed"
+    assert check_chang(h, Fraction(1, 4), outside)[0].status == "precondition-failed"
 
 
 def test_chang_full_group_trivial():
     g = F2Set(4, tuple(range(16)))
-    rep = check_chang(g, Fraction(1), F2Set(4, ()))
+    rep, _ = check_chang(g, Fraction(1), F2Set(4, ()))
     assert rep.status == "holds"
 
 
 def test_parseval_subspace_equality():
     h = subspace(6, 4)
-    rep = check_parseval_spectrum(h, Fraction(1, 4))
+    _, rep = check_chang(h, Fraction(1, 4), F2Set(6, ()))
+    assert rep.theorem == "parseval-spectrum"
     assert rep.status == "holds"
     assert rep.lhs == rep.rhs == 4  # equality at alpha = delta
 
@@ -250,7 +245,8 @@ def test_majority_spectrum_count_matches_direct():
 
 def test_parseval_full_group():
     g = F2Set(4, tuple(range(16)))
-    rep = check_parseval_spectrum(g, Fraction(1))
+    _, rep = check_chang(g, Fraction(1), F2Set(4, ()))
+    assert rep.theorem == "parseval-spectrum"
     assert rep.status == "holds"
     assert rep.lhs == 1  # R_1(G) = {0}
 
@@ -282,10 +278,12 @@ def test_majority_formula_agreement_up_to_20():
 
 
 def test_sweeps_zero_violations_small():
-    assert all(r.status == "holds" for r in sweep_chang(10, 101))
-    assert all(r.status == "holds" for r in sweep_diss_energy(10, 102))
-    assert all(r.status == "holds" for r in sweep_sumset_energy(10, 103))
-    assert all(r.status == "holds" for r in sweep_full_sumset_lower(5, 104))
-    assert all(r.status == "holds" for r in sweep_spectrum_energy_lower(10, 105))
-    assert all(r.status == "holds" for r in sweep_bourgain(5, 106))
-    assert all(r.status == "holds" for r in sweep_majority((3, 4, 5), Fraction(1, 64)))
+    assert all(r.status == "holds" for r in run_family("chang", 10, 101))
+    assert all(r.status == "holds" for r in run_family("diss", 10, 102))
+    assert all(r.status == "holds" for r in run_family("dissd", 10, 103))
+    assert all(r.status == "holds" for r in run_family("exact", 5, 104))
+    assert all(r.status == "holds" for r in run_family("maing", 10, 105))
+    assert all(r.status == "holds" for r in run_family("bourgain", 5, 106))
+    # n' = 3, 4, 5 at k = 4
+    rows = [r for n in (7, 8, 9) for r in sweep_majority(Fraction(1, 64), n=n)]
+    assert len(rows) == 15 and all(r.status == "holds" for r in rows)

@@ -142,13 +142,35 @@ def test_bench_families_cover_every_checker():
     from f2lab import bench
 
     emitted = set()
-    for family in cli._BENCH_SWEEPS:
+    for family in (*bench.FAMILIES, "majority"):
         report, _ = execute({"command": "bench", "theorem": family, "count": 2, "seed": 0})
         emitted.update(row["theorem"] for row in report["results"]["rows"])
     checkers = {
         name[len("check_"):].replace("_", "-") for name in dir(bench) if name.startswith("check_")
     }
     assert checkers <= emitted
+
+
+@pytest.mark.parametrize("flags", [["--delta", "0"], ["--n", "0"]])
+def test_bench_majority_bad_delta_or_n_exit2(tmp_path, capsys, flags):
+    code, report = run_cli(["bench", "--theorem", "majority", *flags], tmp_path)
+    assert code == 2 and report is None
+    assert "error" in json.loads(capsys.readouterr().err)
+
+
+def test_dissociate_empty_forbidden_file_exit2(tmp_path, capsys):
+    lpath = write(tmp_path, "l.set", "4\n1000\n0110\n")
+    rpath = write(tmp_path, "empty.set", "")
+    code, report = run_cli(["dissociate", "--check", lpath, "--k", "1", "--R", rpath], tmp_path)
+    assert code == 2 and report is None
+    assert "empty set file" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_spectrum_empty_alpha_exit2(tmp_path, capsys):
+    path = write(tmp_path, "basis3.set", SET_BASIS3)
+    code, report = run_cli(["spectrum", "--set", path, "--alpha", ""], tmp_path)
+    assert code == 2 and report is None
+    assert "error" in json.loads(capsys.readouterr().err)
 
 
 def test_dissociate_cli_with_forbidden_set(tmp_path):

@@ -138,12 +138,6 @@ def test_random_dissociated_deterministic_and_valid():
     assert gf2_rank(a.elems) == 10
 
 
-def test_random_dissociated_with_spec():
-    spec = FamilySpec(3, F2Set(8, (0, 255)))
-    got = random_dissociated(8, 5, spec=spec, seed=1)
-    assert in_family(got, spec).status == "true"
-
-
 def test_random_dissociated_too_many():
     with pytest.raises(ValueError):
         random_dissociated(4, 5, seed=0)

@@ -1,11 +1,12 @@
 """Static hygiene of the source and test trees.
 
-Neither pyflakes nor ruff is a dependency, so the unused-import check is a
-small AST scan here.  `__init__.py` files are skipped: their imports are the
-package's re-exports.
+Neither pyflakes nor ruff is a dependency, so the unused-import and
+dead-definition checks are small AST scans here.  `__init__.py` files are
+skipped: their imports are the package's re-exports.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,3 +52,43 @@ def test_no_unused_imports_in_src_and_tests():
         and (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def loaded_names(tree: ast.AST) -> Counter:
+    """How often a tree reads each name, as a variable or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def dead_definitions(modules: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Top-level functions and classes of `modules` that no source in
+    `modules` or `readers` reads outside their own definition."""
+    trees = {name: ast.parse(source) for name, source in {**readers, **modules}.items()}
+    loaded = sum((loaded_names(tree) for tree in trees.values()), Counter())
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        f"{name}:{node.name}"
+        for name in modules
+        for node in trees[name].body
+        if isinstance(node, defs) and loaded[node.name] == loaded_names(node)[node.name]
+    ]
+
+
+def test_dead_definitions_detector():
+    mod = "def used():\n    pass\ndef dead():\n    return used()\nclass Gone:\n    pass\n"
+    mod += "def rec():\n    return rec()\n"
+    assert dead_definitions({"m": mod}, {}) == ["m:dead", "m:Gone", "m:rec"]
+    assert dead_definitions({"m": mod}, {"t": "import m\nm.dead(Gone, m.rec)\n"}) == []
+
+
+def test_no_dead_definitions_in_src():
+    modules = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in sorted((ROOT / "src" / "f2lab").glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    readers = {str(p): p.read_text(encoding="utf-8") for p in sorted((ROOT / "tests").glob("*.py"))}
+    assert dead_definitions(modules, readers) == []

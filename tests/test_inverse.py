@@ -227,11 +227,12 @@ def test_fiber_decomposition_mass_and_disjointness():
         chosen = rng.sample(pairs, rng.randint(1, len(pairs)))
         q = F2Set.from_bits(n, (a ^ b for a, b in chosen))
         dec = FiberDecomposition.build(q, l1, l2)
-        assert dec.total_mass() == len(q)  # unique representation
-        assert dec.covered_points() == set(q.elems)
+        mass = sum(len(d) for _, d in dec.fibers)
+        assert mass == len(q)  # unique representation
+        assert {lam ^ mu for lam, d in dec.fibers for mu in d.elems} == set(q.elems)
         # power-sum bound: sum |D|^x <= s2^(x-1) * mass for integer x >= 1
         for x in (1, 2, 3):
-            assert dec.power_sum(x) <= dec.s2 ** (x - 1) * dec.total_mass()
+            assert sum(len(d) ** x for _, d in dec.fibers) <= dec.s2 ** (x - 1) * mass
 
 
 def full_product_instance():
