@@ -657,6 +657,8 @@ def verify_majority(inst: MajorityInstance, d: int = 1) -> list[BoundReport]:
 
 def sweep_majority(delta: Fraction, d: int = 1, n: Optional[int] = None) -> list[BoundReport]:
     """The rows of the instances with n' = 3..10, or of the one instance at n."""
+    if d < 1:
+        raise ValueError(f"--d must be at least 1, got {d}")
     k = _majority_codim(delta)
     sizes = range(3 + k, 11 + k) if n is None else (n,)
     return [row for size in sizes for row in verify_majority(build_majority(size, delta), d)]

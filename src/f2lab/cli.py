@@ -36,7 +36,7 @@ from .dissociation import FamilySpec, in_family
 from .energy import energy_report
 from .inverse import InverseParams, extract_rectangles_d, extract_rectangles_pair, plant_instance
 from .permanent import fk_zero_test, parse_matrix, permanent, reduced_permanent_check
-from .wht import check_alpha, large_spectrum_from_table, spectrum_of_set, spectrum_rows
+from .wht import SpectrumTable, check_alpha, large_spectrum_from_table, spectrum_of_set
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -92,13 +92,13 @@ def _status_exit(statuses) -> int:
 class Outcome:
     """What every command handler returns.
 
-    `results` is the block that replay compares byte for byte; `side_text`
-    is written to the command's --out file when one is given.
+    `results` is the block that replay compares byte for byte; the chunks
+    of `side_text` are written to the command's --out file when one is given.
     """
 
     results: dict
     exit_code: int
-    side_text: Optional[str] = None
+    side_text: tuple[str, ...] = ()
 
 
 class _Config(dict):
@@ -160,6 +160,17 @@ def _cmd_energy(config: dict) -> Outcome:
     return Outcome(results, 0 if rep.agree else 1)
 
 
+def _spectrum_csv(table: SpectrumTable):
+    """The CSV dump, one chunk per high half-word t: r = t 2^low + l is named lo[l] + hi[t]."""
+    low = table.dim // 2
+    lo = [bits_to_string(x, low) for x in range(1 << low)]
+    yield "r,coefficient\n"
+    for t in range(1 << (table.dim - low)):
+        hi = bits_to_string(t, table.dim - low)
+        chunk = table.values[t << low : (t + 1) << low]
+        yield "".join([f"{name}{hi},{v}\n" for name, v in zip(lo, chunk)])
+
+
 def _cmd_spectrum(config: dict) -> Outcome:
     alpha = None
     if "alpha" in config:
@@ -167,22 +178,23 @@ def _cmd_spectrum(config: dict) -> Outcome:
         check_alpha(alpha)
     a = parse_set(config["set_text"])
     table = spectrum_of_set(a)
-    csv_lines = ["r,coefficient"]
-    csv_lines.extend(f"{r},{v}" for r, v in spectrum_rows(table))
-    csv_text = "\n".join(csv_lines) + "\n"
+    csv_chunks = tuple(_spectrum_csv(table))
+    digest = hashlib.sha256()
+    for chunk in csv_chunks:
+        digest.update(chunk.encode())
     n = 1 << a.dim
     results = {
         "dim": a.dim,
         "set_size": len(a),
         "parseval_ok": sum(v * v for v in table.values) == n * len(a),
-        "csv_sha256": hashlib.sha256(csv_text.encode()).hexdigest(),
-        "nonzero": sum(1 for v in table.values if v),
+        "csv_sha256": digest.hexdigest(),
+        "nonzero": n - table.values.count(0),
     }
     if alpha is not None:
         spec = large_spectrum_from_table(table, alpha)
         results["alpha"] = fraction_str(alpha)
         results["large_spectrum"] = [bits_to_string(e, a.dim) for e in spec.elems]
-    return Outcome(results, 0 if results["parseval_ok"] else 1, csv_text)
+    return Outcome(results, 0 if results["parseval_ok"] else 1, csv_chunks)
 
 
 def _cmd_dissociate(config: dict) -> Outcome:
@@ -253,7 +265,10 @@ def _cmd_bench(config: dict) -> Outcome:
         delta = parse_fraction(config.get("delta", "1/64"))
         reports = bench_mod.sweep_majority(delta, config.get("d", 1), config.get("n"))
     elif theorem in bench_mod.FAMILIES:
-        reports = bench_mod.run_family(theorem, config.get("count", 20), config.get("seed", 0))
+        count = config.get("count", 20)
+        if count < 1:
+            raise ValueError(f"--count must be at least 1, got {count}")
+        reports = bench_mod.run_family(theorem, count, config.get("seed", 0))
     else:
         raise ValueError(f"unknown theorem family {theorem!r}")
     rows = _report_rows(reports)
@@ -269,7 +284,7 @@ def _cmd_bench(config: dict) -> Outcome:
     writer = csv.DictWriter(csv_buf, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    return Outcome(results, _status_exit(statuses), csv_buf.getvalue())
+    return Outcome(results, _status_exit(statuses), (csv_buf.getvalue(),))
 
 
 def _extract_params(config: dict) -> InverseParams:
@@ -386,9 +401,9 @@ def execute(config: dict, out_path: Optional[str] = None) -> tuple[dict, int]:
         "results": outcome.results,
         "meta": {"runtime_s": round(time.perf_counter() - start, 6)},
     }
-    if out_path and outcome.side_text is not None:
+    if out_path and outcome.side_text:
         with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(outcome.side_text)
+            fh.writelines(outcome.side_text)
     return report, outcome.exit_code
 
 

@@ -6,11 +6,13 @@ all downstream energy computations are exact.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from struct import pack
+from typing import Iterable, Sequence
 
-from .core import BudgetError, DimensionError, F2Set, bits_to_string
+from .core import BudgetError, DimensionError, F2Set
 from .exact import ExactnessError
 
 WHT_DIM_CAP = 26  # full tables above 2^26 entries are out of desk scale
@@ -66,25 +68,59 @@ class SpectrumTable:
             raise DimensionError("table length must be exactly 2^n")
 
 
-def _butterfly(vals: list[int]) -> None:
-    n = len(vals)
+_ITEMS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # unsigned items of 1, 2, 4 and 8 bytes
+
+
+def _transform(values: Sequence[int]) -> tuple[int, ...]:
+    """The unnormalised Walsh-Hadamard butterfly of a table of length 2^n,
+    each stage a few big-integer operations on all lanes at once (SWAR).
+
+    Exact by construction.  With s = sum |f|, every value the butterfly
+    holds is a signed sum of distinct entries of f, in [-s, s]; its lane
+    holds v + s in [0, 2s] in the fewest bytes w8 with 4s < 2^w, w = 8 w8.
+    At span h, m selects the lanes i with i & h == 0, S has s in each, and
+    a = x & m, b = (x >> h w) & m hold pairs (u + s, v + s).  Then a + b - S
+    holds u + v + s and a + S - b holds u - v + s, both in [0, 2s]; a + b <=
+    4s and a + S <= 3s fit in a lane and each difference is non-negative lane
+    by lane, so no lane carries or borrows.  Lanes of up to 8 bytes travel in
+    native unsigned items, byte j of a lane as byte at[j] of its item.
+    """
+    count = len(values)
+    s = sum(map(abs, values))
+    w8 = max(1, ((4 * s).bit_length() + 7) // 8)
+    size = min((k for k in _ITEMS if k >= w8), default=None)
+    if size is None:
+        lanes = b"".join([(v + s).to_bytes(w8, "little") for v in values])
+    else:
+        at = range(w8) if sys.byteorder == "little" else range(size - 1, size - 1 - w8, -1)
+        items = pack(f"={count}{_ITEMS[size]}", *[v + s for v in values])
+        lanes = bytearray(count * w8)
+        for j, k in enumerate(at):
+            lanes[j::w8] = items[k::size]
+    x = int.from_bytes(lanes, "little")
+    full, lane, zero = b"\xff" * w8, s.to_bytes(w8, "little"), bytes(w8)
     h = 1
-    while h < n:
-        for start in range(0, n, 2 * h):
-            for i in range(start, start + h):
-                a = vals[i]
-                b = vals[i + h]
-                vals[i] = a + b
-                vals[i + h] = a - b
+    while h < count:
+        blocks = count // (2 * h)
+        m = int.from_bytes((full * h + zero * h) * blocks, "little")
+        big_s = int.from_bytes((lane * h + zero * h) * blocks, "little")
+        a = x & m
+        b = (x >> 8 * w8 * h) & m
+        x = (a + b - big_s) | ((a + big_s - b) << 8 * w8 * h)
         h *= 2
+    lanes = x.to_bytes(count * w8, "little")
+    if size is None:
+        return tuple(int.from_bytes(lanes[i : i + w8], "little") - s for i in range(0, len(lanes), w8))
+    items = bytearray(count * size)
+    for j, k in enumerate(at):
+        items[k::size] = lanes[j::w8]
+    return tuple(v - s for v in memoryview(items).cast(_ITEMS[size]))
 
 
 def wht(f: IntFunction) -> SpectrumTable:
     """A_hat(r) = sum_x f(x) (-1)^<r,x>, exact, O(N log N) integer ops."""
     _check_table_dim(f.dim)
-    vals = list(f.values)
-    _butterfly(vals)
-    return SpectrumTable(f.dim, tuple(vals))
+    return SpectrumTable(f.dim, _transform(f.values))
 
 
 def spectrum_of_set(a: F2Set) -> SpectrumTable:
@@ -94,16 +130,10 @@ def spectrum_of_set(a: F2Set) -> SpectrumTable:
 
 def inverse_wht(s: SpectrumTable) -> IntFunction:
     """Inverse transform; the WHT is an involution up to the factor N."""
-    n = 1 << s.dim
-    vals = list(s.values)
-    _butterfly(vals)
-    out = []
-    for v in vals:
-        q, r = divmod(v, n)
-        if r:
-            raise ExactnessError("inverse transform is not integer-valued")
-        out.append(q)
-    return IntFunction(s.dim, tuple(out))
+    vals = _transform(s.values)
+    if any(v & ((1 << s.dim) - 1) for v in vals):
+        raise ExactnessError("inverse transform is not integer-valued")
+    return IntFunction(s.dim, tuple(v >> s.dim for v in vals))
 
 
 def large_spectrum(a: F2Set, alpha: Fraction) -> F2Set:
@@ -116,13 +146,6 @@ def large_spectrum(a: F2Set, alpha: Fraction) -> F2Set:
 
 def large_spectrum_from_table(table: SpectrumTable, alpha: Fraction) -> F2Set:
     check_alpha(alpha)
-    n = 1 << table.dim
-    p, q = alpha.numerator, alpha.denominator
-    hits = [r for r, v in enumerate(table.values) if abs(v) * q >= p * n]
+    least = -(-(alpha.numerator << table.dim) // alpha.denominator)  # ceil(alpha N)
+    hits = [r for r, v in enumerate(table.values) if abs(v) >= least]
     return F2Set(table.dim, tuple(hits))
-
-
-def spectrum_rows(s: SpectrumTable) -> Iterator[tuple[str, int]]:
-    """(bitstring of r, A_hat(r)) rows for the CSV dump format."""
-    for r, v in enumerate(s.values):
-        yield bits_to_string(r, s.dim), v

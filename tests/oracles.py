@@ -23,6 +23,22 @@ def naive_wht(values):
     return out
 
 
+def butterfly_wht(values):
+    """O(N log N) reference: the in-place butterfly, one pair at a time."""
+    vals = list(values)
+    n = len(vals)
+    h = 1
+    while h < n:
+        for start in range(0, n, 2 * h):
+            for i in range(start, start + h):
+                a = vals[i]
+                b = vals[i + h]
+                vals[i] = a + b
+                vals[i + h] = a - b
+        h *= 2
+    return vals
+
+
 def energy_tuples(elems, k):
     """T_k by full enumeration of 2k-tuples (ordered)."""
     count = 0

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -17,8 +19,11 @@ from f2lab.cli import (
     replay,
     run_config,
 )
-from f2lab.core import parse_set
+from f2lab.bench import FAMILIES
+from f2lab.core import bits_to_string, parse_set
 from f2lab.permanent import parse_matrix
+
+from oracles import naive_wht
 
 SET_BASIS3 = "4\n1000\n0100\n0010\n"
 SET_BAD = "3\n102\n"
@@ -156,6 +161,42 @@ def test_bench_majority_bad_delta_or_n_exit2(tmp_path, capsys, flags):
     code, report = run_cli(["bench", "--theorem", "majority", *flags], tmp_path)
     assert code == 2 and report is None
     assert "error" in json.loads(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_bench_nonpositive_count_exit2(tmp_path, capsys, count):
+    # zero rows would read as exit 0, "everything holds", with nothing checked
+    for theorem in FAMILIES:
+        code, report = run_cli(["bench", "--theorem", theorem, "--count", count], tmp_path)
+        assert code == 2 and report is None
+        assert "--count" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("d", ["0", "-2"])
+def test_bench_majority_nonpositive_d_exit2_before_building(tmp_path, capsys, monkeypatch, d):
+    def no_build(n, delta):
+        raise AssertionError("--d must be refused before any instance is built")
+
+    monkeypatch.setattr(cli.bench_mod, "build_majority", no_build)
+    code, report = run_cli(["bench", "--theorem", "majority", "--d", d], tmp_path)
+    assert code == 2 and report is None
+    assert "--d" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+def test_spectrum_csv_bytes_match_reference(tmp_path, dim):
+    rng = random.Random(dim)
+    elems = set(rng.sample(range(1 << dim), 1 + (1 << dim) // 3))
+    text = f"{dim}\n" + "".join(bits_to_string(e, dim) + "\n" for e in elems)
+    path = write(tmp_path, "a.set", text)
+    out_csv = tmp_path / "a.csv"
+    code, report = run_cli(["spectrum", "--set", path, "--out", str(out_csv)], tmp_path)
+    assert code == 0
+    table = naive_wht([int(x in elems) for x in range(1 << dim)])
+    rows = "".join(f"{bits_to_string(r, dim)},{v}\n" for r, v in enumerate(table))
+    expect = ("r,coefficient\n" + rows).encode()
+    assert out_csv.read_bytes() == expect
+    assert report["results"]["csv_sha256"] == hashlib.sha256(expect).hexdigest()
 
 
 def test_dissociate_empty_forbidden_file_exit2(tmp_path, capsys):

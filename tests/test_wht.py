@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from f2lab.cli import execute
 from f2lab.core import BudgetError, F2Set
 from f2lab.exact import ExactnessError
 from f2lab.wht import (
@@ -14,11 +15,10 @@ from f2lab.wht import (
     inverse_wht,
     large_spectrum,
     spectrum_of_set,
-    spectrum_rows,
     wht,
 )
 
-from oracles import naive_wht
+from oracles import butterfly_wht, naive_wht
 
 
 def test_wht_point_mass():
@@ -51,6 +51,72 @@ def test_wht_matches_naive_oracle(dim, data):
     )
     fast = wht(IntFunction(dim, values)).values
     assert list(fast) == naive_wht(values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=7), st.data())
+def test_wht_and_roundtrip_match_naive_oracle_wide_values(dim, data):
+    # values up to 2^100 need lanes of up to 14 bytes, beyond every native item
+    values = tuple(
+        data.draw(st.integers(min_value=-(2**100), max_value=2**100)) for _ in range(1 << dim)
+    )
+    f = IntFunction(dim, values)
+    assert list(wht(f).values) == naive_wht(values)
+    assert inverse_wht(wht(f)).values == values
+
+
+def _tables_with_mass(total, dim=3):
+    """Tables of 2^dim entries with sum |f| == total, signed by +-chi_0 and
+    +-chi_5, so that some coefficient reaches +total or -total."""
+    n = 1 << dim
+    parts = [total // n] * (n - 1) + [total - (n - 1) * (total // n)]
+    chi = [[-1 if (r & x).bit_count() & 1 else 1 for x in range(n)] for r in (0, 5)]
+    signs = chi + [[-c for c in row] for row in chi]
+    return [tuple(c * p for c, p in zip(row, parts)) for row in signs]
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_wht_at_lane_width_boundaries(offset):
+    # sum |f| = s takes w8 bytes while 4s < 2^(8 w8); the exponents 4..71
+    # put s on both sides of every byte-width step: 2^6, 2^14, ..., 2^62 (the
+    # last native item) and 2^70, the first lanes packed with to_bytes
+    for exponent in range(4, 72):
+        for values in _tables_with_mass(2**exponent + offset):
+            table = wht(IntFunction(3, values))
+            assert list(table.values) == naive_wht(values)
+            assert max(map(abs, table.values)) == sum(map(abs, values))
+            assert inverse_wht(table).values == values
+
+
+def test_wht_all_zero_and_single_huge_entry():
+    for dim in range(0, 6):
+        zeros = (0,) * (1 << dim)
+        assert wht(IntFunction(dim, zeros)).values == zeros
+        assert inverse_wht(SpectrumTable(dim, zeros)).values == zeros
+    for big in (2**200 + 1, -(2**200) - 1, 2**63, -(2**62)):
+        values = tuple(big if x == 5 else 0 for x in range(16))
+        table = wht(IntFunction(4, values))
+        assert list(table.values) == naive_wht(values)
+        assert inverse_wht(table).values == values
+
+
+def test_wht_matches_butterfly_oracle_large_dims():
+    rng = random.Random(1216)
+    for dim in range(12, 17):
+        values = tuple(
+            rng.choice((0, 0, 1, -1, rng.randint(-(2**40), 2**40))) for _ in range(1 << dim)
+        )
+        assert list(wht(IntFunction(dim, values)).values) == butterfly_wht(values)
+
+
+def test_inverse_wht_non_image_table_reported_at_every_width():
+    rng = random.Random(77)
+    for dim, bound in ((1, 3), (6, 2**20), (8, 2**100)):
+        values = [rng.randint(-bound, bound) for _ in range(1 << dim)]
+        table = list(wht(IntFunction(dim, tuple(values))).values)
+        table[rng.randrange(1 << dim)] += 1  # shifts every inverse value by 1/N
+        with pytest.raises(ExactnessError):
+            inverse_wht(SpectrumTable(dim, tuple(table)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -116,6 +182,17 @@ def test_large_spectrum_subspace():
     assert list(got.elems) == expect
 
 
+def test_large_spectrum_threshold_between_integers():
+    # alpha N need not be an integer; |A_hat(r)| >= alpha N is compared exactly
+    a = F2Set(4, (1, 2, 4, 9, 13))
+    table = naive_wht(list(IntFunction.indicator(a).values))
+    for q in range(1, 65):
+        for p in range(1, q + 1):
+            alpha = Fraction(p, q)
+            expect = [r for r, v in enumerate(table) if abs(v) >= alpha * 16]
+            assert list(large_spectrum(a, alpha).elems) == expect
+
+
 def test_large_spectrum_full_group_alpha_one():
     g = F2Set(3, tuple(range(8)))
     assert large_spectrum(g, Fraction(1)).elems == (0,)
@@ -154,9 +231,10 @@ def test_exact_threshold_boundary_inclusive():
     assert large_spectrum(h, Fraction(5, 16)).elems == ()
 
 
-def test_spectrum_rows_format():
-    rows = list(spectrum_rows(spectrum_of_set(F2Set(2, (0,)))))
-    assert rows == [("00", 1), ("10", 1), ("01", 1), ("11", 1)]
+def test_spectrum_rows_format(tmp_path):
+    out = tmp_path / "spectrum.csv"
+    execute({"command": "spectrum", "set_text": "2\n00\n"}, str(out))
+    assert out.read_text() == "r,coefficient\n00,1\n10,1\n01,1\n11,1\n"
 
 
 def test_threaded_wht_identical_to_serial():
