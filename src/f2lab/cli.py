@@ -6,7 +6,8 @@ and compares the canonical JSON of the numerical results byte for byte.
 Rationals are accepted only as exact "p/q" strings; no float parsing.
 
 Exit codes: 0 all bounds hold / decided true, 1 any violation / false,
-2 precondition failures, undecided statuses, or input errors.
+2 precondition failures, undecided statuses, or input errors, 3 a failed
+internal invariant (a bug).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .core import (
 )
 from .dissociation import FamilySpec, in_family
 from .energy import energy_report
+from .exact import ExactnessError
 from .inverse import InverseParams, extract_rectangles_d, extract_rectangles_pair, plant_instance
 from .permanent import fk_zero_test, parse_matrix, permanent, reduced_permanent_check
 from .wht import SpectrumTable, check_alpha, large_spectrum_from_table, spectrum_of_set
@@ -535,6 +537,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (SetFileError, BudgetError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
+    except (AssertionError, ExactnessError, RuntimeError) as exc:  # BudgetError is caught above
+        print(json.dumps({"error": f"internal invariant failed: {exc}"}), file=sys.stderr)
+        return 3
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.report_out:
         with open(args.report_out, "w", encoding="ascii") as fh:

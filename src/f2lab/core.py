@@ -41,13 +41,10 @@ def bits_to_string(bits: int, dim: int) -> str:
 
 
 def string_to_bits(s: str) -> int:
-    bits = 0
-    for i, ch in enumerate(s):
-        if ch == "1":
-            bits |= 1 << i
-        elif ch != "0":
-            raise SetFileError(f"bad character {ch!r} in element string")
-    return bits
+    bad = s.strip("01")  # empty, or starting at the first character other than 0 and 1
+    if bad:
+        raise SetFileError(f"bad character {bad[0]!r} in element string")
+    return int(s[::-1] or "0", 2)
 
 
 @dataclass(frozen=True)

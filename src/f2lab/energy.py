@@ -1,17 +1,18 @@
 """Exact additive energies and convolution machinery.
 
 T_k counts 2k-tuples with equal k-fold sums.  Three independent routes are
-implemented (tuple meet-in-the-middle, spectral moments, convolution
-powers); they must agree exactly, and the spectral route asserts the
-divisibility of the moment sum by N, which would only fail on an
-implementation bug.
+implemented (tuple counting, spectral moments, convolution powers); they
+must agree exactly, and the spectral route asserts the divisibility of the
+moment sum by N, which would only fail on an implementation bug.
 """
 
 from __future__ import annotations
 
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import combinations, starmap
+from operator import xor
 from typing import Sequence
 
 from .core import BudgetError, DimensionError, F2Set
@@ -37,22 +38,28 @@ def _brute_fits(size: int, k: int, budget: int = BRUTE_BUDGET) -> bool:
     return size**k <= budget
 
 
+def _brute_preferred(size: int, dim: int, k: int) -> bool:
+    spectral_cost = (1 << dim) * (dim + 2 * k)
+    brute_cost = size ** ((k + 1) // 2) * (size + 4)
+    return brute_cost < spectral_cost and _brute_fits(size, k)
+
+
 def energy_bruteforce(a: F2Set, k: int, budget: int = BRUTE_BUDGET) -> int:
-    """T_k by meet-in-the-middle over k-tuples of partial sums."""
+    """T_k by counting k-tuples of partial sums."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(a) == 0:
-        return 0
     if not _brute_fits(len(a), k, budget):
         raise BudgetError(f"|A|^k = {len(a) ** k} exceeds budget {budget}")
-    k1 = (k + 1) // 2
-    c1 = _tuple_sum_counts(a.elems, k1)
-    c2 = c1 if k - k1 == k1 else _tuple_sum_counts(a.elems, k - k1)
-    full: dict[int, int] = defaultdict(int)
-    for u, cu in c1.items():
-        for v, cv in c2.items():
-            full[u ^ v] += cu * cv
-    return sum(c * c for c in full.values())
+    return _brute_energy(a.elems, k)
+
+
+def _brute_energy(elems: Sequence[int], k: int) -> int:
+    """T_k = sum_x r(x)^2, r(x) counting the ordered k-tuples of the distinct
+    words `elems` with XOR x; no checks."""
+    if k == 2:  # r(0) = |A|; any other r(x) is twice its count of unordered pairs
+        pairs = Counter(starmap(xor, combinations(elems, 2)))
+        return len(elems) ** 2 + 4 * sum(c * c for c in pairs.values())
+    return sum(c * c for c in _tuple_sum_counts(elems, k).values())
 
 
 def energy_spectral(a: F2Set, k: int) -> int:
@@ -84,10 +91,7 @@ def additive_energy(a: F2Set, k: int, method: str = "auto") -> int:
     if method == "auto":
         if len(a) == 0:
             return 0
-        spectral_cost = (1 << a.dim) * (a.dim + 2 * k)
-        brute_cost = len(a) ** ((k + 1) // 2) * (len(a) + 4)
-        cheap = brute_cost < spectral_cost and _brute_fits(len(a), k)
-        method = "brute" if cheap else "spectral"
+        method = "brute" if _brute_preferred(len(a), a.dim, k) else "spectral"
     if method == "brute":
         return energy_bruteforce(a, k)
     if method == "spectral":

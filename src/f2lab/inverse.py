@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .core import BudgetError, F2Set, subset_sums
 from .dissociation import FamilySpec, in_family, random_dissociated
-from .energy import additive_energy, energy_excess_compare
+from .energy import _brute_energy, _brute_preferred, additive_energy, energy_excess_compare
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,8 @@ def refine_connected(
     def energy(elems: tuple[int, ...]) -> int:
         val = store.get(elems)
         if val is None:
-            val = additive_energy(F2Set(q.dim, elems), k)
+            brute = _brute_preferred(len(elems), q.dim, k)  # the "auto" route
+            val = _brute_energy(elems, k) if brute else additive_energy(F2Set(q.dim, elems), k)
             store[elems] = val
         return val
 
@@ -443,44 +444,55 @@ def _best_split(
     Exhaustive over all balanced splits when their number is within the
     limit (the averaging argument then guarantees the best split carries at
     least half the mass); otherwise best of `trials` seeded random splits.
+    Q is a graph on Lambda, one edge per pair, and the mass of a half S is
+    its cut; adding i to S adds deg(i) - 2|adj(i) & S|.  Ties keep the first.
     """
     n_lam = len(lam)
     a = -((-n_lam) // 2)  # ceil
     elems = lam.elems
+    index = {x: i for i, x in enumerate(elems)}
+    adj = [0] * n_lam
+    for qq in q_elems:
+        i, j = (index[x] for x in pair_of[qq])
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    deg = [m.bit_count() for m in adj]
 
-    def crossing(first: frozenset) -> int:
-        cnt = 0
-        for qq in q_elems:
-            x, y = pair_of[qq]
-            if (x in first) != (y in first):
-                cnt += 1
-        return cnt
+    def cut(mask: int) -> int:
+        return sum((adj[i] & ~mask).bit_count() for i in range(n_lam) if mask >> i & 1)
 
-    best = None
+    best_mask = (1 << a) - 1  # the first split in `combinations` order
+    best = cut(best_mask)
     exhaustive = comb(n_lam, a) <= exhaustive_limit
+
+    def walk(start: int, left: int, mask: int, score: int) -> None:
+        nonlocal best, best_mask
+        if left > 1:
+            for i in range(start, n_lam - left + 1):
+                gain = deg[i] - 2 * (adj[i] & mask).bit_count()
+                walk(i + 1, left - 1, mask | 1 << i, score + gain)
+            return
+        for i in range(start, n_lam):
+            s = score + deg[i] - 2 * (adj[i] & mask).bit_count()
+            if s > best:
+                best, best_mask = s, mask | 1 << i
+
     if exhaustive:
-        for combo in itertools.combinations(elems, a):
-            first = frozenset(combo)
-            score = crossing(first)
-            if best is None or score > best[0]:
-                best = (score, first)
+        walk(0, a, 0, 0)
     else:
-        for _ in range(trials):
-            combo = rng.sample(elems, a)
-            first = frozenset(combo)
-            score = crossing(first)
-            if best is None or score > best[0]:
-                best = (score, first)
+        for t in range(trials):
+            mask = sum(1 << index[x] for x in rng.sample(elems, a))  # distinct bits
+            s = cut(mask)
+            if t == 0 or s > best:
+                best, best_mask = s, mask
     if exhaustive and n_lam >= 2:
         # averaging guarantee: the best balanced split crosses at least
         # 2 a (L - a) / (L (L-1)) of the mass, which exceeds half of it
         m = len(q_elems)
-        if best[0] * n_lam * (n_lam - 1) < 2 * a * (n_lam - a) * m:
+        if best * n_lam * (n_lam - 1) < 2 * a * (n_lam - a) * m:
             raise AssertionError("best split below the averaging guarantee (bug)")
-    first = best[1]
-    lam1 = F2Set.from_bits(lam.dim, first)
-    lam2 = lam.difference(lam1)
-    return lam1, lam2, best[0], exhaustive
+    lam1 = F2Set(lam.dim, tuple(x for i, x in enumerate(elems) if best_mask >> i & 1))
+    return lam1, lam.difference(lam1), best, exhaustive
 
 
 def _bite_once(

@@ -70,6 +70,23 @@ def convolve_defn(f, g):
     return [sum(f[s] * g[x ^ s] for s in range(n)) for x in range(n)]
 
 
+def crossing_mass(pairs, first):
+    """Pairs (x, y) with exactly one member in the set `first`."""
+    return sum((x in first) != (y in first) for x, y in pairs)
+
+
+def best_balanced_split(pairs, halves):
+    """(score, first half) of the largest crossing mass over `halves`, scanned
+    in order; a later half replaces the best only on a strictly larger score."""
+    best = None
+    for half in halves:
+        first = frozenset(half)
+        score = crossing_mass(pairs, first)
+        if best is None or score > best[0]:
+            best = (score, first)
+    return best
+
+
 def subset_xor_hits(elems, k, forbidden):
     """All nonempty subsets of size <= k whose XOR lands in forbidden."""
     hits = []

@@ -259,6 +259,29 @@ def test_plant_extract_cli_roundtrip(tmp_path):
     assert res["rectangles"]
 
 
+@pytest.mark.parametrize(
+    "exc, code, prefix",
+    [
+        (AssertionError, 3, "internal invariant failed: "),
+        (f2lab.ExactnessError, 3, "internal invariant failed: "),
+        (RuntimeError, 3, "internal invariant failed: "),
+        (f2lab.BudgetError, 2, ""),  # a RuntimeError, but a refusal, not a bug
+    ],
+)
+def test_internal_invariant_failure_exit3(tmp_path, capsys, monkeypatch, exc, code, prefix):
+    def broken_split(*args):
+        raise exc("best split below the averaging guarantee (bug)")
+
+    monkeypatch.setattr(f2lab.inverse, "_best_split", broken_split)
+    q = write(tmp_path, "q.set", SET_PAIRS3)
+    lam = write(tmp_path, "lam.set", SET_BASIS3)
+    got, report = run_cli(["extract", "--q", q, "--lambda", lam, "--seed", "1"], tmp_path)
+    err = capsys.readouterr().err
+    assert (got, report) == (code, None)
+    assert "Traceback" not in err
+    assert json.loads(err) == {"error": prefix + "best split below the averaging guarantee (bug)"}
+
+
 def test_replay_identical(tmp_path):
     config = {"command": "bench", "theorem": "diss", "count": 5, "seed": 9}
     report, code = execute(config)

@@ -137,6 +137,18 @@ def test_parse_set_errors():
         parse_set("x\n10\n")
 
 
+@pytest.mark.parametrize(
+    "line, bad", [("1_01", "_"), ("+101", "+"), ("-101", "-"), ("10 1", " "), ("0a_1", "a")]
+)
+def test_parse_set_refuses_what_int_base2_accepts(line, bad):
+    # int(s, 2) takes underscores, a sign and surrounding spaces; set files do not
+    with pytest.raises(SetFileError) as err:
+        parse_set(f"4\n0001\n{line}\n")
+    assert str(err.value) == f"line 3: bad character {bad!r} in element string"
+    with pytest.raises(SetFileError):
+        string_to_bits(line)
+
+
 def test_bitstring_roundtrip_exhaustive_dim4():
     for bits in range(16):
         assert string_to_bits(bits_to_string(bits, 4)) == bits

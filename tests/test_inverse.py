@@ -1,8 +1,11 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from f2lab import bench
 from f2lab.bench import (
@@ -22,9 +25,12 @@ from f2lab.inverse import (
     extract_rectangles_d,
     extract_rectangles_pair,
     greedy_disjoint_supports,
+    _best_split,
     plant_instance,
     refine_connected,
 )
+
+from oracles import best_balanced_split, energy_tuples
 
 
 def test_refine_subgroup_no_step():
@@ -80,6 +86,21 @@ def test_refine_cardinality_guarantee():
         res = refine_connected(q, params)
         s = len(res.steps)
         assert len(res.result) * 2**s >= len(q)  # (1 - beta2)^s with beta2 = 1/2
+
+
+def test_refine_energy_cache_is_exact():
+    # one shared cache per k; in F_2^3 the "auto" rule takes the spectral
+    # route for the larger sets, elsewhere the brute one
+    rng = random.Random(3)
+    cases = ((2, 6, range(4, 11)), (2, 3, (6, 7, 8)), (3, 5, range(4, 8)), (3, 3, (5, 6, 7)))
+    for k, dim, sizes in cases:
+        cache: dict = {}
+        for size in sizes:
+            q = F2Set.from_bits(dim, rng.sample(range(1 << dim), size))
+            refine_connected(q, ConnectednessParams(k=k, sumset_arity=None), energy_cache=cache)
+        assert cache
+        for key, val in cache.items():
+            assert val == energy_tuples(key, k), (k, key)
 
 
 def test_refine_rejects_bad_params():
@@ -385,3 +406,52 @@ def test_extract_deterministic_under_seed():
     b = extract_rectangles_pair(inst.q, inst.lam, InverseParams(seed=12))
     assert a.rectangles == b.rectangles
     assert a.coverage == b.coverage
+
+
+def _split_matches_oracle(lam, pairs, exhaustive_limit, seed):
+    """_best_split against the frozenset scorer over the same halves: every
+    balanced split in `combinations` order, or the same 9 seeded draws."""
+    pair_of = dict(enumerate(pairs))  # the split reads Q only through pair_of
+    lam1, lam2, crossing, exhaustive = _best_split(
+        list(pair_of), pair_of, lam, 9, exhaustive_limit, random.Random(seed)
+    )
+    a = -(-len(lam) // 2)
+    rng = random.Random(seed)
+    want_exhaustive = comb(len(lam), a) <= exhaustive_limit
+    if want_exhaustive:
+        halves = itertools.combinations(lam.elems, a)
+    else:
+        halves = (rng.sample(lam.elems, a) for _ in range(9))
+    score, first = best_balanced_split(pairs, halves)
+    assert (lam1.elems, crossing, exhaustive) == (tuple(sorted(first)), score, want_exhaustive)
+    assert lam2.elems == tuple(x for x in lam.elems if x not in first)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_best_split_matches_frozenset_oracle(data):
+    n = data.draw(st.integers(min_value=1, max_value=14))
+    words = st.integers(min_value=1, max_value=(1 << 16) - 1)
+    elems = data.draw(st.sets(words, min_size=n, max_size=n))
+    lam = F2Set(16, tuple(sorted(elems)))
+    all_pairs = list(itertools.combinations(lam.elems, 2))
+    keep = data.draw(st.integers(min_value=0, max_value=(1 << len(all_pairs)) - 1))
+    pairs = [pq for i, pq in enumerate(all_pairs) if keep >> i & 1]
+    _split_matches_oracle(lam, pairs, 12870, data.draw(st.integers(0, 3)))
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_best_split_empty_and_complete_q(n):
+    # empty Q: every split scores 0; complete pair graph: every split ties
+    lam = random_dissociated(16, n, seed=n)
+    _split_matches_oracle(lam, [], 12870, 0)
+    _split_matches_oracle(lam, list(itertools.combinations(lam.elems, 2)), 12870, 0)
+
+
+@pytest.mark.parametrize("n", (4, 7, 10, 13, 14))
+def test_best_split_random_branch_replays_draws(n):
+    lam = random_dissociated(16, n, seed=n)
+    rng = random.Random(n)
+    pairs = rng.sample(list(itertools.combinations(lam.elems, 2)), n + 2)
+    for seed in range(3):
+        _split_matches_oracle(lam, pairs, 5, seed)
