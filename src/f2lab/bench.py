@@ -432,13 +432,12 @@ def check_bombieri(
     lam: Fraction,
     t: int,
     budget: int = 10**6,
-    seed: int = 0,
 ) -> BoundReport:
     """Some t of q subsets B_i of B with |B_i| >= lam |B| share at least
     (lam - t/q) C(q, t)^-1 |B| elements, for t <= lam q.
 
-    The largest t-fold intersection is searched exhaustively below `budget`
-    combinations, else by seeded greedy descent, whose miss is undecided.
+    The largest t-fold intersection comes from a branch and bound, exact up
+    to a node cap; a capped search that misses the bound is undecided.
     """
     start = time.perf_counter()
     q, size = len(subsets), len(universe)
@@ -452,10 +451,10 @@ def check_bombieri(
     if t > lam * q:
         return _precondition_failed(name, inst, start, "t > lam q")
     sets = [frozenset(b.elems) for b in subsets]
-    idx, inter, exhaustive = _best_common_intersection(sets, t, budget, random.Random(seed))
+    idx, inter, exhaustive = _best_common_intersection(sets, t, budget)
     bound = (lam - Fraction(t, q)) / comb(q, t) * size
     status = None if exhaustive or len(inter) >= bound else "undecided"
-    detail = f"sets={list(idx)} " + ("exhaustive" if exhaustive else "greedy")
+    detail = f"sets={list(idx)} " + ("exhaustive" if exhaustive else "node cap reached")
     return _finish(name, inst, len(inter), bound, "ge", start, detail, status)
 
 

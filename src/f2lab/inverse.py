@@ -254,54 +254,48 @@ def greedy_disjoint_supports(
 
 
 def _best_common_intersection(
-    sets: Sequence[frozenset],
-    t: int,
-    budget: int,
-    rng: Optional[random.Random],
+    sets: Sequence[frozenset], t: int, budget: int
 ) -> tuple[tuple[int, ...], frozenset, bool]:
-    """Indices of t sets maximizing the common intersection.
+    """Indices of t sets with the largest common intersection, and whether
+    that is proved maximal.
 
-    Exhaustive below `budget` combinations; otherwise greedy descent with
-    restarts driven by `rng`.  Ties go to the lexicographically first index
-    tuple.
+    A depth-first walk over index tuples in `combinations` order carries each
+    prefix's intersection.  Intersections only shrink, so a prefix no larger
+    than the best is not extended, and the best is replaced only on a strict
+    `>`: the answer is the lexicographically first maximiser.  After
+    t * budget nodes (prefixes) the walk stops and returns its best tuple, a
+    real witness, with the flag False.  It never stops while C(q, t) <= budget:
+    a node (i_1, ..., i_l) has i_l <= q - t + l, so it has a first completion
+    (..., i_l + 1, ..., i_l + t - l), and a t-tuple is the first completion
+    of at most its t prefixes, so there are at most t * C(q, t) nodes.
     """
     q = len(sets)
-    if not 1 <= t <= q:
-        raise ValueError("depth t out of range")
-    if comb(q, t) <= budget:
-        best_idx: Optional[tuple[int, ...]] = None
-        best_inter: frozenset = frozenset()
-        for combo in itertools.combinations(range(q), t):
-            inter = sets[combo[0]]
-            for i in combo[1:]:
-                inter = inter & sets[i]
-                if len(inter) <= len(best_inter):
-                    break
-            if best_idx is None or len(inter) > len(best_inter):
-                best_idx, best_inter = combo, inter
-        return best_idx, best_inter, True
-    if rng is None:
-        rng = random.Random(0)
-    best_idx = tuple(range(t))
-    best_inter = frozenset.intersection(*(sets[i] for i in best_idx))
-    for _ in range(8):
-        idx = sorted(rng.sample(range(q), t))
-        inter = frozenset.intersection(*(sets[i] for i in idx))
-        improved = True
-        while improved:
-            improved = False
-            for pos in range(t):
-                for cand in range(q):
-                    if cand in idx:
-                        continue
-                    trial = sorted(idx[:pos] + idx[pos + 1 :] + [cand])
-                    trial_inter = frozenset.intersection(*(sets[i] for i in trial))
-                    if len(trial_inter) > len(inter):
-                        idx, inter = trial, trial_inter
-                        improved = True
-        if len(inter) > len(best_inter):
-            best_idx, best_inter = tuple(idx), inter
-    return tuple(best_idx), best_inter, False
+    if not 1 <= t <= q or budget < 1:
+        raise ValueError("need 1 <= t <= q and budget >= 1")
+    best, best_idx, best_inter = -1, (), frozenset()
+    nodes_left = t * budget
+    prefix: list[int] = []
+    inters = [frozenset().union(*sets)]  # inters[l] meets prefix[:l]; l = 0: union
+    i = 0
+    while True:
+        inter = inters[-1]
+        if len(inter) <= best or i > q - t + len(prefix):
+            if not prefix:
+                return best_idx, best_inter, True
+            i = prefix.pop() + 1
+            inters.pop()
+            continue
+        if not nodes_left:
+            return best_idx, best_inter, False
+        nodes_left -= 1
+        cand = inter & sets[i]
+        if len(cand) > best:
+            if len(prefix) == t - 1:
+                best, best_idx, best_inter = len(cand), (*prefix, i), cand
+            else:
+                prefix.append(i)
+                inters.append(cand)
+        i += 1
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +394,8 @@ class InverseParams:
             raise ValueError("p must be >= 1")
         if not 0 < self.eta <= Fraction(1, 2):
             raise ValueError("eta must lie in (0, 1/2]")
+        if min(self.width, self.depth, self.rounds, self.split_trials) < 1:
+            raise ValueError("width, depth, rounds and split_trials must be >= 1")
 
     def reference_epsilon(self) -> Fraction:
         k1 = 2**13 * self.big_k
@@ -552,7 +548,7 @@ def _bite_once(
     best_rect = None
     best_score = None
     for depth in range(max(1, params.min_rows), min(params.depth, len(sets)) + 1):
-        idx, inter, _ = _best_common_intersection(sets, depth, 200_000, rng)
+        idx, inter, _ = _best_common_intersection(sets, depth, 200_000)
         if len(inter) < params.min_cols:
             continue
         score = (depth * len(inter), depth)

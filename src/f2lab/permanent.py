@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, prod
 from operator import add
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import BudgetError
 
@@ -120,7 +120,17 @@ class FKResult:
     zero_cols: tuple[int, ...]
 
 
-def _max_matching(rows: Sequence[Sequence[int]], x: int, y: int):
+def fk_zero_test(h: CombMatrix) -> FKResult:
+    """Decide per H = 0 via maximum matching; emit witness either way.
+
+    A matching that is not perfect is maximum, so augmenting again from each
+    unmatched row with one shared `seen` finds no path and marks exactly the
+    columns alternating paths reach.  The zero rows are the unmatched rows
+    and the matches of marked columns; the zero columns are the unmarked.
+    """
+    transposed = h.x > h.y
+    wide = h.transpose() if transposed else h
+    rows, x, y = wide.rows, wide.x, wide.y
     match_col = [-1] * y
 
     def augment(i: int, seen: list[bool]) -> bool:
@@ -132,20 +142,8 @@ def _max_matching(rows: Sequence[Sequence[int]], x: int, y: int):
                     return True
         return False
 
-    size = 0
-    for i in range(x):
-        if augment(i, [False] * y):
-            size += 1
-    return size, match_col
-
-
-def fk_zero_test(h: CombMatrix) -> FKResult:
-    """Decide per H = 0 via maximum matching; emit witness either way."""
-    transposed = h.x > h.y
-    wide = h.transpose() if transposed else h
-    x, y = wide.x, wide.y
-    size, match_col = _max_matching(wide.rows, x, y)
-    if size == x:
+    unmatched = [i for i in range(x) if not augment(i, [False] * y)]
+    if not unmatched:
         # sdr indexes the shorter side of the original matrix and maps it to
         # distinct indices of the longer side
         sdr = [0] * x
@@ -153,29 +151,11 @@ def fk_zero_test(h: CombMatrix) -> FKResult:
             if i >= 0:
                 sdr[i] = j
         return FKResult("positive", tuple(sdr), (), ())
-    # Koenig cover: alternating BFS from unmatched rows
-    match_row = [-1] * x
-    for j, i in enumerate(match_col):
-        if i >= 0:
-            match_row[i] = j
-    visited_rows = [False] * x
-    visited_cols = [False] * y
-    queue = [i for i in range(x) if match_row[i] < 0]
-    for i in queue:
-        visited_rows[i] = True
-    while queue:
-        nxt = []
-        for i in queue:
-            for j in range(y):
-                if wide.rows[i][j] and not visited_cols[j]:
-                    visited_cols[j] = True
-                    i2 = match_col[j]
-                    if i2 >= 0 and not visited_rows[i2]:
-                        visited_rows[i2] = True
-                        nxt.append(i2)
-        queue = nxt
-    zero_rows = tuple(i for i in range(x) if visited_rows[i])
-    zero_cols = tuple(j for j in range(y) if not visited_cols[j])
+    seen = [False] * y
+    for i in unmatched:
+        augment(i, seen)
+    zero_rows = tuple(sorted(unmatched + [match_col[j] for j in range(y) if seen[j]]))
+    zero_cols = tuple(j for j in range(y) if not seen[j])
     if transposed:
         zero_rows, zero_cols = zero_cols, zero_rows
     return FKResult("zero", None, zero_rows, zero_cols)

@@ -87,6 +87,18 @@ def best_balanced_split(pairs, halves):
     return best
 
 
+def best_common_intersection(sets, t):
+    """(indices, intersection) of the largest t-fold intersection, scanned in
+    `combinations` order; a later tuple replaces the best only on a strictly
+    larger intersection."""
+    best = None
+    for combo in itertools.combinations(range(len(sets)), t):
+        inter = frozenset.intersection(*(sets[i] for i in combo))
+        if best is None or len(inter) > len(best[1]):
+            best = (combo, inter)
+    return best
+
+
 def subset_xor_hits(elems, k, forbidden):
     """All nonempty subsets of size <= k whose XOR lands in forbidden."""
     hits = []

@@ -368,7 +368,7 @@ def test_replay_cli_file_flow(tmp_path):
     assert report["results"]["match"] is True
 
 
-def test_thread_count_does_not_change_results(tmp_path):
+def test_hash_seed_does_not_change_results(tmp_path):
     path = write(tmp_path, "basis3.set", SET_BASIS3)
     src = os.path.dirname(os.path.dirname(f2lab.__file__))
     blobs = []
@@ -407,11 +407,23 @@ def test_console_entrypoint_subprocess(tmp_path):
     assert json.loads(proc.stdout)["results"]["value"] == 21
 
 
-@pytest.mark.parametrize("params", ['{"bogus": 1}', "[1]", '{"epsilon": 3}', '{"width": "x"}'])
+@pytest.mark.parametrize(
+    "params", ['{"bogus": 1}', "[1]", '{"epsilon": 3}', '{"width": "x"}', '{"width": 0}']
+)
 def test_extract_bad_params_exit2(tmp_path, capsys, params):
     lam = write(tmp_path, "basis3.set", SET_BASIS3)
     q = write(tmp_path, "pairs.set", SET_PAIRS3)
     code, report = run_cli(["extract", "--q", q, "--lambda", lam, "--params", params], tmp_path)
+    assert code == 2 and report is None
+    assert "error" in json.loads(capsys.readouterr().err)
+
+
+def test_extract_d3_zero_split_trials_exit2(tmp_path, capsys):
+    lam = write(tmp_path, "basis3.set", SET_BASIS3)
+    q = write(tmp_path, "triple.set", "4\n1110\n")
+    params = '{"split_trials": 0}'
+    args = ["extract", "--q", q, "--lambda", lam, "--d", "3", "--params", params]
+    code, report = run_cli(args, tmp_path)
     assert code == 2 and report is None
     assert "error" in json.loads(capsys.readouterr().err)
 

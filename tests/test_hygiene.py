@@ -1,8 +1,9 @@
 """Static hygiene of the source and test trees.
 
-Neither pyflakes nor ruff is a dependency, so the unused-import and
-dead-definition checks are small AST scans here.  `__init__.py` files are
-skipped: their imports are the package's re-exports.
+Neither pyflakes nor ruff is a dependency, so the unused-import,
+unused-parameter and dead-definition checks are small AST scans here.
+The import and dead-definition scans skip `__init__.py` files: their
+imports are the package's re-exports.
 """
 
 import ast
@@ -50,6 +51,53 @@ def test_no_unused_imports_in_src_and_tests():
         for path in files
         if path.name != "__init__.py"
         and (names := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Parameters that their function's body never reads, as
+    "function:parameter"; `self` and `cls` are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        found += [
+            f"{name}:{a.arg} (line {a.lineno})"
+            for a in params
+            if a is not None and a.arg not in read and a.arg not in ("self", "cls")
+        ]
+    return found
+
+
+def test_unused_parameters_detector():
+    src = "def f(a, b, *c, d=1, **e):\n    def g(x):\n        return a + d\n    b = 2\n    return g\n"
+    src += "class K:\n    def m(self, y):\n        return y\n"
+    src += "h = lambda u, v: u\n"
+    assert unused_parameters(src) == [
+        "f:b (line 1)",
+        "f:c (line 1)",
+        "f:e (line 1)",
+        "g:x (line 2)",
+        "<lambda>:v (line 9)",
+    ]
+
+
+def test_no_unused_parameters_in_src():
+    found = {
+        str(path.relative_to(ROOT)): names
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if (names := unused_parameters(path.read_text(encoding="utf-8")))
     }
     assert found == {}
 

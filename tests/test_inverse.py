@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from f2lab import bench
@@ -25,12 +25,13 @@ from f2lab.inverse import (
     extract_rectangles_d,
     extract_rectangles_pair,
     greedy_disjoint_supports,
+    _best_common_intersection,
     _best_split,
     plant_instance,
     refine_connected,
 )
 
-from oracles import best_balanced_split, energy_tuples
+from oracles import best_balanced_split, best_common_intersection, energy_tuples
 
 
 def test_refine_subgroup_no_step():
@@ -149,21 +150,23 @@ def test_greedy_overlap_contract():
 
 
 def test_greedy_threshold_guarantees_full_width():
-    # when q >= 2 sigma*, the lemma promises the greedy returns w supports
+    # when q >= 2 sigma*, the lemma promises the greedy returns w supports;
+    # the equal blocks are the smallest whose transversals outnumber the
+    # threshold (at p = 4 that takes 0.19M to 2.8M transversals, so p <= 3)
     rng = random.Random(31)
     for _ in range(20):
-        p = rng.randint(2, 4)
+        p = rng.randint(2, 3)
         w = rng.randint(2, 4)
         zeta = Fraction(1, 2)
-        blocks = [list(range(100 * i, 100 * i + rng.randint(8, 14))) for i in range(p)]
-        sizes = [len(b) for b in blocks]
-        threshold = greedy_support_threshold(p, w, zeta, sizes, [1] * p)
+        size = 1
+        while size**p <= (threshold := greedy_support_threshold(p, w, zeta, [size] * p, [1] * p)):
+            size += 1
+        blocks = [list(range(100 * i, 100 * i + size)) for i in range(p)]
         # one element per block: all distinct transversals
         pool = list(itertools.product(*blocks))
         rng.shuffle(pool)
         q_count = int(threshold) + 1
-        if q_count > len(pool):
-            continue
+        assert q_count <= len(pool)
         supports = [frozenset(t) for t in pool[:q_count]]
         rep = check_greedy_support(supports, zeta, w, [frozenset(b) for b in blocks], [1] * p)
         assert rep.status == "holds" and rep.lhs == w, (p, w, threshold, q_count)
@@ -225,8 +228,61 @@ def test_bombieri_precondition_errors():
     assert (rep.status, rep.detail) == ("precondition-failed", "t > lam q")
 
 
+@st.composite
+def fiber_sets(draw):
+    """Up to 10 sets over 8 points, some drawn twice, and a depth t <= q."""
+    pool = draw(st.lists(st.frozensets(st.integers(0, 7)), min_size=1, max_size=10))
+    sets = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    return sets, draw(st.integers(1, len(sets)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fiber_sets())
+@example(([frozenset()] * 3, 2))
+@example(([frozenset({1, 2})] * 4 + [frozenset({1})], 3))
+def test_best_common_intersection_matches_scan(inst):
+    # budget C(q, t) is the smallest that the node-count proof covers
+    sets, t = inst
+    want = best_common_intersection(sets, t)
+    assert _best_common_intersection(sets, t, comb(len(sets), t)) == (*want, True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fiber_sets(), st.integers(1, 4))
+def test_capped_common_intersection_is_a_witness(inst, budget):
+    sets, t = inst
+    idx, inter, exact = _best_common_intersection(sets, t, budget)
+    assert len(set(idx)) == t and inter == frozenset.intersection(*(sets[i] for i in idx))
+    want = best_common_intersection(sets, t)
+    assert len(inter) <= len(want[1])
+    if exact:
+        assert (idx, inter) == want
+
+
+def test_common_intersection_node_cap():
+    # t * budget = 2 nodes reach only (0, 1); the maximum is (4, 5)
+    sets = [frozenset({i}) for i in range(4)] + [frozenset({9})] * 2
+    assert _best_common_intersection(sets, 2, 1) == ((0, 1), frozenset(), False)
+    assert best_common_intersection(sets, 2) == ((4, 5), frozenset({9}))
+    assert _best_common_intersection(sets, 2, comb(6, 2)) == ((4, 5), frozenset({9}), True)
+
+
+def test_bombieri_capped_witness():
+    # q = 6 halves of 8 points, t = 2: any common point reaches the bound 4/45
+    universe = F2Set(4, tuple(range(8)))
+    halves = [(0, 1, 2, 3), (4, 5, 6, 7), (0, 1, 4, 5), (2, 3, 6, 7), (0, 2, 4, 6), (1, 3, 5, 7)]
+    subsets = [F2Set(4, h) for h in halves]
+    rep = check_bombieri(universe, subsets, Fraction(1, 2), 2, budget=1)
+    assert (rep.lhs, rep.status, rep.detail) == (0, "undecided", "sets=[0, 1] node cap reached")
+    rep = check_bombieri(universe, subsets[1:] + subsets[:1], Fraction(1, 2), 2, budget=1)
+    assert (rep.lhs, rep.status, rep.detail) == (2, "holds", "sets=[0, 1] node cap reached")
+    rep = check_bombieri(universe, subsets, Fraction(1, 2), 2)
+    assert (rep.lhs, rep.rhs, rep.status) == (2, Fraction(4, 45), "holds")
+    assert rep.detail == "sets=[0, 2] exhaustive"
+
+
 def test_bombieri_search_outcomes_are_reported(monkeypatch):
-    # an exhaustive search below the bound is a violation; a greedy one is
+    # an exhaustive search below the bound is a violation; a capped one is
     # undecided unless it reaches the bound
     universe = F2Set(4, (1, 2, 4, 8))
     for exhaustive, status in ((True, "violated"), (False, "undecided")):

@@ -237,7 +237,7 @@ def test_spectrum_rows_format(tmp_path):
     assert out.read_text() == "r,coefficient\n00,1\n10,1\n01,1\n11,1\n"
 
 
-def test_threaded_wht_identical_to_serial():
+def test_wht_matches_naive_transform():
     rng = random.Random(5)
     vals = tuple(rng.randint(-9, 9) for _ in range(1 << 10))
     assert list(wht(IntFunction(10, vals)).values) == naive_wht(vals)
