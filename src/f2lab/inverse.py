@@ -62,34 +62,31 @@ class RefineStep:
 class RefineResult:
     result: F2Set
     steps: tuple[RefineStep, ...]
-    certified: bool  # final no-violation pass was exhaustive
-    step_bound_ok: Optional[bool]
+    certified: bool  # no window subset of the result violates
 
 
-def refine_connected(
-    q: F2Set,
-    params: ConnectednessParams,
-    energy_cache: Optional[dict] = None,
-) -> RefineResult:
+def refine_connected(q: F2Set, params: ConnectednessParams) -> RefineResult:
     """Iteratively delete energy-poor mid-sized subsets.
 
     A step fires on a subset B with beta1|Q| <= |B| <= beta2|Q| whose
     energy falls below the proportional share; the complement then strictly
-    increases the excess exponent D_k, which is asserted exactly.  Runs are
-    "certified" connected only when the final pass searched every window
-    subset (|Q| <= exhaustive_limit); larger sets get seeded random search
-    plus local moves and an honest best-effort tag.  `energy_cache` maps
-    sorted element tuples to T_k and may be shared across calls.
+    increases the excess exponent D_k, which is asserted exactly.  Every B
+    has T_k(B) >= |B|^k (the 2k-tuples whose second half repeats the first),
+    so window sizes at which even that floor meets the share cannot fire.
+    A pass with no size left ends the run "certified", at any |Q|; otherwise
+    it searches every window subset of the kept sizes when |Q| <=
+    exhaustive_limit (certified too), and larger sets get seeded random
+    search plus local moves and an honest best-effort tag.
     """
     k = params.k
-    store = energy_cache if energy_cache is not None else {}
+    memo: dict[tuple[int, ...], int] = {}
 
     def energy(elems: tuple[int, ...]) -> int:
-        val = store.get(elems)
+        val = memo.get(elems)
         if val is None:
             brute = _brute_preferred(len(elems), q.dim, k)  # the "auto" route
             val = _brute_energy(elems, k) if brute else additive_energy(F2Set(q.dim, elems), k)
-            store[elems] = val
+            memo[elems] = val
         return val
 
     rng = random.Random(params.seed)
@@ -98,33 +95,26 @@ def refine_connected(
     t_initial = t_cur
     m_initial = len(q)
     steps: list[RefineStep] = []
-    certified = False
     e = 2 * k
     while True:
         m = len(cur)
-        if m <= 2:
-            certified = True
-            break
         lo = max(1, -((-params.beta1.numerator * m) // params.beta1.denominator))
         hi = min(m - 1, (params.beta2.numerator * m) // params.beta2.denominator)
-        if lo > hi:
-            certified = True  # no admissible B: connected vacuously
-            break
         # B violates iff T_k(B) C_den^2k m^2k < C_num^2k |B|^2k T_k(Q),
         # i.e. T_k(B) * lhs_scale < rhs_base * |B|^2k
         lhs_scale = params.constant.denominator**e * m**e
         rhs_base = params.constant.numerator**e * t_cur
+        sizes = [s for s in range(lo, hi + 1) if s**k * lhs_scale < rhs_base * s**e]
+        if not sizes:
+            certified = True
+            break
         violation = None
         exhaustive = m <= params.exhaustive_limit
         if exhaustive:
-            cache_get = store.get
-            for size in range(lo, hi + 1):
+            for size in sizes:
                 rhs_size = rhs_base * size**e
                 for combo in itertools.combinations(cur.elems, size):
-                    t_b = cache_get(combo)
-                    if t_b is None:
-                        t_b = energy(combo)
-                    if t_b * lhs_scale < rhs_size:
+                    if energy(combo) * lhs_scale < rhs_size:
                         violation = combo
                         break
                 if violation is not None:
@@ -161,14 +151,11 @@ def refine_connected(
     b2 = params.beta2
     if len(cur) * b2.denominator**s < (b2.denominator - b2.numerator) ** s * m_initial:
         raise AssertionError("cardinality guarantee violated")
-    step_bound_ok: Optional[bool] = None
-    if params.sumset_arity is not None:
-        step_bound_ok = _step_bound_holds(
-            s, k, params.sumset_arity, params.beta1, params.constant, t_initial, m_initial
-        )
-        if not step_bound_ok:
-            raise AssertionError("step-count bound violated")
-    return RefineResult(cur, tuple(steps), certified, step_bound_ok)
+    if params.sumset_arity is not None and not _step_bound_holds(
+        s, k, params.sumset_arity, params.beta1, params.constant, t_initial, m_initial
+    ):
+        raise AssertionError("step-count bound violated")
+    return RefineResult(cur, tuple(steps), certified)
 
 
 def _local_descent(start, cur, energy, lhs_scale, rhs_base, params, rng):
@@ -182,9 +169,7 @@ def _local_descent(start, cur, energy, lhs_scale, rhs_base, params, rng):
 
     cur_margin = margin(b)
     for _ in range(max(8, params.search_budget // 8)):
-        if cur_margin < 0:
-            return tuple(sorted(b))
-        if not outside:
+        if cur_margin < 0 or not outside:
             break
         i = rng.randrange(len(b))
         j = rng.randrange(len(outside))
@@ -194,7 +179,7 @@ def _local_descent(start, cur, energy, lhs_scale, rhs_base, params, rng):
             cur_margin = new_margin
         else:
             b[i], outside[j] = outside[j], b[i]
-    return None
+    return tuple(sorted(b)) if cur_margin < 0 else None
 
 
 def _step_bound_holds(
@@ -206,10 +191,9 @@ def _step_bound_holds(
     is equivalent, clearing logs, to
     (1 + beta1(1-4C))^(sk) * T_k(Q0) <= d^(8d) * k^(kd) * |Q0|^k.
     """
-    x = 1 + beta1 * (1 - 4 * c)
-    lhs = Fraction(x.numerator, x.denominator) ** (s * k) * t0
+    x = 1 + beta1 * (1 - 4 * c)  # a Fraction, so its denominator is positive
     rhs = d ** (8 * d) * k ** (k * d) * m0**k
-    return lhs <= rhs
+    return x.numerator ** (s * k) * t0 <= rhs * x.denominator ** (s * k)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +378,8 @@ class InverseParams:
             raise ValueError("p must be >= 1")
         if not 0 < self.eta <= Fraction(1, 2):
             raise ValueError("eta must lie in (0, 1/2]")
+        if self.big_k <= 0:
+            raise ValueError("big_k must be positive")
         if min(self.width, self.depth, self.rounds, self.split_trials) < 1:
             raise ValueError("width, depth, rounds and split_trials must be >= 1")
 
@@ -498,7 +484,6 @@ def _bite_once(
     params: InverseParams,
     rng: random.Random,
     trace: list,
-    energy_store: dict,
 ) -> Optional[Rectangle]:
     """One split + fiber + support + intersection pass; returns a rectangle
     with all points inside `remaining`, or None."""
@@ -511,7 +496,7 @@ def _bite_once(
             sumset_arity=2,
             seed=rng.randrange(1 << 30),
         )
-        work = refine_connected(work, conn, energy_cache=energy_store).result
+        work = refine_connected(work, conn).result
     lam1, lam2, crossing, split_exhaustive = _best_split(
         list(work.elems), pair_of, lam, params.split_trials, params.split_exhaustive_limit, rng
     )
@@ -599,7 +584,6 @@ def extract_rectangles_pair(
     remaining = set(q.elems)
     rects: list[Rectangle] = []
     trace: list[dict] = []
-    energy_store: dict = {}
     stalls = 0
     q_size = len(q)
     for round_no in range(params.rounds):
@@ -608,7 +592,7 @@ def extract_rectangles_pair(
         covered_frac = Fraction(q_size - len(remaining), q_size) if q_size else Fraction(1)
         if covered_frac >= params.coverage_target:
             break
-        rect = _bite_once(remaining, lam, pair_of, params, rng, trace, energy_store)
+        rect = _bite_once(remaining, lam, pair_of, params, rng, trace)
         if rect is None:
             stalls += 1
             if stalls >= params.stall_limit:

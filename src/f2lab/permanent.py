@@ -130,16 +130,29 @@ def fk_zero_test(h: CombMatrix) -> FKResult:
     """
     transposed = h.x > h.y
     wide = h.transpose() if transposed else h
-    rows, x, y = wide.rows, wide.x, wide.y
+    x, y = wide.x, wide.y
+    nonzero = [[j for j, v in enumerate(row) if v] for row in wide.rows]
     match_col = [-1] * y
 
-    def augment(i: int, seen: list[bool]) -> bool:
-        for j in range(y):
-            if rows[i][j] and not seen[j]:
-                seen[j] = True
-                if match_col[j] < 0 or augment(match_col[j], seen):
-                    match_col[j] = i
-                    return True
+    def augment(root: int, seen: list[bool]) -> bool:
+        # depth-first over alternating paths, kept on a stack of (the column
+        # that reached a row, the row's walk over its nonzero columns)
+        stack = [(-1, iter(nonzero[root]))]
+        while stack:
+            for j in stack[-1][1]:
+                if not seen[j]:
+                    break
+            else:
+                stack.pop()
+                continue
+            seen[j] = True
+            if match_col[j] >= 0:
+                stack.append((j, iter(nonzero[match_col[j]])))
+                continue
+            for c, _ in reversed(stack):  # each column on the path takes its row
+                match_col[j] = match_col[c] if c >= 0 else root
+                j = c
+            return True
         return False
 
     unmatched = [i for i in range(x) if not augment(i, [False] * y)]

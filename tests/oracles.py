@@ -7,6 +7,8 @@ dumb; nothing imports the fast paths it is used to check.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from fractions import Fraction
 from functools import reduce
 
 
@@ -41,14 +43,33 @@ def butterfly_wht(values):
 
 def energy_tuples(elems, k):
     """T_k by full enumeration of 2k-tuples (ordered)."""
-    count = 0
-    for left in itertools.product(elems, repeat=k):
-        sl = reduce(lambda a, b: a ^ b, left, 0)
-        for right in itertools.product(elems, repeat=k):
-            sr = reduce(lambda a, b: a ^ b, right, 0)
-            if sl == sr:
-                count += 1
-    return count
+    sums = [reduce(lambda a, b: a ^ b, half, 0) for half in itertools.product(elems, repeat=k)]
+    return sum(1 for sl in sums for sr in sums if sl == sr)
+
+
+def energy_sum_counts(elems, k):
+    """T_k as the sum of r(x)^2, r(x) counting the ordered k-tuples with XOR x."""
+    sums = [0]
+    for _ in range(k):
+        sums = [s ^ a for s in sums for a in elems]
+    return sum(c * c for c in Counter(sums).values())
+
+
+def first_violating_window(elems, k, beta1, beta2, constant):
+    """First B, by size and then in `combinations` order, with
+    beta1 |Q| <= |B| <= beta2 |Q|, |B| < |Q| and
+    T_k(B) < C^2k (|B| / |Q|)^2k T_k(Q), in rational arithmetic; None if no
+    window subset of Q = elems violates."""
+    m = len(elems)
+    t_q = energy_sum_counts(elems, k)
+    for size in range(1, m):
+        if not beta1 * m <= size <= beta2 * m:
+            continue
+        share = (constant * Fraction(size, m)) ** (2 * k) * t_q
+        for combo in itertools.combinations(elems, size):
+            if energy_sum_counts(combo, k) < share:
+                return combo
+    return None
 
 
 def energy_tuples_multiset(set_list):

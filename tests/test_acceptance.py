@@ -254,22 +254,20 @@ def test_criterion_07_sophisticated_bound():
 
 
 def test_criterion_08_connectedness_certification():
-    """Exhaustive certification for every Q with 3 <= |Q| <= 12 inside the
-    2-fold sumset of a 6-element dissociated set; fired steps must raise
-    D_k exactly and respect the step-count bound (enforced in-module)."""
+    """Certification for every Q with 3 <= |Q| <= 12 inside the 2-fold
+    sumset of a 6-element dissociated set; fired steps must raise D_k
+    exactly and respect the step-count bound (enforced in-module)."""
     start = time.perf_counter()
     lam = F2Set(6, (1, 2, 4, 8, 16, 32))
     ground = distinct_sumset_power(lam, 2)
     assert len(ground) == 15
     params = ConnectednessParams(k=2, sumset_arity=2)
-    cache: dict = {}
     total = 0
     fired = 0
     for size in range(3, 13):
         for combo in itertools.combinations(ground.elems, size):
-            res = refine_connected(F2Set(6, combo), params, energy_cache=cache)
+            res = refine_connected(F2Set(6, combo), params)
             assert res.certified, combo
-            assert res.step_bound_ok is not False
             total += 1
             fired += len(res.steps)
             for step in res.steps:

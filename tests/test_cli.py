@@ -20,7 +20,7 @@ from f2lab.cli import (
     run_config,
 )
 from f2lab.bench import FAMILIES
-from f2lab.core import bits_to_string, parse_set
+from f2lab.core import F2Set, bits_to_string, parse_set, serialize_set
 from f2lab.permanent import parse_matrix
 
 from oracles import naive_wht
@@ -408,7 +408,16 @@ def test_console_entrypoint_subprocess(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "params", ['{"bogus": 1}', "[1]", '{"epsilon": 3}', '{"width": "x"}', '{"width": 0}']
+    "params",
+    [
+        '{"bogus": 1}',
+        "[1]",
+        '{"epsilon": 3}',
+        '{"width": "x"}',
+        '{"width": 0}',
+        '{"big_k": "0"}',
+        '{"big_k": "-1"}',
+    ],
 )
 def test_extract_bad_params_exit2(tmp_path, capsys, params):
     lam = write(tmp_path, "basis3.set", SET_BASIS3)
@@ -426,6 +435,48 @@ def test_extract_d3_zero_split_trials_exit2(tmp_path, capsys):
     code, report = run_cli(args, tmp_path)
     assert code == 2 and report is None
     assert "error" in json.loads(capsys.readouterr().err)
+
+
+def test_extract_d3_cli_rectangle_inside_q_and_replays(tmp_path):
+    # a 3 x 3 rectangle behind the prefix e_0, plus a few other 3-sums, all
+    # inside the 3-fold distinct sumset of the basis of F_2^9
+    dim = 9
+    basis = [1 << i for i in range(dim)]
+    q_elems = {1 ^ r ^ c for r in basis[1:4] for c in basis[4:7]}
+    q_elems |= {basis[6] ^ basis[7] ^ basis[8], basis[2] ^ basis[5] ^ basis[8]}
+    q = write(tmp_path, "q.set", serialize_set(F2Set.from_bits(dim, q_elems)))
+    lam = write(tmp_path, "lam.set", serialize_set(F2Set.from_bits(dim, basis)))
+    out = str(tmp_path / "report.json")
+    args = ["extract", "--q", q, "--lambda", lam, "--d", "3", "--seed", "1", "--report", out]
+    code, report = run_cli(args, tmp_path)
+    assert code == 0
+    rect = report["results"]["rectangle"]
+    assert rect is not None and len(rect["prefix"]) == 1
+    shift = parse_set(f"{dim}\n" + "\n".join(rect["prefix"]) + "\n").elems[0]
+    rows = parse_set(f"{dim}\n" + "\n".join(rect["rows"]) + "\n").elems
+    cols = parse_set(f"{dim}\n" + "\n".join(rect["cols"]) + "\n").elems
+    assert rows and cols
+    assert {shift ^ r ^ c for r in rows for c in cols} <= q_elems
+    code, replayed = run_cli(["replay", out], tmp_path)
+    assert code == 0 and replayed["results"]["match"] is True
+
+
+def test_fk_cli_long_augmenting_path(tmp_path):
+    # ones at (i, i) and (i, i - 1): augmenting from row i walks back
+    # through every earlier row, a path longer than the recursion limit
+    n = 1100
+    lines = [f"{n} {n}"]
+    for i in range(n):
+        row = ["0"] * n
+        row[i] = "1"
+        if i:
+            row[i - 1] = "1"
+        lines.append(" ".join(row))
+    path = write(tmp_path, "band.mat", "\n".join(lines) + "\n")
+    code, report = run_cli(["fk-test", "--matrix", path], tmp_path)
+    assert code == 0
+    assert report["results"]["verdict"] == "positive"
+    assert report["results"]["sdr"] == list(range(n))
 
 
 def test_extract_params_overrides_resolved(tmp_path):

@@ -16,7 +16,7 @@ from f2lab.bench import (
 )
 from f2lab.core import F2Set, distinct_sumset_power
 from f2lab.dissociation import random_dissociated
-from f2lab.energy import additive_energy
+from f2lab.energy import _brute_preferred, additive_energy
 from f2lab.inverse import (
     ConnectednessParams,
     FiberDecomposition,
@@ -31,7 +31,13 @@ from f2lab.inverse import (
     refine_connected,
 )
 
-from oracles import best_balanced_split, best_common_intersection, energy_tuples
+from oracles import (
+    best_balanced_split,
+    best_common_intersection,
+    energy_sum_counts,
+    energy_tuples,
+    first_violating_window,
+)
 
 
 def test_refine_subgroup_no_step():
@@ -48,13 +54,11 @@ def test_refine_exhaustive_certification_small_sumsets():
     lam = F2Set(6, (1, 2, 4, 8, 16, 32))
     ground = distinct_sumset_power(lam, 2)
     rng = random.Random(1)
-    cache: dict = {}
     for _ in range(40):
         size = rng.randint(3, 10)
         q = F2Set.from_bits(6, rng.sample(ground.elems, size))
-        res = refine_connected(q, ConnectednessParams(k=2, sumset_arity=2), energy_cache=cache)
+        res = refine_connected(q, ConnectednessParams(k=2, sumset_arity=2))
         assert res.certified
-        assert res.step_bound_ok is not False
         for step in res.steps:
             assert step.energy_after * step.size_before**2 > step.energy_before * (
                 step.size_before - step.removed
@@ -62,7 +66,7 @@ def test_refine_exhaustive_certification_small_sumsets():
 
 
 def test_refine_rectangle_plus_singleton_stays_connected():
-    # Exhaustive search confirms that no subset in the window violates the
+    # The refinement confirms that no subset in the window violates the
     # proportional-energy inequality even for a product chunk plus a far
     # singleton: with the constant at 1/8 the threshold C^(2k)(b/m)^(2k)T_k
     # sits below the unavoidable diagonal energy of any candidate B, so the
@@ -89,19 +93,108 @@ def test_refine_cardinality_guarantee():
         assert len(res.result) * 2**s >= len(q)  # (1 - beta2)^s with beta2 = 1/2
 
 
-def test_refine_energy_cache_is_exact():
-    # one shared cache per k; in F_2^3 the "auto" rule takes the spectral
-    # route for the larger sets, elsewhere the brute one
-    rng = random.Random(3)
-    cases = ((2, 6, range(4, 11)), (2, 3, (6, 7, 8)), (3, 5, range(4, 8)), (3, 3, (5, 6, 7)))
-    for k, dim, sizes in cases:
-        cache: dict = {}
-        for size in sizes:
-            q = F2Set.from_bits(dim, rng.sample(range(1 << dim), size))
-            refine_connected(q, ConnectednessParams(k=k, sumset_arity=None), energy_cache=cache)
-        assert cache
-        for key, val in cache.items():
-            assert val == energy_tuples(key, k), (k, key)
+def test_refine_fired_steps_match_energy_oracle():
+    # Q = a subgroup of 8 plus a few far points; at C = 1 with a window reaching
+    # 3/4 or 7/8 of Q the exhaustive search removes the far points.  k = 3
+    # takes the spectral route for Q and the brute one for what is left.
+    fired = 0
+    routes = set()
+    cases = (
+        (2, 5, Fraction(5, 8), Fraction(7, 8), 12, 30),
+        (3, 4, Fraction(1, 4), Fraction(3, 4), 10, 8),
+        (3, 5, Fraction(1, 4), Fraction(3, 4), 10, 8),
+    )
+    for k, dim, beta1, beta2, max_size, runs in cases:
+        rng = random.Random(10 * k + dim)
+        params = ConnectednessParams(
+            k=k, beta1=beta1, beta2=beta2, constant=Fraction(1), sumset_arity=None
+        )
+        for _ in range(runs):
+            extras = rng.sample(range(8, 1 << dim), rng.randint(1, max_size - 8))
+            q = F2Set.from_bits(dim, [*range(8), *extras])
+            res = refine_connected(q, params)
+            assert res.certified
+            if not res.steps:
+                continue
+            fired += len(res.steps)
+            assert res.steps[0].energy_before == energy_tuples(q.elems, k)
+            assert res.steps[-1].energy_after == energy_tuples(res.result.elems, k)
+            for step, nxt in zip(res.steps, res.steps[1:]):
+                assert step.energy_after == nxt.energy_before
+            for step in res.steps:
+                routes.add(_brute_preferred(step.size_before, dim, k))
+                routes.add(_brute_preferred(step.size_before - step.removed, dim, k))
+    assert fired >= 40
+    assert routes == {True, False}
+
+
+def test_local_descent_keeps_a_violation_found_on_its_last_swap():
+    # the sampled windows all keep their share; the descent's final swap
+    # is the one that crosses below it
+    q = F2Set.from_bits(9, [*range(32), 100, 117, 135, 180, 186, 254, 277, 283, 298,
+                            359, 360, 375, 410, 413, 422, 473, 475])
+    params = ConnectednessParams(
+        k=2, constant=Fraction(1), sumset_arity=None, seed=187, search_budget=64
+    )
+    res = refine_connected(q, params)
+    assert [(s.size_before, s.removed) for s in res.steps] == [(49, 24)]
+    assert len(res.result) == 25 and not res.certified
+
+
+WINDOWS = (
+    (Fraction(1, 4), Fraction(1, 2)),
+    (Fraction(1, 4), Fraction(3, 4)),
+    (Fraction(1, 2), Fraction(7, 8)),
+    (Fraction(3, 4), Fraction(7, 8)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dim=st.integers(4, 6),
+    h=st.integers(2, 3),
+    extras=st.lists(st.integers(0, 63), max_size=10, unique=True),
+    k=st.sampled_from((2, 3)),
+    constant=st.sampled_from((Fraction(1, 8), Fraction(1, 2), Fraction(1))),
+    window=st.sampled_from(WINDOWS),
+    exhaustive=st.booleans(),
+    seed=st.integers(0, 99),
+)
+@example(dim=4, h=3, extras=[8, 9], k=3, constant=Fraction(1), window=WINDOWS[1],
+         exhaustive=True, seed=0)
+@example(dim=5, h=3, extras=[9, 17, 18, 20], k=2, constant=Fraction(1), window=WINDOWS[3],
+         exhaustive=True, seed=0)
+def test_refine_agrees_with_window_oracle(dim, h, extras, k, constant, window, exhaustive, seed):
+    # certified: no window subset of the result violates; searched
+    # exhaustively: the first step removes the oracle's first violation
+    pts = sorted({*range(1 << h), *(x % (1 << dim) for x in extras)})[:12]
+    q = F2Set(dim, tuple(pts))
+    beta1, beta2 = window
+    params = ConnectednessParams(
+        k=k,
+        beta1=beta1,
+        beta2=beta2,
+        constant=constant,
+        search_budget=16,
+        exhaustive_limit=12 if exhaustive else 2,
+        sumset_arity=None,
+        seed=seed,
+    )
+    res = refine_connected(q, params)
+    if res.certified:
+        assert first_violating_window(res.result.elems, k, beta1, beta2, constant) is None
+    if exhaustive:
+        bad = first_violating_window(q.elems, k, beta1, beta2, constant)
+        if bad is None:
+            assert res.steps == () and res.certified
+        else:
+            rest = tuple(x for x in q.elems if x not in bad)
+            first = res.steps[0]
+            assert (first.size_before, first.removed) == (len(q), len(bad))
+            assert (first.energy_before, first.energy_after) == (
+                energy_sum_counts(q.elems, k),
+                energy_sum_counts(rest, k),
+            )
 
 
 def test_refine_rejects_bad_params():
