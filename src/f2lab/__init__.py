@@ -47,6 +47,6 @@ from .permanent import (
     permanent,
     reduced_permanent_check,
 )
-from .wht import IntFunction, SpectrumTable, inverse_wht, large_spectrum, spectrum_of_set, wht
+from .wht import IntFunction, inverse_wht, large_spectrum, spectrum_of_set, wht
 
 __version__ = "0.1.0"

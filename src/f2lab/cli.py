@@ -34,11 +34,11 @@ from .core import (
     serialize_set,
 )
 from .dissociation import FamilySpec, in_family
-from .energy import energy_report
+from .energy import additive_energy
 from .exact import ExactnessError
 from .inverse import InverseParams, extract_rectangles_d, extract_rectangles_pair, plant_instance
 from .permanent import fk_zero_test, parse_matrix, permanent, reduced_permanent_check
-from .wht import SpectrumTable, check_alpha, large_spectrum_from_table, spectrum_of_set
+from .wht import IntFunction, check_alpha, large_spectrum_from_table, spectrum_of_set
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -151,18 +151,19 @@ def _cmd_energy(config: dict) -> Outcome:
     k = config["k"]
     method = config.get("method", "all")
     methods = ("brute", "spectral", "conv") if method == "all" else (method,)
-    rep = energy_report(a, k, methods)
+    values = {m: additive_energy(a, k, method=m) for m in methods}
+    agree = len(set(values.values())) == 1
     results = {
-        "value": next(iter(rep.values.values())),
-        "methods": dict(rep.values),
-        "agree": rep.agree,
+        "value": values[methods[0]],
+        "methods": values,
+        "agree": agree,
         "k": k,
-        "set_size": rep.set_size,
+        "set_size": len(a),
     }
-    return Outcome(results, 0 if rep.agree else 1)
+    return Outcome(results, 0 if agree else 1)
 
 
-def _spectrum_csv(table: SpectrumTable):
+def _spectrum_csv(table: IntFunction):
     """The CSV dump, one chunk per high half-word t: r = t 2^low + l is named lo[l] + hi[t]."""
     low = table.dim // 2
     lo = [bits_to_string(x, low) for x in range(1 << low)]

@@ -8,16 +8,14 @@ moment sum by N, which would only fail on an implementation bug.
 
 from __future__ import annotations
 
-import time
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import combinations, starmap
 from operator import xor
 from typing import Sequence
 
 from .core import BudgetError, DimensionError, F2Set
 from .exact import ExactnessError
-from .wht import IntFunction, SpectrumTable, inverse_wht, spectrum_of_set, wht
+from .wht import IntFunction, inverse_wht, spectrum_of_set, wht
 
 BRUTE_BUDGET = 10**8
 
@@ -34,32 +32,22 @@ def _tuple_sum_counts(elems: Sequence[int], j: int) -> dict[int, int]:
     return counts
 
 
-def _brute_fits(size: int, k: int, budget: int = BRUTE_BUDGET) -> bool:
-    return size**k <= budget
-
-
 def _brute_preferred(size: int, dim: int, k: int) -> bool:
     spectral_cost = (1 << dim) * (dim + 2 * k)
     brute_cost = size ** ((k + 1) // 2) * (size + 4)
-    return brute_cost < spectral_cost and _brute_fits(size, k)
+    return brute_cost < spectral_cost and size**k <= BRUTE_BUDGET
 
 
 def energy_bruteforce(a: F2Set, k: int, budget: int = BRUTE_BUDGET) -> int:
-    """T_k by counting k-tuples of partial sums."""
+    """T_k = sum_x r(x)^2, r(x) counting the ordered k-tuples of A with XOR x."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not _brute_fits(len(a), k, budget):
+    if len(a) ** k > budget:
         raise BudgetError(f"|A|^k = {len(a) ** k} exceeds budget {budget}")
-    return _brute_energy(a.elems, k)
-
-
-def _brute_energy(elems: Sequence[int], k: int) -> int:
-    """T_k = sum_x r(x)^2, r(x) counting the ordered k-tuples of the distinct
-    words `elems` with XOR x; no checks."""
     if k == 2:  # r(0) = |A|; any other r(x) is twice its count of unordered pairs
-        pairs = Counter(starmap(xor, combinations(elems, 2)))
-        return len(elems) ** 2 + 4 * sum(c * c for c in pairs.values())
-    return sum(c * c for c in _tuple_sum_counts(elems, k).values())
+        pairs = Counter(starmap(xor, combinations(a.elems, 2)))
+        return len(a) ** 2 + 4 * sum(c * c for c in pairs.values())
+    return sum(c * c for c in _tuple_sum_counts(a.elems, k).values())
 
 
 def energy_spectral(a: F2Set, k: int) -> int:
@@ -70,7 +58,7 @@ def energy_spectral(a: F2Set, k: int) -> int:
     return _spectral_moment(table, k)
 
 
-def _spectral_moment(table: SpectrumTable, k: int) -> int:
+def _spectral_moment(table: IntFunction, k: int) -> int:
     n = 1 << table.dim
     total = sum(v ** (2 * k) for v in table.values)
     q, r = divmod(total, n)
@@ -89,8 +77,6 @@ def additive_energy(a: F2Set, k: int, method: str = "auto") -> int:
     """T_k(A) by the requested route ("auto" picks the cheaper exact one,
     and the brute route only within its budget)."""
     if method == "auto":
-        if len(a) == 0:
-            return 0
         method = "brute" if _brute_preferred(len(a), a.dim, k) else "spectral"
     if method == "brute":
         return energy_bruteforce(a, k)
@@ -99,24 +85,6 @@ def additive_energy(a: F2Set, k: int, method: str = "auto") -> int:
     if method == "conv":
         return energy_convolution(a, k)
     raise ValueError(f"unknown energy method {method!r}")
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Values per method plus agreement flag and timings."""
-
-    k: int
-    set_size: int
-    values: dict
-    agree: bool
-    runtime: float
-
-
-def energy_report(a: F2Set, k: int, methods: Sequence[str] = ("brute", "spectral", "conv")) -> EnergyReport:
-    start = time.perf_counter()
-    values = {m: additive_energy(a, k, method=m) for m in methods}
-    agree = len(set(values.values())) <= 1
-    return EnergyReport(k, len(a), values, agree, time.perf_counter() - start)
 
 
 def energy_multiset(sets: Sequence[F2Set]) -> int:
@@ -149,7 +117,7 @@ def convolve(f: IntFunction, g: IntFunction) -> IntFunction:
         raise DimensionError("convolution needs equal dimensions")
     fh = wht(f)
     gh = wht(g)
-    prod = SpectrumTable(f.dim, tuple(x * y for x, y in zip(fh.values, gh.values)))
+    prod = IntFunction(f.dim, tuple(x * y for x, y in zip(fh.values, gh.values)))
     return inverse_wht(prod)
 
 
@@ -158,7 +126,7 @@ def conv_power(f: IntFunction, k: int) -> IntFunction:
     if k < 1:
         raise ValueError("k must be >= 1")
     fh = wht(f)
-    powered = SpectrumTable(f.dim, tuple(v**k for v in fh.values))
+    powered = IntFunction(f.dim, tuple(v**k for v in fh.values))
     return inverse_wht(powered)
 
 

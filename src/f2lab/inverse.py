@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .core import BudgetError, F2Set, subset_sums
 from .dissociation import FamilySpec, in_family, random_dissociated
-from .energy import _brute_energy, _brute_preferred, additive_energy, energy_excess_compare
+from .energy import additive_energy, energy_excess_compare
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +84,7 @@ def refine_connected(q: F2Set, params: ConnectednessParams) -> RefineResult:
     def energy(elems: tuple[int, ...]) -> int:
         val = memo.get(elems)
         if val is None:
-            brute = _brute_preferred(len(elems), q.dim, k)  # the "auto" route
-            val = _brute_energy(elems, k) if brute else additive_energy(F2Set(q.dim, elems), k)
-            memo[elems] = val
+            val = memo[elems] = additive_energy(F2Set(q.dim, elems), k)
         return val
 
     rng = random.Random(params.seed)
@@ -382,6 +380,10 @@ class InverseParams:
             raise ValueError("big_k must be positive")
         if min(self.width, self.depth, self.rounds, self.split_trials) < 1:
             raise ValueError("width, depth, rounds and split_trials must be >= 1")
+        if self.epsilon <= 0 or self.zeta <= 0:
+            raise ValueError("epsilon and zeta must be positive")
+        if min(self.min_rows, self.min_cols) < 1:
+            raise ValueError("min_rows and min_cols must be >= 1")
 
     def reference_epsilon(self) -> Fraction:
         k1 = 2**13 * self.big_k
@@ -396,7 +398,6 @@ class ExtractionReport:
     coverage: Fraction
     family_status: str
     trace: tuple[dict, ...]
-    params: InverseParams
     warnings: tuple[str, ...]
 
 
@@ -532,7 +533,7 @@ def _bite_once(
     sets = [frozenset(fiber_of[lam_]) for lam_ in candidate_rows]
     best_rect = None
     best_score = None
-    for depth in range(max(1, params.min_rows), min(params.depth, len(sets)) + 1):
+    for depth in range(params.min_rows, min(params.depth, len(sets)) + 1):
         idx, inter, _ = _best_common_intersection(sets, depth, 200_000)
         if len(inter) < params.min_cols:
             continue
@@ -607,7 +608,7 @@ def extract_rectangles_pair(
     covered = q_size - len(remaining)
     coverage = Fraction(covered, q_size) if q_size else Fraction(1)
     return ExtractionReport(
-        tuple(rects), covered, q_size, coverage, fam.status, tuple(trace), params, tuple(warnings)
+        tuple(rects), covered, q_size, coverage, fam.status, tuple(trace), tuple(warnings)
     )
 
 
@@ -617,7 +618,6 @@ class PrefixExtractionReport:
     prefix: tuple[int, ...]
     excess_found: bool
     trace: tuple[dict, ...]
-    params: InverseParams
     warnings: tuple[str, ...]
 
 
@@ -647,7 +647,7 @@ def extract_rectangles_d(
     if d == 2:
         rep = extract_rectangles_pair(q, lam, params)
         rect = max(rep.rectangles, key=lambda r: (r.area(),), default=None)
-        return PrefixExtractionReport(rect, (), True, rep.trace, params, rep.warnings)
+        return PrefixExtractionReport(rect, (), True, rep.trace, rep.warnings)
     warnings = []
     fam = in_family(lam, FamilySpec.zero(2 * d * params.p, lam.dim))
     if fam.status != "true":
@@ -680,7 +680,7 @@ def extract_rectangles_d(
             by_prefix.setdefault(aligned[: d - 2], []).append(qq)
     if not by_prefix:
         trace.append({"stage": "prefix", "note": "no aligned points"})
-        return PrefixExtractionReport(None, (), False, tuple(trace), params, tuple(warnings))
+        return PrefixExtractionReport(None, (), False, tuple(trace), tuple(warnings))
     m_cor = 2**13 * (8 * params.big_k) ** (d - 1)
     candidates = []
     for pref, pts in by_prefix.items():
@@ -709,9 +709,7 @@ def extract_rectangles_d(
         rect = Rectangle(tuple(pref), best.rows, best.cols)
         if not rect.points() <= set(q.elems):
             raise AssertionError("prefixed rectangle escapes Q (bug)")
-    return PrefixExtractionReport(
-        rect, tuple(pref), excess_found, tuple(trace), params, tuple(warnings)
-    )
+    return PrefixExtractionReport(rect, tuple(pref), excess_found, tuple(trace), tuple(warnings))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,8 @@ def check_alpha(alpha: Fraction) -> None:
 
 @dataclass(frozen=True)
 class IntFunction:
-    """An integer-valued function on F_2^n as a table of length 2^n."""
+    """An integer-valued function on F_2^n as a table of length 2^n; a
+    Fourier table {f_hat(r)} is one too, on the same group."""
 
     dim: int
     values: tuple[int, ...]
@@ -54,18 +55,6 @@ class IntFunction:
     @classmethod
     def indicator(cls, s: F2Set) -> "IntFunction":
         return cls.from_points(s.dim, ((e, 1) for e in s.elems))
-
-
-@dataclass(frozen=True)
-class SpectrumTable:
-    """Fourier table {A_hat(r)} of an integer function, exact integers."""
-
-    dim: int
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != 1 << self.dim:
-            raise DimensionError("table length must be exactly 2^n")
 
 
 _ITEMS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # unsigned items of 1, 2, 4 and 8 bytes
@@ -117,18 +106,18 @@ def _transform(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(v - s for v in memoryview(items).cast(_ITEMS[size]))
 
 
-def wht(f: IntFunction) -> SpectrumTable:
+def wht(f: IntFunction) -> IntFunction:
     """A_hat(r) = sum_x f(x) (-1)^<r,x>, exact, O(N log N) integer ops."""
     _check_table_dim(f.dim)
-    return SpectrumTable(f.dim, _transform(f.values))
+    return IntFunction(f.dim, _transform(f.values))
 
 
-def spectrum_of_set(a: F2Set) -> SpectrumTable:
+def spectrum_of_set(a: F2Set) -> IntFunction:
     """Fourier table of the 0/1 indicator of a set."""
     return wht(IntFunction.indicator(a))
 
 
-def inverse_wht(s: SpectrumTable) -> IntFunction:
+def inverse_wht(s: IntFunction) -> IntFunction:
     """Inverse transform; the WHT is an involution up to the factor N."""
     vals = _transform(s.values)
     if any(v & ((1 << s.dim) - 1) for v in vals):
@@ -144,7 +133,7 @@ def large_spectrum(a: F2Set, alpha: Fraction) -> F2Set:
     return large_spectrum_from_table(spectrum_of_set(a), alpha)
 
 
-def large_spectrum_from_table(table: SpectrumTable, alpha: Fraction) -> F2Set:
+def large_spectrum_from_table(table: IntFunction, alpha: Fraction) -> F2Set:
     check_alpha(alpha)
     least = -(-(alpha.numerator << table.dim) // alpha.denominator)  # ceil(alpha N)
     hits = [r for r, v in enumerate(table.values) if abs(v) >= least]

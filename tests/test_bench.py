@@ -6,13 +6,14 @@ from math import comb
 
 import pytest
 
-from f2lab import bench
 from f2lab.bench import (
     build_majority,
+    check_bombieri,
     check_bourgain_intersection,
     check_chang,
     check_diss_energy,
     check_full_sumset_lower,
+    check_inverse2,
     check_rudin_even,
     check_spectrum_energy_lower,
     check_sumset_energy,
@@ -24,6 +25,13 @@ from f2lab.bench import (
 from f2lab.core import BudgetError, F2Set, distinct_sumset_power
 from f2lab.dissociation import random_dissociated
 from f2lab.energy import additive_energy
+from f2lab.inverse import (
+    FiberDecomposition,
+    InverseParams,
+    extract_rectangles_d,
+    extract_rectangles_pair,
+)
+from f2lab.permanent import CombMatrix, reduced_permanent_check
 from f2lab.wht import spectrum_of_set
 
 from oracles import naive_wht
@@ -114,7 +122,7 @@ def test_rudin_refuses_tables_above_cap(monkeypatch):
     def no_transform(f):
         raise AssertionError("the cap must be checked before the table is built")
 
-    monkeypatch.setattr(bench, "wht", no_transform)
+    monkeypatch.setattr(sys.modules["f2lab.energy"], "wht", no_transform)
     lam = F2Set(12, (1, 2, 4, 8))
     with pytest.raises(BudgetError):
         check_rudin_even(lam, [1, -2, 3, 1], 2)
@@ -287,3 +295,116 @@ def test_sweeps_zero_violations_small():
     # n' = 3, 4, 5 at k = 4
     rows = [r for n in (7, 8, 9) for r in sweep_majority(Fraction(1, 64), n=n)]
     assert len(rows) == 15 and all(r.status == "holds" for r in rows)
+
+
+def test_greedy_family_decides_every_row():
+    # the blocks are sized from the threshold, so every draw meets it
+    for seed in range(5):
+        rows = run_family("greedy", 20, seed)
+        assert len(rows) == 20
+        assert all(r.status == "holds" and r.lhs == r.rhs for r in rows), seed
+
+
+BASIS4 = F2Set(4, (1, 2, 4, 8))
+DEPENDENT = F2Set(2, (1, 2, 3))  # 1 + 2 + 3 = 0
+REFUSED = "precondition-failed"
+
+
+def _inverse2(lam1, lam2, p):
+    q = F2Set.from_bits(lam1.dim, (a ^ b for a in lam1 for b in lam2))
+    return check_inverse2(q, FiberDecomposition.build(q, lam1, lam2), p, Fraction(1, 4))
+
+
+# 11 basis vectors of F_2^16 and their sum: one dependency, of weight 12
+INV2_L1 = F2Set(16, tuple(1 << i for i in range(11)))
+INV2_L2 = F2Set(16, ((1 << 11) - 1,))
+# a weight-6 (weight-8) dependency keeps pair (triple) sums distinct but
+# leaves Lambda outside the weight-8 (weight-12) family that p = 2 asks for
+PAIR_LAM = F2Set(5, (1, 2, 4, 8, 16, 31))
+TRIPLE_LAM = F2Set(7, (1, 2, 4, 8, 16, 32, 64, 127))
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(
+            lambda: check_rudin_even(DEPENDENT, [1, 1, 1], 2),
+            {"status": REFUSED, "detail": "family status false"},
+            id="rudin-family",
+        ),
+        pytest.param(
+            lambda: check_sumset_energy(F2Set(2, (3,)), DEPENDENT, 1, 2),
+            {"status": REFUSED, "detail": "family status false"},
+            id="sumset-energy-family",
+        ),
+        pytest.param(
+            lambda: check_full_sumset_lower(DEPENDENT, 2, 1),
+            {"status": REFUSED, "detail": "family status false"},
+            id="full-sumset-lower-family",
+        ),
+        pytest.param(
+            lambda: check_bourgain_intersection(
+                F2Set(8, (0,)), F2Set(8, (1, 2, 3)), Fraction(1, 256), 1
+            ),
+            {"status": REFUSED, "detail": "family status false"},
+            id="bourgain-family",
+        ),
+        pytest.param(
+            lambda: _inverse2(INV2_L1, INV2_L2, 5),
+            {"status": REFUSED, "detail": "family status false"},
+            id="inverse2-family",
+        ),
+        pytest.param(
+            lambda: check_sumset_energy(F2Set(4, (3,)), BASIS4, 1, 2),
+            {"status": REFUSED, "detail": "Q outside the d-fold sumset"},
+            id="sumset-energy-outside",
+        ),
+        pytest.param(
+            lambda: check_full_sumset_lower(F2Set(4, (1, 2, 4)), 1, 2),
+            {"status": REFUSED, "detail": "p > |Lambda_1|/(2d)"},
+            id="full-sumset-lower-small",
+        ),
+        pytest.param(
+            lambda: check_bourgain_intersection(
+                F2Set.from_bits(8, range(32)), F2Set(8, (1, 2)), Fraction(1, 8), 1
+            ),
+            {"status": REFUSED, "detail": "d > log(1/delta)/4"},
+            id="bourgain-d",
+        ),
+        pytest.param(
+            lambda: _inverse2(INV2_L1, INV2_L2, 4),
+            {"status": REFUSED, "detail": "p < 5"},
+            id="inverse2-p",
+        ),
+        pytest.param(
+            lambda: _inverse2(F2Set(16, (1,)), F2Set(16, ()), 5),
+            {"status": REFUSED, "detail": "degenerate instance"},
+            id="inverse2-degenerate",
+        ),
+        pytest.param(
+            lambda: check_bombieri(
+                F2Set(3, (1, 2)), [F2Set(3, (1, 4))], Fraction(1, 2), 1
+            ),
+            {"status": REFUSED, "detail": "some B_i outside B"},
+            id="bombieri-outside",
+        ),
+        pytest.param(
+            lambda: reduced_permanent_check(CombMatrix(((2, 1),))),
+            {"hypotheses_hold": False, "failures": ("total != 2p",)},
+            id="reduced-permanent-total",
+        ),
+        pytest.param(
+            lambda: extract_rectangles_pair(F2Set(5, (3,)), PAIR_LAM, InverseParams()),
+            {"family_status": "false", "warnings": ("Lambda family status: false",)},
+            id="extract-pair-family",
+        ),
+        pytest.param(
+            lambda: extract_rectangles_d(F2Set(7, (7,)), TRIPLE_LAM, 3, InverseParams()),
+            {"warnings": ("Lambda family status: false",)},
+            id="extract-d-family",
+        ),
+    ],
+)
+def test_refusal_rows_report_status_and_detail(call, expected):
+    rep = call()
+    assert {key: getattr(rep, key) for key in expected} == expected

@@ -348,10 +348,10 @@ def test_parsers_give_a_value_or_value_error(text):
 
 
 def test_library_key_error_is_not_an_input_error(monkeypatch):
-    def lookup_bug(a, k, methods):
+    def lookup_bug(a, k, method):
         raise KeyError("internal")
 
-    monkeypatch.setattr(cli, "energy_report", lookup_bug)
+    monkeypatch.setattr(cli, "additive_energy", lookup_bug)
     with pytest.raises(KeyError):
         run_config({"command": "energy", "set_text": SET_BASIS3, "k": 2})
 
@@ -417,6 +417,11 @@ def test_console_entrypoint_subprocess(tmp_path):
         '{"width": 0}',
         '{"big_k": "0"}',
         '{"big_k": "-1"}',
+        '{"epsilon": "-1"}',
+        '{"epsilon": "0"}',
+        '{"zeta": "-1"}',
+        '{"min_rows": 0}',
+        '{"min_cols": 0}',
     ],
 )
 def test_extract_bad_params_exit2(tmp_path, capsys, params):

@@ -13,7 +13,6 @@ from f2lab.energy import (
     energy_excess_compare,
     energy_function,
     energy_multiset,
-    energy_report,
     energy_spectral,
 )
 from f2lab.wht import IntFunction
@@ -103,11 +102,6 @@ def test_auto_energy_leaves_brute_route_over_its_budget():
     a = F2Set.from_bits(15, random.Random(7).sample(range(1, 1 << 15), 14))
     assert len(a) ** 7 > 10**8
     assert additive_energy(a, 7) == energy_spectral(a, 7)
-
-
-def test_energy_report_agreement():
-    rep = energy_report(F2Set(4, (1, 2, 4)), 2)
-    assert rep.agree and rep.values["brute"] == 21
 
 
 def test_multiset_collapses_to_plain_energy():

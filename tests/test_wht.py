@@ -11,7 +11,6 @@ from f2lab.core import BudgetError, F2Set
 from f2lab.exact import ExactnessError
 from f2lab.wht import (
     IntFunction,
-    SpectrumTable,
     inverse_wht,
     large_spectrum,
     spectrum_of_set,
@@ -92,7 +91,7 @@ def test_wht_all_zero_and_single_huge_entry():
     for dim in range(0, 6):
         zeros = (0,) * (1 << dim)
         assert wht(IntFunction(dim, zeros)).values == zeros
-        assert inverse_wht(SpectrumTable(dim, zeros)).values == zeros
+        assert inverse_wht(IntFunction(dim, zeros)).values == zeros
     for big in (2**200 + 1, -(2**200) - 1, 2**63, -(2**62)):
         values = tuple(big if x == 5 else 0 for x in range(16))
         table = wht(IntFunction(4, values))
@@ -116,7 +115,7 @@ def test_inverse_wht_non_image_table_reported_at_every_width():
         table = list(wht(IntFunction(dim, tuple(values))).values)
         table[rng.randrange(1 << dim)] += 1  # shifts every inverse value by 1/N
         with pytest.raises(ExactnessError):
-            inverse_wht(SpectrumTable(dim, tuple(table)))
+            inverse_wht(IntFunction(dim, tuple(table)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -160,15 +159,15 @@ def test_inverse_wht_roundtrip_random():
 
 
 def test_inverse_wht_point_masses():
-    all_ones = SpectrumTable(3, (1,) * 8)
+    all_ones = IntFunction(3, (1,) * 8)
     assert inverse_wht(all_ones).values == (1,) + (0,) * 7
-    dc_only = SpectrumTable(3, (8,) + (0,) * 7)
+    dc_only = IntFunction(3, (8,) + (0,) * 7)
     assert inverse_wht(dc_only).values == (1,) * 8
 
 
 def test_inverse_wht_non_integer_reported():
     with pytest.raises(ExactnessError):
-        inverse_wht(SpectrumTable(2, (1, 0, 0, 0)))
+        inverse_wht(IntFunction(2, (1, 0, 0, 0)))
 
 
 def test_large_spectrum_subspace():
