@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -48,20 +47,14 @@ INVERSE2_S1_CAP, INVERSE2_P_CAP = 14, 6
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Outcome of one inequality check on one instance.
-
-    `orientation` is "le" when the claim is lhs <= rhs and "ge" when the
-    claim is lhs >= rhs.
-    """
+    """Outcome of one inequality check on one instance."""
 
     theorem: str
     instance: str
     lhs: object
     rhs: object
-    orientation: str
     status: str  # holds | violated | undecided | precondition-failed
     slack: Optional[float]
-    runtime: float
     detail: str = ""
 
 
@@ -71,12 +64,12 @@ def _finish(
     lhs,
     rhs,
     orientation: str,
-    start: float,
     detail: str = "",
     status: Optional[str] = None,
 ) -> BoundReport:
     """The report of one check; without a given status, lhs and rhs are
-    compared exactly in the stated orientation."""
+    compared exactly in the stated orientation, "le" for the claim
+    lhs <= rhs and "ge" for lhs >= rhs."""
     if status is None:
         status = "holds" if (lhs <= rhs if orientation == "le" else lhs >= rhs) else "violated"
     slack = None
@@ -88,144 +81,135 @@ def _finish(
             slack = lf / rf
     except (TypeError, OverflowError, ZeroDivisionError):
         slack = None
-    return BoundReport(
-        theorem, instance, lhs, rhs, orientation, status, slack, time.perf_counter() - start, detail
-    )
+    return BoundReport(theorem, instance, lhs, rhs, status, slack, detail)
 
 
-def _precondition_failed(theorem, instance, start, why) -> BoundReport:
-    return _finish(theorem, instance, None, None, "le", start, why, "precondition-failed")
+def _precondition_failed(theorem, instance, why) -> BoundReport:
+    return _finish(theorem, instance, None, None, "le", why, "precondition-failed")
 
 
-def _family_refusal(theorem, instance, start, lam: F2Set, weight: int) -> Optional[BoundReport]:
+def _family_refusal(theorem, instance, lam: F2Set, weight: int) -> Optional[BoundReport]:
     """None when Lambda is certified to lie in the weight-`weight` family,
     else the precondition-failed report."""
     fam = in_family(lam, FamilySpec.zero(weight, lam.dim)).status
     if fam == "true":
         return None
-    return _precondition_failed(theorem, instance, start, f"family status {fam}")
+    return _precondition_failed(theorem, instance, f"family status {fam}")
 
 
 def check_chang(a: F2Set, alpha: Fraction, lam: F2Set) -> list[BoundReport]:
     """Dissociated subsets of the large spectrum have size at most
     2 (delta/alpha)^2 log(1/delta) ("chang"), and |R_alpha| <= delta /
     alpha^2 is the Parseval baseline ("parseval-spectrum")."""
-    start = time.perf_counter()
     inst = f"n={a.dim} |A|={len(a)} alpha={alpha}"
     delta = Fraction(len(a), 1 << a.dim)
     spectrum = large_spectrum(a, alpha)
-    parseval = _finish("parseval-spectrum", inst, len(spectrum), delta / alpha**2, "le", start)
-    return [_chang_row(lam, spectrum, delta, alpha, f"{inst} |L|={len(lam)}", start), parseval]
+    parseval = _finish("parseval-spectrum", inst, len(spectrum), delta / alpha**2, "le")
+    return [_chang_row(lam, spectrum, delta, alpha, f"{inst} |L|={len(lam)}"), parseval]
 
 
-def _chang_row(lam, spectrum, delta, alpha, inst, start) -> BoundReport:
+def _chang_row(lam, spectrum, delta, alpha, inst) -> BoundReport:
     if not is_dissociated(lam):
-        return _precondition_failed("chang", inst, start, "Lambda not dissociated")
+        return _precondition_failed("chang", inst, "Lambda not dissociated")
     if not lam.issubset(spectrum):
-        return _precondition_failed("chang", inst, start, "Lambda not inside R_alpha")
+        return _precondition_failed("chang", inst, "Lambda not inside R_alpha")
     factor = 2 * (delta / alpha) ** 2
     if delta == 1:
         # log(1/delta) = 0: bound trivial, only an empty Lambda passes
-        return _finish("chang", inst, len(lam), 0, "le", start)
+        return _finish("chang", inst, len(lam), 0, "le")
 
     def bracket_at(prec: int) -> tuple[Fraction, Fraction]:
         lo, hi = log2_bounds(1 / delta, prec)
         return factor * lo, factor * hi
 
     status, rhs = certify_ladder(Fraction(len(lam)), bracket_at)
-    return _finish("chang", inst, len(lam), rhs[0], "le", start, status=status)
+    return _finish("chang", inst, len(lam), rhs[0], "le", status=status)
 
 
 def check_diss_energy(lam: F2Set, p: int) -> BoundReport:
     """T_p(Lambda) <= p^p |Lambda|^p for Lambda in the weight-2p family."""
-    start = time.perf_counter()
     name, inst = "diss-energy", f"n={lam.dim} |L|={len(lam)} p={p}"
-    if refused := _family_refusal(name, inst, start, lam, 2 * p):
+    if refused := _family_refusal(name, inst, lam, 2 * p):
         return refused
-    return _finish(name, inst, additive_energy(lam, p), p**p * len(lam) ** p, "le", start)
+    return _finish(name, inst, additive_energy(lam, p), p**p * len(lam) ** p, "le")
 
 
 def check_rudin_even(lam: F2Set, coeffs: Sequence[int], p: int) -> BoundReport:
     """Even-moment Rudin form: the 2p-th moment of sum a_l (-1)^(l.x)
     is at most p^p (sum a_l^2)^p, for dissociated support.  That sum is
     f_hat for f = a on Lambda, so its moment N^-1 sum_x f_hat(x)^2p is T_p(f)."""
-    start = time.perf_counter()
     name = "rudin-even"
     inst = f"n={lam.dim} |L|={len(lam)} p={p}"
     if len(coeffs) != len(lam):
         raise ValueError("need one coefficient per support element")
-    if refused := _family_refusal(name, inst, start, lam, 2 * p):
+    if refused := _family_refusal(name, inst, lam, 2 * p):
         return refused
     f = IntFunction.from_points(lam.dim, zip(lam.elems, coeffs))
     weight = sum(a * a for a in coeffs)
-    return _finish(name, inst, energy_function(f, p), p**p * weight**p, "le", start)
+    return _finish(name, inst, energy_function(f, p), p**p * weight**p, "le")
 
 
 def check_sumset_energy(q: F2Set, lam: F2Set, d: int, p: int) -> BoundReport:
     """T_p(Q) <= 2^(8dp) p^(dp) |Q|^p for Q inside the d-fold distinct sumset."""
-    start = time.perf_counter()
     name = "sumset-energy"
     inst = f"n={lam.dim} |L|={len(lam)} d={d} p={p} |Q|={len(q)}"
-    if refused := _family_refusal(name, inst, start, lam, 2 * d * p):
+    if refused := _family_refusal(name, inst, lam, 2 * d * p):
         return refused
     ambient = distinct_sumset_power(lam, d)
     if not q.issubset(ambient):
-        return _precondition_failed(name, inst, start, "Q outside the d-fold sumset")
+        return _precondition_failed(name, inst, "Q outside the d-fold sumset")
     detail = "" if len(lam) >= 4 * d * d else "|Lambda| < 4d^2 (outside stated range)"
     lhs = additive_energy(q, p)
     rhs = 2 ** (8 * d * p) * p ** (d * p) * len(q) ** p
-    return _finish(name, inst, lhs, rhs, "le", start, detail)
+    return _finish(name, inst, lhs, rhs, "le", detail)
 
 
 def check_full_sumset_lower(lam1: F2Set, d: int, p: int) -> BoundReport:
     """T_p of the full d-fold distinct sumset is at least
     2^(-3pd) p^(pd) |Q|^p, plus the exact factorial intermediate bound."""
-    start = time.perf_counter()
     name = "full-sumset-lower"
     inst = f"n={lam1.dim} |L1|={len(lam1)} d={d} p={p}"
-    if refused := _family_refusal(name, inst, start, lam1, 2 * d):
+    if refused := _family_refusal(name, inst, lam1, 2 * d):
         return refused
     if 2 * d * p > len(lam1):
-        return _precondition_failed(name, inst, start, "p > |Lambda_1|/(2d)")
+        return _precondition_failed(name, inst, "p > |Lambda_1|/(2d)")
     q = distinct_sumset_power(lam1, d)
     if len(q) != comb(len(lam1), d):
-        return _precondition_failed(name, inst, start, "sumset collision (family bug)")
+        return _precondition_failed(name, inst, "sumset collision (family bug)")
     lhs = additive_energy(q, p)
     ways = factorial(p * d) // factorial(d) ** p
     intermediate = comb(len(lam1), p * d) * ways * ways
     rhs = Fraction(p ** (p * d) * len(q) ** p, 2 ** (3 * p * d))
     if lhs < intermediate:
-        return _finish(name, inst, lhs, intermediate, "ge", start, "intermediate bound failed")
-    return _finish(name, inst, lhs, rhs, "ge", start, f"intermediate={intermediate}")
+        return _finish(name, inst, lhs, intermediate, "ge", "intermediate bound failed")
+    return _finish(name, inst, lhs, rhs, "ge", f"intermediate={intermediate}")
 
 
 def check_spectrum_energy_lower(a: F2Set, b: F2Set, k: int, alpha: Fraction) -> BoundReport:
     """T_k(B) >= delta^(1-2k) alpha^(2k) |B|^(2k) for B inside R_alpha(A)."""
-    start = time.perf_counter()
     name = "spectrum-energy-lower"
     inst = f"n={a.dim} |A|={len(a)} |B|={len(b)} k={k} alpha={alpha}"
     spectrum = large_spectrum(a, alpha)
     if not b.issubset(spectrum):
-        return _precondition_failed(name, inst, start, "B not inside R_alpha")
+        return _precondition_failed(name, inst, "B not inside R_alpha")
     n = 1 << a.dim
     delta = Fraction(len(a), n)
     rhs = delta * (alpha / delta) ** (2 * k) * len(b) ** (2 * k)
-    return _finish(name, inst, additive_energy(b, k), rhs, "ge", start)
+    return _finish(name, inst, additive_energy(b, k), rhs, "ge")
 
 
 def check_bourgain_intersection(a: F2Set, lam: F2Set, alpha: Fraction, d: int) -> BoundReport:
     """|d-fold sumset of Lambda meet R_alpha| against
     (delta/alpha)^2 (2^12 log(1/delta) / d)^d."""
-    start = time.perf_counter()
     name = "bourgain-intersection"
     inst = f"n={a.dim} |A|={len(a)} |L|={len(lam)} d={d} alpha={alpha}"
     n = 1 << a.dim
     delta = Fraction(len(a), n)
     if delta > Fraction(1, 4):
-        return _precondition_failed(name, inst, start, "delta > 1/4")
+        return _precondition_failed(name, inst, "delta > 1/4")
     if 2 ** (4 * d) * delta > 1:
-        return _precondition_failed(name, inst, start, "d > log(1/delta)/4")
-    if refused := _family_refusal(name, inst, start, lam, 2 * floor_log2(1 / delta)):
+        return _precondition_failed(name, inst, "d > log(1/delta)/4")
+    if refused := _family_refusal(name, inst, lam, 2 * floor_log2(1 / delta)):
         return refused
     sumset = distinct_sumset_power(lam, d)
     spectrum = large_spectrum(a, alpha)
@@ -237,14 +221,13 @@ def check_bourgain_intersection(a: F2Set, lam: F2Set, alpha: Fraction, d: int) -
         return factor * (lo * 2**12 / d) ** d, factor * (hi * 2**12 / d) ** d
 
     status, rhs = certify_ladder(Fraction(lhs), bracket_at)
-    return _finish(name, inst, lhs, rhs[0], "le", start, status=status)
+    return _finish(name, inst, lhs, rhs[0], "le", status=status)
 
 
 def check_holder(fs: Sequence[IntFunction], gs: Sequence[IntFunction]) -> BoundReport:
     """Convolution Hoelder: |<f_1 * ... * f_s, g_1 * ... * g_t>| is at most
     prod T_s(f_i)^(1/2s) prod T_t(g_j)^(1/2t), compared with the roots
     cleared: lhs^(2st) against prod T_s(f_i)^t prod T_t(g_j)^s."""
-    start = time.perf_counter()
     s, t = len(fs), len(gs)
     if s < 2 or t < 2:
         raise ValueError("need s, t >= 2")
@@ -252,17 +235,16 @@ def check_holder(fs: Sequence[IntFunction], gs: Sequence[IntFunction]) -> BoundR
     inner = sum(x * y for x, y in zip(conv_f.values, conv_g.values))
     rhs = prod(energy_function(f, s) ** t for f in fs)
     rhs *= prod(energy_function(g, t) ** s for g in gs)
-    return _finish("holder", f"n={fs[0].dim} s={s} t={t}", inner ** (2 * s * t), rhs, "le", start)
+    return _finish("holder", f"n={fs[0].dim} s={s} t={t}", inner ** (2 * s * t), rhs, "le")
 
 
 def check_subadditivity(a: F2Set, b: F2Set, k: int) -> BoundReport:
     """T_k(A u B)^(1/2k) <= T_k(A)^(1/2k) + T_k(B)^(1/2k); rhs is the pair
     (T_k(A), T_k(B)) and the roots are compared exactly."""
-    start = time.perf_counter()
     inst = f"n={a.dim} |A|={len(a)} |B|={len(b)} k={k}"
     tu, ta, tb = (additive_energy(x, k) for x in (a.union(b), a, b))
     status = "holds" if root_sum_dominates(tu, ta, tb, 2 * k) else "violated"
-    return _finish("subadditivity", inst, tu, (ta, tb), "le", start, status=status)
+    return _finish("subadditivity", inst, tu, (ta, tb), "le", status=status)
 
 
 def check_pi(ts: Sequence[int], p: int, delta0: Fraction) -> BoundReport:
@@ -273,7 +255,6 @@ def check_pi(ts: Sequence[int], p: int, delta0: Fraction) -> BoundReport:
     delta0-linked hypotheses are named in the detail, not enforced, so
     boundary examples stay evaluable.
     """
-    start = time.perf_counter()
     if any(t < 2 for t in ts):
         raise ValueError("every t_j must be >= 2")
     if sum(ts) != 2 * p:
@@ -310,7 +291,7 @@ def check_pi(ts: Sequence[int], p: int, delta0: Fraction) -> BoundReport:
 
     status, bound = certify_ladder(pi, bracket_at)
     inst = f"ts={tuple(ts)} p={p} delta0={delta0}"
-    return _finish("pi", inst, pi, bound[0], "le", start, detail, status)
+    return _finish("pi", inst, pi, bound[0], "le", detail, status)
 
 
 def check_sophisticated(
@@ -324,7 +305,6 @@ def check_sophisticated(
     partition class of size >= 2, where M(S*)_{ij} = |E_i cap E_j| for
     i in S*, j outside.  Lambda must be certified in the weight-2p family.
     """
-    start = time.perf_counter()
     if len(es) % 2 != 0 or len(es) < 2:
         raise ValueError("need 2p sets")
     p = len(es) // 2
@@ -335,7 +315,7 @@ def check_sophisticated(
     if not all(e.issubset(lam) for e in es):
         raise ValueError("every E_i must be a subset of Lambda")
     inst = f"n={lam.dim} |L|={len(lam)} p={p} |E|={[len(e) for e in es]}"
-    if refused := _family_refusal("sophisticated", inst, start, lam, 2 * p):
+    if refused := _family_refusal("sophisticated", inst, lam, 2 * p):
         return [refused]
     solutions = energy_multiset(list(es))
     inter = [[len(set(a.elems) & set(b.elems)) for b in es] for a in es]
@@ -349,8 +329,8 @@ def check_sophisticated(
         bound += permanent(CombMatrix(tuple(tuple(inter[i][j] for j in rest) for i in s_star)))
     rhs_sq = (2 ** (2 * p) * factorial(p)) ** 2 * prod(len(e) for e in es)
     return [
-        _finish("sophisticated", inst, solutions, bound, "le", start, f"admissible={admissible}"),
-        _finish("sophisticated-corollary", inst, solutions**2, rhs_sq, "le", start),
+        _finish("sophisticated", inst, solutions, bound, "le", f"admissible={admissible}"),
+        _finish("sophisticated-corollary", inst, solutions**2, rhs_sq, "le"),
     ]
 
 
@@ -364,7 +344,6 @@ def check_inverse2(q: F2Set, decomp: FiberDecomposition, p: int, m_param: Fracti
     (4 delta0), 1).  Transcendental pieces are bracketed rationally; a
     ladder that never pins ceil(delta0) is undecided with rhs None.
     """
-    start = time.perf_counter()
     nonempty = decomp.nonempty()
     s1, s2, m = len(nonempty), decomp.s2, len(q)
     if s1 > INVERSE2_S1_CAP or p > INVERSE2_P_CAP:
@@ -373,12 +352,12 @@ def check_inverse2(q: F2Set, decomp: FiberDecomposition, p: int, m_param: Fracti
         raise ValueError("Q must be contained in Lambda_1 + Lambda_2")
     name, inst = "inverse2", f"n={q.dim} |Q|={m} s1={s1} s2={s2} p={p} M={m_param}"
     if p < 5:
-        return _precondition_failed(name, inst, start, "p < 5")
+        return _precondition_failed(name, inst, "p < 5")
     if s2 == 0 or m == 0:
-        return _precondition_failed(name, inst, start, "degenerate instance")
+        return _precondition_failed(name, inst, "degenerate instance")
     if not (m >= 2 * s2 * p and m >= 2**8 * s2 * p * m_param**8):
-        return _precondition_failed(name, inst, start, "|Q| below max(2 s2 p, 2^8 s2 p M^8)")
-    if refused := _family_refusal(name, inst, start, decomp.lambda1.union(decomp.lambda2), 4 * p):
+        return _precondition_failed(name, inst, "|Q| below max(2 s2 p, 2^8 s2 p M^8)")
+    if refused := _family_refusal(name, inst, decomp.lambda1.union(decomp.lambda2), 4 * p):
         return refused
     energy = additive_energy(q, p)
     ratio = Fraction(m, s2 * p)
@@ -423,7 +402,7 @@ def check_inverse2(q: F2Set, decomp: FiberDecomposition, p: int, m_param: Fracti
 
     status, rhs = certify_ladder(energy, bracket_at)
     rhs_lo = None if rhs is None else rhs[0]
-    return _finish(name, inst, energy, rhs_lo, "le", start, f"ceil(delta0)={ceil_d0}", status)
+    return _finish(name, inst, energy, rhs_lo, "le", f"ceil(delta0)={ceil_d0}", status)
 
 
 def check_bombieri(
@@ -439,23 +418,22 @@ def check_bombieri(
     The largest t-fold intersection comes from a branch and bound, exact up
     to a node cap; a capped search that misses the bound is undecided.
     """
-    start = time.perf_counter()
     q, size = len(subsets), len(universe)
     if q == 0:
         raise ValueError("need at least one subset")
     name, inst = "bombieri", f"n={universe.dim} |B|={size} q={q} t={t} lam={lam}"
     if any(len(b) < lam * size for b in subsets):
-        return _precondition_failed(name, inst, start, "some |B_i| < lam |B|")
+        return _precondition_failed(name, inst, "some |B_i| < lam |B|")
     if not all(b.issubset(universe) for b in subsets):
-        return _precondition_failed(name, inst, start, "some B_i outside B")
+        return _precondition_failed(name, inst, "some B_i outside B")
     if t > lam * q:
-        return _precondition_failed(name, inst, start, "t > lam q")
+        return _precondition_failed(name, inst, "t > lam q")
     sets = [frozenset(b.elems) for b in subsets]
     idx, inter, exhaustive = _best_common_intersection(sets, t, budget)
     bound = (lam - Fraction(t, q)) / comb(q, t) * size
     status = None if exhaustive or len(inter) >= bound else "undecided"
     detail = f"sets={list(idx)} " + ("exhaustive" if exhaustive else "node cap reached")
-    return _finish(name, inst, len(inter), bound, "ge", start, detail, status)
+    return _finish(name, inst, len(inter), bound, "ge", detail, status)
 
 
 def greedy_support_threshold(
@@ -499,22 +477,21 @@ def check_greedy_support(
     """Given at least greedy_support_threshold many p-element supports, each
     inside the disjoint blocks with at most multiplicities[i] elements in
     block i, greedy_disjoint_supports returns the full width."""
-    start = time.perf_counter()
     p = len(supports[0]) if supports else 0
     name, inst = "greedy-support", f"p={p} q={len(supports)} width={width} zeta={zeta}"
     threshold = greedy_support_threshold(p, width, zeta, [len(b) for b in blocks], multiplicities)
     ground = frozenset().union(*blocks)
     if sum(map(len, blocks)) != len(ground):
-        return _precondition_failed(name, inst, start, "blocks overlap")
+        return _precondition_failed(name, inst, "blocks overlap")
     if any(
         not s <= ground or any(len(s & b) > c for b, c in zip(blocks, multiplicities))
         for s in supports
     ):
-        return _precondition_failed(name, inst, start, "a support breaks the block multiplicities")
+        return _precondition_failed(name, inst, "a support breaks the block multiplicities")
     if len(supports) < threshold:
-        return _precondition_failed(name, inst, start, f"fewer than {threshold} supports")
+        return _precondition_failed(name, inst, f"fewer than {threshold} supports")
     chosen = greedy_disjoint_supports(supports, zeta, width)
-    return _finish(name, inst, len(chosen), width, "ge", start)
+    return _finish(name, inst, len(chosen), width, "ge")
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +587,6 @@ def build_majority(n: int, delta: Fraction) -> MajorityInstance:
 
 def verify_majority(inst: MajorityInstance, d: int = 1) -> list[BoundReport]:
     """All exact claims of the construction on one instance."""
-    start = time.perf_counter()
     reports: list[BoundReport] = []
     nprime, k, n = inst.nprime, inst.k, inst.n
     inst_desc = f"n={n} k={k} n'={nprime} delta={inst.delta} d={d}"
@@ -621,8 +597,7 @@ def verify_majority(inst: MajorityInstance, d: int = 1) -> list[BoundReport]:
     status = "holds" if w1 == formula else "violated"
     reports.append(
         _finish(
-            "majority-weight1-formula", inst_desc, w1, formula, "le", start, "equality required",
-            status,
+            "majority-weight1-formula", inst_desc, w1, formula, "le", "equality required", status
         )
     )
 
@@ -630,7 +605,7 @@ def verify_majority(inst: MajorityInstance, d: int = 1) -> list[BoundReport]:
     size = inst.inner_size
     status = "holds" if 2 ** (n - k - 2) <= size <= 2 ** (n - k) else "violated"
     bounds = (2 ** (n - k - 2), 2 ** (n - k))
-    reports.append(_finish("majority-size", inst_desc, size, bounds, "le", start, status=status))
+    reports.append(_finish("majority-size", inst_desc, size, bounds, "le", status=status))
 
     # (c) weight-1 frequencies beat the reference threshold (its constants
     # assume n >= 32; for smaller n the certified threshold alpha_used is
@@ -638,19 +613,17 @@ def verify_majority(inst: MajorityInstance, d: int = 1) -> list[BoundReport]:
     ref_ok = inst.is_large(1, inst.alpha_sq_reference)
     status = "holds" if ref_ok or n < 32 else "violated"
     detail = "reference alpha certified" if ref_ok else "re-derived alpha (n < 32)"
-    reports.append(_finish("majority-alpha", inst_desc, w1, None, "ge", start, detail, status))
+    reports.append(_finish("majority-alpha", inst_desc, w1, None, "ge", detail, status))
 
     # (d) |R_alpha| >= n' 2^k at the certified threshold
     alpha_sq = min(inst.alpha_sq_reference, inst.alpha_used**2) if ref_ok else inst.alpha_used**2
     r_count = inst.spectrum_count(alpha_sq)
-    reports.append(
-        _finish("majority-spectrum-size", inst_desc, r_count, nprime << k, "ge", start)
-    )
+    reports.append(_finish("majority-spectrum-size", inst_desc, r_count, nprime << k, "ge"))
 
     # (e) |d-fold basis sumset meet R_alpha| >= n' C(k, d-1)
     inter = inst.sumset_spectrum_count(d, alpha_sq)
     target = nprime * comb(k, d - 1)
-    reports.append(_finish("majority-sumset-intersection", inst_desc, inter, target, "ge", start))
+    reports.append(_finish("majority-sumset-intersection", inst_desc, inter, target, "ge"))
     return reports
 
 

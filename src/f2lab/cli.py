@@ -94,13 +94,14 @@ def _status_exit(statuses) -> int:
 class Outcome:
     """What every command handler returns.
 
-    `results` is the block that replay compares byte for byte; the chunks
-    of `side_text` are written to the command's --out file when one is given.
+    `results` is the block that replay compares byte for byte.  When the
+    command is given an output path, the chunks of `side_files[suffix]` are
+    written to that path followed by the suffix.
     """
 
     results: dict
     exit_code: int
-    side_text: tuple[str, ...] = ()
+    side_files: dict[str, tuple[str, ...]] = dataclasses.field(default_factory=dict)
 
 
 class _Config(dict):
@@ -197,7 +198,7 @@ def _cmd_spectrum(config: dict) -> Outcome:
         spec = large_spectrum_from_table(table, alpha)
         results["alpha"] = fraction_str(alpha)
         results["large_spectrum"] = [bits_to_string(e, a.dim) for e in spec.elems]
-    return Outcome(results, 0 if results["parseval_ok"] else 1, csv_chunks)
+    return Outcome(results, 0 if results["parseval_ok"] else 1, {"": csv_chunks})
 
 
 def _cmd_dissociate(config: dict) -> Outcome:
@@ -287,7 +288,7 @@ def _cmd_bench(config: dict) -> Outcome:
     writer = csv.DictWriter(csv_buf, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    return Outcome(results, _status_exit(statuses), (csv_buf.getvalue(),))
+    return Outcome(results, _status_exit(statuses), {"": (csv_buf.getvalue(),)})
 
 
 def _extract_params(config: dict) -> InverseParams:
@@ -365,10 +366,11 @@ def _cmd_plant(config: dict) -> Outcome:
         n=config.get("n", 18),
         lambda_size=config.get("lambda_size", 16),
     )
+    q_text, lam_text = serialize_set(inst.q), serialize_set(inst.lam)
     results = {
-        "q": serialize_set(inst.q),
-        "lambda": serialize_set(inst.lam),
-        "planted_mass": inst.planted_mass(),
+        "q": q_text,
+        "lambda": lam_text,
+        "planted_mass": len(inst.planted),
         "noise_size": len(inst.noise),
         "rectangles": [
             {
@@ -378,7 +380,7 @@ def _cmd_plant(config: dict) -> Outcome:
             for r, c in zip(inst.rows, inst.cols)
         ],
     }
-    return Outcome(results, 0)
+    return Outcome(results, 0, {"_q.set": (q_text,), "_lambda.set": (lam_text,)})
 
 
 _HANDLERS = {
@@ -404,9 +406,10 @@ def execute(config: dict, out_path: Optional[str] = None) -> tuple[dict, int]:
         "results": outcome.results,
         "meta": {"runtime_s": round(time.perf_counter() - start, 6)},
     }
-    if out_path and outcome.side_text:
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.writelines(outcome.side_text)
+    if out_path:
+        for suffix, chunks in outcome.side_files.items():
+            with open(out_path + suffix, "w", encoding="ascii") as fh:
+                fh.writelines(chunks)
     return report, outcome.exit_code
 
 
@@ -491,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plant.add_argument("--seed", type=int, default=0)
     p_plant.add_argument("--n", type=int, default=18)
     p_plant.add_argument("--lambda-size", type=int, default=16)
-    p_plant.add_argument("--out-prefix")
+    p_plant.add_argument("--out-prefix", dest="out", metavar="PREFIX")
 
     p_replay = command("replay", "re-run a recorded report")
     p_replay.add_argument("report")
@@ -503,7 +506,7 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-_OUTPUT_DESTS = ("report_out", "out", "out_prefix")
+_OUTPUT_DESTS = ("report_out", "out")
 
 
 def config_from_args(args: argparse.Namespace) -> dict:
@@ -530,11 +533,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             report = {"command": "replay", "config": {"command": "replay"}, "results": results}
         else:
             report, exit_code = execute(config_from_args(args), getattr(args, "out", None))
-            if getattr(args, "out_prefix", None):
-                with open(args.out_prefix + "_q.set", "w", encoding="ascii") as fh:
-                    fh.write(report["results"]["q"])
-                with open(args.out_prefix + "_lambda.set", "w", encoding="ascii") as fh:
-                    fh.write(report["results"]["lambda"])
     except (SetFileError, BudgetError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

@@ -724,10 +724,6 @@ class PlantedInstance:
     cols: tuple[F2Set, ...]
     planted: F2Set
     noise: F2Set
-    seed: int
-
-    def planted_mass(self) -> int:
-        return len(self.planted)
 
 
 def plant_instance(
@@ -744,10 +740,13 @@ def plant_instance(
 
     When Lambda is too small to give every rectangle private row and column
     blocks, rectangles share one column block; products stay disjoint
-    because the row blocks are disjoint.
+    because the row blocks are disjoint.  Noise below 0, or above the
+    unplanted pair sums, is refused.
     """
     if h < 1 or row_size < 1 or col_size < 1:
         raise ValueError("need h, row and column sizes >= 1")
+    if noise_frac < 0:
+        raise ValueError(f"noise fraction must be >= 0, got {noise_frac}")
     rng = random.Random(seed)
     lam = random_dissociated(n, lambda_size, seed=rng.randrange(1 << 30))
     perm = rng.sample(lam.elems, lambda_size)
@@ -771,12 +770,12 @@ def plant_instance(
     planted: set[int] = set()
     for r, c in zip(rows, cols):
         planted |= Rectangle((), r, c).points()
-    mass = len(planted)
-    noise_count = (noise_frac.numerator * mass) // noise_frac.denominator if mass else 0
+    free = comb(lambda_size, 2) - len(planted)  # pair sums of a dissociated Lambda are distinct
+    noise_count = noise_frac.numerator * len(planted) // noise_frac.denominator
+    if noise_count > free:
+        raise ValueError(f"noise {noise_frac} asks for {noise_count} points, {free} pair sums free")
     noise: set[int] = set()
-    guard = 0
-    while len(noise) < noise_count and guard < 10_000:
-        guard += 1
+    while len(noise) < noise_count:
         a, b = rng.sample(lam.elems, 2)
         pt = a ^ b
         if pt not in planted and pt not in noise:
@@ -788,5 +787,4 @@ def plant_instance(
         tuple(cols),
         F2Set.from_bits(n, planted),
         F2Set.from_bits(n, noise),
-        seed,
     )

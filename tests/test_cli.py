@@ -19,7 +19,7 @@ from f2lab.cli import (
     replay,
     run_config,
 )
-from f2lab.bench import FAMILIES
+from f2lab.bench import FAMILIES, _finish, _precondition_failed
 from f2lab.core import F2Set, bits_to_string, parse_set, serialize_set
 from f2lab.permanent import parse_matrix
 
@@ -143,6 +143,25 @@ def test_bench_checker_family_exit_and_replay(tmp_path, family):
     assert code == 0 and replayed["results"]["match"] is True
 
 
+@pytest.mark.parametrize(
+    "status, code", [("violated", 1), ("undecided", 2), ("precondition-failed", 2), ("holds", 0)]
+)
+def test_bench_exit_code_follows_row_statuses(tmp_path, monkeypatch, status, code):
+    row = {
+        "violated": lambda: _finish("t", "i", 3, 2, "le"),
+        "undecided": lambda: _finish("t", "i", 1, 2, "le", status="undecided"),
+        "precondition-failed": lambda: _precondition_failed("t", "i", "why"),
+        "holds": lambda: _finish("t", "i", 2, 2, "le"),
+    }[status]()
+    rows = [_finish("t", "i", 1, 2, "le"), row]
+    monkeypatch.setattr(cli.bench_mod, "run_family", lambda name, count, seed: rows)
+    out_csv = tmp_path / "rows.csv"
+    _, got = execute({"command": "bench", "theorem": "diss", "count": 2}, str(out_csv))
+    assert got == code
+    lines = out_csv.read_text().splitlines()
+    assert [line.split(",")[4] for line in lines] == ["status", "holds", status]
+
+
 def test_bench_families_cover_every_checker():
     from f2lab import bench
 
@@ -257,6 +276,21 @@ def test_plant_extract_cli_roundtrip(tmp_path):
     res = report["results"]
     assert res["covered"] >= planted["results"]["planted_mass"] * 9 // 10
     assert res["rectangles"]
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [
+        ["--noise", "20"],  # 180 points asked, C(16, 2) - 9 = 111 pair sums free
+        ["--noise=-1/2"],
+    ],
+    ids=["beyond-free-pair-sums", "negative"],
+)
+def test_plant_bad_noise_exit2(tmp_path, capsys, noise):
+    args = ["plant", "--h", "1", "--lsize", "3", "--lpsize", "3", "--seed", "1", *noise]
+    code, report = run_cli(args, tmp_path)
+    assert code == 2 and report is None
+    assert "noise" in json.loads(capsys.readouterr().err)["error"]
 
 
 @pytest.mark.parametrize(

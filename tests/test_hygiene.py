@@ -140,3 +140,53 @@ def test_no_dead_definitions_in_src():
     }
     readers = {str(p): p.read_text(encoding="utf-8") for p in sorted((ROOT / "tests").glob("*.py"))}
     assert dead_definitions(modules, readers) == []
+
+
+def unread_fields(modules: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Annotated fields of the `@dataclass` classes of `modules` that no
+    source in `modules` or `readers` loads as an attribute, as
+    "module:Class.field"."""
+    trees = {name: ast.parse(source) for name, source in {**readers, **modules}.items()}
+    loaded = {
+        n.attr
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+
+    def is_dataclass(node: ast.ClassDef) -> bool:
+        for dec in node.decorator_list:
+            dec = dec.func if isinstance(dec, ast.Call) else dec
+            if getattr(dec, "id", getattr(dec, "attr", None)) == "dataclass":
+                return True
+        return False
+
+    return [
+        f"{name}:{node.name}.{stmt.target.id}"
+        for name in modules
+        for node in ast.walk(trees[name])
+        if isinstance(node, ast.ClassDef) and is_dataclass(node)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign)
+        and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in loaded
+    ]
+
+
+def test_unread_fields_detector():
+    mod = "import dataclasses\nfrom dataclasses import dataclass\n"
+    mod += "@dataclass(frozen=True)\nclass K:\n    a: int\n    b: int\n    c: int = 0\n"
+    mod += "@dataclasses.dataclass\nclass J:\n    d: int\n"
+    mod += "class Plain:\n    e: int\n"
+    mod += "def f(k, j):\n    k.c = j.e\n    return k.a\n"
+    assert unread_fields({"m": mod}, {}) == ["m:K.b", "m:K.c", "m:J.d"]
+    assert unread_fields({"m": mod}, {"t": "def g(k, j):\n    return k.b + j.d + k.c\n"}) == []
+
+
+def test_no_unread_dataclass_fields_in_src():
+    modules = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in sorted((ROOT / "src" / "f2lab").glob("*.py"))
+    }
+    readers = {str(p): p.read_text(encoding="utf-8") for p in sorted((ROOT / "tests").glob("*.py"))}
+    assert unread_fields(modules, readers) == []
