@@ -43,6 +43,7 @@ from .wht import (
 
 SOPHISTICATED_P_CAP = 4
 INVERSE2_S1_CAP, INVERSE2_P_CAP = 14, 6
+BOMBIERI_NODE_CAP = 10**6  # search nodes per t-fold intersection
 
 
 @dataclass(frozen=True)
@@ -405,13 +406,7 @@ def check_inverse2(q: F2Set, decomp: FiberDecomposition, p: int, m_param: Fracti
     return _finish(name, inst, energy, rhs_lo, "le", f"ceil(delta0)={ceil_d0}", status)
 
 
-def check_bombieri(
-    universe: F2Set,
-    subsets: Sequence[F2Set],
-    lam: Fraction,
-    t: int,
-    budget: int = 10**6,
-) -> BoundReport:
+def check_bombieri(universe: F2Set, subsets: Sequence[F2Set], lam: Fraction, t: int) -> BoundReport:
     """Some t of q subsets B_i of B with |B_i| >= lam |B| share at least
     (lam - t/q) C(q, t)^-1 |B| elements, for t <= lam q.
 
@@ -429,7 +424,7 @@ def check_bombieri(
     if t > lam * q:
         return _precondition_failed(name, inst, "t > lam q")
     sets = [frozenset(b.elems) for b in subsets]
-    idx, inter, exhaustive = _best_common_intersection(sets, t, budget)
+    idx, inter, exhaustive = _best_common_intersection(sets, t, BOMBIERI_NODE_CAP)
     bound = (lam - Fraction(t, q)) / comb(q, t) * size
     status = None if exhaustive or len(inter) >= bound else "undecided"
     detail = f"sets={list(idx)} " + ("exhaustive" if exhaustive else "node cap reached")

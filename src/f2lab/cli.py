@@ -40,6 +40,8 @@ from .inverse import InverseParams, extract_rectangles_d, extract_rectangles_pai
 from .permanent import fk_zero_test, parse_matrix, permanent, reduced_permanent_check
 from .wht import IntFunction, check_alpha, large_spectrum_from_table, spectrum_of_set
 
+LEMMA_PER0_CELL_CAP = 16  # p*r cells of the exhaustive family: 3^16 matrices
+
 
 def parse_fraction(text: str) -> Fraction:
     """Exact "p/q" (or integer "p") rational parsing; floats rejected."""
@@ -52,10 +54,6 @@ def parse_fraction(text: str) -> Fraction:
             raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
-
-
-def fraction_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 def canonical_results(results: dict) -> str:
@@ -196,7 +194,7 @@ def _cmd_spectrum(config: dict) -> Outcome:
     }
     if alpha is not None:
         spec = large_spectrum_from_table(table, alpha)
-        results["alpha"] = fraction_str(alpha)
+        results["alpha"] = str(alpha)
         results["large_spectrum"] = [bits_to_string(e, a.dim) for e in spec.elems]
     return Outcome(results, 0 if results["parseval_ok"] else 1, {"": csv_chunks})
 
@@ -239,8 +237,10 @@ def _cmd_lemma_per0(config: dict) -> Outcome:
     from .permanent import CombMatrix
 
     p, r = config["p"], config["r"]
-    if p * r > 16:
-        raise BudgetError("exhaustive family limited to p*r <= 16")
+    if min(p, r) < 1:
+        raise ValueError(f"--exhaustive needs P and R of at least 1, got {p} {r}")
+    if p * r > LEMMA_PER0_CELL_CAP:
+        raise BudgetError(f"exhaustive family limited to p*r <= {LEMMA_PER0_CELL_CAP}, got {p * r}")
     total = 0
     satisfied = 0
     all_positive = True
@@ -260,7 +260,8 @@ def _cmd_lemma_per0(config: dict) -> Outcome:
         "hypotheses_satisfied": satisfied,
         "all_reduced_permanents_positive": all_positive,
     }
-    return Outcome(results, 0 if all_positive else 1)
+    # with no matrix meeting the hypotheses (R > 2P) nothing is certified
+    return Outcome(results, (0 if all_positive else 1) if satisfied else 2)
 
 
 def _cmd_bench(config: dict) -> Outcome:
@@ -313,10 +314,7 @@ def _params_resolved(params: InverseParams) -> dict:
     out = {}
     for f in dataclasses.fields(params):
         val = getattr(params, f.name)
-        if isinstance(val, Fraction):
-            out[f.name] = fraction_str(val)
-        else:
-            out[f.name] = val
+        out[f.name] = str(val) if isinstance(val, Fraction) else val
     return out
 
 
@@ -339,7 +337,7 @@ def _cmd_extract(config: dict) -> Outcome:
             "rectangles": [_rectangle_json(r, q.dim) for r in rep.rectangles],
             "covered": rep.covered,
             "q_size": rep.q_size,
-            "coverage": fraction_str(rep.coverage),
+            "coverage": str(rep.coverage),
             "family_status": rep.family_status,
             "trace": list(rep.trace),
         }
@@ -352,7 +350,7 @@ def _cmd_extract(config: dict) -> Outcome:
         }
     results["warnings"] = list(rep.warnings)
     results["params_resolved"] = _params_resolved(params)
-    results["reference_epsilon"] = fraction_str(params.reference_epsilon())
+    results["reference_epsilon"] = str(params.reference_epsilon())
     return Outcome(results, 0)
 
 

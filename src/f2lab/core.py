@@ -111,11 +111,11 @@ def subset_sums(elems: Sequence[int], size: int) -> Iterator[tuple[int, tuple[in
         yield acc, combo
 
 
-def distinct_sumset(sets: Sequence[F2Set], budget: int = SUMSET_BUDGET) -> F2Set:
+def distinct_sumset(sets: Sequence[F2Set]) -> F2Set:
     """Sums a_1 + ... + a_d with a_i from the i-th set, all pairwise distinct.
 
     For the d-fold power of a single set this is the set of sums of d
-    distinct members.  Enumeration cost is capped by `budget` tuples.
+    distinct members.  Enumeration cost is capped by SUMSET_BUDGET tuples.
     """
     if not sets:
         raise ValueError("distinct_sumset needs at least one set")
@@ -127,15 +127,15 @@ def distinct_sumset(sets: Sequence[F2Set], budget: int = SUMSET_BUDGET) -> F2Set
     if all(s.elems == sets[0].elems for s in sets):
         base = sets[0].elems
         count = comb(len(base), d)
-        if count > budget:
-            raise BudgetError(f"{count} combinations exceed budget {budget}")
+        if count > SUMSET_BUDGET:
+            raise BudgetError(f"{count} combinations exceed budget {SUMSET_BUDGET}")
         return F2Set.from_bits(dim, (x for x, _ in subset_sums(base, d)))
 
     total = 1
     for s in sets:
         total *= max(len(s), 1)
-    if total > budget:
-        raise BudgetError(f"{total} tuples exceed budget {budget}")
+    if total > SUMSET_BUDGET:
+        raise BudgetError(f"{total} tuples exceed budget {SUMSET_BUDGET}")
     out = set()
 
     def rec(i: int, acc: int, used: set[int]) -> None:
@@ -152,11 +152,11 @@ def distinct_sumset(sets: Sequence[F2Set], budget: int = SUMSET_BUDGET) -> F2Set
     return F2Set.from_bits(dim, out)
 
 
-def distinct_sumset_power(a: F2Set, d: int, budget: int = SUMSET_BUDGET) -> F2Set:
+def distinct_sumset_power(a: F2Set, d: int) -> F2Set:
     """d-fold distinct sumset of a single set."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    return distinct_sumset([a] * d, budget=budget)
+    return distinct_sumset([a] * d)
 
 
 def parse_set(text: str) -> F2Set:

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 from .core import F2Set, subset_sums
 
-DEFAULT_WORK_BUDGET = 5_000_000
+DEFAULT_WORK_BUDGET = 5_000_000  # subsets; a test estimated above it is "undecided"
 
 
 def _extend_basis(basis: list[int], v: int) -> bool:
@@ -70,7 +70,7 @@ class FamilyCheck:
     work: int  # subsets enumerated (or the estimate that broke the budget)
 
 
-def in_family(l: F2Set, spec: FamilySpec, budget: int = DEFAULT_WORK_BUDGET) -> FamilyCheck:
+def in_family(l: F2Set, spec: FamilySpec) -> FamilyCheck:
     """Meet-in-the-middle test of membership in the family Lambda_R(k).
 
     Splits the ground set in half; any violating subset S splits as
@@ -88,7 +88,7 @@ def in_family(l: F2Set, spec: FamilySpec, budget: int = DEFAULT_WORK_BUDGET) -> 
     work = sum(comb(len(a_side), s) for s in range(ka + 1))
     work_b = sum(comb(len(b_side), s) for s in range(kb + 1))
     total_work = work + work_b * len(spec.forbidden)
-    if total_work > budget:
+    if total_work > DEFAULT_WORK_BUDGET:
         return FamilyCheck("undecided", None, total_work)
 
     # first smallest nonempty A-side subset reaching each XOR

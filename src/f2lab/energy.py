@@ -38,12 +38,12 @@ def _brute_preferred(size: int, dim: int, k: int) -> bool:
     return brute_cost < spectral_cost and size**k <= BRUTE_BUDGET
 
 
-def energy_bruteforce(a: F2Set, k: int, budget: int = BRUTE_BUDGET) -> int:
+def energy_bruteforce(a: F2Set, k: int) -> int:
     """T_k = sum_x r(x)^2, r(x) counting the ordered k-tuples of A with XOR x."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(a) ** k > budget:
-        raise BudgetError(f"|A|^k = {len(a) ** k} exceeds budget {budget}")
+    if len(a) ** k > BRUTE_BUDGET:
+        raise BudgetError(f"|A|^k = {len(a) ** k} exceeds budget {BRUTE_BUDGET}")
     if k == 2:  # r(0) = |A|; any other r(x) is twice its count of unordered pairs
         pairs = Counter(starmap(xor, combinations(a.elems, 2)))
         return len(a) ** 2 + 4 * sum(c * c for c in pairs.values())

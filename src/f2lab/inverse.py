@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
@@ -22,6 +22,9 @@ from typing import Optional, Sequence
 from .core import BudgetError, F2Set, subset_sums
 from .dissociation import FamilySpec, in_family, random_dissociated
 from .energy import additive_energy, energy_excess_compare
+
+SUBSET_TABLE_BUDGET = 2_000_000  # d-subsets of Lambda in one sum table
+BITE_NODE_CAP = 200_000  # search nodes per common intersection of one bite
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +404,11 @@ class ExtractionReport:
     warnings: tuple[str, ...]
 
 
-def _subset_table(lam: F2Set, d: int, budget: int = 2_000_000) -> dict[int, tuple[int, ...]]:
+def _subset_table(lam: F2Set, d: int) -> dict[int, tuple[int, ...]]:
     """sum -> d-subset of Lambda in `combinations` order (unique under the
     weight-2d family)."""
-    if comb(len(lam), d) > budget:
-        raise BudgetError("subset table too large")
+    if (count := comb(len(lam), d)) > SUBSET_TABLE_BUDGET:
+        raise BudgetError(f"subset table too large: {count} sums exceed {SUBSET_TABLE_BUDGET}")
     table: dict[int, tuple[int, ...]] = {}
     for s, combo in subset_sums(lam.elems, d):
         if s in table:
@@ -534,7 +537,7 @@ def _bite_once(
     best_rect = None
     best_score = None
     for depth in range(params.min_rows, min(params.depth, len(sets)) + 1):
-        idx, inter, _ = _best_common_intersection(sets, depth, 200_000)
+        idx, inter, _ = _best_common_intersection(sets, depth, BITE_NODE_CAP)
         if len(inter) < params.min_cols:
             continue
         score = (depth * len(inter), depth)
@@ -563,35 +566,23 @@ def _bite_once(
     return best_rect
 
 
-def extract_rectangles_pair(
-    q: F2Set, lam: F2Set, params: InverseParams
-) -> ExtractionReport:
-    """Peel disjoint rectangles L + L' out of Q inside Lambda + Lambda.
-
-    Every returned rectangle is machine-checked to satisfy
-    L + L' <= Q; pairwise disjointness holds because each round works on Q
-    minus the points already covered.  An empty result with diagnostics is
-    a legitimate outcome; rectangles are never fabricated.
-    """
-    warnings = []
-    fam = in_family(lam, FamilySpec.zero(4 * params.p, lam.dim))
-    if fam.status != "true":
-        warnings.append(f"Lambda family status: {fam.status}")
-    pair_of = _subset_table(lam, 2)
-    missing = [qq for qq in q.elems if qq not in pair_of]
-    if missing:
-        raise ValueError("Q is not contained in the 2-fold distinct sumset of Lambda")
-    rng = random.Random(params.seed)
+def _peel_rectangles(
+    q: F2Set,
+    lam: F2Set,
+    pair_of: dict[int, tuple[int, int]],
+    params: InverseParams,
+    rng: random.Random,
+    trace: list,
+) -> tuple[list[Rectangle], int]:
+    """The rounds of `_bite_once` on Q minus the points already covered, up
+    to the coverage target or `stall_limit` empty rounds in a row; returns
+    the disjoint rectangles and the number of points they cover."""
     remaining = set(q.elems)
     rects: list[Rectangle] = []
-    trace: list[dict] = []
     stalls = 0
     q_size = len(q)
-    for round_no in range(params.rounds):
-        if not remaining:
-            break
-        covered_frac = Fraction(q_size - len(remaining), q_size) if q_size else Fraction(1)
-        if covered_frac >= params.coverage_target:
+    for _ in range(params.rounds):
+        if not remaining or Fraction(q_size - len(remaining), q_size) >= params.coverage_target:
             break
         rect = _bite_once(remaining, lam, pair_of, params, rng, trace)
         if rect is None:
@@ -605,19 +596,36 @@ def extract_rectangles_pair(
             raise AssertionError("rectangle not contained in the original Q (bug)")
         remaining -= pts
         rects.append(rect)
-    covered = q_size - len(remaining)
-    coverage = Fraction(covered, q_size) if q_size else Fraction(1)
+    return rects, q_size - len(remaining)
+
+
+def extract_rectangles_pair(q: F2Set, lam: F2Set, params: InverseParams) -> ExtractionReport:
+    """Peel disjoint rectangles L + L' out of Q inside Lambda + Lambda.
+
+    Every returned rectangle is machine-checked to satisfy
+    L + L' <= Q; pairwise disjointness holds because each round works on Q
+    minus the points already covered.  An empty result with diagnostics is
+    a legitimate outcome; rectangles are never fabricated.
+    """
+    warnings = []
+    fam = in_family(lam, FamilySpec.zero(4 * params.p, lam.dim))
+    if fam.status != "true":
+        warnings.append(f"Lambda family status: {fam.status}")
+    pair_of = _subset_table(lam, 2)
+    if any(qq not in pair_of for qq in q.elems):
+        raise ValueError("Q is not contained in the 2-fold distinct sumset of Lambda")
+    trace: list[dict] = []
+    rects, covered = _peel_rectangles(q, lam, pair_of, params, random.Random(params.seed), trace)
+    coverage = Fraction(covered, len(q)) if q else Fraction(1)
     return ExtractionReport(
-        tuple(rects), covered, q_size, coverage, fam.status, tuple(trace), tuple(warnings)
+        tuple(rects), covered, len(q), coverage, fam.status, tuple(trace), tuple(warnings)
     )
 
 
 @dataclass(frozen=True)
 class PrefixExtractionReport:
     rectangle: Optional[Rectangle]
-    prefix: tuple[int, ...]
     excess_found: bool
-    trace: tuple[dict, ...]
     warnings: tuple[str, ...]
 
 
@@ -638,40 +646,37 @@ def extract_rectangles_d(
     """Rectangle extraction inside the d-fold distinct sumset, d >= 2.
 
     Partitions Lambda into d parts, pigeonholes over (d-2)-prefixes keeping
-    an energy-excess prefix of maximal fiber mass, and delegates to the
-    pair extractor on the translated fiber.  The returned rectangle
-    satisfies (sum of prefix) + L + L' <= Q, machine-checked.
+    an energy-excess prefix of maximal fiber mass, and runs the pair rounds
+    on the translated fiber inside the sums of the last two parts.  The
+    returned rectangle satisfies (sum of prefix) + L + L' <= Q,
+    machine-checked.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
     if d == 2:
         rep = extract_rectangles_pair(q, lam, params)
         rect = max(rep.rectangles, key=lambda r: (r.area(),), default=None)
-        return PrefixExtractionReport(rect, (), True, rep.trace, rep.warnings)
+        return PrefixExtractionReport(rect, True, rep.warnings)
     warnings = []
     fam = in_family(lam, FamilySpec.zero(2 * d * params.p, lam.dim))
     if fam.status != "true":
         warnings.append(f"Lambda family status: {fam.status}")
     subset_of = _subset_table(lam, d)
-    for qq in q.elems:
-        if qq not in subset_of:
-            raise ValueError("Q is not contained in the d-fold distinct sumset of Lambda")
+    if any(qq not in subset_of for qq in q.elems):
+        raise ValueError("Q is not contained in the d-fold distinct sumset of Lambda")
     rng = random.Random(params.seed)
     n_lam = len(lam)
     a = -((-n_lam) // d)  # ceil; the last part takes the remainder
-    sizes = [a] * (d - 1) + [n_lam - a * (d - 1)]
-    if sizes[-1] < 1:
+    if n_lam - a * (d - 1) < 1:
         raise ValueError("Lambda too small to split into d parts")
-    trace: list[dict] = []
     best_split = None
     for _ in range(params.split_trials):
         perm = rng.sample(lam.elems, n_lam)
-        part_of = {e: j // a for j, e in enumerate(perm)}  # consecutive blocks of `sizes`
+        part_of = {e: j // a for j, e in enumerate(perm)}  # consecutive blocks of a
         mass = sum(1 for qq in q.elems if _aligned(subset_of[qq], part_of) is not None)
         if best_split is None or mass > best_split[0]:
             best_split = (mass, part_of)
-    best_mass, part_of = best_split
-    trace.append({"stage": "partition", "mass": best_mass, "sizes": sizes})
+    part_of = best_split[1]
     # group Q by the (d-2)-prefix of its decomposition
     by_prefix: dict[tuple[int, ...], list[int]] = {}
     for qq in q.elems:
@@ -679,8 +684,7 @@ def extract_rectangles_d(
         if aligned is not None:
             by_prefix.setdefault(aligned[: d - 2], []).append(qq)
     if not by_prefix:
-        trace.append({"stage": "prefix", "note": "no aligned points"})
-        return PrefixExtractionReport(None, (), False, tuple(trace), tuple(warnings))
+        return PrefixExtractionReport(None, False, tuple(warnings))
     m_cor = 2**13 * (8 * params.big_k) ** (d - 1)
     candidates = []
     for pref, pts in by_prefix.items():
@@ -699,17 +703,17 @@ def extract_rectangles_d(
     pool = with_excess if with_excess else candidates
     pool.sort(key=lambda c: (-c[1], c[2]))
     _, _, pref, translated = pool[0]
+    # every translated point is one element of each of the last two parts
     lam_pair = F2Set.from_bits(lam.dim, (e for e, i in part_of.items() if i >= d - 2))
-    sub_params = replace(params, seed=rng.randrange(1 << 30))
-    pair_rep = extract_rectangles_pair(translated, lam_pair, sub_params)
-    trace.extend(pair_rep.trace)
-    best = max(pair_rep.rectangles, key=lambda r: (r.area(),), default=None)
+    pair_of, pair_rng = _subset_table(lam_pair, 2), random.Random(rng.randrange(1 << 30))
+    rects, _ = _peel_rectangles(translated, lam_pair, pair_of, params, pair_rng, [])
+    best = max(rects, key=lambda r: (r.area(),), default=None)
     rect = None
     if best is not None:
         rect = Rectangle(tuple(pref), best.rows, best.cols)
         if not rect.points() <= set(q.elems):
             raise AssertionError("prefixed rectangle escapes Q (bug)")
-    return PrefixExtractionReport(rect, tuple(pref), excess_found, tuple(trace), tuple(warnings))
+    return PrefixExtractionReport(rect, excess_found, tuple(warnings))
 
 
 # ---------------------------------------------------------------------------

@@ -74,21 +74,21 @@ def parse_matrix(text: str) -> CombMatrix:
     return CombMatrix(tuple(rows))
 
 
-def permanent(h: CombMatrix, budget: int = RYSER_BUDGET) -> int:
+def permanent(h: CombMatrix) -> int:
     """Exact permanent by rectangular Ryser inclusion-exclusion.
 
     per H = (-1)^x sum_{S <= [y]} (-1)^|S| C(y-|S|, y-x) prod_i sum_{j in S} h_ij,
     with the sum effectively over |S| <= x.  Tall input is transposed.  The
     subsets are walked depth-first in increasing column order, each adding
-    one column to its parent's row sums; more than `budget` of them raises
-    BudgetError.
+    one column to its parent's row sums; more than RYSER_BUDGET of them
+    raises BudgetError.
     """
     if h.x > h.y:
         h = h.transpose()
     x, y = h.x, h.y
     work = sum(comb(y, s) for s in range(x + 1))
-    if work > budget:
-        raise BudgetError(f"Ryser subset count {work} exceeds budget {budget}")
+    if work > RYSER_BUDGET:
+        raise BudgetError(f"Ryser subset count {work} exceeds budget {RYSER_BUDGET}")
     cols = list(zip(*h.rows))
     sub = [0] * (x + 1)  # sub[s]: sum over |S| = s of prod_i (row sum i over S)
 

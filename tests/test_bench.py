@@ -15,6 +15,7 @@ from f2lab.bench import (
     check_full_sumset_lower,
     check_inverse2,
     check_rudin_even,
+    check_sophisticated,
     check_spectrum_energy_lower,
     check_sumset_energy,
     run_family,
@@ -22,12 +23,14 @@ from f2lab.bench import (
     verify_majority,
     weight1_binomial_value,
 )
-from f2lab.core import BudgetError, F2Set, distinct_sumset_power
+from f2lab.cli import run_config
+from f2lab.core import BudgetError, F2Set, distinct_sumset, distinct_sumset_power
 from f2lab.dissociation import random_dissociated
 from f2lab.energy import additive_energy
 from f2lab.inverse import (
     FiberDecomposition,
     InverseParams,
+    _subset_table,
     extract_rectangles_d,
     extract_rectangles_pair,
 )
@@ -408,3 +411,55 @@ TRIPLE_LAM = F2Set(7, (1, 2, 4, 8, 16, 32, 64, 127))
 def test_refusal_rows_report_status_and_detail(call, expected):
     rep = call()
     assert {key: getattr(rep, key) for key in expected} == expected
+
+
+def _never(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} ran before its cap refused")
+
+    return refuse
+
+
+@pytest.mark.parametrize(
+    "enumerator, call, message",
+    [
+        pytest.param(
+            None,
+            lambda: distinct_sumset([F2Set(10, tuple(range(i, i + 216))) for i in (0, 216, 432)]),
+            "10077696 tuples exceed budget 10000000",
+            id="distinct-sumset-tuples",
+        ),
+        pytest.param(
+            ("f2lab.inverse", "subset_sums"),
+            lambda: _subset_table(F2Set(12, tuple(range(1, 401))), 3),
+            "subset table too large: 10586800 sums exceed 2000000",
+            id="subset-table",
+        ),
+        pytest.param(
+            ("f2lab.cli", "reduced_permanent_check"),
+            lambda: run_config({"command": "lemma-per0", "p": 4, "r": 5}),
+            "exhaustive family limited to p*r <= 16, got 20",
+            id="lemma-per0-cells",
+        ),
+        pytest.param(
+            ("f2lab.bench", "energy_multiset"),
+            lambda: check_sophisticated([BASIS4] * 10, [tuple(range(10))], BASIS4),
+            "p = 5 beyond documented cap 4",
+            id="sophisticated-p",
+        ),
+        pytest.param(
+            ("f2lab.bench", "additive_energy"),
+            lambda: _inverse2(F2Set(16, tuple(1 << i for i in range(15))), F2Set(16, (1 << 15,)), 5),
+            "s1 = 15, p = 5 beyond caps (14, 6)",
+            id="inverse2-s1",
+        ),
+    ],
+)
+def test_every_cap_refuses_before_enumerating(monkeypatch, enumerator, call, message):
+    # each message names the count that broke the cap and the cap itself
+    if enumerator is not None:
+        module, name = enumerator
+        monkeypatch.setattr(sys.modules[module], name, _never(name))
+    with pytest.raises(BudgetError) as refused:
+        call()
+    assert str(refused.value) == message

@@ -118,6 +118,30 @@ def test_lemma_per0_cli(tmp_path):
     assert report["results"]["hypotheses_satisfied"] > 0
 
 
+@pytest.mark.parametrize("p, r", [(1, 3), (2, 5)])
+def test_lemma_per0_without_hypotheses_exit2(tmp_path, p, r):
+    # R > 2P: no row sums of 2 cover every column, so "all positive" would certify nothing
+    code, report = run_cli(["lemma-per0", "--exhaustive", str(p), str(r)], tmp_path)
+    assert code == 2
+    assert report["results"]["matrices_scanned"] == 3 ** (p * r)
+    assert report["results"]["hypotheses_satisfied"] == 0
+
+
+@pytest.mark.parametrize("p, r", [("3", "0"), ("0", "3"), ("-1", "3")])
+def test_lemma_per0_size_below_one_exit2(tmp_path, capsys, p, r):
+    code, report = run_cli(["lemma-per0", "--exhaustive", p, r], tmp_path)
+    assert code == 2 and report is None
+    assert "--exhaustive" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_lemma_per0_over_cap_exit2(tmp_path, capsys):
+    code, report = run_cli(["lemma-per0", "--exhaustive", "4", "5"], tmp_path)
+    err = capsys.readouterr().err
+    assert (code, report) == (2, None)
+    assert "Traceback" not in err
+    assert json.loads(err) == {"error": "exhaustive family limited to p*r <= 16, got 20"}
+
+
 def test_bench_cli_majority_single_n(tmp_path):
     # spec-style invocation: one instance at n = 20, delta = 1/64
     code, report = run_cli(

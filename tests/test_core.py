@@ -114,7 +114,7 @@ def test_distinct_sumset_inside_ordinary_sumset():
 def test_distinct_sumset_budget():
     big = F2Set.from_bits(20, range(1, 400))
     with pytest.raises(BudgetError):
-        distinct_sumset_power(big, 5, budget=1000)
+        distinct_sumset_power(big, 5)  # C(399, 5) > SUMSET_BUDGET
 
 
 def test_parse_serialize_roundtrip():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -123,9 +124,11 @@ def test_hereditary():
                 assert is_dissociated(F2Set(dim, combo))
 
 
-def test_in_family_budget_undecided():
+def test_in_family_budget_undecided(monkeypatch):
+    # f2lab.in_family names the function, so reach the module through sys.modules
+    monkeypatch.setattr(sys.modules["f2lab.dissociation"], "DEFAULT_WORK_BUDGET", 1000)
     l = F2Set(20, tuple(range(1, 40)))
-    check = in_family(l, zero_spec(12, 20), budget=1000)
+    check = in_family(l, zero_spec(12, 20))
     assert check.status == "undecided"
     assert check.work > 1000
 

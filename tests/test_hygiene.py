@@ -1,7 +1,8 @@
 """Static hygiene of the source and test trees.
 
 Neither pyflakes nor ruff is a dependency, so the unused-import,
-unused-parameter and dead-definition checks are small AST scans here.
+unused-parameter, unpassed-default and dead-definition checks are small
+AST scans here.
 The import and dead-definition scans skip `__init__.py` files: their
 imports are the package's re-exports.
 """
@@ -100,6 +101,64 @@ def test_no_unused_parameters_in_src():
         if (names := unused_parameters(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def unpassed_defaults(modules: dict[str, str]) -> list[str]:
+    """Defaulted parameters that no call in `modules` passes, by keyword or
+    by position, as "module:function:parameter".  Calls match functions by
+    name; a call through an attribute binds a method's `self` or `cls`, and
+    a starred argument passes every position."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(callee, []).append(node)
+
+    def passes(call: ast.Call, arg: ast.arg, position: int | None, bound: int) -> bool:
+        if any(kw.arg in (arg.arg, None) for kw in call.keywords):
+            return True
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            return True
+        offset = bound if isinstance(call.func, ast.Attribute) else 0
+        return position is not None and len(call.args) + offset > position
+
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            bound = int(bool(positional) and positional[0].arg in ("self", "cls"))
+            defaulted = [
+                (a, positional.index(a)) for a in positional[len(positional) - len(args.defaults) :]
+            ] + [(a, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found += [
+                f"{name}:{node.name}:{a.arg}"
+                for a, position in defaulted
+                if not any(passes(c, a, position, bound) for c in calls.get(node.name, []))
+            ]
+    return found
+
+
+def test_unpassed_defaults_detector():
+    mod = "def f(a, b=1, *, c=2, d=3):\n    return a + b + c + d\n"
+    mod += "class K:\n    def m(self, x=0, y=0):\n        return x + y\n"
+    mod += "def g(u=0, v=0):\n    return u + v\n"
+    mod += "f(1, d=4)\nK().m(5)\nh = [0]\ng(*h)\n"
+    assert unpassed_defaults({"m": mod}) == ["m:f:b", "m:f:c", "m:m:y"]
+    assert unpassed_defaults({"m": mod, "n": "f(1, 2, **{})\nK.m(K(), 1, 2)\n"}) == []
+
+
+def test_every_default_is_passed_in_src():
+    # the console entry point calls main() and leaves argv to sys.argv
+    modules = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in sorted((ROOT / "src" / "f2lab").glob("*.py"))
+    }
+    assert unpassed_defaults(modules) == ["cli.py:main:argv"]
 
 
 def loaded_names(tree: ast.AST) -> Counter:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -15,7 +16,7 @@ from f2lab.bench import (
     greedy_support_threshold,
 )
 from f2lab.core import F2Set, distinct_sumset_power
-from f2lab.dissociation import random_dissociated
+from f2lab.dissociation import in_family, random_dissociated
 from f2lab.energy import _brute_preferred, additive_energy
 from f2lab.inverse import (
     ConnectednessParams,
@@ -360,15 +361,17 @@ def test_common_intersection_node_cap():
     assert _best_common_intersection(sets, 2, comb(6, 2)) == ((4, 5), frozenset({9}), True)
 
 
-def test_bombieri_capped_witness():
+def test_bombieri_capped_witness(monkeypatch):
     # q = 6 halves of 8 points, t = 2: any common point reaches the bound 4/45
     universe = F2Set(4, tuple(range(8)))
     halves = [(0, 1, 2, 3), (4, 5, 6, 7), (0, 1, 4, 5), (2, 3, 6, 7), (0, 2, 4, 6), (1, 3, 5, 7)]
     subsets = [F2Set(4, h) for h in halves]
-    rep = check_bombieri(universe, subsets, Fraction(1, 2), 2, budget=1)
-    assert (rep.lhs, rep.status, rep.detail) == (0, "undecided", "sets=[0, 1] node cap reached")
-    rep = check_bombieri(universe, subsets[1:] + subsets[:1], Fraction(1, 2), 2, budget=1)
-    assert (rep.lhs, rep.status, rep.detail) == (2, "holds", "sets=[0, 1] node cap reached")
+    with monkeypatch.context() as patch:
+        patch.setattr(sys.modules["f2lab.bench"], "BOMBIERI_NODE_CAP", 1)
+        rep = check_bombieri(universe, subsets, Fraction(1, 2), 2)
+        assert (rep.lhs, rep.status, rep.detail) == (0, "undecided", "sets=[0, 1] node cap reached")
+        rep = check_bombieri(universe, subsets[1:] + subsets[:1], Fraction(1, 2), 2)
+        assert (rep.lhs, rep.status, rep.detail) == (2, "holds", "sets=[0, 1] node cap reached")
     rep = check_bombieri(universe, subsets, Fraction(1, 2), 2)
     assert (rep.lhs, rep.rhs, rep.status) == (2, Fraction(4, 45), "holds")
     assert rep.detail == "sets=[0, 2] exhaustive"
@@ -524,7 +527,7 @@ def test_extract_d_delegates_for_pairs():
     inst = plant_instance(1, 3, 3, Fraction(0), seed=13, n=14, lambda_size=10)
     rep = extract_rectangles_d(inst.q, inst.lam, 2, InverseParams(seed=3))
     assert rep.rectangle is not None
-    assert rep.prefix == ()
+    assert rep.rectangle.prefix == ()
     assert rep.rectangle.points() <= set(inst.q.elems)
 
 
@@ -536,8 +539,25 @@ def test_extract_d3_recovers_prefix():
     q3 = F2Set.from_bits(14, (prefix_elem ^ p for p in inst.q.elems))
     rep = extract_rectangles_d(q3, lam, 3, InverseParams(p=2, seed=11))
     assert rep.rectangle is not None
-    assert rep.prefix == (prefix_elem,)
+    assert rep.rectangle.prefix == (prefix_elem,)
     assert rep.rectangle.points() <= set(q3.elems)
+
+
+def test_extract_d3_tests_the_family_once(monkeypatch):
+    # Lambda_pair lies inside Lambda, whose weight-2dp test covers weight 4p
+    weights = []
+
+    def counting(l, spec):
+        weights.append(spec.k)
+        return in_family(l, spec)
+
+    monkeypatch.setattr(sys.modules["f2lab.inverse"], "in_family", counting)
+    inst = plant_instance(1, 3, 3, Fraction(0), seed=7, n=14, lambda_size=9)
+    used = set(inst.rows[0].elems) | set(inst.cols[0].elems)
+    prefix_elem = next(e for e in inst.lam.elems if e not in used)
+    q3 = F2Set.from_bits(14, (prefix_elem ^ p for p in inst.q.elems))
+    assert extract_rectangles_d(q3, inst.lam, 3, InverseParams(p=2, seed=11)).rectangle
+    assert weights == [12]
 
 
 def test_extract_d3_full_sumset_containment():
@@ -546,7 +566,7 @@ def test_extract_d3_full_sumset_containment():
     rep = extract_rectangles_d(q, lam, 3, InverseParams(p=2, seed=19))
     if rep.rectangle is not None:
         assert rep.rectangle.points() <= set(q.elems)
-        assert len(rep.prefix) == 1
+        assert len(rep.rectangle.prefix) == 1
 
 
 def test_extract_deterministic_under_seed():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -53,13 +54,16 @@ def test_permanent_matches_permutation_oracle():
 
 
 @pytest.mark.parametrize("x, y", [(3, 7), (5, 5)])
-def test_permanent_budget_is_the_subset_count(x, y):
+def test_permanent_budget_is_the_subset_count(monkeypatch, x, y):
     rng = random.Random(10 * x + y)
     rows = [[rng.randint(0, 3) for _ in range(y)] for _ in range(x)]
     w = sum(comb(y, s) for s in range(x + 1))
-    assert permanent(m(*rows), budget=w) == permanent_perms(rows)
+    # f2lab.permanent names the function, so reach the module through sys.modules
+    monkeypatch.setattr(sys.modules["f2lab.permanent"], "RYSER_BUDGET", w)
+    assert permanent(m(*rows)) == permanent_perms(rows)
+    monkeypatch.setattr(sys.modules["f2lab.permanent"], "RYSER_BUDGET", w - 1)
     with pytest.raises(BudgetError):
-        permanent(m(*rows), budget=w - 1)
+        permanent(m(*rows))
 
 
 def test_permanent_row_permutation_invariant():
