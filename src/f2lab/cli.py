@@ -36,7 +36,7 @@ from .core import (
 from .dissociation import FamilySpec, in_family
 from .energy import additive_energy
 from .exact import ExactnessError
-from .inverse import InverseParams, extract_rectangles_d, extract_rectangles_pair, plant_instance
+from .inverse import InverseParams, extract_rectangles_d, plant_instance
 from .permanent import fk_zero_test, parse_matrix, permanent, reduced_permanent_check
 from .wht import IntFunction, check_alpha, large_spectrum_from_table, spectrum_of_set
 
@@ -329,28 +329,19 @@ def _rectangle_json(rect, dim: int) -> dict:
 def _cmd_extract(config: dict) -> Outcome:
     q = parse_set(config["q_text"])
     lam = parse_set(config["lambda_text"])
-    d = config.get("d", 2)
     params = _extract_params(config)
-    if d == 2:
-        rep = extract_rectangles_pair(q, lam, params)
-        results = {
-            "rectangles": [_rectangle_json(r, q.dim) for r in rep.rectangles],
-            "covered": rep.covered,
-            "q_size": rep.q_size,
-            "coverage": str(rep.coverage),
-            "family_status": rep.family_status,
-            "trace": list(rep.trace),
-        }
-    else:
-        rep = extract_rectangles_d(q, lam, d, params)
-        rect = rep.rectangle
-        results = {
-            "rectangle": None if rect is None else _rectangle_json(rect, q.dim),
-            "excess_found": rep.excess_found,
-        }
-    results["warnings"] = list(rep.warnings)
-    results["params_resolved"] = _params_resolved(params)
-    results["reference_epsilon"] = str(params.reference_epsilon())
+    rep = extract_rectangles_d(q, lam, config.get("d", 2), params)
+    results = {
+        "rectangles": [_rectangle_json(r, q.dim) for r in rep.rectangles],
+        "covered": rep.covered,
+        "q_size": rep.q_size,
+        "coverage": str(rep.coverage),
+        "family_status": rep.family_status,
+        "trace": list(rep.trace),
+        "warnings": list(rep.warnings),
+        "params_resolved": _params_resolved(params),
+        "reference_epsilon": str(params.reference_epsilon()),
+    }
     return Outcome(results, 0)
 
 

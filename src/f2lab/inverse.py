@@ -417,6 +417,17 @@ def _subset_table(lam: F2Set, d: int) -> dict[int, tuple[int, ...]]:
     return table
 
 
+def _contained_table(q: F2Set, lam: F2Set, d: int) -> dict[int, tuple[int, ...]]:
+    """The subset table of Lambda, after checking that Q lies in its d-fold
+    distinct sumset (in the same group)."""
+    if q.dim != lam.dim:
+        raise ValueError(f"Q lies in F_2^{q.dim} but Lambda in F_2^{lam.dim}")
+    table = _subset_table(lam, d)
+    if any(qq not in table for qq in q.elems):
+        raise ValueError(f"Q is not contained in the {d}-fold distinct sumset of Lambda")
+    return table
+
+
 def _best_split(
     q_elems: list[int],
     pair_of: dict[int, tuple[int, int]],
@@ -577,7 +588,8 @@ def _peel_rectangles(
     """The rounds of `_bite_once` on Q minus the points already covered, up
     to the coverage target or `stall_limit` empty rounds in a row; returns
     the disjoint rectangles and the number of points they cover."""
-    remaining = set(q.elems)
+    q_set = set(q.elems)
+    remaining = set(q_set)
     rects: list[Rectangle] = []
     stalls = 0
     q_size = len(q)
@@ -592,7 +604,7 @@ def _peel_rectangles(
             continue
         stalls = 0
         pts = rect.points()
-        if not pts <= set(q.elems):
+        if not pts <= q_set:
             raise AssertionError("rectangle not contained in the original Q (bug)")
         remaining -= pts
         rects.append(rect)
@@ -611,9 +623,7 @@ def extract_rectangles_pair(q: F2Set, lam: F2Set, params: InverseParams) -> Extr
     fam = in_family(lam, FamilySpec.zero(4 * params.p, lam.dim))
     if fam.status != "true":
         warnings.append(f"Lambda family status: {fam.status}")
-    pair_of = _subset_table(lam, 2)
-    if any(qq not in pair_of for qq in q.elems):
-        raise ValueError("Q is not contained in the 2-fold distinct sumset of Lambda")
+    pair_of = _contained_table(q, lam, 2)
     trace: list[dict] = []
     rects, covered = _peel_rectangles(q, lam, pair_of, params, random.Random(params.seed), trace)
     coverage = Fraction(covered, len(q)) if q else Fraction(1)
@@ -622,71 +632,61 @@ def extract_rectangles_pair(q: F2Set, lam: F2Set, params: InverseParams) -> Extr
     )
 
 
-@dataclass(frozen=True)
-class PrefixExtractionReport:
-    rectangle: Optional[Rectangle]
-    excess_found: bool
-    warnings: tuple[str, ...]
-
-
-def _aligned(combo: tuple[int, ...], part_of: dict[int, int]) -> Optional[tuple[int, ...]]:
-    """The d-subset ordered by part, or None unless it meets every part once."""
-    out = [None] * len(combo)
+def _prefix(combo: tuple[int, ...], part_of: dict[int, int]) -> Optional[tuple[int, ...]]:
+    """The d-subset's elements in the d - 2 prefix parts, ordered by part, or
+    None unless it meets each prefix part once (the other two then lie in
+    the pair block)."""
+    out = [None] * (len(combo) - 2)
     for e in combo:
-        i = part_of[e]
-        if out[i] is not None:
-            return None
-        out[i] = e
-    return tuple(out)
+        i = part_of.get(e)
+        if i is not None:
+            if out[i] is not None:
+                return None
+            out[i] = e
+    return None if None in out else tuple(out)
 
 
-def extract_rectangles_d(
-    q: F2Set, lam: F2Set, d: int, params: InverseParams
-) -> PrefixExtractionReport:
+def extract_rectangles_d(q: F2Set, lam: F2Set, d: int, params: InverseParams) -> ExtractionReport:
     """Rectangle extraction inside the d-fold distinct sumset, d >= 2.
 
-    Partitions Lambda into d parts, pigeonholes over (d-2)-prefixes keeping
-    an energy-excess prefix of maximal fiber mass, and runs the pair rounds
-    on the translated fiber inside the sums of the last two parts.  The
-    returned rectangle satisfies (sum of prefix) + L + L' <= Q,
-    machine-checked.
+    At d = 2 this is `extract_rectangles_pair`.  Above, Lambda is cut into
+    d - 2 prefix parts and one pair block; Q is grouped by the prefix of its
+    decomposition, and the fibers are peeled in turn (energy excess first,
+    then by mass) on their translates inside the pair block's pair sums,
+    until the coverage target.  Every returned rectangle satisfies
+    (sum of prefix) + L + L' <= Q, machine-checked; each point of Q has one
+    decomposition, so the fibers, and with them the rectangles, are disjoint.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
     if d == 2:
-        rep = extract_rectangles_pair(q, lam, params)
-        rect = max(rep.rectangles, key=lambda r: (r.area(),), default=None)
-        return PrefixExtractionReport(rect, True, rep.warnings)
+        return extract_rectangles_pair(q, lam, params)
     warnings = []
     fam = in_family(lam, FamilySpec.zero(2 * d * params.p, lam.dim))
     if fam.status != "true":
         warnings.append(f"Lambda family status: {fam.status}")
-    subset_of = _subset_table(lam, d)
-    if any(qq not in subset_of for qq in q.elems):
-        raise ValueError("Q is not contained in the d-fold distinct sumset of Lambda")
+    subset_of = _contained_table(q, lam, d)
     rng = random.Random(params.seed)
     n_lam = len(lam)
-    a = -((-n_lam) // d)  # ceil; the last part takes the remainder
+    a = -((-n_lam) // d)  # ceil; the pair block takes the rest, at least a + 1
     if n_lam - a * (d - 1) < 1:
         raise ValueError("Lambda too small to split into d parts")
     best_split = None
     for _ in range(params.split_trials):
         perm = rng.sample(lam.elems, n_lam)
-        part_of = {e: j // a for j, e in enumerate(perm)}  # consecutive blocks of a
-        mass = sum(1 for qq in q.elems if _aligned(subset_of[qq], part_of) is not None)
+        part_of = {e: j // a for j, e in enumerate(perm[: a * (d - 2)])}  # prefix parts
+        mass = sum(1 for qq in q.elems if _prefix(subset_of[qq], part_of) is not None)
         if best_split is None or mass > best_split[0]:
             best_split = (mass, part_of)
     part_of = best_split[1]
     # group Q by the (d-2)-prefix of its decomposition
     by_prefix: dict[tuple[int, ...], list[int]] = {}
     for qq in q.elems:
-        aligned = _aligned(subset_of[qq], part_of)
-        if aligned is not None:
-            by_prefix.setdefault(aligned[: d - 2], []).append(qq)
-    if not by_prefix:
-        return PrefixExtractionReport(None, False, tuple(warnings))
+        pref = _prefix(subset_of[qq], part_of)
+        if pref is not None:
+            by_prefix.setdefault(pref, []).append(qq)
     m_cor = 2**13 * (8 * params.big_k) ** (d - 1)
-    candidates = []
+    fibers = []
     for pref, pts in by_prefix.items():
         shift = 0
         for e in pref:
@@ -697,23 +697,29 @@ def extract_rectangles_d(
             Fraction(t_p) * m_cor**params.p
             > params.p ** (2 * params.p) * Fraction(len(translated)) ** params.p
         )
-        candidates.append((excess, len(pts), pref, translated))
-    with_excess = [c for c in candidates if c[0]]
-    excess_found = bool(with_excess)
-    pool = with_excess if with_excess else candidates
-    pool.sort(key=lambda c: (-c[1], c[2]))
-    _, _, pref, translated = pool[0]
-    # every translated point is one element of each of the last two parts
-    lam_pair = F2Set.from_bits(lam.dim, (e for e, i in part_of.items() if i >= d - 2))
+        fibers.append((not excess, -len(pts), pref, translated))
+    fibers.sort(key=lambda f: f[:3])
+    lam_pair = F2Set.from_bits(lam.dim, (e for e in lam.elems if e not in part_of))
     pair_of, pair_rng = _subset_table(lam_pair, 2), random.Random(rng.randrange(1 << 30))
-    rects, _ = _peel_rectangles(translated, lam_pair, pair_of, params, pair_rng, [])
-    best = max(rects, key=lambda r: (r.area(),), default=None)
-    rect = None
-    if best is not None:
-        rect = Rectangle(tuple(pref), best.rows, best.cols)
-        if not rect.points() <= set(q.elems):
-            raise AssertionError("prefixed rectangle escapes Q (bug)")
-    return PrefixExtractionReport(rect, excess_found, tuple(warnings))
+    q_set = set(q.elems)
+    rects: list[Rectangle] = []
+    covered = 0
+    trace: list[dict] = []
+    for no_excess, _, pref, translated in fibers:
+        if Fraction(covered, len(q)) >= params.coverage_target:
+            break
+        trace.append({"stage": "prefix", "points": len(translated), "excess": not no_excess})
+        found, count = _peel_rectangles(translated, lam_pair, pair_of, params, pair_rng, trace)
+        for r in found:
+            rect = Rectangle(pref, r.rows, r.cols)
+            if not rect.points() <= q_set:
+                raise AssertionError("prefixed rectangle escapes Q (bug)")
+            rects.append(rect)
+        covered += count
+    coverage = Fraction(covered, len(q)) if q else Fraction(1)
+    return ExtractionReport(
+        tuple(rects), covered, len(q), coverage, fam.status, tuple(trace), tuple(warnings)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -513,15 +514,39 @@ def test_extract_d3_cli_rectangle_inside_q_and_replays(tmp_path):
     args = ["extract", "--q", q, "--lambda", lam, "--d", "3", "--seed", "1", "--report", out]
     code, report = run_cli(args, tmp_path)
     assert code == 0
-    rect = report["results"]["rectangle"]
-    assert rect is not None and len(rect["prefix"]) == 1
-    shift = parse_set(f"{dim}\n" + "\n".join(rect["prefix"]) + "\n").elems[0]
-    rows = parse_set(f"{dim}\n" + "\n".join(rect["rows"]) + "\n").elems
-    cols = parse_set(f"{dim}\n" + "\n".join(rect["cols"]) + "\n").elems
-    assert rows and cols
-    assert {shift ^ r ^ c for r in rows for c in cols} <= q_elems
+    res = report["results"]
+    assert res["rectangles"]
+    union = set()
+    for rect in res["rectangles"]:
+        assert len(rect["prefix"]) == 1
+        shift = parse_set(f"{dim}\n" + "\n".join(rect["prefix"]) + "\n").elems[0]
+        rows = parse_set(f"{dim}\n" + "\n".join(rect["rows"]) + "\n").elems
+        cols = parse_set(f"{dim}\n" + "\n".join(rect["cols"]) + "\n").elems
+        assert rows and cols
+        pts = {shift ^ r ^ c for r in rows for c in cols}
+        assert pts <= q_elems and not pts & union
+        union |= pts
+    assert (res["covered"], res["q_size"]) == (len(union), len(q_elems))
+    assert res["coverage"] == str(Fraction(len(union), len(q_elems)))
     code, replayed = run_cli(["replay", out], tmp_path)
     assert code == 0 and replayed["results"]["match"] is True
+
+
+@pytest.mark.parametrize(
+    "d, q_text, lam_text",
+    [
+        # 10000001 + 00000001 = 10000000, which reads as 100 in F_2^3
+        ("2", "3\n100\n", "8\n00000001\n10000001\n01000000\n"),
+        ("3", "3\n110\n", "8\n00000001\n10000001\n01000000\n00100000\n00010000\n"),
+    ],
+    ids=["d2", "d3"],
+)
+def test_extract_mixed_dimensions_exit2(tmp_path, capsys, d, q_text, lam_text):
+    q = write(tmp_path, "q.set", q_text)
+    lam = write(tmp_path, "lam.set", lam_text)
+    code, report = run_cli(["extract", "--q", q, "--lambda", lam, "--d", d], tmp_path)
+    assert code == 2 and report is None
+    assert "Lambda in F_2^8" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_fk_cli_long_augmenting_path(tmp_path):

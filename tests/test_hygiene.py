@@ -107,7 +107,11 @@ def unpassed_defaults(modules: dict[str, str]) -> list[str]:
     """Defaulted parameters that no call in `modules` passes, by keyword or
     by position, as "module:function:parameter".  Calls match functions by
     name; a call through an attribute binds a method's `self` or `cls`, and
-    a starred argument passes every position."""
+    a starred argument passes every position.
+
+    Blind spot: a forwarding call counts as a real one.  When `g` calls
+    `f(budget=budget)` and only tests set `g`'s own `budget`, the scan flags
+    `g`'s default but not `f`'s, which no caller outside the tests changes."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     calls: dict[str, list[ast.Call]] = {}
     for tree in trees.values():
@@ -204,7 +208,11 @@ def test_no_dead_definitions_in_src():
 def unread_fields(modules: dict[str, str], readers: dict[str, str]) -> list[str]:
     """Annotated fields of the `@dataclass` classes of `modules` that no
     source in `modules` or `readers` loads as an attribute, as
-    "module:Class.field"."""
+    "module:Class.field".
+
+    Blind spot: fields match by name, not by type.  A field that nothing
+    reads passes whenever an attribute of the same name is loaded on any
+    other object, such as `inst.seed` next to a read of `params.seed`."""
     trees = {name: ast.parse(source) for name, source in {**readers, **modules}.items()}
     loaded = {
         n.attr

@@ -526,21 +526,62 @@ def test_extract_rejects_points_outside_sumset():
 def test_extract_d_delegates_for_pairs():
     inst = plant_instance(1, 3, 3, Fraction(0), seed=13, n=14, lambda_size=10)
     rep = extract_rectangles_d(inst.q, inst.lam, 2, InverseParams(seed=3))
-    assert rep.rectangle is not None
-    assert rep.rectangle.prefix == ()
-    assert rep.rectangle.points() <= set(inst.q.elems)
+    assert rep == extract_rectangles_pair(inst.q, inst.lam, InverseParams(seed=3))
+    assert rep.rectangles
+    for rect in rep.rectangles:
+        assert rect.prefix == ()
+        assert rect.points() <= set(inst.q.elems)
 
 
-def test_extract_d3_recovers_prefix():
-    inst = plant_instance(1, 3, 3, Fraction(0), seed=7, n=14, lambda_size=9)
-    lam = inst.lam
-    used = set(inst.rows[0].elems) | set(inst.cols[0].elems)
-    prefix_elem = next(e for e in lam.elems if e not in used)
-    q3 = F2Set.from_bits(14, (prefix_elem ^ p for p in inst.q.elems))
-    rep = extract_rectangles_d(q3, lam, 3, InverseParams(p=2, seed=11))
-    assert rep.rectangle is not None
-    assert rep.rectangle.prefix == (prefix_elem,)
-    assert rep.rectangle.points() <= set(q3.elems)
+def _plant_prefixed(d, h, size, lambda_size, seed, n=24):
+    """Q holding h prefixed size x size rectangles in the d-fold sums of a
+    random dissociated Lambda, each with a private (d-2)-prefix and private
+    row and column blocks; returns (Q, Lambda)."""
+    rng = random.Random(seed)
+    lam = random_dissociated(n, lambda_size, seed=rng.randrange(1 << 30))
+    perm = rng.sample(lam.elems, lambda_size)
+    width = d - 2 + 2 * size
+    assert h * width <= lambda_size
+    points = set()
+    for i in range(h):
+        block = perm[i * width : (i + 1) * width]
+        rows = F2Set.from_bits(n, block[d - 2 : d - 2 + size])
+        cols = F2Set.from_bits(n, block[d - 2 + size :])
+        points |= Rectangle(tuple(block[: d - 2]), rows, cols).points()
+    return F2Set.from_bits(n, points), lam
+
+
+def _assert_disjoint_cover(rep, q, d):
+    """Every rectangle inside Q with a (d-2)-prefix, pairwise disjoint, and
+    `covered` / `coverage` counting their union."""
+    union = set()
+    for rect in rep.rectangles:
+        pts = rect.points()
+        assert len(rect.prefix) == d - 2
+        assert pts <= set(q.elems)
+        assert not pts & union
+        union |= pts
+    assert rep.covered == len(union)
+    assert rep.coverage == (Fraction(rep.covered, len(q)) if q else 1)
+
+
+@pytest.mark.parametrize(
+    "d, h, lambda_size, floor",
+    # mean shares 0.76, 0.70 and 0.52 over these seeds; the one-rectangle
+    # report covered 0.22, 0.11 and 0.12 of the planted points
+    [(3, 2, 16, Fraction(2, 3)), (3, 3, 21, Fraction(3, 5)), (4, 2, 18, Fraction(9, 20))],
+    ids=["d3-h2", "d3-h3", "d4-h2"],
+)
+def test_extract_d_recovers_planted_share(d, h, lambda_size, floor):
+    covered = planted = 0
+    for seed in range(10):
+        q, lam = _plant_prefixed(d, h, 3, lambda_size, seed)
+        rep = extract_rectangles_d(q, lam, d, InverseParams(seed=seed))
+        _assert_disjoint_cover(rep, q, d)
+        assert rep.trace[0]["stage"] == "prefix"
+        covered += rep.covered
+        planted += len(q)
+    assert Fraction(covered, planted) > floor
 
 
 def test_extract_d3_tests_the_family_once(monkeypatch):
@@ -556,7 +597,7 @@ def test_extract_d3_tests_the_family_once(monkeypatch):
     used = set(inst.rows[0].elems) | set(inst.cols[0].elems)
     prefix_elem = next(e for e in inst.lam.elems if e not in used)
     q3 = F2Set.from_bits(14, (prefix_elem ^ p for p in inst.q.elems))
-    assert extract_rectangles_d(q3, inst.lam, 3, InverseParams(p=2, seed=11)).rectangle
+    assert extract_rectangles_d(q3, inst.lam, 3, InverseParams(p=2, seed=11)).rectangles
     assert weights == [12]
 
 
@@ -564,9 +605,7 @@ def test_extract_d3_full_sumset_containment():
     lam = random_dissociated(12, 7, seed=17)
     q = distinct_sumset_power(lam, 3)
     rep = extract_rectangles_d(q, lam, 3, InverseParams(p=2, seed=19))
-    if rep.rectangle is not None:
-        assert rep.rectangle.points() <= set(q.elems)
-        assert len(rep.rectangle.prefix) == 1
+    _assert_disjoint_cover(rep, q, 3)
 
 
 def test_extract_deterministic_under_seed():
