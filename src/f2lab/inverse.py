@@ -90,7 +90,7 @@ def refine_connected(q: F2Set, params: ConnectednessParams) -> RefineResult:
             val = memo[elems] = additive_energy(F2Set(q.dim, elems), k)
         return val
 
-    rng = random.Random(params.seed)
+    rng: Optional[random.Random] = None  # seeded at the first random-search pass
     cur = q
     t_cur = energy(cur.elems)
     t_initial = t_cur
@@ -122,6 +122,7 @@ def refine_connected(q: F2Set, params: ConnectednessParams) -> RefineResult:
                     break
         else:
             best: Optional[tuple[Fraction, tuple[int, ...]]] = None
+            rng = rng or random.Random(params.seed)
             for _ in range(params.search_budget):
                 size = rng.randint(lo, hi)
                 combo = tuple(sorted(rng.sample(cur.elems, size)))
@@ -442,7 +443,13 @@ def _best_split(
     limit (the averaging argument then guarantees the best split carries at
     least half the mass); otherwise best of `trials` seeded random splits.
     Q is a graph on Lambda, one edge per pair, and the mass of a half S is
-    its cut; adding i to S adds deg(i) - 2|adj(i) & S|.  Ties keep the first.
+    its cut; adding i to S adds the gain deg(i) - 2|adj(i) & S|.  Ties keep
+    the first split in `combinations` order.  The exhaustive walk is branch
+    and bound: gains only fall as S grows, so a node is skipped when its
+    score plus its `left` largest gains is <= best, which keeps the first
+    maximum, since the best moves only on a strictly larger score.  At
+    2a = |Lambda| a split and its complement cut alike, and only the half
+    of the tree holding index 0, which comes first, is walked.
     """
     n_lam = len(lam)
     a = -((-n_lam) // 2)  # ceil
@@ -464,17 +471,19 @@ def _best_split(
 
     def walk(start: int, left: int, mask: int, score: int) -> None:
         nonlocal best, best_mask
-        if left > 1:
-            for i in range(start, n_lam - left + 1):
-                gain = deg[i] - 2 * (adj[i] & mask).bit_count()
-                walk(i + 1, left - 1, mask | 1 << i, score + gain)
+        gains = [deg[i] - 2 * (adj[i] & mask).bit_count() for i in range(start, n_lam)]
+        if score + sum(sorted(gains)[len(gains) - left:]) <= best:
             return
-        for i in range(start, n_lam):
-            s = score + deg[i] - 2 * (adj[i] & mask).bit_count()
-            if s > best:
-                best, best_mask = s, mask | 1 << i
+        if left == 1:
+            top = max(gains)
+            best, best_mask = score + top, mask | 1 << (start + gains.index(top))
+            return
+        for i in range(start, n_lam - left + 1):
+            walk(i + 1, left - 1, mask | 1 << i, score + gains[i - start])
 
-    if exhaustive:
+    if exhaustive and 2 * a == n_lam > 2:
+        walk(1, a - 1, 1, deg[0])  # only the splits holding index 0
+    elif exhaustive:
         walk(0, a, 0, 0)
     else:
         for t in range(trials):

@@ -633,6 +633,7 @@ def _split_matches_oracle(lam, pairs, exhaustive_limit, seed):
     score, first = best_balanced_split(pairs, halves)
     assert (lam1.elems, crossing, exhaustive) == (tuple(sorted(first)), score, want_exhaustive)
     assert lam2.elems == tuple(x for x in lam.elems if x not in first)
+    return lam1
 
 
 @settings(max_examples=60, deadline=None)
@@ -648,12 +649,42 @@ def test_best_split_matches_frozenset_oracle(data):
     _split_matches_oracle(lam, pairs, 12870, data.draw(st.integers(0, 3)))
 
 
-@pytest.mark.parametrize("n", range(1, 15))
+@pytest.mark.parametrize("n", range(1, 18))
 def test_best_split_empty_and_complete_q(n):
-    # empty Q: every split scores 0; complete pair graph: every split ties
-    lam = random_dissociated(16, n, seed=n)
-    _split_matches_oracle(lam, [], 12870, 0)
-    _split_matches_oracle(lam, list(itertools.combinations(lam.elems, 2)), 12870, 0)
+    # empty Q: every split scores 0; complete pair graph: every split ties, so
+    # the first half (1 << a) - 1 wins; the limit keeps n = 17 exhaustive too
+    lam = random_dissociated(max(16, n), n, seed=n)
+    limit = max(12870, comb(n, -(-n // 2)))
+    _split_matches_oracle(lam, [], limit, 0)
+    lam1 = _split_matches_oracle(lam, list(itertools.combinations(lam.elems, 2)), limit, 0)
+    assert lam1.elems == lam.elems[:-(-n // 2)]
+
+
+def _planted_pairs(lam, h, side, seed):
+    """h side x side rectangles of pairs on a shuffled Lambda plus 1/10 noise
+    pairs, laid out like the planted instances of the extract benchmark:
+    private row and column blocks, or one shared column block when Lambda is
+    too small for private ones."""
+    rng = random.Random(seed)
+    order = rng.sample(lam.elems, len(lam))
+    if h * 2 * side <= len(lam):
+        cut = [order[j * side:(j + 1) * side] for j in range(2 * h)]
+        blocks = [(cut[2 * i], cut[2 * i + 1]) for i in range(h)]
+    else:
+        shared = order[h * side:(h + 1) * side]
+        blocks = [(order[i * side:(i + 1) * side], shared) for i in range(h)]
+    planted = sorted({(min(r, c), max(r, c)) for rows, cols in blocks for r in rows for c in cols})
+    free = sorted(set(itertools.combinations(lam.elems, 2)) - set(planted))
+    return planted + rng.sample(free, len(planted) // 10)
+
+
+@pytest.mark.parametrize("h", (1, 2, 3))
+@pytest.mark.parametrize("n", (15, 16, 17))
+def test_best_split_planted_at_workload_size(n, h):
+    # |Lambda| = 16 is the extract benchmark's size; the limit makes n = 17
+    # exhaustive too, and the even n = 16 walks only the half holding index 0
+    lam = random_dissociated(18, n, seed=n)
+    _split_matches_oracle(lam, _planted_pairs(lam, h, 4, h), comb(n, -(-n // 2)), 0)
 
 
 @pytest.mark.parametrize("n", (4, 7, 10, 13, 14))
