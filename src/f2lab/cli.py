@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import sys
 import time
@@ -37,7 +38,7 @@ from .dissociation import FamilySpec, in_family
 from .energy import additive_energy
 from .exact import ExactnessError
 from .inverse import InverseParams, extract_rectangles_d, plant_instance
-from .permanent import fk_zero_test, parse_matrix, permanent, reduced_permanent_check
+from .permanent import CombMatrix, fk_zero_test, parse_matrix, permanent, reduced_permanent_check
 from .wht import IntFunction, check_alpha, large_spectrum_from_table, spectrum_of_set
 
 LEMMA_PER0_CELL_CAP = 16  # p*r cells of the exhaustive family: 3^16 matrices
@@ -232,31 +233,23 @@ def _cmd_fk_test(config: dict) -> Outcome:
 
 
 def _cmd_lemma_per0(config: dict) -> Outcome:
-    import itertools
-
-    from .permanent import CombMatrix
-
     p, r = config["p"], config["r"]
     if min(p, r) < 1:
         raise ValueError(f"--exhaustive needs P and R of at least 1, got {p} {r}")
     if p * r > LEMMA_PER0_CELL_CAP:
         raise BudgetError(f"exhaustive family limited to p*r <= {LEMMA_PER0_CELL_CAP}, got {p * r}")
-    total = 0
+    # entries are at most 2, and p row sums of at least 2 total 2p only when
+    # every row sums to exactly 2; no other matrix of {0,1,2}^(p x r) can qualify
+    two_rows = [tuple((k == i) + (k == j) for k in range(r)) for i in range(r) for j in range(i, r)]
     satisfied = 0
     all_positive = True
-    for flat in itertools.product((0, 1, 2), repeat=p * r):
-        total += 1
-        if sum(flat) != 2 * p:
-            continue
-        rows = tuple(tuple(flat[i * r : (i + 1) * r]) for i in range(p))
+    for rows in itertools.product(two_rows, repeat=p):
         rep = reduced_permanent_check(CombMatrix(rows))
-        if not rep.hypotheses_hold:
-            continue
-        satisfied += 1
-        if not rep.per_reduced_positive:
-            all_positive = False
+        if rep.hypotheses_hold:
+            satisfied += 1
+            all_positive = all_positive and rep.per_reduced_positive
     results = {
-        "matrices_scanned": total,
+        "matrices_scanned": 3 ** (p * r),
         "hypotheses_satisfied": satisfied,
         "all_reduced_permanents_positive": all_positive,
     }

@@ -15,6 +15,7 @@ from operator import add
 from typing import Optional
 
 from .core import BudgetError
+from .exact import ExactnessError
 
 RYSER_BUDGET = 1 << 22  # every y <= 22 fits: sum_{s<=x} C(y, s) <= 2^y
 
@@ -75,13 +76,16 @@ def parse_matrix(text: str) -> CombMatrix:
 
 
 def permanent(h: CombMatrix) -> int:
-    """Exact permanent by rectangular Ryser inclusion-exclusion.
+    """Exact permanent by Ryser inclusion-exclusion in one depth-first walk.
 
-    per H = (-1)^x sum_{S <= [y]} (-1)^|S| C(y-|S|, y-x) prod_i sum_{j in S} h_ij,
-    with the sum effectively over |S| <= x.  Tall input is transposed.  The
-    subsets are walked depth-first in increasing column order, each adding
-    one column to its parent's row sums; more than RYSER_BUDGET of them
-    raises BudgetError.
+    Wide input walks S <= [y], |S| <= x, from the zero vector:
+      per H = (-1)^x sum_S (-1)^|S| C(y-|S|, y-x) prod_i sum_{j in S} h_ij.
+    Square input (Nijenhuis-Wilf) walks every S <= [n-1] with doubled columns
+    from v_i = 2 h_in - sum_j h_ij, and the sum is divided exactly:
+      2^(n-1) per H = (-1)^(n-1) sum_S (-1)^|S| prod_i (v_i + sum_{j in S} 2 h_ij).
+    Tall input is transposed.  Each subset adds one column to its parent's
+    row sums; childless subsets are summed in the loop.  More than
+    RYSER_BUDGET subsets of the wide form raises BudgetError.
     """
     if h.x > h.y:
         h = h.transpose()
@@ -90,18 +94,31 @@ def permanent(h: CombMatrix) -> int:
     if work > RYSER_BUDGET:
         raise BudgetError(f"Ryser subset count {work} exceeds budget {RYSER_BUDGET}")
     cols = list(zip(*h.rows))
-    sub = [0] * (x + 1)  # sub[s]: sum over |S| = s of prod_i (row sum i over S)
+    start = [0] * x
+    if x == y:
+        start = [2 * row[-1] - sum(row) for row in h.rows]
+        cols = [tuple(2 * v for v in col) for col in cols[:-1]]
+    last = len(cols) - 1
+    sub = [prod(start)] + [0] * x  # sub[s]: sum over |S| = s of prod_i (start_i + row sum i over S)
 
-    def walk(sums: list[int], start: int, s: int) -> None:
-        for j in range(start, y):
+    def walk(sums: list[int], first: int, s: int) -> None:
+        if s == x:
+            sub[s] += sum(prod(map(add, sums, col)) for col in cols[first:])
+            return
+        for j in range(first, last):
             row_sums = list(map(add, sums, cols[j]))
             sub[s] += prod(row_sums)
-            if s < x:
-                walk(row_sums, j + 1, s + 1)
+            walk(row_sums, j + 1, s + 1)
+        sub[s] += prod(map(add, sums, cols[last]))
 
-    walk([0] * x, 0, 1)
-    total = sum((-1) ** s * comb(y - s, y - x) * sub[s] for s in range(1, x + 1))
-    return total if x % 2 == 0 else -total
+    walk(start, 0, 1)
+    total = sum((-1) ** (x - s) * comb(y - s, y - x) * sub[s] for s in range(x + 1))
+    if x < y:
+        return total
+    per, rem = divmod(-total, 1 << (x - 1))
+    if rem:
+        raise ExactnessError("Nijenhuis-Wilf sum not divisible by 2^(n-1) (bug)")
+    return per
 
 
 @dataclass(frozen=True)

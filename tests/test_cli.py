@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -22,7 +23,7 @@ from f2lab.cli import (
 )
 from f2lab.bench import FAMILIES, _finish, _precondition_failed
 from f2lab.core import F2Set, bits_to_string, parse_set, serialize_set
-from f2lab.permanent import parse_matrix
+from f2lab.permanent import CombMatrix, parse_matrix, reduced_permanent_check
 
 from oracles import naive_wht
 
@@ -141,6 +142,27 @@ def test_lemma_per0_over_cap_exit2(tmp_path, capsys):
     assert (code, report) == (2, None)
     assert "Traceback" not in err
     assert json.loads(err) == {"error": "exhaustive family limited to p*r <= 16, got 20"}
+
+
+@pytest.mark.parametrize("p, r", [(p, r) for p in range(1, 11) for r in range(1, 11) if p * r <= 10])
+def test_lemma_per0_matches_full_family_scan(p, r):
+    # the command builds only rows summing to 2; the oracle scans all 3^(p*r)
+    satisfied = 0
+    all_positive = True
+    for flat in itertools.product((0, 1, 2), repeat=p * r):
+        if sum(flat) != 2 * p:
+            continue
+        rep = reduced_permanent_check(CombMatrix(tuple(tuple(flat[i * r : (i + 1) * r]) for i in range(p))))
+        if rep.hypotheses_hold:
+            satisfied += 1
+            all_positive = all_positive and rep.per_reduced_positive
+    out = run_config({"command": "lemma-per0", "p": p, "r": r})
+    assert out.results == {
+        "matrices_scanned": 3 ** (p * r),
+        "hypotheses_satisfied": satisfied,
+        "all_reduced_permanents_positive": all_positive,
+    }
+    assert out.exit_code == ((0 if all_positive else 1) if satisfied else 2)
 
 
 def test_bench_cli_majority_single_n(tmp_path):

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from f2lab.bench import check_pi, check_sophisticated
 from f2lab.core import BudgetError, F2Set
@@ -51,6 +53,36 @@ def test_permanent_matches_permutation_oracle():
         y = rng.randint(x, x + 4 if wide else 5)
         rows = [[rng.randint(0, 3) for _ in range(y)] for _ in range(x)]
         assert permanent(m(*rows)) == permanent_perms(rows)
+
+
+@st.composite
+def small_matrices(draw):
+    """x-by-y rows with x, y <= 7 in either orientation, entries up to 2^40."""
+    x, y = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    hi = draw(st.sampled_from((1, 3, 1 << 40)))
+    return [draw(st.lists(st.integers(0, hi), min_size=y, max_size=y)) for _ in range(x)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices())
+@example([[1 << 40]])
+@example([[1 << 40, 3], [2, 1 << 40]])
+@example([[2, 0, 1], [1, 1 << 40, 0], [3, 1, 1]])
+@example([[1] * 7] * 7)
+@example([[1] * 6] * 6)
+def test_permanent_matches_oracle_hypothesis(rows):
+    # square input takes the Nijenhuis-Wilf start, wide and tall the zero start
+    assert permanent(m(*rows)) == permanent_perms(rows)
+
+
+@pytest.mark.parametrize("n", range(9, 15))
+def test_permanent_square_start_matches_wide_start(n):
+    # a zero column adds no injective map with a nonzero product, so the
+    # n-by-(n+1) matrix takes the wide walk and must give the same permanent
+    rng = random.Random(n)
+    hi = 1 << 40 if n == 11 else 3
+    rows = [[rng.randint(0, hi) for _ in range(n)] for _ in range(n)]
+    assert permanent(m(*rows)) == permanent(m(*(row + [0] for row in rows)))
 
 
 @pytest.mark.parametrize("x, y", [(3, 7), (5, 5)])
