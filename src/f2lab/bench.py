@@ -102,9 +102,13 @@ def check_chang(a: F2Set, alpha: Fraction, lam: F2Set) -> list[BoundReport]:
     """Dissociated subsets of the large spectrum have size at most
     2 (delta/alpha)^2 log(1/delta) ("chang"), and |R_alpha| <= delta /
     alpha^2 is the Parseval baseline ("parseval-spectrum")."""
+    return _chang_rows(a, alpha, lam, large_spectrum(a, alpha))
+
+
+def _chang_rows(a: F2Set, alpha: Fraction, lam: F2Set, spectrum: F2Set) -> list[BoundReport]:
+    """The rows of `check_chang`, given R_alpha(A)."""
     inst = f"n={a.dim} |A|={len(a)} alpha={alpha}"
     delta = Fraction(len(a), 1 << a.dim)
-    spectrum = large_spectrum(a, alpha)
     parseval = _finish("parseval-spectrum", inst, len(spectrum), delta / alpha**2, "le")
     return [_chang_row(lam, spectrum, delta, alpha, f"{inst} |L|={len(lam)}"), parseval]
 
@@ -188,9 +192,13 @@ def check_full_sumset_lower(lam1: F2Set, d: int, p: int) -> BoundReport:
 
 def check_spectrum_energy_lower(a: F2Set, b: F2Set, k: int, alpha: Fraction) -> BoundReport:
     """T_k(B) >= delta^(1-2k) alpha^(2k) |B|^(2k) for B inside R_alpha(A)."""
+    return _spectrum_energy_lower_row(a, b, k, alpha, large_spectrum(a, alpha))
+
+
+def _spectrum_energy_lower_row(a: F2Set, b: F2Set, k: int, alpha: Fraction, spectrum: F2Set) -> BoundReport:
+    """The row of `check_spectrum_energy_lower`, given R_alpha(A)."""
     name = "spectrum-energy-lower"
     inst = f"n={a.dim} |A|={len(a)} |B|={len(b)} k={k} alpha={alpha}"
-    spectrum = large_spectrum(a, alpha)
     if not b.issubset(spectrum):
         return _precondition_failed(name, inst, "B not inside R_alpha")
     n = 1 << a.dim
@@ -645,12 +653,13 @@ def _draw_chang(rng: random.Random) -> list[BoundReport]:
     size = rng.randint(2, max(2, n // 4))
     a = F2Set.from_bits(dim, rng.sample(range(n), size))
     table = spectrum_of_set(a)
-    nonzero = sorted((abs(v) for v in table.values[1:] if v), reverse=True)
-    alpha = Fraction(nonzero[rng.randrange(min(len(nonzero), 8))], n)
+    import heapq  # a shared library: loaded here, not at every command's start-up
+    largest = heapq.nlargest(8, (abs(v) for v in table.values[1:] if v))
+    alpha = Fraction(largest[rng.randrange(len(largest))], n)
     spectrum = large_spectrum_from_table(table, alpha)
     basis: list[int] = []
     lam = F2Set.from_bits(dim, [r for r in spectrum.elems if _extend_basis(basis, r)])
-    return check_chang(a, alpha, lam)
+    return _chang_rows(a, alpha, lam, spectrum)
 
 
 def _draw_diss_energy(rng: random.Random) -> list[BoundReport]:
@@ -692,7 +701,7 @@ def _draw_spectrum_energy_lower(rng: random.Random) -> list[BoundReport]:
     alpha = Fraction(nonzero[rng.randrange(min(4, len(nonzero)))], n)
     spectrum = large_spectrum_from_table(table, alpha)
     b = F2Set.from_bits(dim, rng.sample(spectrum.elems, rng.randint(1, len(spectrum))))
-    return [check_spectrum_energy_lower(a, b, rng.randint(2, 3), alpha)]
+    return [_spectrum_energy_lower_row(a, b, rng.randint(2, 3), alpha, spectrum)]
 
 
 def _draw_bourgain(rng: random.Random) -> list[BoundReport]:

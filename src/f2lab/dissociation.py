@@ -23,7 +23,9 @@ def _extend_basis(basis: list[int], v: int) -> bool:
     """Reduce v over GF(2) against the descending basis and append the
     nonzero remainder; True iff v was independent of the basis."""
     for b in basis:
-        v = min(v, v ^ b)
+        w = v ^ b
+        if w < v:  # b's leading bit is set in v
+            v = w
     if v:
         basis.append(v)
         basis.sort(reverse=True)

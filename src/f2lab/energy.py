@@ -11,9 +11,10 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from itertools import combinations, starmap
 from operator import xor
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .core import BudgetError, DimensionError, F2Set
+from .dissociation import _extend_basis
 from .exact import ExactnessError
 from .wht import IntFunction, inverse_wht, spectrum_of_set, wht
 
@@ -73,29 +74,59 @@ def energy_convolution(a: F2Set, k: int) -> int:
     return sum(v * v for v in g.values)
 
 
+def _span_coordinates(sets: Sequence[F2Set], cap: int) -> Optional[list[F2Set]]:
+    """The sets in F_2^max(1, r), r the rank of their union, under one
+    injective linear map; None as soon as r exceeds cap.
+
+    The map gathers the bits at the leading-bit positions of an echelon basis
+    of the span from the one GF(2) reducer, the j-th lowest, p, to bit j (one
+    mask and shift p - j per run of consecutive positions).  In a nonzero
+    combination of basis vectors the highest leading bit belongs to one term
+    only, so it survives: the map is injective on the span, so it keeps every
+    XOR relation, hence every T_k, plain or mixed."""
+    basis: list[int] = []
+    for s in sets:
+        for e in s.elems:
+            if _extend_basis(basis, e) and len(basis) > cap:
+                return None
+    runs: dict[int, int] = defaultdict(int)  # shift p - j -> mask of its positions p
+    for j, p in enumerate(sorted(b.bit_length() - 1 for b in basis)):
+        runs[p - j] |= 1 << p
+    shifts = tuple(runs.items())
+
+    def gather(e: int) -> int:
+        return sum((e & mask) >> shift for shift, mask in shifts)
+
+    return [F2Set.from_bits(max(1, len(basis)), map(gather, s.elems)) for s in sets]
+
+
 def additive_energy(a: F2Set, k: int, method: str = "auto") -> int:
     """T_k(A) by the requested route ("auto" picks the cheaper exact one,
-    and the brute route only within its budget)."""
+    and the brute route only within its budget).  The table routes and the
+    choice run in the coordinates of span(A): 2^rank entries, not 2^n."""
+    routes = {"brute": energy_bruteforce, "spectral": energy_spectral, "conv": energy_convolution}
+    if method not in ("auto", *routes):
+        raise ValueError(f"unknown energy method {method!r}")
+    if method != "brute":
+        top = a.dim  # "auto" takes brute force at every rank from the first where it wins
+        if method == "auto":
+            top = next((r for r in range(1, a.dim) if _brute_preferred(len(a), r, k)), a.dim)
+        (a,) = _span_coordinates([a], top - 1) or [a]
     if method == "auto":
         method = "brute" if _brute_preferred(len(a), a.dim, k) else "spectral"
-    if method == "brute":
-        return energy_bruteforce(a, k)
-    if method == "spectral":
-        return energy_spectral(a, k)
-    if method == "conv":
-        return energy_convolution(a, k)
-    raise ValueError(f"unknown energy method {method!r}")
+    return routes[method](a, k)
 
 
 def energy_multiset(sets: Sequence[F2Set]) -> int:
-    """Mixed energy T_k(A_1, ..., A_2k), spectral product route."""
+    """Mixed energy T_k(A_1, ..., A_2k), spectral product route in span coordinates."""
     if len(sets) < 2 or len(sets) % 2 != 0:
         raise ValueError("need an even number 2k >= 2 of sets")
     dim = sets[0].dim
     for s in sets:
         if s.dim != dim:
             raise DimensionError("sets live in different groups")
-    n = 1 << dim
+    sets = _span_coordinates(sets, dim - 1) or sets
+    n = 1 << sets[0].dim
     tables = [spectrum_of_set(s).values for s in sets]
     total = 0
     for r in range(n):

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from f2lab import bench
 from f2lab.bench import (
     build_majority,
     check_bombieri,
@@ -60,6 +61,29 @@ def test_chang_precondition_failures():
     assert check_chang(h, Fraction(1, 4), bad_lam)[0].status == "precondition-failed"
     outside = F2Set(6, (1,))  # not in R_alpha for the subspace
     assert check_chang(h, Fraction(1, 4), outside)[0].status == "precondition-failed"
+
+
+@pytest.mark.parametrize(
+    "family, builder, checker",
+    [("chang", "_chang_rows", check_chang), ("maing", "_spectrum_energy_lower_row", check_spectrum_energy_lower)],
+)
+def test_drawn_rows_equal_public_checker(monkeypatch, family, builder, checker):
+    # the drawers hand the spectrum they hold to the row builder; the public
+    # checker, which takes its own transform, must give the same rows
+    calls = []
+    real = getattr(bench, builder)
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args[:-1], out))
+        return out
+
+    monkeypatch.setattr(bench, builder, spy)
+    rows = [row for seed in (1, 2, 3) for row in run_family(family, 25, seed)]
+    monkeypatch.undo()
+    assert [row for _, out in calls for row in (out if isinstance(out, list) else [out])] == rows
+    for args, out in calls:
+        assert checker(*args) == out
 
 
 def test_chang_full_group_trivial():

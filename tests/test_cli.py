@@ -77,6 +77,21 @@ def test_energy_malformed_set_exit2(tmp_path):
     assert code == 2
 
 
+def test_energy_cap_is_on_rank_not_dimension(tmp_path, capsys, monkeypatch):
+    # spectral and conv routes run in the coordinates of the span: a set in
+    # F_2^12 of rank 3 is answered under a cap of 2^4, a rank-5 set refused
+    monkeypatch.setattr(sys.modules["f2lab.wht"], "WHT_DIM_CAP", 4)
+    deficient = write(tmp_path, "rank3.set", "12\n100000000001\n000001000000\n100001000001\n000000010000\n")
+    for method in ("spectral", "conv", "all"):
+        code, report = run_cli(["energy", "--set", deficient, "--k", "2", "--method", method], tmp_path)
+        assert code == 0 and report["results"]["value"] == 40  # the tuple-count oracle's T_2
+    full = write(tmp_path, "rank5.set", "5\n10000\n01000\n00100\n00010\n00001\n")
+    for method in ("spectral", "conv"):
+        code, report = run_cli(["energy", "--set", full, "--k", "2", "--method", method], tmp_path)
+        assert code == 2 and report is None
+        assert "exceeds cap" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_spectrum_cli_with_alpha_and_csv(tmp_path):
     path = write(tmp_path, "basis3.set", SET_BASIS3)
     out_csv = str(tmp_path / "spec.csv")

@@ -1,11 +1,17 @@
 import math
 import random
+import sys
+import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from f2lab.bench import check_holder, check_subadditivity
 from f2lab.core import BudgetError, F2Set
+from f2lab.dissociation import gf2_rank
 from f2lab.energy import (
+    _span_coordinates,
     additive_energy,
     convolve,
     energy_bruteforce,
@@ -17,7 +23,7 @@ from f2lab.energy import (
 )
 from f2lab.wht import IntFunction
 
-from oracles import convolve_defn, energy_tuples, energy_tuples_multiset
+from oracles import convolve_defn, energy_sum_counts, energy_tuples, energy_tuples_multiset
 
 
 def test_singleton_energy():
@@ -269,3 +275,69 @@ def test_dk_lower_bound_instances():
         for k in (2, 3):
             if size >= k:
                 assert additive_energy(a, k) >= math.comb(size, k) * math.factorial(k) ** 2
+
+
+def _embed(words, columns):
+    """Images of words of F_2^r under the linear map sending bit j to columns[j]."""
+    out = []
+    for w in words:
+        acc = 0
+        for j, c in enumerate(columns):
+            if w >> j & 1:
+                acc ^= c
+        out.append(acc)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.data())
+def test_injective_map_keeps_every_energy(r, extra, data):
+    # T_k counts XOR relations, which an injective linear map keeps; the
+    # image lives in F_2^(r + extra), and every route must see the same T_k
+    n = r + extra
+    words = st.integers(0, (1 << r) - 1)
+    columns = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=r, max_size=r))
+    assume(gf2_rank(columns) == r)
+    a = data.draw(st.lists(words, min_size=1, max_size=5, unique=True))
+    image = F2Set.from_bits(n, _embed(a, columns))
+    for k in (1, 2, 3):
+        want = energy_sum_counts(a, k)
+        assert [additive_energy(image, k, m) for m in ("auto", "brute", "spectral", "conv")] == [want] * 4
+    parts = [data.draw(st.lists(words, min_size=1, max_size=3, unique=True)) for _ in range(data.draw(st.sampled_from((2, 4))))]
+    mixed = [F2Set.from_bits(n, _embed(s, columns)) for s in parts]
+    assert energy_multiset(mixed) == energy_tuples_multiset(parts)
+
+
+def test_span_coordinates_rank_zero_and_full_rank():
+    for n in (1, 6):
+        for elems in ((), (0,)):
+            assert _span_coordinates([F2Set(n, elems)], n - 1) == [F2Set(1, elems)]
+            for k in (1, 2, 3):
+                assert {additive_energy(F2Set(n, elems), k, m) for m in ("auto", "spectral", "conv")} == {len(elems)}
+    # a full-rank union is left as it is, though no single set spans F_2^4
+    assert _span_coordinates([F2Set(4, (1, 2, 4, 8, 15))], 3) is None
+    assert _span_coordinates([F2Set(4, (3,)), F2Set(4, (5, 9)), F2Set(4, (2,))], 3) is None
+    assert _span_coordinates([F2Set(4, (3,)), F2Set(4, (5, 8))], 3) == [F2Set(3, (1,)), F2Set(3, (2, 4))]
+
+
+def test_energy_cap_applies_to_the_rank(monkeypatch):
+    # f2lab.wht names the function, so reach the module through sys.modules
+    monkeypatch.setattr(sys.modules["f2lab.wht"], "WHT_DIM_CAP", 4)
+    deficient = F2Set.from_bits(20, (1 << 19, 1 << 7, (1 << 19) | (1 << 7), 1 << 3, 5 << 10))
+    assert gf2_rank(deficient.elems) == 4
+    for k in (1, 2, 3):
+        want = energy_sum_counts(deficient.elems, k)
+        assert [additive_energy(deficient, k, m) for m in ("auto", "spectral", "conv")] == [want] * 3
+    assert energy_multiset([deficient] * 4) == energy_sum_counts(deficient.elems, 2)
+    full = F2Set.from_bits(20, [1 << i for i in range(20)])
+    tracemalloc.start()
+    try:
+        for m in ("spectral", "conv"):
+            with pytest.raises(BudgetError):
+                additive_energy(full, 2, m)
+        with pytest.raises(BudgetError):
+            energy_multiset([full, full])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18
