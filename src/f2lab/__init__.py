@@ -32,7 +32,6 @@ from .energy import (
 from .exact import ExactnessError
 from .inverse import (
     ConnectednessParams,
-    FiberDecomposition,
     InverseParams,
     Rectangle,
     extract_rectangles_d,

@@ -31,7 +31,7 @@ from .exact import (
     pow_bounds,
     root_sum_dominates,
 )
-from .inverse import FiberDecomposition, _best_common_intersection, greedy_disjoint_supports
+from .inverse import _best_common_intersection, _fibers, greedy_disjoint_supports
 from .permanent import CombMatrix, permanent
 from .wht import (
     IntFunction,
@@ -343,8 +343,9 @@ def check_sophisticated(
     ]
 
 
-def check_inverse2(q: F2Set, decomp: FiberDecomposition, p: int, m_param: Fraction) -> BoundReport:
-    """T_p(Q) against the fiber-intersection upper bound.
+def check_inverse2(q: F2Set, lam1: F2Set, lam2: F2Set, p: int, m_param: Fraction) -> BoundReport:
+    """T_p(Q) against the fiber-intersection upper bound, for Q inside
+    Lambda_1 + Lambda_2 with fibers D_a = {b in Lambda_2 : a + b in Q}.
 
     The bound is 2^(5p) X p^(3p) s2^p * sum_{r} (p s2)^-r *
     (sum over r-subsets S of the nonempty fibers of prod_{a in S}
@@ -353,11 +354,11 @@ def check_inverse2(q: F2Set, decomp: FiberDecomposition, p: int, m_param: Fracti
     (4 delta0), 1).  Transcendental pieces are bracketed rationally; a
     ladder that never pins ceil(delta0) is undecided with rhs None.
     """
-    nonempty = decomp.nonempty()
-    s1, s2, m = len(nonempty), decomp.s2, len(q)
+    nonempty = _fibers(q, lam1, lam2)
+    s1, s2, m = len(nonempty), len(lam2), len(q)
     if s1 > INVERSE2_S1_CAP or p > INVERSE2_P_CAP:
         raise BudgetError(f"s1 = {s1}, p = {p} beyond caps ({INVERSE2_S1_CAP}, {INVERSE2_P_CAP})")
-    if not set(q.elems) <= {l1 ^ l2 for l1 in decomp.lambda1 for l2 in decomp.lambda2}:
+    if not set(q.elems) <= {l1 ^ l2 for l1 in lam1 for l2 in lam2}:
         raise ValueError("Q must be contained in Lambda_1 + Lambda_2")
     name, inst = "inverse2", f"n={q.dim} |Q|={m} s1={s1} s2={s2} p={p} M={m_param}"
     if p < 5:
@@ -366,11 +367,11 @@ def check_inverse2(q: F2Set, decomp: FiberDecomposition, p: int, m_param: Fracti
         return _precondition_failed(name, inst, "degenerate instance")
     if not (m >= 2 * s2 * p and m >= 2**8 * s2 * p * m_param**8):
         return _precondition_failed(name, inst, "|Q| below max(2 s2 p, 2^8 s2 p M^8)")
-    if refused := _family_refusal(name, inst, decomp.lambda1.union(decomp.lambda2), 4 * p):
+    if refused := _family_refusal(name, inst, lam1.union(lam2), 4 * p):
         return refused
     energy = additive_energy(q, p)
     ratio = Fraction(m, s2 * p)
-    inter = [[len(set(da.elems) & set(db.elems)) for _, db in nonempty] for _, da in nonempty]
+    inter = [[len(da & db) for _, db in nonempty] for _, da in nonempty]
     ceil_d0 = None
 
     def bracket_at(prec: int) -> Optional[tuple[Fraction, Fraction]]:
@@ -501,52 +502,6 @@ def check_greedy_support(
 # the majority-set lower-bound construction
 
 
-@dataclass(frozen=True)
-class MajorityInstance:
-    """Majority-weight subset of a codimension-k coordinate subspace.
-
-    The set lives in F_2^n, is supported on the first nprime = n - k
-    coordinates, and consists of the vectors with at least ceil(nprime/2)
-    ones there.  alpha_paper is the reference threshold 2^-12 delta/sqrt(n),
-    carried as the exact pair (alpha^2, certified) to avoid square roots;
-    alpha_used is the exact rational threshold |W_1|/N actually certified.
-    """
-
-    n: int
-    k: int
-    nprime: int
-    delta: Fraction
-    inner: F2Set
-    weight_values: tuple[int, ...]  # inner spectrum value at each weight 0..nprime
-    alpha_sq_reference: Fraction
-    alpha_used: Fraction
-
-    @property
-    def inner_size(self) -> int:
-        """|A|: the embedding into F_2^n leaves the cardinality unchanged."""
-        return len(self.inner)
-
-    def is_large(self, w: int, alpha_sq: Fraction) -> bool:
-        """Whether inner weight-w frequencies satisfy |A_hat|^2 >= alpha^2 N^2."""
-        v = self.weight_values[w]
-        return v * v >= alpha_sq * (1 << self.n) ** 2
-
-    def spectrum_count(self, alpha_sq: Fraction) -> int:
-        """|R_alpha(A)| computed through the inner spectrum: the full
-        transform satisfies A_hat(r) = A'_hat(r_inner), so each inner
-        frequency of large modulus contributes 2^k shifts."""
-        ws = range(self.nprime + 1)
-        return sum(comb(self.nprime, w) for w in ws if self.is_large(w, alpha_sq)) << self.k
-
-    def sumset_spectrum_count(self, d: int, alpha_sq: Fraction) -> int:
-        """|d-fold sumset of the standard basis meet R_alpha|: weight-d
-        vectors split into inner weight w and outer weight d - w."""
-        ws = range(min(d, self.nprime) + 1)
-        return sum(
-            comb(self.nprime, w) * comb(self.k, d - w) for w in ws if self.is_large(w, alpha_sq)
-        )
-
-
 def weight1_binomial_value(nprime: int) -> int:
     """The closed-form inner spectrum value at weight-1 frequencies:
     sum over s >= ceil(nprime/2) of ((2s - nprime)/nprime) C(nprime, s),
@@ -567,8 +522,15 @@ def _majority_codim(delta: Fraction) -> int:
     return floor_log2(1 / (4 * delta))
 
 
-def build_majority(n: int, delta: Fraction) -> MajorityInstance:
-    """Construct the majority instance for the given density target."""
+def verify_majority(n: int, delta: Fraction, d: int = 1) -> list[BoundReport]:
+    """All exact claims of the majority construction at n.
+
+    The set A lives in F_2^n, is supported on the first nprime = n - k
+    coordinates, and consists of the vectors with at least ceil(nprime/2)
+    ones there.  The reference threshold 2^-12 delta/sqrt(n) is carried as
+    the exact alpha^2 to avoid square roots; alpha_used = |W_1|/N is the
+    exact rational threshold the inner weight-1 value W_1 certifies.
+    """
     k = _majority_codim(delta)
     nprime = n - k
     if nprime < 1:
@@ -583,20 +545,17 @@ def build_majority(n: int, delta: Fraction) -> MajorityInstance:
         raise ArithmeticError("inner spectrum not weight-symmetric (bug)")
     alpha_sq_reference = delta**2 / (2**24 * n)
     alpha_used = Fraction(abs(weight_values[1]), 1 << n)
-    return MajorityInstance(
-        n, k, nprime, delta, inner, tuple(weight_values), alpha_sq_reference, alpha_used
-    )
 
+    def is_large(w: int, alpha_sq: Fraction) -> bool:
+        v = weight_values[w]
+        return v * v >= alpha_sq * (1 << n) ** 2
 
-def verify_majority(inst: MajorityInstance, d: int = 1) -> list[BoundReport]:
-    """All exact claims of the construction on one instance."""
     reports: list[BoundReport] = []
-    nprime, k, n = inst.nprime, inst.k, inst.n
-    inst_desc = f"n={n} k={k} n'={nprime} delta={inst.delta} d={d}"
+    inst_desc = f"n={n} k={k} n'={nprime} delta={delta} d={d}"
 
     # (a) closed-form weight-1 value against the brute-force spectrum
     formula = weight1_binomial_value(nprime)
-    w1 = abs(inst.weight_values[1])
+    w1 = abs(weight_values[1])
     status = "holds" if w1 == formula else "violated"
     reports.append(
         _finish(
@@ -605,7 +564,7 @@ def verify_majority(inst: MajorityInstance, d: int = 1) -> list[BoundReport]:
     )
 
     # (b) cardinality bounds 2^(n-k-2) <= |A| <= 2^(n-k)
-    size = inst.inner_size
+    size = len(inner)
     status = "holds" if 2 ** (n - k - 2) <= size <= 2 ** (n - k) else "violated"
     bounds = (2 ** (n - k - 2), 2 ** (n - k))
     reports.append(_finish("majority-size", inst_desc, size, bounds, "le", status=status))
@@ -613,18 +572,22 @@ def verify_majority(inst: MajorityInstance, d: int = 1) -> list[BoundReport]:
     # (c) weight-1 frequencies beat the reference threshold (its constants
     # assume n >= 32; for smaller n the certified threshold alpha_used is
     # the re-derived constant and the reference comparison is reported)
-    ref_ok = inst.is_large(1, inst.alpha_sq_reference)
+    ref_ok = is_large(1, alpha_sq_reference)
     status = "holds" if ref_ok or n < 32 else "violated"
     detail = "reference alpha certified" if ref_ok else "re-derived alpha (n < 32)"
     reports.append(_finish("majority-alpha", inst_desc, w1, None, "ge", detail, status))
 
-    # (d) |R_alpha| >= n' 2^k at the certified threshold
-    alpha_sq = min(inst.alpha_sq_reference, inst.alpha_used**2) if ref_ok else inst.alpha_used**2
-    r_count = inst.spectrum_count(alpha_sq)
+    # (d) |R_alpha| >= n' 2^k at the certified threshold: A_hat(r) =
+    # A'_hat(r_inner), so each large inner frequency gives 2^k shifts
+    alpha_sq = min(alpha_sq_reference, alpha_used**2) if ref_ok else alpha_used**2
+    ws = range(nprime + 1)
+    r_count = sum(comb(nprime, w) for w in ws if is_large(w, alpha_sq)) << k
     reports.append(_finish("majority-spectrum-size", inst_desc, r_count, nprime << k, "ge"))
 
-    # (e) |d-fold basis sumset meet R_alpha| >= n' C(k, d-1)
-    inter = inst.sumset_spectrum_count(d, alpha_sq)
+    # (e) |d-fold basis sumset meet R_alpha| >= n' C(k, d-1): weight-d
+    # vectors split into inner weight w and outer weight d - w
+    ws = range(min(d, nprime) + 1)
+    inter = sum(comb(nprime, w) * comb(k, d - w) for w in ws if is_large(w, alpha_sq))
     target = nprime * comb(k, d - 1)
     reports.append(_finish("majority-sumset-intersection", inst_desc, inter, target, "ge"))
     return reports
@@ -636,7 +599,7 @@ def sweep_majority(delta: Fraction, d: int = 1, n: Optional[int] = None) -> list
         raise ValueError(f"--d must be at least 1, got {d}")
     k = _majority_codim(delta)
     sizes = range(3 + k, 11 + k) if n is None else (n,)
-    return [row for size in sizes for row in verify_majority(build_majority(size, delta), d)]
+    return [row for size in sizes for row in verify_majority(size, delta, d)]
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +745,7 @@ def _draw_inverse2(rng: random.Random) -> list[BoundReport]:
     pairs = [a ^ b for a in l1.elems for b in l2.elems]
     q = F2Set.from_bits(16, rng.sample(pairs, rng.randint(10 * len(l2), len(pairs))))
     m_param = Fraction(1, rng.choice((4, 8)))
-    return [check_inverse2(q, FiberDecomposition.build(q, l1, l2), 5, m_param)]
+    return [check_inverse2(q, l1, l2, 5, m_param)]
 
 
 def _draw_bombieri(rng: random.Random) -> list[BoundReport]:

@@ -116,7 +116,7 @@ class _Config(dict):
 _CONFIG_TYPES = {
     **dict.fromkeys(
         ("command", "set_text", "r_text", "matrix_text", "q_text", "lambda_text",
-         "method", "theorem", "alpha", "delta", "noise"),
+         "report_text", "method", "theorem", "alpha", "delta", "noise"),
         str,
     ),
     **dict.fromkeys(
@@ -365,6 +365,27 @@ def _cmd_plant(config: dict) -> Outcome:
     return Outcome(results, 0, {"_q.set": (q_text,), "_lambda.set": (lam_text,)})
 
 
+_SEEDED_COMMANDS = ("bench", "extract", "plant")
+
+
+def replay(report: dict) -> tuple[dict, int]:
+    """Re-execute a recorded configuration and compare results bytes."""
+    config = report.get("config") if isinstance(report, dict) else None
+    if not isinstance(config, dict) or "command" not in config or "results" not in report:
+        raise ValueError("report lacks a replayable config or its results")
+    if "seed" not in config and config["command"] in _SEEDED_COMMANDS:
+        raise ValueError("report config lacks the seed needed for replay")
+    old = canonical_results(report["results"])
+    new = canonical_results(run_config(config).results)
+    match = old == new
+    results = {"match": match, "bytes": len(new)}
+    return results, 0 if match else 1
+
+
+def _cmd_replay(config: dict) -> Outcome:
+    return Outcome(*replay(json.loads(config["report_text"])))
+
+
 _HANDLERS = {
     "energy": _cmd_energy,
     "spectrum": _cmd_spectrum,
@@ -375,6 +396,7 @@ _HANDLERS = {
     "bench": _cmd_bench,
     "extract": _cmd_extract,
     "plant": _cmd_plant,
+    "replay": _cmd_replay,
 }
 
 
@@ -393,23 +415,6 @@ def execute(config: dict, out_path: Optional[str] = None) -> tuple[dict, int]:
             with open(out_path + suffix, "w", encoding="ascii") as fh:
                 fh.writelines(chunks)
     return report, outcome.exit_code
-
-
-_SEEDED_COMMANDS = ("bench", "extract", "plant")
-
-
-def replay(report: dict) -> tuple[dict, int]:
-    """Re-execute a recorded configuration and compare results bytes."""
-    config = report.get("config") if isinstance(report, dict) else None
-    if not isinstance(config, dict) or "command" not in config or "results" not in report:
-        raise ValueError("report lacks a replayable config or its results")
-    if "seed" not in config and config["command"] in _SEEDED_COMMANDS:
-        raise ValueError("report config lacks the seed needed for replay")
-    old = canonical_results(report["results"])
-    new = canonical_results(run_config(config).results)
-    match = old == new
-    results = {"match": match, "bytes": len(new)}
-    return results, 0 if match else 1
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plant.add_argument("--out-prefix", dest="out", metavar="PREFIX")
 
     p_replay = command("replay", "re-run a recorded report")
-    p_replay.add_argument("report")
+    p_replay.add_argument("report_text", metavar="REPORT")
     return parser
 
 
@@ -508,13 +513,7 @@ def config_from_args(args: argparse.Namespace) -> dict:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "replay":
-            with open(args.report, "r", encoding="ascii") as fh:
-                recorded = json.load(fh)
-            results, exit_code = replay(recorded)
-            report = {"command": "replay", "config": {"command": "replay"}, "results": results}
-        else:
-            report, exit_code = execute(config_from_args(args), getattr(args, "out", None))
+        report, exit_code = execute(config_from_args(args), getattr(args, "out", None))
     except (SetFileError, BudgetError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

@@ -288,35 +288,19 @@ def _best_common_intersection(
 # fiber decompositions
 
 
-@dataclass(frozen=True)
-class FiberDecomposition:
-    """Q inside Lambda_1 + Lambda_2, organised by first coordinate.
-
-    fibers maps lambda in Lambda_1 to D(lambda) = {mu in Lambda_2 :
-    lambda + mu in Q}; s2 = |Lambda_2|.
-    """
-
-    lambda1: F2Set
-    lambda2: F2Set
-    fibers: tuple[tuple[int, F2Set], ...]
-
-    @classmethod
-    def build(cls, q: F2Set, lambda1: F2Set, lambda2: F2Set) -> "FiberDecomposition":
-        if lambda1.intersection(lambda2).elems:
-            raise ValueError("Lambda_1 and Lambda_2 must be disjoint")
-        qset = set(q.elems)
-        fibers = []
-        for lam in lambda1.elems:
-            d = tuple(mu for mu in lambda2.elems if (lam ^ mu) in qset)
-            fibers.append((lam, F2Set(lambda2.dim, d)))
-        return cls(lambda1, lambda2, tuple(fibers))
-
-    @property
-    def s2(self) -> int:
-        return len(self.lambda2)
-
-    def nonempty(self) -> list[tuple[int, F2Set]]:
-        return [(lam, d) for lam, d in self.fibers if len(d)]
+def _fibers(q: F2Set, lam1: F2Set, lam2: F2Set) -> list[tuple[int, frozenset[int]]]:
+    """The nonempty fibers of Q inside Lambda_1 + Lambda_2, organised by
+    first coordinate: the pairs (lambda, D(lambda)) in Lambda_1 order, with
+    D(lambda) = {mu in Lambda_2 : lambda + mu in Q}."""
+    if lam1.intersection(lam2).elems:
+        raise ValueError("Lambda_1 and Lambda_2 must be disjoint")
+    qset = set(q.elems)
+    fibers = []
+    for lam in lam1.elems:
+        d = frozenset(mu for mu in lam2.elems if (lam ^ mu) in qset)
+        if d:
+            fibers.append((lam, d))
+    return fibers
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +327,6 @@ class Rectangle:
         for a in self.prefix:
             shift ^= a
         return {shift ^ r ^ c for r in self.rows for c in self.cols}
-
-    def area(self) -> int:
-        return len(self.rows) * len(self.cols)
 
 
 @dataclass(frozen=True)
@@ -382,8 +363,10 @@ class InverseParams:
             raise ValueError("eta must lie in (0, 1/2]")
         if self.big_k <= 0:
             raise ValueError("big_k must be positive")
-        if min(self.width, self.depth, self.rounds, self.split_trials) < 1:
-            raise ValueError("width, depth, rounds and split_trials must be >= 1")
+        if min(self.width, self.depth, self.rounds, self.split_trials, self.stall_limit) < 1:
+            raise ValueError("width, depth, rounds, split_trials and stall_limit must be >= 1")
+        if not 0 < self.coverage_target <= 1:
+            raise ValueError("coverage_target must lie in (0, 1]")
         if self.epsilon <= 0 or self.zeta <= 0:
             raise ValueError("epsilon and zeta must be positive")
         if min(self.min_rows, self.min_cols) < 1:
@@ -525,19 +508,18 @@ def _bite_once(
         list(work.elems), pair_of, lam, params.split_trials, params.split_exhaustive_limit, rng
     )
     averaging_met = 2 * crossing >= len(work)
-    decomp = FiberDecomposition.build(work, lam1, lam2)
-    nonempty = decomp.nonempty()
+    nonempty = _fibers(work, lam1, lam2)
     if not nonempty:
         trace.append({"stage": "fibers", "note": "no nonempty fibers"})
         return None
-    fiber_of = {lam_: set(d.elems) for lam_, d in nonempty}
+    fiber_of = dict(nonempty)
     p1 = params.p
     eps = params.epsilon
     min_support = max(params.min_rows, -((-eps.numerator * p1) // eps.denominator))
     # supports: for each second coordinate, the set of rows whose fiber holds it
     col_rows: dict[int, set[int]] = {}
     for lam_, d in nonempty:
-        for mu in d.elems:
+        for mu in d:
             col_rows.setdefault(mu, set()).add(lam_)
     raw_supports = {frozenset(rows) for rows in col_rows.values() if len(rows) >= min_support}
     if not raw_supports:
@@ -553,7 +535,7 @@ def _bite_once(
     supports = list(dict.fromkeys(trimmed))
     chosen = greedy_disjoint_supports(supports, params.zeta, params.width)
     candidate_rows = sorted(set().union(*(supports[i] for i in chosen)))
-    sets = [frozenset(fiber_of[lam_]) for lam_ in candidate_rows]
+    sets = [fiber_of[lam_] for lam_ in candidate_rows]
     best_rect = None
     best_score = None
     for depth in range(params.min_rows, min(params.depth, len(sets)) + 1):

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 import f2lab
 from f2lab.bench import (
-    build_majority,
     check_diss_energy,
     check_full_sumset_lower,
     check_sophisticated,
@@ -179,14 +178,15 @@ def test_criterion_05_majority_construction():
     start = time.perf_counter()
     delta = Fraction(1, 64)
     for nprime in range(3, 17):
-        inst = build_majority(nprime + 4, delta)
-        assert inst.nprime == nprime and inst.k == 4
-        assert abs(inst.weight_values[1]) == weight1_binomial_value(nprime)
-        for rep in verify_majority(inst, d=1):
+        rows = verify_majority(nprime + 4, delta, d=1)
+        assert rows[0].instance.startswith(f"n={nprime + 4} k=4 n'={nprime} ")
+        assert rows[0].theorem == "majority-weight1-formula"
+        assert rows[0].lhs == weight1_binomial_value(nprime)
+        for rep in rows:
             assert rep.status == "holds", (nprime, rep.theorem, rep.detail)
-    frozen = build_majority(8, delta)  # nprime = 4
-    assert frozen.inner_size == 11
-    assert abs(frozen.weight_values[1]) == 3
+    frozen = {r.theorem: r for r in verify_majority(8, delta)}  # nprime = 4
+    assert frozen["majority-size"].lhs == 11
+    assert frozen["majority-weight1-formula"].lhs == 3
     report(5, "majority-construction", start, 60, "nprime 3..16")
 
 

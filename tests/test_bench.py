@@ -8,7 +8,6 @@ import pytest
 
 from f2lab import bench
 from f2lab.bench import (
-    build_majority,
     check_bombieri,
     check_bourgain_intersection,
     check_chang,
@@ -29,7 +28,6 @@ from f2lab.core import BudgetError, F2Set, distinct_sumset, distinct_sumset_powe
 from f2lab.dissociation import random_dissociated
 from f2lab.energy import additive_energy
 from f2lab.inverse import (
-    FiberDecomposition,
     InverseParams,
     _subset_table,
     extract_rectangles_d,
@@ -161,7 +159,7 @@ def test_majority_refuses_tables_above_cap(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError):
-            build_majority(20, Fraction(1, 64))
+            verify_majority(20, Fraction(1, 64))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -245,37 +243,41 @@ def test_weight1_binomial_values_match_brute_spectrum():
 
 
 def test_majority_frozen_nprime4():
-    inst = build_majority(8, Fraction(1, 64))
-    assert inst.nprime == 4 and inst.k == 4
-    assert inst.inner_size == 11
-    assert abs(inst.weight_values[1]) == 3 == weight1_binomial_value(4)
+    rows = {r.theorem: r for r in verify_majority(8, Fraction(1, 64))}
+    assert rows["majority-size"].instance.startswith("n=8 k=4 n'=4 ")
+    assert rows["majority-size"].lhs == 11
+    assert rows["majority-weight1-formula"].lhs == 3 == weight1_binomial_value(4)
 
 
 def test_majority_reports_all_hold():
     for nprime in (3, 5, 8):
-        inst = build_majority(nprime + 4, Fraction(1, 64))
-        for rep in verify_majority(inst, d=1):
+        for rep in verify_majority(nprime + 4, Fraction(1, 64), d=1):
             assert rep.status == "holds", (nprime, rep.theorem)
 
 
 def test_majority_higher_d():
-    inst = build_majority(10, Fraction(1, 64))
     for d in (1, 2, 3):
-        reports = verify_majority(inst, d)
+        reports = verify_majority(10, Fraction(1, 64), d)
         inter = [r for r in reports if r.theorem == "majority-sumset-intersection"][0]
         assert inter.status == "holds"
-        assert inter.rhs == inst.nprime * comb(inst.k, d - 1)
+        assert inter.rhs == 6 * comb(4, d - 1)  # n' = 6, k = 4
 
 
 def test_majority_spectrum_count_matches_direct():
-    # cross-check the structured count against a full-space transform
-    inst = build_majority(8, Fraction(1, 64))
-    full = F2Set.from_bits(8, inst.inner.elems)  # embedding: outer coords zero
-    table = spectrum_of_set(full)
-    alpha_sq = inst.alpha_used**2
-    n_full = 1 << 8
-    direct = sum(1 for v in table.values if Fraction(v * v) >= alpha_sq * n_full**2)
-    assert direct == inst.spectrum_count(alpha_sq)
+    # cross-check the structured count against a full-space transform, at
+    # the threshold the spectrum-size row certifies
+    delta = Fraction(1, 64)
+    for n in (8, 9, 10):
+        rows = {r.theorem: r for r in verify_majority(n, delta)}
+        nprime = n - 4
+        inner = [x for x in range(1 << nprime) if x.bit_count() >= (nprime + 1) // 2]
+        full = F2Set.from_bits(n, inner)  # embedding: outer coords zero
+        table = spectrum_of_set(full)
+        alpha_used = Fraction(rows["majority-weight1-formula"].lhs, 1 << n)
+        alpha_sq = min(delta**2 / (2**24 * n), alpha_used**2)
+        n_full = 1 << n
+        direct = sum(1 for v in table.values if Fraction(v * v) >= alpha_sq * n_full**2)
+        assert direct == rows["majority-spectrum-size"].lhs
 
 
 def test_parseval_full_group():
@@ -294,22 +296,24 @@ def test_full_sumset_lower_larger_instance():
 
 
 def test_bourgain_on_majority_instance():
-    inst = build_majority(10, Fraction(1, 64))  # nprime = 6, k = 4
-    a = F2Set.from_bits(10, inst.inner.elems)  # embedded: outer coords zero
+    # the majority set at n = 10, delta = 1/64: nprime = 6, k = 4
+    inner = [x for x in range(1 << 6) if x.bit_count() >= 3]
+    a = F2Set.from_bits(10, inner)  # embedded: outer coords zero
     lam = F2Set(10, tuple(1 << i for i in range(10)))  # full standard basis
-    alpha = inst.alpha_used
+    alpha = Fraction(verify_majority(10, Fraction(1, 64))[0].lhs, 1 << 10)  # alpha_used
     rep = check_bourgain_intersection(a, lam, alpha, 1)
     assert rep.status == "holds"
     # weight-1 frequencies: all n' inner ones plus the k outer ones
-    assert rep.lhs == inst.nprime + inst.k
+    assert rep.lhs == 6 + 4
 
 
 def test_majority_formula_agreement_up_to_20():
     # brute-force spectrum agrees with the binomial closed form through
     # the full stated range of inner dimensions
     for nprime in range(17, 21):
-        inst = build_majority(nprime + 4, Fraction(1, 64))
-        assert abs(inst.weight_values[1]) == weight1_binomial_value(nprime)
+        row = verify_majority(nprime + 4, Fraction(1, 64))[0]
+        assert row.theorem == "majority-weight1-formula" and row.status == "holds"
+        assert row.lhs == row.rhs == weight1_binomial_value(nprime)
 
 
 def test_sweeps_zero_violations_small():
@@ -339,7 +343,7 @@ REFUSED = "precondition-failed"
 
 def _inverse2(lam1, lam2, p):
     q = F2Set.from_bits(lam1.dim, (a ^ b for a in lam1 for b in lam2))
-    return check_inverse2(q, FiberDecomposition.build(q, lam1, lam2), p, Fraction(1, 4))
+    return check_inverse2(q, lam1, lam2, p, Fraction(1, 4))
 
 
 # 11 basis vectors of F_2^16 and their sum: one dependency, of weight 12

@@ -255,10 +255,10 @@ def test_bench_nonpositive_count_exit2(tmp_path, capsys, count):
 
 @pytest.mark.parametrize("d", ["0", "-2"])
 def test_bench_majority_nonpositive_d_exit2_before_building(tmp_path, capsys, monkeypatch, d):
-    def no_build(n, delta):
+    def no_build(n, delta, d):
         raise AssertionError("--d must be refused before any instance is built")
 
-    monkeypatch.setattr(cli.bench_mod, "build_majority", no_build)
+    monkeypatch.setattr(cli.bench_mod, "verify_majority", no_build)
     code, report = run_cli(["bench", "--theorem", "majority", "--d", d], tmp_path)
     assert code == 2 and report is None
     assert "--d" in json.loads(capsys.readouterr().err)["error"]
@@ -464,6 +464,16 @@ def test_replay_cli_file_flow(tmp_path):
     assert report["results"]["match"] is True
 
 
+def test_replay_of_a_replay_report(tmp_path):
+    path = write(tmp_path, "basis3.set", SET_BASIS3)
+    first, second = str(tmp_path / "run.json"), str(tmp_path / "replay.json")
+    run_cli(["energy", "--set", path, "--k", "2", "--report", first], tmp_path)
+    code, report = run_cli(["replay", first, "--report", second], tmp_path)
+    assert code == 0 and "runtime_s" in report["meta"]
+    code, again = run_cli(["replay", second], tmp_path)
+    assert code == 0 and again["results"]["match"] is True
+
+
 def test_hash_seed_does_not_change_results(tmp_path):
     path = write(tmp_path, "basis3.set", SET_BASIS3)
     src = os.path.dirname(os.path.dirname(f2lab.__file__))
@@ -518,6 +528,10 @@ def test_console_entrypoint_subprocess(tmp_path):
         '{"zeta": "-1"}',
         '{"min_rows": 0}',
         '{"min_cols": 0}',
+        '{"coverage_target": "-1"}',
+        '{"coverage_target": "0"}',
+        '{"coverage_target": "3/2"}',
+        '{"stall_limit": 0}',
     ],
 )
 def test_extract_bad_params_exit2(tmp_path, capsys, params):
@@ -658,6 +672,10 @@ CONFIG_CASES = {
          "--n", "16", "--lambda-size", "12", "--out-prefix", "OUT", "--report", "OUT"],
         {"command": "plant", "h": 2, "lsize": 3, "lpsize": 4, "noise": "1/10", "seed": 5,
          "n": 16, "lambda_size": 12},
+    ),
+    "replay": (
+        ["replay", "SET", "--report", "OUT"],
+        {"command": "replay", "report_text": SET_BASIS3},
     ),
 }
 

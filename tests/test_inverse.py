@@ -15,12 +15,11 @@ from f2lab.bench import (
     check_inverse2,
     greedy_support_threshold,
 )
-from f2lab.core import F2Set, distinct_sumset_power
+from f2lab.core import BudgetError, F2Set, distinct_sumset_power
 from f2lab.dissociation import in_family, random_dissociated
 from f2lab.energy import _brute_preferred, additive_energy
 from f2lab.inverse import (
     ConnectednessParams,
-    FiberDecomposition,
     InverseParams,
     Rectangle,
     extract_rectangles_d,
@@ -28,6 +27,7 @@ from f2lab.inverse import (
     greedy_disjoint_supports,
     _best_common_intersection,
     _best_split,
+    _fibers,
     plant_instance,
     refine_connected,
 )
@@ -399,13 +399,16 @@ def test_fiber_decomposition_mass_and_disjointness():
         pairs = [(a, b) for a in l1 for b in l2]
         chosen = rng.sample(pairs, rng.randint(1, len(pairs)))
         q = F2Set.from_bits(n, (a ^ b for a, b in chosen))
-        dec = FiberDecomposition.build(q, l1, l2)
-        mass = sum(len(d) for _, d in dec.fibers)
+        fibers = _fibers(q, l1, l2)
+        mass = sum(len(d) for _, d in fibers)
         assert mass == len(q)  # unique representation
-        assert {lam ^ mu for lam, d in dec.fibers for mu in d.elems} == set(q.elems)
+        assert {lam ^ mu for lam, d in fibers for mu in d} == set(q.elems)
+        # only the nonempty fibers, in Lambda_1 order
+        firsts = {a for a, _ in chosen}
+        assert [lam for lam, _ in fibers] == [lam for lam in l1.elems if lam in firsts]
         # power-sum bound: sum |D|^x <= s2^(x-1) * mass for integer x >= 1
         for x in (1, 2, 3):
-            assert sum(len(d) ** x for _, d in dec.fibers) <= dec.s2 ** (x - 1) * mass
+            assert sum(len(d) ** x for _, d in fibers) <= len(l2) ** (x - 1) * mass
 
 
 def full_product_instance():
@@ -413,12 +416,12 @@ def full_product_instance():
     l1 = F2Set.from_bits(16, lam.elems[:10])
     l2 = F2Set.from_bits(16, lam.elems[10:])
     q = F2Set.from_bits(16, (a ^ b for a in l1 for b in l2))
-    return q, FiberDecomposition.build(q, l1, l2)
+    return q, l1, l2
 
 
 def test_inverse2_full_product_holds():
-    q, dec = full_product_instance()
-    rep = check_inverse2(q, dec, 5, Fraction(1, 4))
+    q, l1, l2 = full_product_instance()
+    rep = check_inverse2(q, l1, l2, 5, Fraction(1, 4))
     assert rep.status == "holds"
     assert rep.lhs == additive_energy(q, 5)
     assert rep.rhs is not None and rep.lhs <= rep.rhs
@@ -427,9 +430,24 @@ def test_inverse2_full_product_holds():
 def test_inverse2_unpinned_ceiling_is_undecided(monkeypatch):
     # brackets too wide to pin ceil(delta0) escalate every rung
     monkeypatch.setattr(bench, "log2_bounds", lambda x, prec: (Fraction(1), Fraction(64)))
-    q, dec = full_product_instance()
-    rep = check_inverse2(q, dec, 5, Fraction(1, 4))
+    q, l1, l2 = full_product_instance()
+    rep = check_inverse2(q, l1, l2, 5, Fraction(1, 4))
     assert (rep.status, rep.rhs) == ("undecided", None)
+
+
+def test_inverse2_refusals_in_order():
+    # disjointness is checked first, then the caps, then containment
+    q, l1, l2 = full_product_instance()
+    overlap = l2.union(F2Set(16, l1.elems[:1]))
+    outside = q.union(F2Set(16, l1.elems[:1]))  # a lone element: no sum of both sides
+    with pytest.raises(ValueError, match="must be disjoint"):
+        check_inverse2(q, l1, overlap, 5, Fraction(1, 4))
+    with pytest.raises(ValueError, match="Q must be contained"):
+        check_inverse2(outside, l1, l2, 5, Fraction(1, 4))
+    with pytest.raises(ValueError, match="must be disjoint"):
+        check_inverse2(outside, l1, overlap, 5, Fraction(1, 4))
+    with pytest.raises(BudgetError):
+        check_inverse2(outside, l1, l2, bench.INVERSE2_P_CAP + 1, Fraction(1, 4))
 
 
 def test_inverse2_planted_rectangle_holds():
@@ -440,8 +458,7 @@ def test_inverse2_planted_rectangle_holds():
     pairs = [(a, b) for a in l1 for b in l2]
     chosen = rng.sample(pairs, 40)
     q = F2Set.from_bits(16, (a ^ b for a, b in chosen))
-    dec = FiberDecomposition.build(q, l1, l2)
-    rep = check_inverse2(q, dec, 5, Fraction(1, 8))
+    rep = check_inverse2(q, l1, l2, 5, Fraction(1, 8))
     assert rep.status in ("holds", "precondition-failed")
     if rep.status == "holds":
         assert rep.lhs <= rep.rhs
@@ -452,8 +469,7 @@ def test_inverse2_hypothesis_guard():
     l1 = F2Set.from_bits(12, lam.elems[:4])
     l2 = F2Set.from_bits(12, lam.elems[4:])
     q = F2Set.from_bits(12, (l1.elems[0] ^ b for b in l2.elems))
-    dec = FiberDecomposition.build(q, l1, l2)
-    rep = check_inverse2(q, dec, 5, Fraction(1))
+    rep = check_inverse2(q, l1, l2, 5, Fraction(1))
     assert rep.status == "precondition-failed"
     assert rep.detail
 
@@ -461,7 +477,7 @@ def test_inverse2_hypothesis_guard():
 def test_rectangle_invariants():
     r = Rectangle((), F2Set(4, (1, 2)), F2Set(4, (4, 8)))
     assert r.points() == {1 ^ 4, 1 ^ 8, 2 ^ 4, 2 ^ 8}
-    assert r.area() == 4
+    assert len(r.rows) * len(r.cols) == 4
     with pytest.raises(ValueError):
         Rectangle((), F2Set(4, (1, 2)), F2Set(4, (2, 8)))
     with pytest.raises(ValueError):
@@ -504,7 +520,7 @@ def test_extract_noise_only_gives_tiny_rectangles():
     rep = extract_rectangles_pair(q, lam, InverseParams(seed=4, min_rows=2, min_cols=2))
     for r in rep.rectangles:
         assert r.points() <= set(q.elems)
-        assert r.area() <= 8
+        assert len(r.rows) * len(r.cols) <= 8
 
 
 def test_extract_never_fabricates():
