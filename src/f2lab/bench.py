@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb, factorial, prod
 from typing import Callable, Optional, Sequence
 
-from .core import BudgetError, F2Set, distinct_sumset_power
+from .core import BudgetError, F2Set, Value, distinct_sumset_power
 from .dissociation import FamilySpec, _extend_basis, in_family, is_dissociated, random_dissociated
 from .energy import additive_energy, convolve, energy_function, energy_multiset
 from .exact import (
@@ -46,17 +45,19 @@ INVERSE2_S1_CAP, INVERSE2_P_CAP = 14, 6
 BOMBIERI_NODE_CAP = 10**6  # search nodes per t-fold intersection
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Value):
     """Outcome of one inequality check on one instance."""
 
-    theorem: str
-    instance: str
-    lhs: object
-    rhs: object
-    status: str  # holds | violated | undecided | precondition-failed
-    slack: Optional[float]
-    detail: str = ""
+    __slots__ = ("theorem", "instance", "lhs", "rhs", "status", "slack", "detail")
+
+    def __init__(self, theorem: str, instance: str, lhs, rhs, status: str, slack, detail: str):
+        self.theorem = theorem
+        self.instance = instance
+        self.lhs = lhs
+        self.rhs = rhs
+        self.status = status  # holds | violated | undecided | precondition-failed
+        self.slack = slack  # float or None
+        self.detail = detail
 
 
 def _finish(

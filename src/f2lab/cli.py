@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import io
 import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -89,7 +87,6 @@ def _status_exit(statuses) -> int:
 # command execution on inlined configurations
 
 
-@dataclass(frozen=True)
 class Outcome:
     """What every command handler returns.
 
@@ -98,9 +95,12 @@ class Outcome:
     written to that path followed by the suffix.
     """
 
-    results: dict
-    exit_code: int
-    side_files: dict[str, tuple[str, ...]] = dataclasses.field(default_factory=dict)
+    __slots__ = ("results", "exit_code", "side_files")
+
+    def __init__(self, results: dict, exit_code: int, side_files: Optional[dict] = None) -> None:
+        self.results = results
+        self.exit_code = exit_code
+        self.side_files = side_files or {}
 
 
 class _Config(dict):
@@ -222,12 +222,12 @@ def _cmd_permanent(config: dict) -> Outcome:
 
 def _cmd_fk_test(config: dict) -> Outcome:
     mat = parse_matrix(config["matrix_text"])
-    res = fk_zero_test(mat)
+    sdr, zero_rows, zero_cols = fk_zero_test(mat)
     results = {
-        "verdict": res.kind,
-        "sdr": list(res.sdr) if res.sdr is not None else None,
-        "zero_rows": list(res.zero_rows),
-        "zero_cols": list(res.zero_cols),
+        "verdict": "zero" if sdr is None else "positive",
+        "sdr": None if sdr is None else list(sdr),
+        "zero_rows": list(zero_rows),
+        "zero_cols": list(zero_cols),
     }
     return Outcome(results, 0)
 
@@ -244,10 +244,10 @@ def _cmd_lemma_per0(config: dict) -> Outcome:
     satisfied = 0
     all_positive = True
     for rows in itertools.product(two_rows, repeat=p):
-        rep = reduced_permanent_check(CombMatrix(rows))
-        if rep.hypotheses_hold:
+        failures, _, positive = reduced_permanent_check(CombMatrix(rows))
+        if not failures:
             satisfied += 1
-            all_positive = all_positive and rep.per_reduced_positive
+            all_positive = all_positive and positive
     results = {
         "matrices_scanned": 3 ** (p * r),
         "hypotheses_satisfied": satisfied,
@@ -290,7 +290,7 @@ def _extract_params(config: dict) -> InverseParams:
     type, except that rationals are "p/q" strings."""
     kwargs = {"p": config.get("p", 2), "seed": config.get("seed", 0)}
     overrides = config.get("params", {})
-    defaults = {f.name: f.default for f in dataclasses.fields(InverseParams)}
+    defaults = InverseParams.DEFAULTS
     for key, val in overrides.items():
         if key not in defaults:
             raise ValueError(f"unknown parameter {key!r}")
@@ -305,9 +305,9 @@ def _extract_params(config: dict) -> InverseParams:
 def _params_resolved(params: InverseParams) -> dict:
     """Every pipeline parameter, defaults included, for the report."""
     out = {}
-    for f in dataclasses.fields(params):
-        val = getattr(params, f.name)
-        out[f.name] = str(val) if isinstance(val, Fraction) else val
+    for name in InverseParams.DEFAULTS:
+        val = getattr(params, name)
+        out[name] = str(val) if isinstance(val, Fraction) else val
     return out
 
 
@@ -323,15 +323,17 @@ def _cmd_extract(config: dict) -> Outcome:
     q = parse_set(config["q_text"])
     lam = parse_set(config["lambda_text"])
     params = _extract_params(config)
-    rep = extract_rectangles_d(q, lam, config.get("d", 2), params)
+    rects, covered, family_status, trace, warnings = extract_rectangles_d(
+        q, lam, config.get("d", 2), params
+    )
     results = {
-        "rectangles": [_rectangle_json(r, q.dim) for r in rep.rectangles],
-        "covered": rep.covered,
-        "q_size": rep.q_size,
-        "coverage": str(rep.coverage),
-        "family_status": rep.family_status,
-        "trace": list(rep.trace),
-        "warnings": list(rep.warnings),
+        "rectangles": [_rectangle_json(r, q.dim) for r in rects],
+        "covered": covered,
+        "q_size": len(q),
+        "coverage": str(Fraction(covered, len(q)) if q else Fraction(1)),
+        "family_status": family_status,
+        "trace": list(trace),
+        "warnings": list(warnings),
         "params_resolved": _params_resolved(params),
         "reference_epsilon": str(params.reference_epsilon()),
     }
@@ -339,7 +341,7 @@ def _cmd_extract(config: dict) -> Outcome:
 
 
 def _cmd_plant(config: dict) -> Outcome:
-    inst = plant_instance(
+    lam, rows, cols, planted, noise = plant_instance(
         config["h"],
         config["lsize"],
         config["lpsize"],
@@ -348,18 +350,19 @@ def _cmd_plant(config: dict) -> Outcome:
         n=config.get("n", 18),
         lambda_size=config.get("lambda_size", 16),
     )
-    q_text, lam_text = serialize_set(inst.q), serialize_set(inst.lam)
+    q = planted.union(noise)
+    q_text, lam_text = serialize_set(q), serialize_set(lam)
     results = {
         "q": q_text,
         "lambda": lam_text,
-        "planted_mass": len(inst.planted),
-        "noise_size": len(inst.noise),
+        "planted_mass": len(planted),
+        "noise_size": len(noise),
         "rectangles": [
             {
-                "rows": [bits_to_string(e, inst.q.dim) for e in r],
-                "cols": [bits_to_string(e, inst.q.dim) for e in c],
+                "rows": [bits_to_string(e, q.dim) for e in r],
+                "cols": [bits_to_string(e, q.dim) for e in c],
             }
-            for r, c in zip(inst.rows, inst.cols)
+            for r, c in zip(rows, cols)
         ],
     }
     return Outcome(results, 0, {"_q.set": (q_text,), "_lambda.set": (lam_text,)})
@@ -382,8 +385,16 @@ def replay(report: dict) -> tuple[dict, int]:
     return results, 0 if match else 1
 
 
+def _load_json(text: str):
+    """Decode JSON from the user; nesting too deep to decode is an input error."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
+
+
 def _cmd_replay(config: dict) -> Outcome:
-    return Outcome(*replay(json.loads(config["report_text"])))
+    return Outcome(*replay(_load_json(config["report_text"])))
 
 
 _HANDLERS = {
@@ -506,7 +517,7 @@ def config_from_args(args: argparse.Namespace) -> dict:
     if "exhaustive" in config:
         config["p"], config["r"] = config.pop("exhaustive")
     if "params" in config:
-        config["params"] = json.loads(config["params"])
+        config["params"] = _load_json(config["params"])
     return config
 
 

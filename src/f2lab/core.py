@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -47,23 +46,38 @@ def string_to_bits(s: str) -> int:
     return int(s[::-1] or "0", 2)
 
 
-@dataclass(frozen=True)
-class F2Set:
+class Value:
+    """Base of the value classes: equal, with equal hashes, when of the same
+    class with equal fields (the names in `__slots__`)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, name) for name in self.__slots__))
+
+
+class F2Set(Value):
     """A finite subset of F_2^n as a strictly sorted tuple of words."""
 
-    dim: int
-    elems: tuple[int, ...]
+    __slots__ = ("dim", "elems")
 
-    def __post_init__(self) -> None:
-        _check_dim(self.dim)
-        top = 1 << self.dim
+    def __init__(self, dim: int, elems: tuple[int, ...]) -> None:
+        _check_dim(dim)
+        top = 1 << dim
         prev = -1
-        for e in self.elems:
+        for e in elems:
             if not 0 <= e < top:
-                raise DimensionError(f"element {e} out of range for n={self.dim}")
+                raise DimensionError(f"element {e} out of range for n={dim}")
             if e <= prev:
                 raise ValueError("elements must be strictly sorted (no duplicates)")
             prev = e
+        self.dim = dim
+        self.elems = elems
 
     @classmethod
     def from_bits(cls, dim: int, bits: Iterable[int]) -> "F2Set":

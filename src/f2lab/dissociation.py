@@ -10,11 +10,10 @@ correct family test for groups where signs matter.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Optional
 
-from .core import F2Set, subset_sums
+from .core import F2Set, Value, subset_sums
 
 DEFAULT_WORK_BUDGET = 5_000_000  # subsets; a test estimated above it is "undecided"
 
@@ -45,31 +44,33 @@ def is_dissociated(l: F2Set) -> bool:
     return gf2_rank(l.elems) == len(l)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Value):
     """Weight cap k and forbidden set R (0 must belong to R)."""
 
-    k: int
-    forbidden: F2Set
+    __slots__ = ("k", "forbidden")
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+    def __init__(self, k: int, forbidden: F2Set) -> None:
+        if k < 1:
             raise ValueError("weight cap k must be >= 1")
-        if 0 not in self.forbidden:
+        if 0 not in forbidden:
             raise ValueError("forbidden set R must contain 0")
+        self.k = k
+        self.forbidden = forbidden
 
     @classmethod
     def zero(cls, k: int, dim: int) -> "FamilySpec":
         return cls(k, F2Set(dim, (0,)))
 
 
-@dataclass(frozen=True)
 class FamilyCheck:
     """Tri-state result; bench code must never treat 'undecided' as an answer."""
 
-    status: str  # "true" | "false" | "undecided"
-    witness: Optional[tuple[int, ...]]  # offending subset when status == "false"
-    work: int  # subsets enumerated (or the estimate that broke the budget)
+    __slots__ = ("status", "witness", "work")
+
+    def __init__(self, status: str, witness: Optional[tuple[int, ...]], work: int) -> None:
+        self.status = status  # "true" | "false" | "undecided"
+        self.witness = witness  # offending subset when status == "false"
+        self.work = work  # subsets enumerated (or the estimate that broke the budget)
 
 
 def in_family(l: F2Set, spec: FamilySpec) -> FamilyCheck:

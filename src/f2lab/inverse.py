@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
-from .core import BudgetError, F2Set, subset_sums
+from .core import BudgetError, F2Set, Value, subset_sums
 from .dissociation import FamilySpec, in_family, random_dissociated
 from .energy import additive_energy, energy_excess_compare
 
@@ -31,20 +30,34 @@ BITE_NODE_CAP = 200_000  # search nodes per common intersection of one bite
 # connectedness refinement
 
 
-@dataclass(frozen=True)
+def _set_fields(params, overrides: dict) -> None:
+    """Give every field of a parameter class its keyword override, or else
+    its entry in the class's DEFAULTS; a name that is no field is refused."""
+    unknown = overrides.keys() - params.DEFAULTS.keys()
+    if unknown:
+        raise TypeError(f"unknown parameters {sorted(unknown)}")
+    for name, default in params.DEFAULTS.items():
+        setattr(params, name, overrides.get(name, default))
+
+
 class ConnectednessParams:
-    """Degree, window, constant, and search budget of the refinement loop."""
+    """Degree, window, constant, and search budget of the refinement loop;
+    sumset_arity may be None, which skips the step-count bound."""
 
-    k: int = 2
-    beta1: Fraction = Fraction(1, 4)
-    beta2: Fraction = Fraction(1, 2)
-    constant: Fraction = Fraction(1, 8)
-    search_budget: int = 256
-    exhaustive_limit: int = 14
-    sumset_arity: Optional[int] = 2
-    seed: int = 0
+    DEFAULTS = {
+        "k": 2,
+        "beta1": Fraction(1, 4),
+        "beta2": Fraction(1, 2),
+        "constant": Fraction(1, 8),
+        "search_budget": 256,
+        "exhaustive_limit": 14,
+        "sumset_arity": 2,
+        "seed": 0,
+    }
+    __slots__ = tuple(DEFAULTS)
 
-    def __post_init__(self) -> None:
+    def __init__(self, **overrides) -> None:
+        _set_fields(self, overrides)
         if self.k < 2:
             raise ValueError("degree k must be >= 2")
         if not (0 < self.beta1 <= self.beta2 < 1):
@@ -53,23 +66,12 @@ class ConnectednessParams:
             raise ValueError("the constant must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class RefineStep:
-    size_before: int
-    removed: int
-    energy_before: int
-    energy_after: int
-
-
-@dataclass(frozen=True)
-class RefineResult:
-    result: F2Set
-    steps: tuple[RefineStep, ...]
-    certified: bool  # no window subset of the result violates
-
-
-def refine_connected(q: F2Set, params: ConnectednessParams) -> RefineResult:
-    """Iteratively delete energy-poor mid-sized subsets.
+def refine_connected(
+    q: F2Set, params: ConnectednessParams
+) -> tuple[F2Set, tuple[tuple[int, int, int, int], ...], bool]:
+    """Iteratively delete energy-poor mid-sized subsets; returns (result,
+    steps, certified), each step (size_before, removed, energy_before,
+    energy_after), certified when no window subset of the result violates.
 
     A step fires on a subset B with beta1|Q| <= |B| <= beta2|Q| whose
     energy falls below the proportional share; the complement then strictly
@@ -95,7 +97,7 @@ def refine_connected(q: F2Set, params: ConnectednessParams) -> RefineResult:
     t_cur = energy(cur.elems)
     t_initial = t_cur
     m_initial = len(q)
-    steps: list[RefineStep] = []
+    steps: list[tuple[int, int, int, int]] = []
     e = 2 * k
     while True:
         m = len(cur)
@@ -145,7 +147,7 @@ def refine_connected(q: F2Set, params: ConnectednessParams) -> RefineResult:
         if not energy_excess_compare(t_nxt, len(nxt), t_cur, m, k):
             if params.constant < Fraction(1, 4):
                 raise AssertionError("excess exponent failed to increase on a fired step")
-        steps.append(RefineStep(m, len(violation), t_cur, t_nxt))
+        steps.append((m, len(violation), t_cur, t_nxt))
         cur, t_cur = nxt, t_nxt
 
     # cardinality guarantee |Q'| >= (1 - beta2)^s |Q|, exact rationals
@@ -157,7 +159,7 @@ def refine_connected(q: F2Set, params: ConnectednessParams) -> RefineResult:
         s, k, params.sumset_arity, params.beta1, params.constant, t_initial, m_initial
     ):
         raise AssertionError("step-count bound violated")
-    return RefineResult(cur, tuple(steps), certified)
+    return cur, tuple(steps), certified
 
 
 def _local_descent(start, cur, energy, lhs_scale, rhs_base, params, rng):
@@ -307,20 +309,20 @@ def _fibers(q: F2Set, lam1: F2Set, lam2: F2Set) -> list[tuple[int, frozenset[int
 # rectangles and the extraction pipelines
 
 
-@dataclass(frozen=True)
-class Rectangle:
+class Rectangle(Value):
     """A product piece (sum of prefix) + L + L' found inside Q."""
 
-    prefix: tuple[int, ...]
-    rows: F2Set
-    cols: F2Set
+    __slots__ = ("prefix", "rows", "cols")
 
-    def __post_init__(self) -> None:
-        if self.rows.intersection(self.cols).elems:
+    def __init__(self, prefix: tuple[int, ...], rows: F2Set, cols: F2Set) -> None:
+        if rows.intersection(cols).elems:
             raise ValueError("L and L' must be disjoint")
-        members = set(self.rows.elems) | set(self.cols.elems)
-        if any(a in members for a in self.prefix):
+        members = set(rows.elems) | set(cols.elems)
+        if any(a in members for a in prefix):
             raise ValueError("prefix elements must avoid L and L'")
+        self.prefix = prefix
+        self.rows = rows
+        self.cols = cols
 
     def points(self) -> set[int]:
         shift = 0
@@ -329,7 +331,6 @@ class Rectangle:
         return {shift ^ r ^ c for r in self.rows for c in self.cols}
 
 
-@dataclass(frozen=True)
 class InverseParams:
     """Free parameters of the extraction pipeline (all recorded in reports).
 
@@ -338,25 +339,29 @@ class InverseParams:
     reference but is degenerate for desk-sized instances.
     """
 
-    p: int = 2
-    big_k: Fraction = Fraction(1)
-    eta: Fraction = Fraction(1, 2)
-    epsilon: Fraction = Fraction(1, 4)
-    zeta: Fraction = Fraction(1, 4)
-    width: int = 8
-    depth: int = 4
-    rounds: int = 24
-    split_trials: int = 32
-    split_exhaustive_limit: int = 12870  # C(16, 8): full split search below this
-    coverage_target: Fraction = Fraction(1)
-    min_rows: int = 1
-    min_cols: int = 1
-    seed: int = 0
-    refine: bool = True
-    refine_budget: int = 96
-    stall_limit: int = 3
+    DEFAULTS = {
+        "p": 2,
+        "big_k": Fraction(1),
+        "eta": Fraction(1, 2),
+        "epsilon": Fraction(1, 4),
+        "zeta": Fraction(1, 4),
+        "width": 8,
+        "depth": 4,
+        "rounds": 24,
+        "split_trials": 32,
+        "split_exhaustive_limit": 12870,  # C(16, 8): full split search below this
+        "coverage_target": Fraction(1),
+        "min_rows": 1,
+        "min_cols": 1,
+        "seed": 0,
+        "refine": True,
+        "refine_budget": 96,
+        "stall_limit": 3,
+    }
+    __slots__ = tuple(DEFAULTS)
 
-    def __post_init__(self) -> None:
+    def __init__(self, **overrides) -> None:
+        _set_fields(self, overrides)
         if self.p < 1:
             raise ValueError("p must be >= 1")
         if not 0 < self.eta <= Fraction(1, 2):
@@ -375,17 +380,6 @@ class InverseParams:
     def reference_epsilon(self) -> Fraction:
         k1 = 2**13 * self.big_k
         return 1 / (16 * k1)
-
-
-@dataclass(frozen=True)
-class ExtractionReport:
-    rectangles: tuple[Rectangle, ...]
-    covered: int
-    q_size: int
-    coverage: Fraction
-    family_status: str
-    trace: tuple[dict, ...]
-    warnings: tuple[str, ...]
 
 
 def _subset_table(lam: F2Set, d: int) -> dict[int, tuple[int, ...]]:
@@ -503,7 +497,7 @@ def _bite_once(
             sumset_arity=2,
             seed=rng.randrange(1 << 30),
         )
-        work = refine_connected(work, conn).result
+        work = refine_connected(work, conn)[0]
     lam1, lam2, crossing, split_exhaustive = _best_split(
         list(work.elems), pair_of, lam, params.split_trials, params.split_exhaustive_limit, rng
     )
@@ -602,13 +596,18 @@ def _peel_rectangles(
     return rects, q_size - len(remaining)
 
 
-def extract_rectangles_pair(q: F2Set, lam: F2Set, params: InverseParams) -> ExtractionReport:
+def extract_rectangles_pair(
+    q: F2Set, lam: F2Set, params: InverseParams
+) -> tuple[tuple[Rectangle, ...], int, str, tuple[dict, ...], tuple[str, ...]]:
     """Peel disjoint rectangles L + L' out of Q inside Lambda + Lambda.
 
-    Every returned rectangle is machine-checked to satisfy
-    L + L' <= Q; pairwise disjointness holds because each round works on Q
-    minus the points already covered.  An empty result with diagnostics is
-    a legitimate outcome; rectangles are never fabricated.
+    Returns (rectangles, covered, family_status, trace, warnings): covered
+    counts the points of Q in the rectangles, and family_status is Lambda's
+    status in the weight-4p family.  Every returned rectangle is
+    machine-checked to satisfy L + L' <= Q; pairwise disjointness holds
+    because each round works on Q minus the points already covered.  An
+    empty result with diagnostics is a legitimate outcome; rectangles are
+    never fabricated.
     """
     warnings = []
     fam = in_family(lam, FamilySpec.zero(4 * params.p, lam.dim))
@@ -617,10 +616,7 @@ def extract_rectangles_pair(q: F2Set, lam: F2Set, params: InverseParams) -> Extr
     pair_of = _contained_table(q, lam, 2)
     trace: list[dict] = []
     rects, covered = _peel_rectangles(q, lam, pair_of, params, random.Random(params.seed), trace)
-    coverage = Fraction(covered, len(q)) if q else Fraction(1)
-    return ExtractionReport(
-        tuple(rects), covered, len(q), coverage, fam.status, tuple(trace), tuple(warnings)
-    )
+    return tuple(rects), covered, fam.status, tuple(trace), tuple(warnings)
 
 
 def _prefix(combo: tuple[int, ...], part_of: dict[int, int]) -> Optional[tuple[int, ...]]:
@@ -637,8 +633,11 @@ def _prefix(combo: tuple[int, ...], part_of: dict[int, int]) -> Optional[tuple[i
     return None if None in out else tuple(out)
 
 
-def extract_rectangles_d(q: F2Set, lam: F2Set, d: int, params: InverseParams) -> ExtractionReport:
-    """Rectangle extraction inside the d-fold distinct sumset, d >= 2.
+def extract_rectangles_d(
+    q: F2Set, lam: F2Set, d: int, params: InverseParams
+) -> tuple[tuple[Rectangle, ...], int, str, tuple[dict, ...], tuple[str, ...]]:
+    """Rectangle extraction inside the d-fold distinct sumset, d >= 2, with
+    the return shape of `extract_rectangles_pair` (the family has weight 2dp).
 
     At d = 2 this is `extract_rectangles_pair`.  Above, Lambda is cut into
     d - 2 prefix parts and one pair block; Q is grouped by the prefix of its
@@ -707,24 +706,11 @@ def extract_rectangles_d(q: F2Set, lam: F2Set, d: int, params: InverseParams) ->
                 raise AssertionError("prefixed rectangle escapes Q (bug)")
             rects.append(rect)
         covered += count
-    coverage = Fraction(covered, len(q)) if q else Fraction(1)
-    return ExtractionReport(
-        tuple(rects), covered, len(q), coverage, fam.status, tuple(trace), tuple(warnings)
-    )
+    return tuple(rects), covered, fam.status, tuple(trace), tuple(warnings)
 
 
 # ---------------------------------------------------------------------------
 # planted instance generation
-
-
-@dataclass(frozen=True)
-class PlantedInstance:
-    q: F2Set
-    lam: F2Set
-    rows: tuple[F2Set, ...]
-    cols: tuple[F2Set, ...]
-    planted: F2Set
-    noise: F2Set
 
 
 def plant_instance(
@@ -735,9 +721,11 @@ def plant_instance(
     seed: int,
     n: int = 18,
     lambda_size: int = 16,
-) -> PlantedInstance:
+) -> tuple[F2Set, tuple[F2Set, ...], tuple[F2Set, ...], F2Set, F2Set]:
     """Plant h pairwise-disjoint rectangles in 2-fold sums of a random
-    dissociated set, plus a fraction of random noise pairs.
+    dissociated set, plus a fraction of random noise pairs; returns
+    (Lambda, rows, cols, planted, noise), rectangle i being rows[i] +
+    cols[i], and the instance Q is planted union noise.
 
     When Lambda is too small to give every rectangle private row and column
     blocks, rectangles share one column block; products stay disjoint
@@ -781,11 +769,4 @@ def plant_instance(
         pt = a ^ b
         if pt not in planted and pt not in noise:
             noise.add(pt)
-    return PlantedInstance(
-        F2Set.from_bits(n, planted | noise),
-        lam,
-        tuple(rows),
-        tuple(cols),
-        F2Set.from_bits(n, planted),
-        F2Set.from_bits(n, noise),
-    )
+    return lam, tuple(rows), tuple(cols), F2Set.from_bits(n, planted), F2Set.from_bits(n, noise)

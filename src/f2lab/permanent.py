@@ -9,33 +9,32 @@ inclusion-exclusion permanent in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, prod
 from operator import add
 from typing import Optional
 
-from .core import BudgetError
+from .core import BudgetError, Value
 from .exact import ExactnessError
 
 RYSER_BUDGET = 1 << 22  # every y <= 22 fits: sum_{s<=x} C(y, s) <= 2^y
 
 
-@dataclass(frozen=True)
-class CombMatrix:
+class CombMatrix(Value):
     """Rectangular matrix with nonnegative integer entries."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        if not self.rows:
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        if not rows:
             raise ValueError("matrix needs at least one row")
-        width = len(self.rows[0])
-        for row in self.rows:
+        width = len(rows[0])
+        for row in rows:
             if len(row) != width or width == 0:
                 raise ValueError("rows must be nonempty and equal length")
             for v in row:
                 if v < 0:
                     raise ValueError("entries must be nonnegative")
+        self.rows = rows
 
     @property
     def x(self) -> int:
@@ -121,24 +120,17 @@ def permanent(h: CombMatrix) -> int:
     return per
 
 
-@dataclass(frozen=True)
-class FKResult:
-    """Outcome of the zero-permanent test on the support graph.
+def fk_zero_test(
+    h: CombMatrix,
+) -> tuple[Optional[tuple[int, ...]], tuple[int, ...], tuple[int, ...]]:
+    """Decide per H = 0 via maximum matching; emit witness either way, as
+    (sdr, zero_rows, zero_cols).
 
-    kind "positive": sdr maps each row of the wide orientation to a distinct
-    column with a nonzero entry.  kind "zero": (zero_rows, zero_cols) index
-    an all-zero submatrix whose dimensions sum to (long side) + 1.
-    Indices always refer to the matrix as passed in.
-    """
-
-    kind: str
-    sdr: Optional[tuple[int, ...]]
-    zero_rows: tuple[int, ...]
-    zero_cols: tuple[int, ...]
-
-
-def fk_zero_test(h: CombMatrix) -> FKResult:
-    """Decide per H = 0 via maximum matching; emit witness either way.
+    Positive permanent: sdr maps each row of the wide orientation to a
+    distinct column with a nonzero entry, and both zero parts are empty.
+    Zero permanent: sdr is None, and (zero_rows, zero_cols) index an
+    all-zero submatrix whose dimensions sum to (long side) + 1.  Indices
+    always refer to the matrix as passed in.
 
     A matching that is not perfect is maximum, so augmenting again from each
     unmatched row with one shared `seen` finds no path and marks exactly the
@@ -180,7 +172,7 @@ def fk_zero_test(h: CombMatrix) -> FKResult:
         for j, i in enumerate(match_col):
             if i >= 0:
                 sdr[i] = j
-        return FKResult("positive", tuple(sdr), (), ())
+        return tuple(sdr), (), ()
     seen = [False] * y
     for i in unmatched:
         augment(i, seen)
@@ -188,22 +180,19 @@ def fk_zero_test(h: CombMatrix) -> FKResult:
     zero_cols = tuple(j for j in range(y) if not seen[j])
     if transposed:
         zero_rows, zero_cols = zero_cols, zero_rows
-    return FKResult("zero", None, zero_rows, zero_cols)
+    return None, zero_rows, zero_cols
 
 
-@dataclass(frozen=True)
-class ReducedPermanentReport:
-    """Hypotheses of the reduced-permanent lemma plus the positivity verdict."""
-
-    hypotheses_hold: bool
-    failures: tuple[str, ...]
-    reduced: Optional[CombMatrix]
-    per_reduced_positive: Optional[bool]
-
-
-def reduced_permanent_check(h: CombMatrix) -> ReducedPermanentReport:
+def reduced_permanent_check(
+    h: CombMatrix,
+) -> tuple[tuple[str, ...], Optional[CombMatrix], Optional[bool]]:
     """Check row sums >= 2, column sums >= 1, total = 2p; then delete the
-    columns of sum exactly 1 and certify the reduced permanent positive."""
+    columns of sum exactly 1 and certify the reduced permanent positive.
+
+    Returns (failures, reduced, per_reduced_positive): the hypotheses hold
+    iff failures is empty, and only then is the verdict not None; reduced
+    is None when a hypothesis fails or every column is deleted.
+    """
     p = h.x
     failures = []
     rs = h.row_sums()
@@ -215,12 +204,12 @@ def reduced_permanent_check(h: CombMatrix) -> ReducedPermanentReport:
     if sum(rs) != 2 * p:
         failures.append("total != 2p")
     if failures:
-        return ReducedPermanentReport(False, tuple(failures), None, None)
+        return tuple(failures), None, None
     keep = [j for j, v in enumerate(cs) if v != 1]
     if not keep:
         # every column had sum 1; the reduced matrix is p-by-0 and its
         # permanent is the empty product 1, hence positive
-        return ReducedPermanentReport(True, (), None, True)
+        return (), None, True
     reduced = CombMatrix(tuple(tuple(row[j] for j in keep) for row in h.rows))
-    positive = fk_zero_test(reduced).kind == "positive"
-    return ReducedPermanentReport(True, (), reduced, positive)
+    positive = fk_zero_test(reduced)[0] is not None
+    return (), reduced, positive

@@ -7,12 +7,11 @@ all downstream energy computations are exact.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from struct import pack
 from typing import Iterable, Sequence
 
-from .core import BudgetError, DimensionError, F2Set
+from .core import BudgetError, DimensionError, F2Set, Value
 from .exact import ExactnessError
 
 WHT_DIM_CAP = 26  # full tables above 2^26 entries are out of desk scale
@@ -30,17 +29,17 @@ def check_alpha(alpha: Fraction) -> None:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
 
 
-@dataclass(frozen=True)
-class IntFunction:
+class IntFunction(Value):
     """An integer-valued function on F_2^n as a table of length 2^n; a
     Fourier table {f_hat(r)} is one too, on the same group."""
 
-    dim: int
-    values: tuple[int, ...]
+    __slots__ = ("dim", "values")
 
-    def __post_init__(self) -> None:
-        if len(self.values) != 1 << self.dim:
+    def __init__(self, dim: int, values: tuple[int, ...]) -> None:
+        if len(values) != 1 << dim:
             raise DimensionError("table length must be exactly 2^n")
+        self.dim = dim
+        self.values = values
 
     @classmethod
     def from_points(cls, dim: int, pairs: Iterable[tuple[int, int]]) -> "IntFunction":

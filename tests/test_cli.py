@@ -167,10 +167,11 @@ def test_lemma_per0_matches_full_family_scan(p, r):
     for flat in itertools.product((0, 1, 2), repeat=p * r):
         if sum(flat) != 2 * p:
             continue
-        rep = reduced_permanent_check(CombMatrix(tuple(tuple(flat[i * r : (i + 1) * r]) for i in range(p))))
-        if rep.hypotheses_hold:
+        rows = tuple(tuple(flat[i * r : (i + 1) * r]) for i in range(p))
+        failures, _, positive = reduced_permanent_check(CombMatrix(rows))
+        if not failures:
             satisfied += 1
-            all_positive = all_positive and rep.per_reduced_positive
+            all_positive = all_positive and positive
     out = run_config({"command": "lemma-per0", "p": p, "r": r})
     assert out.results == {
         "matrices_scanned": 3 ** (p * r),
@@ -513,6 +514,21 @@ def test_console_entrypoint_subprocess(tmp_path):
     assert json.loads(proc.stdout)["results"]["value"] == 21
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every command pays its imports at start-up; -S keeps the environment's
+    # site-packages, which may import either, out of the check
+    src = os.path.dirname(os.path.dirname(f2lab.__file__))
+    code = "import f2lab.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize(
     "params",
     [
@@ -540,6 +556,21 @@ def test_extract_bad_params_exit2(tmp_path, capsys, params):
     code, report = run_cli(["extract", "--q", q, "--lambda", lam, "--params", params], tmp_path)
     assert code == 2 and report is None
     assert "error" in json.loads(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["replay", "extract"])
+def test_deeply_nested_json_exit2(tmp_path, capsys, command):
+    # the decoder gives up with RecursionError, which is an input error here
+    deep = "[" * 100_000
+    if command == "replay":
+        args = ["replay", write(tmp_path, "deep.json", deep)]
+    else:
+        lam = write(tmp_path, "basis3.set", SET_BASIS3)
+        q = write(tmp_path, "pairs.set", SET_PAIRS3)
+        args = ["extract", "--q", q, "--lambda", lam, "--params", deep]
+    code, report = run_cli(args, tmp_path)
+    assert (code, report) == (2, None)
+    assert json.loads(capsys.readouterr().err) == {"error": "JSON nested too deeply to decode"}
 
 
 def test_extract_d3_zero_split_trials_exit2(tmp_path, capsys):

@@ -18,9 +18,39 @@ from f2lab.core import (
     string_to_bits,
     subset_sums,
 )
-from f2lab.wht import spectrum_of_set
+from f2lab.dissociation import FamilySpec
+from f2lab.inverse import Rectangle
+from f2lab.permanent import CombMatrix
+from f2lab.wht import IntFunction, spectrum_of_set
 
 from oracles import distinct_sums
+
+
+@pytest.mark.parametrize(
+    "cls, fields, others",
+    [
+        (F2Set, (3, ()), [(4, ()), (3, (1,))]),
+        (IntFunction, (1, (2, -1)), [(1, (2, 1)), (2, (2, -1, 0, 0))]),
+        (CombMatrix, (((1, 2),),), [(((2, 1),),), (((1, 2), (0, 1)),)]),
+        (
+            Rectangle,
+            ((8,), F2Set(4, (1,)), F2Set(4, (2,))),
+            [
+                ((), F2Set(4, (1,)), F2Set(4, (2,))),
+                ((8,), F2Set(4, (4,)), F2Set(4, (2,))),
+                ((8,), F2Set(4, (1,)), F2Set(4, (2, 4))),
+            ],
+        ),
+        (FamilySpec, (2, F2Set(3, (0,))), [(3, F2Set(3, (0,))), (2, F2Set(3, (0, 5)))]),
+    ],
+    ids=["F2Set", "IntFunction", "CombMatrix", "Rectangle", "FamilySpec"],
+)
+def test_value_classes_equal_by_fields(cls, fields, others):
+    a, b = cls(*fields), cls(*fields)
+    assert a == b and hash(a) == hash(b)
+    for other in others:
+        assert cls(*other) != a
+    assert a != fields  # never equal to the tuple of its fields
 
 
 def test_add_is_xor():

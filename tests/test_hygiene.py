@@ -8,6 +8,7 @@ imports are the package's re-exports.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -106,8 +107,9 @@ def test_no_unused_parameters_in_src():
 def unpassed_defaults(modules: dict[str, str]) -> list[str]:
     """Defaulted parameters that no call in `modules` passes, by keyword or
     by position, as "module:function:parameter".  Calls match functions by
-    name; a call through an attribute binds a method's `self` or `cls`, and
-    a starred argument passes every position.
+    name, and a call of a class is a call of its `__init__`, reported as
+    "Class.__init__"; a call through an attribute, or of a class, binds a
+    method's `self` or `cls`, and a starred argument passes every position.
 
     Blind spot: a forwarding call counts as a real one.  When `g` calls
     `f(budget=budget)` and only tests set `g`'s own `budget`, the scan flags
@@ -120,16 +122,22 @@ def unpassed_defaults(modules: dict[str, str]) -> list[str]:
                 callee = getattr(node.func, "id", getattr(node.func, "attr", None))
                 calls.setdefault(callee, []).append(node)
 
-    def passes(call: ast.Call, arg: ast.arg, position: int | None, bound: int) -> bool:
+    def passes(call: ast.Call, arg: ast.arg, position: int | None, offset: int) -> bool:
         if any(kw.arg in (arg.arg, None) for kw in call.keywords):
             return True
         if any(isinstance(a, ast.Starred) for a in call.args):
             return True
-        offset = bound if isinstance(call.func, ast.Attribute) else 0
         return position is not None and len(call.args) + offset > position
 
     found = []
     for name, tree in trees.items():
+        init_of = {
+            id(fn): node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for fn in node.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+        }
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -139,10 +147,15 @@ def unpassed_defaults(modules: dict[str, str]) -> list[str]:
             defaulted = [
                 (a, positional.index(a)) for a in positional[len(positional) - len(args.defaults) :]
             ] + [(a, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            cls = init_of.get(id(node))
+            label = node.name if cls is None else f"{cls}.__init__"
             found += [
-                f"{name}:{node.name}:{a.arg}"
+                f"{name}:{label}:{a.arg}"
                 for a, position in defaulted
-                if not any(passes(c, a, position, bound) for c in calls.get(node.name, []))
+                if not any(
+                    passes(c, a, position, bound if cls or isinstance(c.func, ast.Attribute) else 0)
+                    for c in calls.get(cls or node.name, [])
+                )
             ]
     return found
 
@@ -151,9 +164,11 @@ def test_unpassed_defaults_detector():
     mod = "def f(a, b=1, *, c=2, d=3):\n    return a + b + c + d\n"
     mod += "class K:\n    def m(self, x=0, y=0):\n        return x + y\n"
     mod += "def g(u=0, v=0):\n    return u + v\n"
-    mod += "f(1, d=4)\nK().m(5)\nh = [0]\ng(*h)\n"
-    assert unpassed_defaults({"m": mod}) == ["m:f:b", "m:f:c", "m:m:y"]
-    assert unpassed_defaults({"m": mod, "n": "f(1, 2, **{})\nK.m(K(), 1, 2)\n"}) == []
+    mod += "class C:\n    def __init__(self, u, v=0, w=0):\n        self.u = u + v + w\n"
+    mod += "f(1, d=4)\nK().m(5)\nh = [0]\ng(*h)\nC(1, 2)\n"
+    assert unpassed_defaults({"m": mod}) == ["m:f:b", "m:f:c", "m:m:y", "m:C.__init__:w"]
+    calls = "f(1, 2, **{})\nK.m(K(), 1, 2)\nC(1, w=3)\n"
+    assert unpassed_defaults({"m": mod, "n": calls}) == []
 
 
 def test_every_default_is_passed_in_src():
@@ -205,10 +220,31 @@ def test_no_dead_definitions_in_src():
     assert dead_definitions(modules, readers) == []
 
 
+def class_fields(tree: ast.AST) -> list[tuple[str, str]]:
+    """(class, field) for each field a class of `tree` declares: the strings
+    of a literal `__slots__`, and the keys of a `DEFAULTS` dict, from which a
+    parameter class builds its `__slots__`."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
+                continue
+            target, value = getattr(stmt.targets[0], "id", None), stmt.value
+            if target == "__slots__" and isinstance(value, (ast.Tuple, ast.List)):
+                names = value.elts
+            elif target == "DEFAULTS" and isinstance(value, ast.Dict):
+                names = value.keys
+            else:
+                continue
+            found += [(node.name, n.value) for n in names if isinstance(n, ast.Constant)]
+    return found
+
+
 def unread_fields(modules: dict[str, str], readers: dict[str, str]) -> list[str]:
-    """Annotated fields of the `@dataclass` classes of `modules` that no
-    source in `modules` or `readers` loads as an attribute, as
-    "module:Class.field".
+    """Fields (see `class_fields`) of the classes of `modules` that no source
+    in `modules` or `readers` loads as an attribute, as "module:Class.field".
 
     Blind spot: fields match by name, not by type.  A field that nothing
     reads passes whenever an attribute of the same name is loaded on any
@@ -220,40 +256,44 @@ def unread_fields(modules: dict[str, str], readers: dict[str, str]) -> list[str]
         for n in ast.walk(tree)
         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
     }
-
-    def is_dataclass(node: ast.ClassDef) -> bool:
-        for dec in node.decorator_list:
-            dec = dec.func if isinstance(dec, ast.Call) else dec
-            if getattr(dec, "id", getattr(dec, "attr", None)) == "dataclass":
-                return True
-        return False
-
     return [
-        f"{name}:{node.name}.{stmt.target.id}"
+        f"{name}:{cls}.{field}"
         for name in modules
-        for node in ast.walk(trees[name])
-        if isinstance(node, ast.ClassDef) and is_dataclass(node)
-        for stmt in node.body
-        if isinstance(stmt, ast.AnnAssign)
-        and isinstance(stmt.target, ast.Name)
-        and stmt.target.id not in loaded
+        for cls, field in class_fields(trees[name])
+        if field not in loaded
     ]
 
 
 def test_unread_fields_detector():
-    mod = "import dataclasses\nfrom dataclasses import dataclass\n"
-    mod += "@dataclass(frozen=True)\nclass K:\n    a: int\n    b: int\n    c: int = 0\n"
-    mod += "@dataclasses.dataclass\nclass J:\n    d: int\n"
-    mod += "class Plain:\n    e: int\n"
-    mod += "def f(k, j):\n    k.c = j.e\n    return k.a\n"
-    assert unread_fields({"m": mod}, {}) == ["m:K.b", "m:K.c", "m:J.d"]
-    assert unread_fields({"m": mod}, {"t": "def g(k, j):\n    return k.b + j.d + k.c\n"}) == []
+    mod = "class K:\n    __slots__ = ('a', 'b', 'c')\n"
+    mod += "class J:\n    __slots__ = ('d',)\n"
+    mod += "class P:\n    DEFAULTS = {'e': 1, 'f': 2}\n    __slots__ = tuple(DEFAULTS)\n"
+    mod += "class Base:\n    __slots__ = ()\n"
+    mod += "class Plain:\n    g: int\n"
+    mod += "def f(k, j, p):\n    k.c = j.g\n    return k.a + p.e\n"
+    assert unread_fields({"m": mod}, {}) == ["m:K.b", "m:K.c", "m:J.d", "m:P.f"]
+    readers = {"t": "def g(k, j, p):\n    return k.b + j.d + k.c + p.f\n"}
+    assert unread_fields({"m": mod}, readers) == []
 
 
-def test_no_unread_dataclass_fields_in_src():
+def test_no_unread_slot_fields_in_src():
     modules = {
         path.name: path.read_text(encoding="utf-8")
         for path in sorted((ROOT / "src" / "f2lab").glob("*.py"))
     }
     readers = {str(p): p.read_text(encoding="utf-8") for p in sorted((ROOT / "tests").glob("*.py"))}
+    # the scan sees every field: the run-time `__slots__` of each class
+    for name, source in modules.items():
+        module = importlib.import_module("f2lab" if name == "__init__.py" else f"f2lab.{name[:-3]}")
+        runtime = {
+            cls.__name__: cls.__slots__
+            for cls in vars(module).values()
+            if isinstance(cls, type)
+            and cls.__module__ == module.__name__
+            and cls.__dict__.get("__slots__")
+        }
+        scanned: dict[str, tuple[str, ...]] = {}
+        for cls, field in class_fields(ast.parse(source)):
+            scanned[cls] = scanned.get(cls, ()) + (field,)
+        assert scanned == runtime, name
     assert unread_fields(modules, readers) == []

@@ -43,10 +43,10 @@ from oracles import (
 
 def test_refine_subgroup_no_step():
     sub = F2Set(4, (0, 1, 2, 3))
-    res = refine_connected(sub, ConnectednessParams(k=2))
-    assert res.steps == ()
-    assert res.certified
-    assert res.result == sub
+    result, steps, certified = refine_connected(sub, ConnectednessParams(k=2))
+    assert steps == ()
+    assert certified
+    assert result == sub
 
 
 def test_refine_exhaustive_certification_small_sumsets():
@@ -58,12 +58,10 @@ def test_refine_exhaustive_certification_small_sumsets():
     for _ in range(40):
         size = rng.randint(3, 10)
         q = F2Set.from_bits(6, rng.sample(ground.elems, size))
-        res = refine_connected(q, ConnectednessParams(k=2, sumset_arity=2))
-        assert res.certified
-        for step in res.steps:
-            assert step.energy_after * step.size_before**2 > step.energy_before * (
-                step.size_before - step.removed
-            ) ** 2
+        _, steps, certified = refine_connected(q, ConnectednessParams(k=2, sumset_arity=2))
+        assert certified
+        for size_before, removed, energy_before, energy_after in steps:
+            assert energy_after * size_before**2 > energy_before * (size_before - removed) ** 2
 
 
 def test_refine_rectangle_plus_singleton_stays_connected():
@@ -77,10 +75,10 @@ def test_refine_rectangle_plus_singleton_stays_connected():
     cols = (8, 16, 32)
     pts = [r ^ c for r in rows for c in cols] + [64 ^ 128]
     q = F2Set.from_bits(8, pts)
-    res = refine_connected(q, ConnectednessParams(k=2, sumset_arity=2))
-    assert res.certified
-    assert res.steps == ()
-    assert res.result == q
+    result, steps, certified = refine_connected(q, ConnectednessParams(k=2, sumset_arity=2))
+    assert certified
+    assert steps == ()
+    assert result == q
 
 
 def test_refine_cardinality_guarantee():
@@ -89,9 +87,9 @@ def test_refine_cardinality_guarantee():
         dim = rng.randint(4, 8)
         q = F2Set.from_bits(dim, rng.sample(range(1 << dim), rng.randint(4, 12)))
         params = ConnectednessParams(k=2, sumset_arity=None)
-        res = refine_connected(q, params)
-        s = len(res.steps)
-        assert len(res.result) * 2**s >= len(q)  # (1 - beta2)^s with beta2 = 1/2
+        result, steps, _ = refine_connected(q, params)
+        s = len(steps)
+        assert len(result) * 2**s >= len(q)  # (1 - beta2)^s with beta2 = 1/2
 
 
 def test_refine_fired_steps_match_energy_oracle():
@@ -113,18 +111,18 @@ def test_refine_fired_steps_match_energy_oracle():
         for _ in range(runs):
             extras = rng.sample(range(8, 1 << dim), rng.randint(1, max_size - 8))
             q = F2Set.from_bits(dim, [*range(8), *extras])
-            res = refine_connected(q, params)
-            assert res.certified
-            if not res.steps:
+            result, steps, certified = refine_connected(q, params)
+            assert certified
+            if not steps:
                 continue
-            fired += len(res.steps)
-            assert res.steps[0].energy_before == energy_tuples(q.elems, k)
-            assert res.steps[-1].energy_after == energy_tuples(res.result.elems, k)
-            for step, nxt in zip(res.steps, res.steps[1:]):
-                assert step.energy_after == nxt.energy_before
-            for step in res.steps:
-                routes.add(_brute_preferred(step.size_before, dim, k))
-                routes.add(_brute_preferred(step.size_before - step.removed, dim, k))
+            fired += len(steps)
+            assert steps[0][2] == energy_tuples(q.elems, k)  # energy_before
+            assert steps[-1][3] == energy_tuples(result.elems, k)  # energy_after
+            for step, nxt in zip(steps, steps[1:]):
+                assert step[3] == nxt[2]
+            for size_before, removed, _, _ in steps:
+                routes.add(_brute_preferred(size_before, dim, k))
+                routes.add(_brute_preferred(size_before - removed, dim, k))
     assert fired >= 40
     assert routes == {True, False}
 
@@ -137,9 +135,9 @@ def test_local_descent_keeps_a_violation_found_on_its_last_swap():
     params = ConnectednessParams(
         k=2, constant=Fraction(1), sumset_arity=None, seed=187, search_budget=64
     )
-    res = refine_connected(q, params)
-    assert [(s.size_before, s.removed) for s in res.steps] == [(49, 24)]
-    assert len(res.result) == 25 and not res.certified
+    result, steps, certified = refine_connected(q, params)
+    assert [step[:2] for step in steps] == [(49, 24)]  # (size_before, removed)
+    assert len(result) == 25 and not certified
 
 
 WINDOWS = (
@@ -181,18 +179,18 @@ def test_refine_agrees_with_window_oracle(dim, h, extras, k, constant, window, e
         sumset_arity=None,
         seed=seed,
     )
-    res = refine_connected(q, params)
-    if res.certified:
-        assert first_violating_window(res.result.elems, k, beta1, beta2, constant) is None
+    result, steps, certified = refine_connected(q, params)
+    if certified:
+        assert first_violating_window(result.elems, k, beta1, beta2, constant) is None
     if exhaustive:
         bad = first_violating_window(q.elems, k, beta1, beta2, constant)
         if bad is None:
-            assert res.steps == () and res.certified
+            assert steps == () and certified
         else:
             rest = tuple(x for x in q.elems if x not in bad)
-            first = res.steps[0]
-            assert (first.size_before, first.removed) == (len(q), len(bad))
-            assert (first.energy_before, first.energy_after) == (
+            assert steps[0] == (
+                len(q),
+                len(bad),
                 energy_sum_counts(q.elems, k),
                 energy_sum_counts(rest, k),
             )
@@ -485,29 +483,32 @@ def test_rectangle_invariants():
 
 
 def test_plant_instance_structure():
-    inst = plant_instance(3, 4, 4, Fraction(1, 10), seed=1)
-    assert len(inst.rows) == 3
-    # rectangles pairwise disjoint and inside Q
+    _, rows, cols, planted, noise = plant_instance(3, 4, 4, Fraction(1, 10), seed=1)
+    assert len(rows) == 3
+    # rectangles pairwise disjoint and inside the planted points
     seen: set = set()
-    for r, c in zip(inst.rows, inst.cols):
+    for r, c in zip(rows, cols):
         pts = Rectangle((), r, c).points()
-        assert pts <= set(inst.q.elems)
+        assert pts <= set(planted.elems)
         assert not (pts & seen)
         seen |= pts
-    assert len(inst.noise) <= len(inst.planted) // 10
+    assert seen == set(planted.elems)
+    assert not planted.intersection(noise).elems
+    assert len(noise) <= len(planted) // 10
 
 
 def test_extract_single_planted_rectangle_full_recovery():
-    inst = plant_instance(1, 4, 4, Fraction(0), seed=21)
-    rep = extract_rectangles_pair(inst.q, inst.lam, InverseParams(seed=2))
+    lam, _, _, planted, noise = plant_instance(1, 4, 4, Fraction(0), seed=21)
+    q = planted.union(noise)
+    rects, covered, *_ = extract_rectangles_pair(q, lam, InverseParams(seed=2))
     got: set = set()
-    for r in rep.rectangles:
+    for r in rects:
         pts = r.points()
-        assert pts <= set(inst.q.elems)
+        assert pts <= set(q.elems)
         assert not (pts & got)
         got |= pts
-    assert got >= set(inst.planted.elems)
-    assert rep.coverage == 1
+    assert got >= set(planted.elems)
+    assert covered == len(q)
 
 
 def test_extract_noise_only_gives_tiny_rectangles():
@@ -517,8 +518,8 @@ def test_extract_noise_only_gives_tiny_rectangles():
     pairs = list(itertools.combinations(lam.elems, 2))
     chosen = rng.sample(pairs, 8)
     q = F2Set.from_bits(16, (a ^ b for a, b in chosen))
-    rep = extract_rectangles_pair(q, lam, InverseParams(seed=4, min_rows=2, min_cols=2))
-    for r in rep.rectangles:
+    rects = extract_rectangles_pair(q, lam, InverseParams(seed=4, min_rows=2, min_cols=2))[0]
+    for r in rects:
         assert r.points() <= set(q.elems)
         assert len(r.rows) * len(r.cols) <= 8
 
@@ -527,9 +528,9 @@ def test_extract_never_fabricates():
     rep_params = InverseParams(seed=9, min_rows=3, min_cols=3)
     lam = random_dissociated(14, 10, seed=8)
     q = F2Set.from_bits(14, (lam.elems[0] ^ lam.elems[1],))
-    rep = extract_rectangles_pair(q, lam, rep_params)
-    assert rep.rectangles == ()
-    assert rep.trace  # diagnostics recorded
+    rects, _, _, trace, _ = extract_rectangles_pair(q, lam, rep_params)
+    assert rects == ()
+    assert trace  # diagnostics recorded
 
 
 def test_extract_rejects_points_outside_sumset():
@@ -540,13 +541,14 @@ def test_extract_rejects_points_outside_sumset():
 
 
 def test_extract_d_delegates_for_pairs():
-    inst = plant_instance(1, 3, 3, Fraction(0), seed=13, n=14, lambda_size=10)
-    rep = extract_rectangles_d(inst.q, inst.lam, 2, InverseParams(seed=3))
-    assert rep == extract_rectangles_pair(inst.q, inst.lam, InverseParams(seed=3))
-    assert rep.rectangles
-    for rect in rep.rectangles:
+    lam, _, _, planted, noise = plant_instance(1, 3, 3, Fraction(0), seed=13, n=14, lambda_size=10)
+    q = planted.union(noise)
+    rep = extract_rectangles_d(q, lam, 2, InverseParams(seed=3))
+    assert rep == extract_rectangles_pair(q, lam, InverseParams(seed=3))
+    assert rep[0]
+    for rect in rep[0]:
         assert rect.prefix == ()
-        assert rect.points() <= set(inst.q.elems)
+        assert rect.points() <= set(q.elems)
 
 
 def _plant_prefixed(d, h, size, lambda_size, seed, n=24):
@@ -567,18 +569,17 @@ def _plant_prefixed(d, h, size, lambda_size, seed, n=24):
     return F2Set.from_bits(n, points), lam
 
 
-def _assert_disjoint_cover(rep, q, d):
+def _assert_disjoint_cover(rects, covered, q, d):
     """Every rectangle inside Q with a (d-2)-prefix, pairwise disjoint, and
-    `covered` / `coverage` counting their union."""
+    `covered` counting their union."""
     union = set()
-    for rect in rep.rectangles:
+    for rect in rects:
         pts = rect.points()
         assert len(rect.prefix) == d - 2
         assert pts <= set(q.elems)
         assert not pts & union
         union |= pts
-    assert rep.covered == len(union)
-    assert rep.coverage == (Fraction(rep.covered, len(q)) if q else 1)
+    assert covered == len(union)
 
 
 @pytest.mark.parametrize(
@@ -592,10 +593,10 @@ def test_extract_d_recovers_planted_share(d, h, lambda_size, floor):
     covered = planted = 0
     for seed in range(10):
         q, lam = _plant_prefixed(d, h, 3, lambda_size, seed)
-        rep = extract_rectangles_d(q, lam, d, InverseParams(seed=seed))
-        _assert_disjoint_cover(rep, q, d)
-        assert rep.trace[0]["stage"] == "prefix"
-        covered += rep.covered
+        rects, count, _, trace, _ = extract_rectangles_d(q, lam, d, InverseParams(seed=seed))
+        _assert_disjoint_cover(rects, count, q, d)
+        assert trace[0]["stage"] == "prefix"
+        covered += count
         planted += len(q)
     assert Fraction(covered, planted) > floor
 
@@ -609,27 +610,29 @@ def test_extract_d3_tests_the_family_once(monkeypatch):
         return in_family(l, spec)
 
     monkeypatch.setattr(sys.modules["f2lab.inverse"], "in_family", counting)
-    inst = plant_instance(1, 3, 3, Fraction(0), seed=7, n=14, lambda_size=9)
-    used = set(inst.rows[0].elems) | set(inst.cols[0].elems)
-    prefix_elem = next(e for e in inst.lam.elems if e not in used)
-    q3 = F2Set.from_bits(14, (prefix_elem ^ p for p in inst.q.elems))
-    assert extract_rectangles_d(q3, inst.lam, 3, InverseParams(p=2, seed=11)).rectangles
+    lam, rows, cols, planted, noise = plant_instance(
+        1, 3, 3, Fraction(0), seed=7, n=14, lambda_size=9
+    )
+    used = set(rows[0].elems) | set(cols[0].elems)
+    prefix_elem = next(e for e in lam.elems if e not in used)
+    q3 = F2Set.from_bits(14, (prefix_elem ^ p for p in planted.union(noise).elems))
+    assert extract_rectangles_d(q3, lam, 3, InverseParams(p=2, seed=11))[0]
     assert weights == [12]
 
 
 def test_extract_d3_full_sumset_containment():
     lam = random_dissociated(12, 7, seed=17)
     q = distinct_sumset_power(lam, 3)
-    rep = extract_rectangles_d(q, lam, 3, InverseParams(p=2, seed=19))
-    _assert_disjoint_cover(rep, q, 3)
+    rects, covered, *_ = extract_rectangles_d(q, lam, 3, InverseParams(p=2, seed=19))
+    _assert_disjoint_cover(rects, covered, q, 3)
 
 
 def test_extract_deterministic_under_seed():
-    inst = plant_instance(2, 4, 4, Fraction(1, 10), seed=33)
-    a = extract_rectangles_pair(inst.q, inst.lam, InverseParams(seed=12))
-    b = extract_rectangles_pair(inst.q, inst.lam, InverseParams(seed=12))
-    assert a.rectangles == b.rectangles
-    assert a.coverage == b.coverage
+    lam, _, _, planted, noise = plant_instance(2, 4, 4, Fraction(1, 10), seed=33)
+    q = planted.union(noise)
+    a = extract_rectangles_pair(q, lam, InverseParams(seed=12))
+    b = extract_rectangles_pair(q, lam, InverseParams(seed=12))
+    assert a == b
 
 
 def _split_matches_oracle(lam, pairs, exhaustive_limit, seed):

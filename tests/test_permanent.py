@@ -123,17 +123,14 @@ def test_matrix_file_roundtrip():
 
 
 def test_fk_zero_simple():
-    res = fk_zero_test(m([0, 0], [1, 1]))
-    assert res.kind == "zero"
-    block_rows, block_cols = res.zero_rows, res.zero_cols
+    sdr, block_rows, block_cols = fk_zero_test(m([0, 0], [1, 1]))
+    assert sdr is None
     assert len(block_rows) >= 1 and len(block_cols) >= 1
     assert len(block_rows) + len(block_cols) >= 3  # p + 1 for the square case
 
 
 def test_fk_positive_identity():
-    res = fk_zero_test(m([1, 0], [0, 1]))
-    assert res.kind == "positive"
-    assert res.sdr == (0, 1)
+    assert fk_zero_test(m([1, 0], [0, 1])) == ((0, 1), (), ())
 
 
 def test_fk_witness_block_is_zero():
@@ -143,16 +140,17 @@ def test_fk_witness_block_is_zero():
         y = rng.randint(1, 6)
         rows = [[rng.randint(0, 1) for _ in range(y)] for _ in range(x)]
         mat = m(*rows)
-        res = fk_zero_test(mat)
-        if res.kind == "zero":
-            for i in res.zero_rows:
-                for j in res.zero_cols:
+        sdr, zero_rows, zero_cols = fk_zero_test(mat)
+        if sdr is None:
+            for i in zero_rows:
+                for j in zero_cols:
                     assert rows[i][j] == 0
-            assert len(res.zero_rows) + len(res.zero_cols) >= max(x, y) + 1
+            assert len(zero_rows) + len(zero_cols) >= max(x, y) + 1
         else:
+            assert zero_rows == zero_cols == ()
             shorter = min(x, y)
-            assert len(set(res.sdr)) == shorter
-            for i, j in enumerate(res.sdr):
+            assert len(set(sdr)) == shorter
+            for i, j in enumerate(sdr):
                 if x <= y:
                     assert rows[i][j] > 0
                 else:
@@ -166,7 +164,7 @@ def test_fk_matches_permanent_random():
         y = rng.randint(x, 5)
         rows = [[rng.randint(0, 1) for _ in range(y)] for _ in range(x)]
         mat = m(*rows)
-        assert (fk_zero_test(mat).kind == "zero") == (permanent(mat) == 0)
+        assert (fk_zero_test(mat)[0] is None) == (permanent(mat) == 0)
 
 
 def test_fk_matches_permanent_random_10x10():
@@ -176,7 +174,7 @@ def test_fk_matches_permanent_random_10x10():
     for _ in range(120):
         rows = [[1 if rng.random() < 0.25 else 0 for _ in range(10)] for _ in range(10)]
         mat = m(*rows)
-        is_zero = fk_zero_test(mat).kind == "zero"
+        is_zero = fk_zero_test(mat)[0] is None
         zeros += is_zero
         assert is_zero == (permanent(mat) == 0)
     assert 0 < zeros < 120  # both outcomes exercised
@@ -184,17 +182,15 @@ def test_fk_matches_permanent_random_10x10():
 
 def test_reduced_permanent_doubled_identity():
     mat = m([2, 0, 0], [0, 2, 0], [0, 0, 2])
-    rep = reduced_permanent_check(mat)
-    assert rep.hypotheses_hold
-    assert rep.reduced == mat  # no column has sum exactly 1
-    assert rep.per_reduced_positive
+    # no column has sum exactly 1, so the reduced matrix is the matrix
+    assert reduced_permanent_check(mat) == ((), mat, True)
     assert permanent(mat) == 8
 
 
 def test_reduced_permanent_hypothesis_violation():
-    rep = reduced_permanent_check(m([1, 0], [0, 3]))
-    assert not rep.hypotheses_hold
-    assert "row sum < 2" in rep.failures
+    failures, reduced, positive = reduced_permanent_check(m([1, 0], [0, 3]))
+    assert "row sum < 2" in failures
+    assert reduced is positive is None
 
 
 def test_reduced_permanent_exhaustive_small():
@@ -207,13 +203,13 @@ def test_reduced_permanent_exhaustive_small():
                     continue
                 rows = [flat[i * r : (i + 1) * r] for i in range(p)]
                 mat = m(*rows)
-                rep = reduced_permanent_check(mat)
-                if not rep.hypotheses_hold:
+                failures, reduced, positive = reduced_permanent_check(mat)
+                if failures:
                     continue
                 checked += 1
-                assert rep.per_reduced_positive, f"lemma falsified at {rows}"
-                if rep.reduced is not None:
-                    assert permanent(rep.reduced) > 0
+                assert positive, f"lemma falsified at {rows}"
+                if reduced is not None:
+                    assert permanent(reduced) > 0
     assert checked > 100
 
 
