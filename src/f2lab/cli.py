@@ -8,36 +8,21 @@ Rationals are accepted only as exact "p/q" strings; no float parsing.
 Exit codes: 0 all bounds hold / decided true, 1 any violation / false,
 2 precondition failures, undecided statuses, or input errors, 3 a failed
 internal invariant (a bug).
+
+Each handler imports the modules it runs, so a command loads only its own
+layer of f2lab at start-up.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
-import io
-import itertools
 import json
 import sys
 import time
 from fractions import Fraction
-from typing import Optional
 
-from . import bench as bench_mod
-from .core import (
-    BudgetError,
-    F2Set,
-    SetFileError,
-    bits_to_string,
-    parse_set,
-    serialize_set,
-)
-from .dissociation import FamilySpec, in_family
-from .energy import additive_energy
+from .core import BudgetError, F2Set, SetFileError, bits_to_string, parse_set, serialize_set
 from .exact import ExactnessError
-from .inverse import InverseParams, extract_rectangles_d, plant_instance
-from .permanent import CombMatrix, fk_zero_test, parse_matrix, permanent, reduced_permanent_check
-from .wht import IntFunction, check_alpha, large_spectrum_from_table, spectrum_of_set
 
 LEMMA_PER0_CELL_CAP = 16  # p*r cells of the exhaustive family: 3^16 matrices
 
@@ -97,7 +82,7 @@ class Outcome:
 
     __slots__ = ("results", "exit_code", "side_files")
 
-    def __init__(self, results: dict, exit_code: int, side_files: Optional[dict] = None) -> None:
+    def __init__(self, results: dict, exit_code: int, side_files: dict | None = None) -> None:
         self.results = results
         self.exit_code = exit_code
         self.side_files = side_files or {}
@@ -147,6 +132,8 @@ def run_config(config: dict) -> Outcome:
 
 
 def _cmd_energy(config: dict) -> Outcome:
+    from .energy import additive_energy
+
     a = parse_set(config["set_text"])
     k = config["k"]
     method = config.get("method", "all")
@@ -163,7 +150,7 @@ def _cmd_energy(config: dict) -> Outcome:
     return Outcome(results, 0 if agree else 1)
 
 
-def _spectrum_csv(table: IntFunction):
+def _spectrum_csv(table):
     """The CSV dump, one chunk per high half-word t: r = t 2^low + l is named lo[l] + hi[t]."""
     low = table.dim // 2
     lo = [bits_to_string(x, low) for x in range(1 << low)]
@@ -175,6 +162,10 @@ def _spectrum_csv(table: IntFunction):
 
 
 def _cmd_spectrum(config: dict) -> Outcome:
+    import hashlib
+
+    from .wht import check_alpha, large_spectrum_from_table, spectrum_of_set
+
     alpha = None
     if "alpha" in config:
         alpha = parse_fraction(config["alpha"])
@@ -201,6 +192,8 @@ def _cmd_spectrum(config: dict) -> Outcome:
 
 
 def _cmd_dissociate(config: dict) -> Outcome:
+    from .dissociation import FamilySpec, in_family
+
     l = parse_set(config["set_text"])
     k = config["k"]
     r = parse_set(config["r_text"]) if "r_text" in config else F2Set(l.dim, (0,))
@@ -216,11 +209,15 @@ def _cmd_dissociate(config: dict) -> Outcome:
 
 
 def _cmd_permanent(config: dict) -> Outcome:
+    from .permanent import parse_matrix, permanent
+
     mat = parse_matrix(config["matrix_text"])
     return Outcome({"permanent": permanent(mat), "x": mat.x, "y": mat.y}, 0)
 
 
 def _cmd_fk_test(config: dict) -> Outcome:
+    from .permanent import fk_zero_test, parse_matrix
+
     mat = parse_matrix(config["matrix_text"])
     sdr, zero_rows, zero_cols = fk_zero_test(mat)
     results = {
@@ -233,6 +230,10 @@ def _cmd_fk_test(config: dict) -> Outcome:
 
 
 def _cmd_lemma_per0(config: dict) -> Outcome:
+    import itertools
+
+    from .permanent import CombMatrix, reduced_permanent_check
+
     p, r = config["p"], config["r"]
     if min(p, r) < 1:
         raise ValueError(f"--exhaustive needs P and R of at least 1, got {p} {r}")
@@ -258,15 +259,20 @@ def _cmd_lemma_per0(config: dict) -> Outcome:
 
 
 def _cmd_bench(config: dict) -> Outcome:
+    import csv
+    import io
+
+    from .bench import FAMILIES, run_family, sweep_majority
+
     theorem = config["theorem"]
     if theorem == "majority":
         delta = parse_fraction(config.get("delta", "1/64"))
-        reports = bench_mod.sweep_majority(delta, config.get("d", 1), config.get("n"))
-    elif theorem in bench_mod.FAMILIES:
+        reports = sweep_majority(delta, config.get("d", 1), config.get("n"))
+    elif theorem in FAMILIES:
         count = config.get("count", 20)
         if count < 1:
             raise ValueError(f"--count must be at least 1, got {count}")
-        reports = bench_mod.run_family(theorem, count, config.get("seed", 0))
+        reports = run_family(theorem, count, config.get("seed", 0))
     else:
         raise ValueError(f"unknown theorem family {theorem!r}")
     rows = _report_rows(reports)
@@ -285,9 +291,11 @@ def _cmd_bench(config: dict) -> Outcome:
     return Outcome(results, _status_exit(statuses), {"": (csv_buf.getvalue(),)})
 
 
-def _extract_params(config: dict) -> InverseParams:
-    """Overrides name InverseParams fields; each value has its default's JSON
-    type, except that rationals are "p/q" strings."""
+def _extract_params(config: dict):
+    """The InverseParams of a config.  Overrides name its fields; each value
+    has its default's JSON type, except that rationals are "p/q" strings."""
+    from .inverse import InverseParams
+
     kwargs = {"p": config.get("p", 2), "seed": config.get("seed", 0)}
     overrides = config.get("params", {})
     defaults = InverseParams.DEFAULTS
@@ -302,10 +310,10 @@ def _extract_params(config: dict) -> InverseParams:
     return InverseParams(**kwargs)
 
 
-def _params_resolved(params: InverseParams) -> dict:
+def _params_resolved(params) -> dict:
     """Every pipeline parameter, defaults included, for the report."""
     out = {}
-    for name in InverseParams.DEFAULTS:
+    for name in params.DEFAULTS:
         val = getattr(params, name)
         out[name] = str(val) if isinstance(val, Fraction) else val
     return out
@@ -320,6 +328,8 @@ def _rectangle_json(rect, dim: int) -> dict:
 
 
 def _cmd_extract(config: dict) -> Outcome:
+    from .inverse import extract_rectangles_d
+
     q = parse_set(config["q_text"])
     lam = parse_set(config["lambda_text"])
     params = _extract_params(config)
@@ -341,6 +351,8 @@ def _cmd_extract(config: dict) -> Outcome:
 
 
 def _cmd_plant(config: dict) -> Outcome:
+    from .inverse import plant_instance
+
     lam, rows, cols, planted, noise = plant_instance(
         config["h"],
         config["lsize"],
@@ -411,7 +423,7 @@ _HANDLERS = {
 }
 
 
-def execute(config: dict, out_path: Optional[str] = None) -> tuple[dict, int]:
+def execute(config: dict, out_path: str | None = None) -> tuple[dict, int]:
     """Run a configuration and assemble the replayable report."""
     start = time.perf_counter()
     outcome = run_config(config)
@@ -468,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_l0.add_argument("--exhaustive", nargs=2, type=int, metavar=("P", "R"), required=True)
 
     p_bench = command("bench", "theorem sweep")
-    p_bench.add_argument("--theorem", required=True, choices=(*bench_mod.FAMILIES, "majority"))
+    p_bench.add_argument("--theorem", required=True, help="a seeded family, or majority")
     p_bench.add_argument("--count", type=int, default=20)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--delta", default="1/64")
@@ -521,7 +533,7 @@ def config_from_args(args: argparse.Namespace) -> dict:
     return config
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, exit_code = execute(config_from_args(args), getattr(args, "out", None))

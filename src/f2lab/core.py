@@ -60,6 +60,10 @@ class Value:
     def __hash__(self) -> int:
         return hash(tuple(getattr(self, name) for name in self.__slots__))
 
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
 
 class F2Set(Value):
     """A finite subset of F_2^n as a strictly sorted tuple of words."""
@@ -125,52 +129,17 @@ def subset_sums(elems: Sequence[int], size: int) -> Iterator[tuple[int, tuple[in
         yield acc, combo
 
 
-def distinct_sumset(sets: Sequence[F2Set]) -> F2Set:
-    """Sums a_1 + ... + a_d with a_i from the i-th set, all pairwise distinct.
-
-    For the d-fold power of a single set this is the set of sums of d
-    distinct members.  Enumeration cost is capped by SUMSET_BUDGET tuples.
-    """
-    if not sets:
-        raise ValueError("distinct_sumset needs at least one set")
-    dim = sets[0].dim
-    for s in sets:
-        if s.dim != dim:
-            raise DimensionError("sumset arguments live in different groups")
-    d = len(sets)
-    if all(s.elems == sets[0].elems for s in sets):
-        base = sets[0].elems
-        count = comb(len(base), d)
-        if count > SUMSET_BUDGET:
-            raise BudgetError(f"{count} combinations exceed budget {SUMSET_BUDGET}")
-        return F2Set.from_bits(dim, (x for x, _ in subset_sums(base, d)))
-
-    total = 1
-    for s in sets:
-        total *= max(len(s), 1)
-    if total > SUMSET_BUDGET:
-        raise BudgetError(f"{total} tuples exceed budget {SUMSET_BUDGET}")
-    out = set()
-
-    def rec(i: int, acc: int, used: set[int]) -> None:
-        if i == d:
-            out.add(acc)
-            return
-        for e in sets[i].elems:
-            if e not in used:
-                used.add(e)
-                rec(i + 1, acc ^ e, used)
-                used.remove(e)
-
-    rec(0, 0, set())
-    return F2Set.from_bits(dim, out)
-
-
 def distinct_sumset_power(a: F2Set, d: int) -> F2Set:
-    """d-fold distinct sumset of a single set."""
+    """d-fold distinct sumset of one set: the sums of d distinct members.
+
+    Enumeration cost is capped by SUMSET_BUDGET d-subsets.
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
-    return distinct_sumset([a] * d)
+    count = comb(len(a), d)
+    if count > SUMSET_BUDGET:
+        raise BudgetError(f"{count} combinations exceed budget {SUMSET_BUDGET}")
+    return F2Set.from_bits(a.dim, (x for x, _ in subset_sums(a.elems, d)))
 
 
 def parse_set(text: str) -> F2Set:

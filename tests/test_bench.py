@@ -24,7 +24,7 @@ from f2lab.bench import (
     weight1_binomial_value,
 )
 from f2lab.cli import run_config
-from f2lab.core import BudgetError, F2Set, distinct_sumset, distinct_sumset_power
+from f2lab.core import BudgetError, F2Set, distinct_sumset_power
 from f2lab.dissociation import random_dissociated
 from f2lab.energy import additive_energy
 from f2lab.inverse import (
@@ -456,9 +456,9 @@ def _never(name):
     "enumerator, call, message",
     [
         pytest.param(
-            None,
-            lambda: distinct_sumset([F2Set(10, tuple(range(i, i + 216))) for i in (0, 216, 432)]),
-            "10077696 tuples exceed budget 10000000",
+            ("f2lab.core", "subset_sums"),
+            lambda: distinct_sumset_power(F2Set(10, tuple(range(1, 41))), 7),
+            "18643560 combinations exceed budget 10000000",
             id="distinct-sumset-tuples",
         ),
         pytest.param(
@@ -468,7 +468,7 @@ def _never(name):
             id="subset-table",
         ),
         pytest.param(
-            ("f2lab.cli", "reduced_permanent_check"),
+            ("f2lab.permanent", "reduced_permanent_check"),
             lambda: run_config({"command": "lemma-per0", "p": 4, "r": 5}),
             "exhaustive family limited to p*r <= 16, got 20",
             id="lemma-per0-cells",
@@ -489,9 +489,8 @@ def _never(name):
 )
 def test_every_cap_refuses_before_enumerating(monkeypatch, enumerator, call, message):
     # each message names the count that broke the cap and the cap itself
-    if enumerator is not None:
-        module, name = enumerator
-        monkeypatch.setattr(sys.modules[module], name, _never(name))
+    module, name = enumerator
+    monkeypatch.setattr(sys.modules[module], name, _never(name))
     with pytest.raises(BudgetError) as refused:
         call()
     assert str(refused.value) == message

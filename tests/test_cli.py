@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import f2lab
-from f2lab import cli
+from f2lab import bench, cli, core, energy, exact, inverse, wht
 from f2lab.cli import (
     canonical_results,
     execute,
@@ -80,7 +80,7 @@ def test_energy_malformed_set_exit2(tmp_path):
 def test_energy_cap_is_on_rank_not_dimension(tmp_path, capsys, monkeypatch):
     # spectral and conv routes run in the coordinates of the span: a set in
     # F_2^12 of rank 3 is answered under a cap of 2^4, a rank-5 set refused
-    monkeypatch.setattr(sys.modules["f2lab.wht"], "WHT_DIM_CAP", 4)
+    monkeypatch.setattr(wht, "WHT_DIM_CAP", 4)
     deficient = write(tmp_path, "rank3.set", "12\n100000000001\n000001000000\n100001000001\n000000010000\n")
     for method in ("spectral", "conv", "all"):
         code, report = run_cli(["energy", "--set", deficient, "--k", "2", "--method", method], tmp_path)
@@ -217,7 +217,7 @@ def test_bench_exit_code_follows_row_statuses(tmp_path, monkeypatch, status, cod
         "holds": lambda: _finish("t", "i", 2, 2, "le"),
     }[status]()
     rows = [_finish("t", "i", 1, 2, "le"), row]
-    monkeypatch.setattr(cli.bench_mod, "run_family", lambda name, count, seed: rows)
+    monkeypatch.setattr(bench, "run_family", lambda name, count, seed: rows)
     out_csv = tmp_path / "rows.csv"
     _, got = execute({"command": "bench", "theorem": "diss", "count": 2}, str(out_csv))
     assert got == code
@@ -226,8 +226,6 @@ def test_bench_exit_code_follows_row_statuses(tmp_path, monkeypatch, status, cod
 
 
 def test_bench_families_cover_every_checker():
-    from f2lab import bench
-
     emitted = set()
     for family in (*bench.FAMILIES, "majority"):
         report, _ = execute({"command": "bench", "theorem": family, "count": 2, "seed": 0})
@@ -254,12 +252,19 @@ def test_bench_nonpositive_count_exit2(tmp_path, capsys, count):
         assert "--count" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_bench_unknown_family_exit2(tmp_path, capsys):
+    # the handler, not the parser, checks the name, as it does for a replayed config
+    code, report = run_cli(["bench", "--theorem", "nosuch"], tmp_path)
+    assert code == 2 and report is None
+    assert "'nosuch'" in json.loads(capsys.readouterr().err)["error"]
+
+
 @pytest.mark.parametrize("d", ["0", "-2"])
 def test_bench_majority_nonpositive_d_exit2_before_building(tmp_path, capsys, monkeypatch, d):
     def no_build(n, delta, d):
         raise AssertionError("--d must be refused before any instance is built")
 
-    monkeypatch.setattr(cli.bench_mod, "verify_majority", no_build)
+    monkeypatch.setattr(bench, "verify_majority", no_build)
     code, report = run_cli(["bench", "--theorem", "majority", "--d", d], tmp_path)
     assert code == 2 and report is None
     assert "--d" in json.loads(capsys.readouterr().err)["error"]
@@ -360,16 +365,16 @@ def test_plant_bad_noise_exit2(tmp_path, capsys, noise):
     "exc, code, prefix",
     [
         (AssertionError, 3, "internal invariant failed: "),
-        (f2lab.ExactnessError, 3, "internal invariant failed: "),
+        (exact.ExactnessError, 3, "internal invariant failed: "),
         (RuntimeError, 3, "internal invariant failed: "),
-        (f2lab.BudgetError, 2, ""),  # a RuntimeError, but a refusal, not a bug
+        (core.BudgetError, 2, ""),  # a RuntimeError, but a refusal, not a bug
     ],
 )
 def test_internal_invariant_failure_exit3(tmp_path, capsys, monkeypatch, exc, code, prefix):
     def broken_split(*args):
         raise exc("best split below the averaging guarantee (bug)")
 
-    monkeypatch.setattr(f2lab.inverse, "_best_split", broken_split)
+    monkeypatch.setattr(inverse, "_best_split", broken_split)
     q = write(tmp_path, "q.set", SET_PAIRS3)
     lam = write(tmp_path, "lam.set", SET_BASIS3)
     got, report = run_cli(["extract", "--q", q, "--lambda", lam, "--seed", "1"], tmp_path)
@@ -448,7 +453,7 @@ def test_library_key_error_is_not_an_input_error(monkeypatch):
     def lookup_bug(a, k, method):
         raise KeyError("internal")
 
-    monkeypatch.setattr(cli, "additive_energy", lookup_bug)
+    monkeypatch.setattr(energy, "additive_energy", lookup_bug)
     with pytest.raises(KeyError):
         run_config({"command": "energy", "set_text": SET_BASIS3, "k": 2})
 
@@ -496,7 +501,7 @@ def test_spectrum_bad_alpha_exit2(tmp_path, capsys, monkeypatch, alpha):
     def no_transform(a):
         raise AssertionError("alpha must be refused before the transform")
 
-    monkeypatch.setattr(cli, "spectrum_of_set", no_transform)
+    monkeypatch.setattr(wht, "spectrum_of_set", no_transform)
     path = write(tmp_path, "basis3.set", SET_BASIS3)
     code, report = run_cli(["spectrum", "--set", path, f"--alpha={alpha}"], tmp_path)
     assert code == 2 and report is None
@@ -514,19 +519,54 @@ def test_console_entrypoint_subprocess(tmp_path):
     assert json.loads(proc.stdout)["results"]["value"] == 21
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
+BASE_LAYER = {"cli", "core", "exact"}
+PERMANENT_LAYER = BASE_LAYER | {"permanent"}
+ENERGY_LAYER = BASE_LAYER | {"wht", "dissociation", "energy"}
+INVERSE_LAYER = ENERGY_LAYER | {"inverse"}
+EVERY_MODULE = INVERSE_LAYER | PERMANENT_LAYER | {"bench"}
+MAIN_THEN_MODULES = (
+    "import json, sys\n"
+    "from f2lab import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(sys.modules)]))\n"
+)
+LAYER_CASES = [
+    (["energy", "--set", "{set}", "--k", "2"], ENERGY_LAYER, set()),
+    (["spectrum", "--set", "{set}", "--alpha", "1/4"], BASE_LAYER | {"wht"}, {"hashlib"}),
+    (["dissociate", "--check", "{set}", "--k", "2"], BASE_LAYER | {"dissociation"}, set()),
+    (["permanent", "--matrix", "{matrix}"], PERMANENT_LAYER, set()),
+    (["fk-test", "--matrix", "{matrix}"], PERMANENT_LAYER, set()),
+    (["lemma-per0", "--exhaustive", "2", "2"], PERMANENT_LAYER, set()),
+    (["bench", "--theorem", "diss", "--count", "1"], EVERY_MODULE, {"csv"}),
+    (["extract", "--q", "{q}", "--lambda", "{set}"], INVERSE_LAYER, set()),
+    (["plant", "--h", "1", "--lsize", "3", "--lpsize", "3"], INVERSE_LAYER, set()),
+    (["replay", "{report}"], PERMANENT_LAYER, set()),  # a permanent report
+]
+
+
+@pytest.mark.parametrize("args, layer, heavy", LAYER_CASES, ids=[case[0][0] for case in LAYER_CASES])
+def test_each_command_loads_only_its_own_layer(tmp_path, args, layer, heavy):
     # every command pays its imports at start-up; -S keeps the environment's
-    # site-packages, which may import either, out of the check
+    # site-packages, which may import anything, out of the check
+    report, _ = execute({"command": "permanent", "matrix_text": MATRIX_ALL_ONES})
+    paths = {
+        "set": write(tmp_path, "basis3.set", SET_BASIS3),
+        "q": write(tmp_path, "q.set", SET_PAIRS3),
+        "matrix": write(tmp_path, "m.mat", MATRIX_ALL_ONES),
+        "report": write(tmp_path, "run.json", json.dumps(report)),
+    }
     src = os.path.dirname(os.path.dirname(f2lab.__file__))
-    code = "import f2lab.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", code],
+        [sys.executable, "-S", "-c", MAIN_THEN_MODULES, *(a.format(**paths) for a in args)],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert {m[len("f2lab."):] for m in modules if m.startswith("f2lab.")} == layer
+    assert {"dataclasses", "inspect", "hashlib", "csv"} & set(modules) == heavy
 
 
 @pytest.mark.parametrize(

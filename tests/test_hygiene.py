@@ -3,8 +3,6 @@
 Neither pyflakes nor ruff is a dependency, so the unused-import,
 unused-parameter, unpassed-default and dead-definition checks are small
 AST scans here.
-The import and dead-definition scans skip `__init__.py` files: their
-imports are the package's re-exports.
 """
 
 import ast
@@ -51,8 +49,7 @@ def test_no_unused_imports_in_src_and_tests():
     found = {
         str(path.relative_to(ROOT)): names
         for path in files
-        if path.name != "__init__.py"
-        and (names := unused_imports(path.read_text(encoding="utf-8")))
+        if (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
 
@@ -109,7 +106,8 @@ def unpassed_defaults(modules: dict[str, str]) -> list[str]:
     by position, as "module:function:parameter".  Calls match functions by
     name, and a call of a class is a call of its `__init__`, reported as
     "Class.__init__"; a call through an attribute, or of a class, binds a
-    method's `self` or `cls`, and a starred argument passes every position.
+    method's `self` or `cls`, and only the arguments before a starred one
+    pass positions.
 
     Blind spot: a forwarding call counts as a real one.  When `g` calls
     `f(budget=budget)` and only tests set `g`'s own `budget`, the scan flags
@@ -125,9 +123,9 @@ def unpassed_defaults(modules: dict[str, str]) -> list[str]:
     def passes(call: ast.Call, arg: ast.arg, position: int | None, offset: int) -> bool:
         if any(kw.arg in (arg.arg, None) for kw in call.keywords):
             return True
-        if any(isinstance(a, ast.Starred) for a in call.args):
-            return True
-        return position is not None and len(call.args) + offset > position
+        starred = [i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+        given = starred[0] if starred else len(call.args)
+        return position is not None and given + offset > position
 
     found = []
     for name, tree in trees.items():
@@ -165,9 +163,9 @@ def test_unpassed_defaults_detector():
     mod += "class K:\n    def m(self, x=0, y=0):\n        return x + y\n"
     mod += "def g(u=0, v=0):\n    return u + v\n"
     mod += "class C:\n    def __init__(self, u, v=0, w=0):\n        self.u = u + v + w\n"
-    mod += "f(1, d=4)\nK().m(5)\nh = [0]\ng(*h)\nC(1, 2)\n"
-    assert unpassed_defaults({"m": mod}) == ["m:f:b", "m:f:c", "m:m:y", "m:C.__init__:w"]
-    calls = "f(1, 2, **{})\nK.m(K(), 1, 2)\nC(1, w=3)\n"
+    mod += "f(1, d=4)\nK().m(5)\nh = [0]\ng(1, *h)\nC(1, 2)\n"
+    assert unpassed_defaults({"m": mod}) == ["m:f:b", "m:f:c", "m:g:v", "m:m:y", "m:C.__init__:w"]
+    calls = "f(1, 2, **{})\nK.m(K(), 1, 2)\ng(0, 1, *h)\nC(1, w=3)\n"
     assert unpassed_defaults({"m": mod, "n": calls}) == []
 
 
@@ -214,7 +212,6 @@ def test_no_dead_definitions_in_src():
     modules = {
         path.name: path.read_text(encoding="utf-8")
         for path in sorted((ROOT / "src" / "f2lab").glob("*.py"))
-        if path.name != "__init__.py"
     }
     readers = {str(p): p.read_text(encoding="utf-8") for p in sorted((ROOT / "tests").glob("*.py"))}
     assert dead_definitions(modules, readers) == []
