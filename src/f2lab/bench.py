@@ -16,6 +16,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from math import comb, factorial, prod
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .core import BudgetError, F2Set, Value, distinct_sumset_power
@@ -242,7 +243,7 @@ def check_holder(fs: Sequence[IntFunction], gs: Sequence[IntFunction]) -> BoundR
     if s < 2 or t < 2:
         raise ValueError("need s, t >= 2")
     conv_f, conv_g = reduce(convolve, fs), reduce(convolve, gs)
-    inner = sum(x * y for x, y in zip(conv_f.values, conv_g.values))
+    inner = sum(map(mul, conv_f.values, conv_g.values))
     rhs = prod(energy_function(f, s) ** t for f in fs)
     rhs *= prod(energy_function(g, t) ** s for g in gs)
     return _finish("holder", f"n={fs[0].dim} s={s} t={t}", inner ** (2 * s * t), rhs, "le")
@@ -618,7 +619,7 @@ def _draw_chang(rng: random.Random) -> list[BoundReport]:
     a = F2Set.from_bits(dim, rng.sample(range(n), size))
     table = spectrum_of_set(a)
     import heapq  # a shared library: loaded here, not at every command's start-up
-    largest = heapq.nlargest(8, (abs(v) for v in table.values[1:] if v))
+    largest = heapq.nlargest(8, filter(None, map(abs, table.values[1:])))
     alpha = Fraction(largest[rng.randrange(len(largest))], n)
     spectrum = large_spectrum_from_table(table, alpha)
     basis: list[int] = []
@@ -661,7 +662,7 @@ def _draw_spectrum_energy_lower(rng: random.Random) -> list[BoundReport]:
     size = rng.randint(1, max(1, n // 2))
     a = F2Set.from_bits(dim, rng.sample(range(n), size))
     table = spectrum_of_set(a)
-    nonzero = sorted({abs(v) for v in table.values if v}, reverse=True)
+    nonzero = sorted(set(map(abs, table.values)) - {0}, reverse=True)
     alpha = Fraction(nonzero[rng.randrange(min(4, len(nonzero)))], n)
     spectrum = large_spectrum_from_table(table, alpha)
     b = F2Set.from_bits(dim, rng.sample(spectrum.elems, rng.randint(1, len(spectrum))))

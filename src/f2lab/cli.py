@@ -151,18 +151,19 @@ def _cmd_energy(config: dict) -> Outcome:
 
 
 def _spectrum_csv(table):
-    """The CSV dump, one chunk per high half-word t: r = t 2^low + l is named lo[l] + hi[t]."""
+    """The CSV dump, one chunk per high half-word t: r = t 2^low + l is named
+    lo[l] + hi[t], and the chunk is one %-template over its 2^low values."""
     low = table.dim // 2
     lo = [bits_to_string(x, low) for x in range(1 << low)]
     yield "r,coefficient\n"
     for t in range(1 << (table.dim - low)):
-        hi = bits_to_string(t, table.dim - low)
-        chunk = table.values[t << low : (t + 1) << low]
-        yield "".join([f"{name}{hi},{v}\n" for name, v in zip(lo, chunk)])
+        sep = bits_to_string(t, table.dim - low) + ",%d\n"
+        yield (sep.join(lo) + sep) % table.values[t << low : (t + 1) << low]
 
 
 def _cmd_spectrum(config: dict) -> Outcome:
     import hashlib
+    from operator import mul
 
     from .wht import check_alpha, large_spectrum_from_table, spectrum_of_set
 
@@ -180,7 +181,7 @@ def _cmd_spectrum(config: dict) -> Outcome:
     results = {
         "dim": a.dim,
         "set_size": len(a),
-        "parseval_ok": sum(v * v for v in table.values) == n * len(a),
+        "parseval_ok": sum(map(mul, table.values, table.values)) == n * len(a),
         "csv_sha256": digest.hexdigest(),
         "nonzero": n - table.values.count(0),
     }

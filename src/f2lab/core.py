@@ -142,12 +142,17 @@ def distinct_sumset_power(a: F2Set, d: int) -> F2Set:
     return F2Set.from_bits(a.dim, (x for x, _ in subset_sums(a.elems, d)))
 
 
+_DROP_BITS = str.maketrans("", "", "01")  # a line of a set file translates to ""
+
+
 def parse_set(text: str) -> F2Set:
     """Parse the canonical set-file format.
 
     First line is the dimension n, each following nonempty line one element
     as an n-character {0,1} string (leftmost character = coordinate 1).
-    Duplicate lines are a hard error, never silently merged.
+    Duplicate lines are a hard error, never silently merged.  Lengths,
+    characters and duplicates are checked over the whole file at once; only
+    a file that fails is walked line by line, to report its first fault.
     """
     lines = text.splitlines()
     if not lines:
@@ -157,8 +162,19 @@ def parse_set(text: str) -> F2Set:
     except ValueError:
         raise SetFileError(f"bad dimension header {lines[0]!r}") from None
     _check_dim(dim)
+    rows = list(filter(None, map(str.strip, lines[1:])))
+    if not (
+        set(map(len, rows)) <= {dim}
+        and not "".join(rows).translate(_DROP_BITS)
+        and len(set(rows)) == len(rows)
+    ):
+        _raise_first_fault(lines, dim)
+    return F2Set(dim, tuple(sorted([int(row[::-1], 2) for row in rows])))
+
+
+def _raise_first_fault(lines: list[str], dim: int) -> None:
+    """Raise the SetFileError of the first faulty line of a set file."""
     seen: dict[int, int] = {}
-    out = []
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
@@ -172,8 +188,7 @@ def parse_set(text: str) -> F2Set:
         if bits in seen:
             raise SetFileError(f"line {lineno}: duplicate element (first at line {seen[bits]})")
         seen[bits] = lineno
-        out.append(bits)
-    return F2Set.from_bits(dim, out)
+    raise AssertionError("a set file failed its bulk checks but has no faulty line")
 
 
 def serialize_set(s: F2Set) -> str:

@@ -9,8 +9,9 @@ moment sum by N, which would only fail on an implementation bug.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from itertools import combinations, starmap
-from operator import xor
+from itertools import combinations, repeat, starmap
+from math import prod
+from operator import mul, xor
 from typing import Optional, Sequence
 
 from .core import BudgetError, DimensionError, F2Set
@@ -61,7 +62,7 @@ def energy_spectral(a: F2Set, k: int) -> int:
 
 def _spectral_moment(table: IntFunction, k: int) -> int:
     n = 1 << table.dim
-    total = sum(v ** (2 * k) for v in table.values)
+    total = sum(map(pow, table.values, repeat(2 * k)))
     q, r = divmod(total, n)
     if r:
         raise ExactnessError("spectral moment sum not divisible by N (bug)")
@@ -71,7 +72,7 @@ def _spectral_moment(table: IntFunction, k: int) -> int:
 def energy_convolution(a: F2Set, k: int) -> int:
     """T_k via the k-fold convolution power of the indicator."""
     g = conv_power(IntFunction.indicator(a), k)
-    return sum(v * v for v in g.values)
+    return sum(map(mul, g.values, g.values))
 
 
 def _span_coordinates(sets: Sequence[F2Set], cap: int) -> Optional[list[F2Set]]:
@@ -127,15 +128,7 @@ def energy_multiset(sets: Sequence[F2Set]) -> int:
             raise DimensionError("sets live in different groups")
     sets = _span_coordinates(sets, dim - 1) or sets
     n = 1 << sets[0].dim
-    tables = [spectrum_of_set(s).values for s in sets]
-    total = 0
-    for r in range(n):
-        prod = 1
-        for t in tables:
-            prod *= t[r]
-            if prod == 0:
-                break
-        total += prod
+    total = sum(map(prod, zip(*[spectrum_of_set(s).values for s in sets])))
     q, rem = divmod(total, n)
     if rem:
         raise ExactnessError("mixed energy spectral sum not divisible by N (bug)")
@@ -148,7 +141,7 @@ def convolve(f: IntFunction, g: IntFunction) -> IntFunction:
         raise DimensionError("convolution needs equal dimensions")
     fh = wht(f)
     gh = wht(g)
-    prod = IntFunction(f.dim, tuple(x * y for x, y in zip(fh.values, gh.values)))
+    prod = IntFunction(f.dim, tuple(map(mul, fh.values, gh.values)))
     return inverse_wht(prod)
 
 
@@ -157,7 +150,7 @@ def conv_power(f: IntFunction, k: int) -> IntFunction:
     if k < 1:
         raise ValueError("k must be >= 1")
     fh = wht(f)
-    powered = IntFunction(f.dim, tuple(v**k for v in fh.values))
+    powered = IntFunction(f.dim, tuple(map(pow, fh.values, repeat(k))))
     return inverse_wht(powered)
 
 
@@ -166,7 +159,7 @@ def energy_function(f: IntFunction, k: int) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     g = conv_power(f, k)
-    by_conv = sum(v * v for v in g.values)
+    by_conv = sum(map(mul, g.values, g.values))
     by_spec = _spectral_moment(wht(f), k)
     if by_conv != by_spec:
         raise ExactnessError("convolution and spectral T_k(f) disagree (bug)")

@@ -7,8 +7,9 @@ all downstream energy computations are exact.
 from __future__ import annotations
 
 import sys
+from array import array
 from fractions import Fraction
-from struct import pack
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .core import BudgetError, DimensionError, F2Set, Value
@@ -56,7 +57,8 @@ class IntFunction(Value):
         return cls.from_points(s.dim, ((e, 1) for e in s.elems))
 
 
-_ITEMS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # unsigned items of 1, 2, 4 and 8 bytes
+_ITEMS = {1: "b", 2: "h", 4: "i", 8: "q"}  # signed native items of 1, 2, 4 and 8 bytes
+_SIGN = bytes(128) + b"\xff" * 128  # translate a lane's top byte into its sign-fill byte
 
 
 def _transform(values: Sequence[int]) -> tuple[int, ...]:
@@ -66,43 +68,59 @@ def _transform(values: Sequence[int]) -> tuple[int, ...]:
     Exact by construction.  With s = sum |f|, every value the butterfly
     holds is a signed sum of distinct entries of f, in [-s, s]; its lane
     holds v + s in [0, 2s] in the fewest bytes w8 with 4s < 2^w, w = 8 w8.
-    At span h, m selects the lanes i with i & h == 0, S has s in each, and
-    a = x & m, b = (x >> h w) & m hold pairs (u + s, v + s).  Then a + b - S
-    holds u + v + s and a + S - b holds u - v + s, both in [0, 2s]; a + b <=
-    4s and a + S <= 3s fit in a lane and each difference is non-negative lane
-    by lane, so no lane carries or borrows.  Lanes of up to 8 bytes travel in
-    native unsigned items, byte j of a lane as byte at[j] of its item.
+    At span h, m selects the lanes i with i & h == 0, S = m & spread has s
+    in each, and a = x & m, b = (x >> h w) & m hold pairs (u + s, v + s).
+    Then a + b - S holds u + v + s and a + S - b holds u - v + s, both in
+    [0, 2s]; a + b <= 4s and a + S <= 3s fit in a lane and each difference
+    is non-negative lane by lane, so no lane carries or borrows.
+
+    The ends convert whole tables at once.  A value enters its lane as its
+    w-bit two's complement v mod 2^w, which keeps v since |v| <= s < 2^(w-2).
+    XOR with `top`, 2^(w-1) in each lane, makes that v + 2^(w-1), in
+    [2^(w-1) - s, 2^(w-1) + s]; subtracting `lift`, 2^(w-1) - s in each lane,
+    leaves v + s >= 0, so no lane borrows and both steps are single big-int
+    operations.  The way out is the inverse: adding `lift` gives v + 2^(w-1)
+    < 2^w, so no lane carries, and XOR with `top` gives v mod 2^w back.
+    Lanes of up to 8 bytes travel in native signed items, byte j of a lane as
+    byte order[j] of its item; an item's bytes above its lane repeat the sign
+    of v, the top bit of the lane's top byte.  Wider lanes use to_bytes.
     """
     count = len(values)
     s = sum(map(abs, values))
     w8 = max(1, ((4 * s).bit_length() + 7) // 8)
+    w = 8 * w8
     size = min((k for k in _ITEMS if k >= w8), default=None)
     if size is None:
-        lanes = b"".join([(v + s).to_bytes(w8, "little") for v in values])
+        lanes = b"".join([v.to_bytes(w8, "little", signed=True) for v in values])
     else:
-        at = range(w8) if sys.byteorder == "little" else range(size - 1, size - 1 - w8, -1)
-        items = pack(f"={count}{_ITEMS[size]}", *[v + s for v in values])
+        order = range(size) if sys.byteorder == "little" else range(size - 1, -1, -1)
+        items = array(_ITEMS[size], values).tobytes()
         lanes = bytearray(count * w8)
-        for j, k in enumerate(at):
+        for j, k in enumerate(order[:w8]):
             lanes[j::w8] = items[k::size]
-    x = int.from_bytes(lanes, "little")
-    full, lane, zero = b"\xff" * w8, s.to_bytes(w8, "little"), bytes(w8)
+    low = int.from_bytes((b"\x01" + bytes(w8 - 1)) * count, "little")  # 1 in each lane
+    top, lift, spread = low << (w - 1), ((1 << (w - 1)) - s) * low, s * low
+    x = (int.from_bytes(lanes, "little") ^ top) - lift
+    full, zero = b"\xff" * w8, bytes(w8)
     h = 1
     while h < count:
-        blocks = count // (2 * h)
-        m = int.from_bytes((full * h + zero * h) * blocks, "little")
-        big_s = int.from_bytes((lane * h + zero * h) * blocks, "little")
+        m = int.from_bytes((full * h + zero * h) * (count // (2 * h)), "little")
+        big_s = m & spread
         a = x & m
-        b = (x >> 8 * w8 * h) & m
-        x = (a + b - big_s) | ((a + big_s - b) << 8 * w8 * h)
+        b = (x >> w * h) & m
+        x = (a + b - big_s) | ((a + big_s - b) << w * h)
         h *= 2
-    lanes = x.to_bytes(count * w8, "little")
+    lanes = ((x + lift) ^ top).to_bytes(count * w8, "little")
     if size is None:
-        return tuple(int.from_bytes(lanes[i : i + w8], "little") - s for i in range(0, len(lanes), w8))
+        return tuple(int.from_bytes(lanes[i : i + w8], "little", signed=True) for i in range(0, len(lanes), w8))
     items = bytearray(count * size)
-    for j, k in enumerate(at):
+    for j, k in enumerate(order[:w8]):
         items[k::size] = lanes[j::w8]
-    return tuple(v - s for v in memoryview(items).cast(_ITEMS[size]))
+    if size > w8:
+        sign = lanes[w8 - 1 :: w8].translate(_SIGN)
+        for k in order[w8:]:
+            items[k::size] = sign
+    return tuple(memoryview(items).cast(_ITEMS[size]))
 
 
 def wht(f: IntFunction) -> IntFunction:
@@ -119,9 +137,10 @@ def spectrum_of_set(a: F2Set) -> IntFunction:
 def inverse_wht(s: IntFunction) -> IntFunction:
     """Inverse transform; the WHT is an involution up to the factor N."""
     vals = _transform(s.values)
-    if any(v & ((1 << s.dim) - 1) for v in vals):
+    mask = (1 << s.dim) - 1
+    if any(map(mask.__and__, vals)):
         raise ExactnessError("inverse transform is not integer-valued")
-    return IntFunction(s.dim, tuple(v >> s.dim for v in vals))
+    return IntFunction(s.dim, tuple(map(int.__rshift__, vals, repeat(s.dim))))
 
 
 def large_spectrum(a: F2Set, alpha: Fraction) -> F2Set:
@@ -132,8 +151,17 @@ def large_spectrum(a: F2Set, alpha: Fraction) -> F2Set:
     return large_spectrum_from_table(spectrum_of_set(a), alpha)
 
 
+_SCAN_BLOCK = 64  # entries per block of the large-spectrum scan
+
+
 def large_spectrum_from_table(table: IntFunction, alpha: Fraction) -> F2Set:
+    """The r with |table(r)| >= alpha N.  Blocks whose max and min stay
+    inside (-alpha N, alpha N) are skipped whole by two C-level passes."""
     check_alpha(alpha)
     least = -(-(alpha.numerator << table.dim) // alpha.denominator)  # ceil(alpha N)
-    hits = [r for r, v in enumerate(table.values) if abs(v) >= least]
+    values, hits = table.values, []
+    for start in range(0, len(values), _SCAN_BLOCK):
+        block = values[start : start + _SCAN_BLOCK]
+        if max(block) >= least or min(block) <= -least:
+            hits.extend([r for r, v in enumerate(block, start) if abs(v) >= least])
     return F2Set(table.dim, tuple(hits))

@@ -286,6 +286,17 @@ def test_spectrum_csv_bytes_match_reference(tmp_path, dim):
     assert report["results"]["csv_sha256"] == hashlib.sha256(expect).hexdigest()
 
 
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_spectrum_csv_template_matches_per_line_rendering(dim):
+    # one %-template per high half-word against one f-string per row, on
+    # signed tables with zeros and values beyond 64 bits; n = 1 has low = 0
+    rng = random.Random(100 + dim)
+    values = tuple(rng.choice((0, -1, 7, rng.randint(-(2**70), 2**70))) for _ in range(1 << dim))
+    rows = "".join(f"{bits_to_string(r, dim)},{v}\n" for r, v in enumerate(values))
+    got = "".join(cli._spectrum_csv(wht.IntFunction(dim, values)))
+    assert got.encode() == ("r,coefficient\n" + rows).encode()
+
+
 def test_dissociate_empty_forbidden_file_exit2(tmp_path, capsys):
     lpath = write(tmp_path, "l.set", "4\n1000\n0110\n")
     rpath = write(tmp_path, "empty.set", "")

@@ -165,6 +165,26 @@ def test_parse_set_refuses_what_int_base2_accepts(line, bad):
         string_to_bits(line)
 
 
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        ("10", "1_1", "length 2 != dimension 3"),
+        ("1_1", "10", "bad character '_' in element string"),
+        ("101", "1x1", "duplicate element (first at line 2)"),
+        ("1x1", "101", "bad character 'x' in element string"),
+        ("11", "101", "length 2 != dimension 3"),
+        ("101", "11", "duplicate element (first at line 2)"),
+        ("1_", "101", "length 2 != dimension 3"),  # within a line, length comes first
+    ],
+)
+def test_parse_set_reports_first_fault_in_file_order(first, second, message):
+    # the file is checked in bulk; the line walk that locates the fault must
+    # still name the earlier of two faults, whichever kind comes first
+    with pytest.raises(SetFileError) as err:
+        parse_set(f"3\n101\n\n{first}\n{second}\n")
+    assert str(err.value) == f"line 4: {message}"
+
+
 def test_bitstring_roundtrip_exhaustive_dim4():
     for bits in range(16):
         assert string_to_bits(bits_to_string(bits, 4)) == bits

@@ -13,6 +13,7 @@ from f2lab.wht import (
     IntFunction,
     inverse_wht,
     large_spectrum,
+    large_spectrum_from_table,
     spectrum_of_set,
     wht,
 )
@@ -85,6 +86,28 @@ def test_wht_at_lane_width_boundaries(offset):
             assert list(table.values) == naive_wht(values)
             assert max(map(abs, table.values)) == sum(map(abs, values))
             assert inverse_wht(table).values == values
+
+
+@pytest.mark.parametrize("w8", [3, 5, 6, 7])
+def test_wht_sign_fill_when_items_are_wider_than_lanes(w8):
+    # lanes of 3, 5, 6 and 7 bytes travel in 4- and 8-byte items, whose bytes
+    # above the lane are filled with the lane's sign on the way out; s * chi_1
+    # puts +s and -s, the ends of the lane range, in adjacent lanes
+    rng = random.Random(w8)
+    for s in (1 << (8 * w8 - 10), (1 << (8 * w8 - 2)) - 1):  # least and most mass of w8 bytes
+        assert max(1, ((4 * s).bit_length() + 7) // 8) == w8
+        for dim in (4, 5, 9):
+            n = 1 << dim
+            spikes = [tuple(c if x == 1 else 0 for x in range(n)) for c in (s, -s)]
+            chi = tuple((s // n) * (-1) ** (x & 5).bit_count() for x in range(n))
+            cuts = sorted(rng.randrange(s) for _ in range(n - 1))
+            parts = [b - a for a, b in zip([0, *cuts], [*cuts, s])]
+            mixed = tuple(rng.choice((1, -1)) * p for p in parts)
+            for values in (*spikes, chi, mixed):
+                table = wht(IntFunction(dim, values))
+                assert list(table.values) == butterfly_wht(values)
+                assert inverse_wht(table).values == values
+            assert set(wht(IntFunction(dim, spikes[0])).values) == {s, -s}
 
 
 def test_wht_all_zero_and_single_huge_entry():
@@ -228,6 +251,31 @@ def test_exact_threshold_boundary_inclusive():
     assert large_spectrum(h, Fraction(4, 16)).elems == (0, 4, 8, 12)
     # just above the density everything drops out, including 0
     assert large_spectrum(h, Fraction(5, 16)).elems == ()
+
+
+def test_large_spectrum_from_table_matches_plain_scan():
+    # blocks whose max and min stay inside the threshold are skipped; hits on
+    # the first and last entry of a block, tables shorter than one block, and
+    # a block that reaches the threshold only below zero
+    block = sys.modules["f2lab.wht"]._SCAN_BLOCK
+    rng = random.Random(64)
+    alpha = Fraction(1, 8)
+    for dim in (1, 2, 3, 6, 8, 10):
+        n = 1 << dim
+        least = -(-n // 8)  # ceil(alpha N)
+        starts = range(0, n, block)
+        edges = [i for b in starts for i in (b, min(b + block, n) - 1)]
+        for _ in range(5):
+            values = [rng.randint(-least + 1, least - 1) for _ in range(n)]
+            for r in rng.sample(edges, min(3, len(edges))):
+                values[r] = rng.choice((least, -least, 3 * least))
+            if len(starts) > 2:
+                b = rng.choice(starts[1:])
+                values[b : b + block] = [min(v, least - 1) for v in values[b : b + block]]
+                values[b + rng.randrange(block)] = -least
+            expect = [r for r, v in enumerate(values) if abs(v) >= alpha * n]
+            assert list(large_spectrum_from_table(IntFunction(dim, tuple(values)), alpha).elems) == expect
+        assert large_spectrum_from_table(IntFunction(dim, (0,) * n), alpha).elems == ()
 
 
 def test_spectrum_rows_format(tmp_path):
