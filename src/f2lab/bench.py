@@ -151,7 +151,7 @@ def check_rudin_even(lam: F2Set, coeffs: Sequence[int], p: int) -> BoundReport:
         raise ValueError("need one coefficient per support element")
     if refused := _family_refusal(name, inst, lam, 2 * p):
         return refused
-    f = IntFunction.from_points(lam.dim, zip(lam.elems, coeffs))
+    f = IntFunction.from_points(lam.dim, lam.elems, coeffs)
     weight = sum(a * a for a in coeffs)
     return _finish(name, inst, energy_function(f, p), p**p * weight**p, "le")
 
@@ -449,27 +449,17 @@ def greedy_support_threshold(
     least this many supports the greedy selection returns the full width."""
     if len(block_sizes) != len(multiplicities):
         raise ValueError("need one multiplicity per block")
-    rho = len(block_sizes)
     omega_min = -((-zeta.numerator * p) // zeta.denominator)  # ceil(zeta p)
+    # poly[j]: the sum over n_1 + ... + n_rho = j with n_i <= c_i of
+    # prod a_i^n_i / n_i!, the coefficients up to z^p of the product over the
+    # blocks of sum_{n <= c_i} (a_i z)^n / n!
+    poly = [Fraction(1)] + [Fraction(0)] * p
+    for a, c in zip(block_sizes, multiplicities):
+        terms = [Fraction(a**n, factorial(n)) for n in range(min(c, p) + 1)]
+        poly = [sum(poly[j - n] * t for n, t in enumerate(terms[: j + 1])) for j in range(p + 1)]
     total = Fraction(0)
-
-    def compositions(remaining: int, idx: int):
-        if idx == rho - 1:
-            if remaining <= multiplicities[idx]:
-                yield (remaining,)
-            return
-        for v in range(min(remaining, multiplicities[idx]) + 1):
-            for rest in compositions(remaining - v, idx + 1):
-                yield (v,) + rest
-
     for omega in range(omega_min, p + 1):
-        inner = Fraction(0)
-        if rho:
-            for ns in compositions(p - omega, 0):
-                inner += prod(Fraction(a**n, factorial(n)) for a, n in zip(block_sizes, ns))
-        elif p - omega == 0:
-            inner = Fraction(1)
-        total += Fraction((p * width) ** omega, factorial(omega)) * inner
+        total += Fraction((p * width) ** omega, factorial(omega)) * poly[p - omega]
     return 2 * total
 
 

@@ -24,66 +24,41 @@ from .energy import additive_energy, energy_excess_compare
 
 SUBSET_TABLE_BUDGET = 2_000_000  # d-subsets of Lambda in one sum table
 BITE_NODE_CAP = 200_000  # search nodes per common intersection of one bite
+REFINE_WINDOW = (Fraction(1, 4), Fraction(1, 2))  # (beta1, beta2): sizes of a refinement's B
+REFINE_CONSTANT = Fraction(1, 8)  # C of the refinement's proportional-energy share
+REFINE_EXHAUSTIVE_LIMIT = 14  # |Q| up to which the refinement searches every window subset
 
 
 # ---------------------------------------------------------------------------
 # connectedness refinement
 
 
-def _set_fields(params, overrides: dict) -> None:
-    """Give every field of a parameter class its keyword override, or else
-    its entry in the class's DEFAULTS; a name that is no field is refused."""
-    unknown = overrides.keys() - params.DEFAULTS.keys()
-    if unknown:
-        raise TypeError(f"unknown parameters {sorted(unknown)}")
-    for name, default in params.DEFAULTS.items():
-        setattr(params, name, overrides.get(name, default))
-
-
-class ConnectednessParams:
-    """Degree, window, constant, and search budget of the refinement loop;
-    sumset_arity may be None, which skips the step-count bound."""
-
-    DEFAULTS = {
-        "k": 2,
-        "beta1": Fraction(1, 4),
-        "beta2": Fraction(1, 2),
-        "constant": Fraction(1, 8),
-        "search_budget": 256,
-        "exhaustive_limit": 14,
-        "sumset_arity": 2,
-        "seed": 0,
-    }
-    __slots__ = tuple(DEFAULTS)
-
-    def __init__(self, **overrides) -> None:
-        _set_fields(self, overrides)
-        if self.k < 2:
-            raise ValueError("degree k must be >= 2")
-        if not (0 < self.beta1 <= self.beta2 < 1):
-            raise ValueError("need 0 < beta1 <= beta2 < 1")
-        if not (0 < self.constant <= 1):
-            raise ValueError("the constant must lie in (0, 1]")
-
-
 def refine_connected(
-    q: F2Set, params: ConnectednessParams
+    q: F2Set, k: int, search_budget: int, seed: int
 ) -> tuple[F2Set, tuple[tuple[int, int, int, int], ...], bool]:
     """Iteratively delete energy-poor mid-sized subsets; returns (result,
     steps, certified), each step (size_before, removed, energy_before,
     energy_after), certified when no window subset of the result violates.
 
-    A step fires on a subset B with beta1|Q| <= |B| <= beta2|Q| whose
-    energy falls below the proportional share; the complement then strictly
-    increases the excess exponent D_k, which is asserted exactly.  Every B
-    has T_k(B) >= |B|^k (the 2k-tuples whose second half repeats the first),
-    so window sizes at which even that floor meets the share cannot fire.
-    A pass with no size left ends the run "certified", at any |Q|; otherwise
-    it searches every window subset of the kept sizes when |Q| <=
-    exhaustive_limit (certified too), and larger sets get seeded random
-    search plus local moves and an honest best-effort tag.
+    A step fires on a subset B with beta1|Q| <= |B| <= beta2|Q|, the
+    REFINE_WINDOW, whose T_k falls below the share (C |B|/|Q|)^2k T_k(Q),
+    C = REFINE_CONSTANT; the complement then strictly increases the excess
+    exponent D_k, which is asserted exactly.  Every B has T_k(B) >= |B|^k
+    (the 2k-tuples whose second half repeats the first), so window sizes at
+    which even that floor meets the share cannot fire.  A pass with no size
+    left ends the run "certified", at any |Q|; otherwise it searches every
+    window subset of the kept sizes when |Q| <= REFINE_EXHAUSTIVE_LIMIT
+    (certified too), and larger sets get `search_budget` subsets of a search
+    seeded by `seed`, plus local moves, and an honest best-effort tag.
+
+    Q must lie in a 2-fold sumset Lambda_1 + Lambda_2, the only kind of Q
+    the extraction refines: the step-count bound asserted at the end is the
+    bound for such Q.
     """
-    k = params.k
+    if k < 2:
+        raise ValueError("degree k must be >= 2")
+    beta1, beta2 = REFINE_WINDOW
+    constant = REFINE_CONSTANT
     memo: dict[tuple[int, ...], int] = {}
 
     def energy(elems: tuple[int, ...]) -> int:
@@ -101,18 +76,18 @@ def refine_connected(
     e = 2 * k
     while True:
         m = len(cur)
-        lo = max(1, -((-params.beta1.numerator * m) // params.beta1.denominator))
-        hi = min(m - 1, (params.beta2.numerator * m) // params.beta2.denominator)
+        lo = max(1, -((-beta1.numerator * m) // beta1.denominator))
+        hi = min(m - 1, (beta2.numerator * m) // beta2.denominator)
         # B violates iff T_k(B) C_den^2k m^2k < C_num^2k |B|^2k T_k(Q),
         # i.e. T_k(B) * lhs_scale < rhs_base * |B|^2k
-        lhs_scale = params.constant.denominator**e * m**e
-        rhs_base = params.constant.numerator**e * t_cur
+        lhs_scale = constant.denominator**e * m**e
+        rhs_base = constant.numerator**e * t_cur
         sizes = [s for s in range(lo, hi + 1) if s**k * lhs_scale < rhs_base * s**e]
         if not sizes:
             certified = True
             break
         violation = None
-        exhaustive = m <= params.exhaustive_limit
+        exhaustive = m <= REFINE_EXHAUSTIVE_LIMIT
         if exhaustive:
             for size in sizes:
                 rhs_size = rhs_base * size**e
@@ -124,8 +99,8 @@ def refine_connected(
                     break
         else:
             best: Optional[tuple[Fraction, tuple[int, ...]]] = None
-            rng = rng or random.Random(params.seed)
-            for _ in range(params.search_budget):
+            rng = rng or random.Random(seed)
+            for _ in range(search_budget):
                 size = rng.randint(lo, hi)
                 combo = tuple(sorted(rng.sample(cur.elems, size)))
                 lhs = energy(combo) * lhs_scale
@@ -137,7 +112,9 @@ def refine_connected(
                 if best is None or margin < best[0]:
                     best = (margin, combo)
             if violation is None and best is not None:
-                violation = _local_descent(best[1], cur, energy, lhs_scale, rhs_base, params, rng)
+                violation = _local_descent(
+                    best[1], cur, energy, lhs_scale, rhs_base, k, search_budget, rng
+                )
         if violation is None:
             certified = exhaustive
             break
@@ -145,26 +122,30 @@ def refine_connected(
         t_nxt = energy(nxt.elems)
         # strict D_k increase is guaranteed by subadditivity whenever C < 1/4
         if not energy_excess_compare(t_nxt, len(nxt), t_cur, m, k):
-            if params.constant < Fraction(1, 4):
+            if constant < Fraction(1, 4):
                 raise AssertionError("excess exponent failed to increase on a fired step")
         steps.append((m, len(violation), t_cur, t_nxt))
         cur, t_cur = nxt, t_nxt
 
     # cardinality guarantee |Q'| >= (1 - beta2)^s |Q|, exact rationals
     s = len(steps)
-    b2 = params.beta2
-    if len(cur) * b2.denominator**s < (b2.denominator - b2.numerator) ** s * m_initial:
+    if len(cur) * beta2.denominator**s < (beta2.denominator - beta2.numerator) ** s * m_initial:
         raise AssertionError("cardinality guarantee violated")
-    if params.sumset_arity is not None and not _step_bound_holds(
-        s, k, params.sumset_arity, params.beta1, params.constant, t_initial, m_initial
-    ):
-        raise AssertionError("step-count bound violated")
+    # step-count bound at d = 2: s <= (8d log d + k(d-1) log k - D_k(Q0)) /
+    # (k log(1 + beta1(1-4C))), which exists only while that log is positive,
+    # i.e. C < 1/4, and clears its logs to
+    # (1 + beta1(1-4C))^(sk) * T_k(Q0) <= d^(8d) * k^(kd) * |Q0|^k
+    if constant < Fraction(1, 4):
+        x = 1 + beta1 * (1 - 4 * constant)  # a Fraction, so its denominator is positive
+        rhs = 2**16 * k ** (2 * k) * m_initial**k
+        if x.numerator ** (s * k) * t_initial > rhs * x.denominator ** (s * k):
+            raise AssertionError("step-count bound violated")
     return cur, tuple(steps), certified
 
 
-def _local_descent(start, cur, energy, lhs_scale, rhs_base, params, rng):
+def _local_descent(start, cur, energy, lhs_scale, rhs_base, k, search_budget, rng):
     """Swap-based descent from the least-connected sampled subset."""
-    e = 2 * params.k
+    e = 2 * k
     b = list(start)
     outside = [x for x in cur.elems if x not in set(b)]
 
@@ -172,7 +153,7 @@ def _local_descent(start, cur, energy, lhs_scale, rhs_base, params, rng):
         return energy(tuple(sorted(elems))) * lhs_scale - rhs_base * len(elems) ** e
 
     cur_margin = margin(b)
-    for _ in range(max(8, params.search_budget // 8)):
+    for _ in range(max(8, search_budget // 8)):
         if cur_margin < 0 or not outside:
             break
         i = rng.randrange(len(b))
@@ -184,20 +165,6 @@ def _local_descent(start, cur, energy, lhs_scale, rhs_base, params, rng):
         else:
             b[i], outside[j] = outside[j], b[i]
     return tuple(sorted(b)) if cur_margin < 0 else None
-
-
-def _step_bound_holds(
-    s: int, k: int, d: int, beta1: Fraction, c: Fraction, t0: int, m0: int
-) -> bool:
-    """Exact form of the step-count bound.
-
-    s <= (8d log d + k(d-1) log k - D_k(Q0)) / (k log(1 + beta1(1-4C)))
-    is equivalent, clearing logs, to
-    (1 + beta1(1-4C))^(sk) * T_k(Q0) <= d^(8d) * k^(kd) * |Q0|^k.
-    """
-    x = 1 + beta1 * (1 - 4 * c)  # a Fraction, so its denominator is positive
-    rhs = d ** (8 * d) * k ** (k * d) * m0**k
-    return x.numerator ** (s * k) * t0 <= rhs * x.denominator ** (s * k)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +328,11 @@ class InverseParams:
     __slots__ = tuple(DEFAULTS)
 
     def __init__(self, **overrides) -> None:
-        _set_fields(self, overrides)
+        unknown = overrides.keys() - self.DEFAULTS.keys()
+        if unknown:
+            raise TypeError(f"unknown parameters {sorted(unknown)}")
+        for name, default in self.DEFAULTS.items():
+            setattr(self, name, overrides.get(name, default))
         if self.p < 1:
             raise ValueError("p must be >= 1")
         if not 0 < self.eta <= Fraction(1, 2):
@@ -491,13 +462,8 @@ def _bite_once(
     q_now = F2Set.from_bits(lam.dim, remaining)
     work = q_now
     if params.refine and len(work) > 2:
-        conn = ConnectednessParams(
-            k=max(2, params.p),
-            search_budget=params.refine_budget,
-            sumset_arity=2,
-            seed=rng.randrange(1 << 30),
-        )
-        work = refine_connected(work, conn)[0]
+        seed = rng.randrange(1 << 30)
+        work = refine_connected(work, max(2, params.p), params.refine_budget, seed)[0]
     lam1, lam2, crossing, split_exhaustive = _best_split(
         list(work.elems), pair_of, lam, params.split_trials, params.split_exhaustive_limit, rng
     )

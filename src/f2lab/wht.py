@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections import deque
 from fractions import Fraction
 from itertools import repeat
+from operator import setitem
 from typing import Iterable, Sequence
 
 from .core import BudgetError, DimensionError, F2Set, Value
@@ -43,18 +45,17 @@ class IntFunction(Value):
         self.values = values
 
     @classmethod
-    def from_points(cls, dim: int, pairs: Iterable[tuple[int, int]]) -> "IntFunction":
-        """The function with the given (point, value) pairs, zero elsewhere;
-        the table cap is checked before the table is allocated."""
+    def from_points(cls, dim: int, points: Iterable[int], values: Iterable[int]) -> "IntFunction":
+        """The function taking the i-th of `values` at the i-th of `points`,
+        zero elsewhere; the table cap is checked before the table is allocated."""
         _check_table_dim(dim)
         vals = [0] * (1 << dim)
-        for x, v in pairs:
-            vals[x] = v
+        deque(map(setitem, repeat(vals), points, values), 0)  # no tuple per point
         return cls(dim, tuple(vals))
 
     @classmethod
     def indicator(cls, s: F2Set) -> "IntFunction":
-        return cls.from_points(s.dim, ((e, 1) for e in s.elems))
+        return cls.from_points(s.dim, s.elems, repeat(1))
 
 
 _ITEMS = {1: "b", 2: "h", 4: "i", 8: "q"}  # signed native items of 1, 2, 4 and 8 bytes

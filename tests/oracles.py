@@ -10,6 +10,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from math import factorial, prod
 
 
 def naive_wht(values):
@@ -160,3 +161,32 @@ def root_sum_dominates_sq(total, part_a, part_b):
     g = total - a - b, it holds iff g <= 0 or g^2 <= 4ab."""
     gap = total - part_a - part_b
     return gap <= 0 or gap * gap <= 4 * part_a * part_b
+
+
+def greedy_support_threshold_sum(p, width, zeta, block_sizes, multiplicities):
+    """2 * sigma* of the greedy-support lemma as its defining sum: over
+    omega from ceil(zeta p) to p, (p width)^omega / omega! times the sum,
+    over the compositions n of p - omega with n_i <= c_i, of
+    prod a_i^n_i / n_i!."""
+    rho = len(block_sizes)
+    omega_min = -((-zeta.numerator * p) // zeta.denominator)
+    total = Fraction(0)
+
+    def compositions(remaining, idx):
+        if idx == rho - 1:
+            if remaining <= multiplicities[idx]:
+                yield (remaining,)
+            return
+        for v in range(min(remaining, multiplicities[idx]) + 1):
+            for rest in compositions(remaining - v, idx + 1):
+                yield (v,) + rest
+
+    for omega in range(omega_min, p + 1):
+        inner = Fraction(0)
+        if rho:
+            for ns in compositions(p - omega, 0):
+                inner += prod(Fraction(a**n, factorial(n)) for a, n in zip(block_sizes, ns))
+        elif p - omega == 0:
+            inner = Fraction(1)
+        total += Fraction((p * width) ** omega, factorial(omega)) * inner
+    return 2 * total

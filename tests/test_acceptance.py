@@ -31,7 +31,6 @@ from f2lab.core import F2Set, distinct_sumset_power, serialize_set
 from f2lab.dissociation import random_dissociated
 from f2lab.energy import energy_bruteforce, energy_function, energy_spectral
 from f2lab.inverse import (
-    ConnectednessParams,
     InverseParams,
     extract_rectangles_pair,
     plant_instance,
@@ -261,12 +260,11 @@ def test_criterion_08_connectedness_certification():
     lam = F2Set(6, (1, 2, 4, 8, 16, 32))
     ground = distinct_sumset_power(lam, 2)
     assert len(ground) == 15
-    params = ConnectednessParams(k=2, sumset_arity=2)
     total = 0
     fired = 0
     for size in range(3, 13):
         for combo in itertools.combinations(ground.elems, size):
-            _, steps, certified = refine_connected(F2Set(6, combo), params)
+            _, steps, certified = refine_connected(F2Set(6, combo), 2, 256, 0)
             assert certified, combo
             total += 1
             fired += len(steps)

@@ -101,13 +101,27 @@ def test_no_unused_parameters_in_src():
     assert found == {}
 
 
+def class_literal(cls: ast.ClassDef, target: str) -> list[str]:
+    """The strings of a literal tuple or list, or the string keys of a
+    literal dict, that the body of `cls` assigns to `target`."""
+    found = []
+    for stmt in cls.body:
+        targets = [getattr(t, "id", None) for t in getattr(stmt, "targets", ())]
+        if isinstance(stmt, ast.Assign) and targets == [target]:
+            value = stmt.value
+            names = value.keys if isinstance(value, ast.Dict) else getattr(value, "elts", [])
+            found += [n.value for n in names if isinstance(n, ast.Constant)]
+    return found
+
+
 def unpassed_defaults(modules: dict[str, str]) -> list[str]:
     """Defaulted parameters that no call in `modules` passes, by keyword or
     by position, as "module:function:parameter".  Calls match functions by
     name, and a call of a class is a call of its `__init__`, reported as
     "Class.__init__"; a call through an attribute, or of a class, binds a
     method's `self` or `cls`, and only the arguments before a starred one
-    pass positions.
+    pass positions.  The keys of a class's `DEFAULTS` dict count as keyword
+    defaults of its `__init__`, all of which a `**` argument passes.
 
     Blind spot: a forwarding call counts as a real one.  When `g` calls
     `f(budget=budget)` and only tests set `g`'s own `budget`, the scan flags
@@ -130,7 +144,7 @@ def unpassed_defaults(modules: dict[str, str]) -> list[str]:
     found = []
     for name, tree in trees.items():
         init_of = {
-            id(fn): node.name
+            id(fn): (node.name, class_literal(node, "DEFAULTS"))
             for node in ast.walk(tree)
             if isinstance(node, ast.ClassDef)
             for fn in node.body
@@ -145,7 +159,8 @@ def unpassed_defaults(modules: dict[str, str]) -> list[str]:
             defaulted = [
                 (a, positional.index(a)) for a in positional[len(positional) - len(args.defaults) :]
             ] + [(a, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-            cls = init_of.get(id(node))
+            cls, keys = init_of.get(id(node), (None, ()))
+            defaulted += [(ast.arg(arg=key), None) for key in keys]
             label = node.name if cls is None else f"{cls}.__init__"
             found += [
                 f"{name}:{label}:{a.arg}"
@@ -163,9 +178,13 @@ def test_unpassed_defaults_detector():
     mod += "class K:\n    def m(self, x=0, y=0):\n        return x + y\n"
     mod += "def g(u=0, v=0):\n    return u + v\n"
     mod += "class C:\n    def __init__(self, u, v=0, w=0):\n        self.u = u + v + w\n"
-    mod += "f(1, d=4)\nK().m(5)\nh = [0]\ng(1, *h)\nC(1, 2)\n"
-    assert unpassed_defaults({"m": mod}) == ["m:f:b", "m:f:c", "m:g:v", "m:m:y", "m:C.__init__:w"]
-    calls = "f(1, 2, **{})\nK.m(K(), 1, 2)\ng(0, 1, *h)\nC(1, w=3)\n"
+    mod += "class P:\n    DEFAULTS = {'e': 1, 'f': 2}\n    def __init__(self, **kw):\n"
+    mod += "        self.kw = kw\n"
+    mod += "f(1, d=4)\nK().m(5)\nh = [0]\ng(1, *h)\nC(1, 2)\nP(e=3)\n"
+    assert unpassed_defaults({"m": mod}) == [
+        "m:f:b", "m:f:c", "m:g:v", "m:m:y", "m:C.__init__:w", "m:P.__init__:f"
+    ]
+    calls = "f(1, 2, **{})\nK.m(K(), 1, 2)\ng(0, 1, *h)\nC(1, w=3)\nP(**{})\n"
     assert unpassed_defaults({"m": mod, "n": calls}) == []
 
 
@@ -221,22 +240,12 @@ def class_fields(tree: ast.AST) -> list[tuple[str, str]]:
     """(class, field) for each field a class of `tree` declares: the strings
     of a literal `__slots__`, and the keys of a `DEFAULTS` dict, from which a
     parameter class builds its `__slots__`."""
-    found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for stmt in node.body:
-            if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
-                continue
-            target, value = getattr(stmt.targets[0], "id", None), stmt.value
-            if target == "__slots__" and isinstance(value, (ast.Tuple, ast.List)):
-                names = value.elts
-            elif target == "DEFAULTS" and isinstance(value, ast.Dict):
-                names = value.keys
-            else:
-                continue
-            found += [(node.name, n.value) for n in names if isinstance(n, ast.Constant)]
-    return found
+    return [
+        (node.name, field)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for field in class_literal(node, "__slots__") + class_literal(node, "DEFAULTS")
+    ]
 
 
 def unread_fields(modules: dict[str, str], readers: dict[str, str]) -> list[str]:

@@ -3,12 +3,13 @@ import random
 import sys
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from f2lab import bench
+from f2lab import bench, inverse
 from f2lab.bench import (
     check_bombieri,
     check_greedy_support,
@@ -19,7 +20,6 @@ from f2lab.core import BudgetError, F2Set, distinct_sumset_power
 from f2lab.dissociation import in_family, random_dissociated
 from f2lab.energy import _brute_preferred, additive_energy
 from f2lab.inverse import (
-    ConnectednessParams,
     InverseParams,
     Rectangle,
     extract_rectangles_d,
@@ -38,12 +38,33 @@ from oracles import (
     energy_sum_counts,
     energy_tuples,
     first_violating_window,
+    greedy_support_threshold_sum,
 )
+
+
+def refine_patched(
+    q,
+    k,
+    window=inverse.REFINE_WINDOW,
+    constant=inverse.REFINE_CONSTANT,
+    exhaustive_limit=inverse.REFINE_EXHAUSTIVE_LIMIT,
+    search_budget=256,
+    seed=0,
+):
+    """refine_connected with its window, constant and exhaustive limit
+    patched for the call."""
+    with mock.patch.multiple(
+        inverse,
+        REFINE_WINDOW=window,
+        REFINE_CONSTANT=constant,
+        REFINE_EXHAUSTIVE_LIMIT=exhaustive_limit,
+    ):
+        return refine_connected(q, k, search_budget, seed)
 
 
 def test_refine_subgroup_no_step():
     sub = F2Set(4, (0, 1, 2, 3))
-    result, steps, certified = refine_connected(sub, ConnectednessParams(k=2))
+    result, steps, certified = refine_connected(sub, 2, 256, 0)
     assert steps == ()
     assert certified
     assert result == sub
@@ -58,7 +79,7 @@ def test_refine_exhaustive_certification_small_sumsets():
     for _ in range(40):
         size = rng.randint(3, 10)
         q = F2Set.from_bits(6, rng.sample(ground.elems, size))
-        _, steps, certified = refine_connected(q, ConnectednessParams(k=2, sumset_arity=2))
+        _, steps, certified = refine_connected(q, 2, 256, 0)
         assert certified
         for size_before, removed, energy_before, energy_after in steps:
             assert energy_after * size_before**2 > energy_before * (size_before - removed) ** 2
@@ -75,10 +96,28 @@ def test_refine_rectangle_plus_singleton_stays_connected():
     cols = (8, 16, 32)
     pts = [r ^ c for r in rows for c in cols] + [64 ^ 128]
     q = F2Set.from_bits(8, pts)
-    result, steps, certified = refine_connected(q, ConnectednessParams(k=2, sumset_arity=2))
+    result, steps, certified = refine_connected(q, 2, 256, 0)
     assert certified
     assert steps == ()
     assert result == q
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_refine_inside_pair_sums_is_one_energy_call(k):
+    # at the extraction's constant 1/8 a step needs |Q| > 2^(7k/(k-1)), so
+    # every Q inside the 120 pair sums of a 16-element independent Lambda is
+    # certified from its own T_k, with no search
+    lam = F2Set(16, tuple(1 << i for i in range(16)))
+    ground = distinct_sumset_power(lam, 2)
+    assert len(ground) == 120
+    rng = random.Random(k)
+    for size in (3, 17, 53, 100, 120):
+        q = F2Set.from_bits(16, rng.sample(ground.elems, size))
+        with mock.patch.object(inverse, "additive_energy", wraps=additive_energy) as energy:
+            result, steps, certified = refine_connected(q, k, 96, rng.randrange(1 << 30))
+        assert result == q
+        assert steps == () and certified
+        assert energy.call_count == 1
 
 
 def test_refine_cardinality_guarantee():
@@ -86,8 +125,7 @@ def test_refine_cardinality_guarantee():
     for _ in range(10):
         dim = rng.randint(4, 8)
         q = F2Set.from_bits(dim, rng.sample(range(1 << dim), rng.randint(4, 12)))
-        params = ConnectednessParams(k=2, sumset_arity=None)
-        result, steps, _ = refine_connected(q, params)
+        result, steps, _ = refine_connected(q, 2, 256, 0)
         s = len(steps)
         assert len(result) * 2**s >= len(q)  # (1 - beta2)^s with beta2 = 1/2
 
@@ -105,13 +143,12 @@ def test_refine_fired_steps_match_energy_oracle():
     )
     for k, dim, beta1, beta2, max_size, runs in cases:
         rng = random.Random(10 * k + dim)
-        params = ConnectednessParams(
-            k=k, beta1=beta1, beta2=beta2, constant=Fraction(1), sumset_arity=None
-        )
         for _ in range(runs):
             extras = rng.sample(range(8, 1 << dim), rng.randint(1, max_size - 8))
             q = F2Set.from_bits(dim, [*range(8), *extras])
-            result, steps, certified = refine_connected(q, params)
+            result, steps, certified = refine_patched(
+                q, k, window=(beta1, beta2), constant=Fraction(1)
+            )
             assert certified
             if not steps:
                 continue
@@ -132,10 +169,9 @@ def test_local_descent_keeps_a_violation_found_on_its_last_swap():
     # is the one that crosses below it
     q = F2Set.from_bits(9, [*range(32), 100, 117, 135, 180, 186, 254, 277, 283, 298,
                             359, 360, 375, 410, 413, 422, 473, 475])
-    params = ConnectednessParams(
-        k=2, constant=Fraction(1), sumset_arity=None, seed=187, search_budget=64
+    result, steps, certified = refine_patched(
+        q, 2, constant=Fraction(1), search_budget=64, seed=187
     )
-    result, steps, certified = refine_connected(q, params)
     assert [step[:2] for step in steps] == [(49, 24)]  # (size_before, removed)
     assert len(result) == 25 and not certified
 
@@ -169,17 +205,15 @@ def test_refine_agrees_with_window_oracle(dim, h, extras, k, constant, window, e
     pts = sorted({*range(1 << h), *(x % (1 << dim) for x in extras)})[:12]
     q = F2Set(dim, tuple(pts))
     beta1, beta2 = window
-    params = ConnectednessParams(
-        k=k,
-        beta1=beta1,
-        beta2=beta2,
+    result, steps, certified = refine_patched(
+        q,
+        k,
+        window=window,
         constant=constant,
-        search_budget=16,
         exhaustive_limit=12 if exhaustive else 2,
-        sumset_arity=None,
+        search_budget=16,
         seed=seed,
     )
-    result, steps, certified = refine_connected(q, params)
     if certified:
         assert first_violating_window(result.elems, k, beta1, beta2, constant) is None
     if exhaustive:
@@ -198,11 +232,11 @@ def test_refine_agrees_with_window_oracle(dim, h, extras, k, constant, window, e
 
 def test_refine_rejects_bad_params():
     with pytest.raises(ValueError):
-        ConnectednessParams(k=1)
-    with pytest.raises(ValueError):
-        ConnectednessParams(beta1=Fraction(3, 4), beta2=Fraction(1, 2))
-    with pytest.raises(ValueError):
-        ConnectednessParams(constant=Fraction(2))
+        refine_connected(F2Set(4, (0, 1, 2, 3)), 1, 256, 0)
+    # the window and constant under which the step-count bound exists
+    beta1, beta2 = inverse.REFINE_WINDOW
+    assert 0 < beta1 <= beta2 < 1
+    assert 0 < inverse.REFINE_CONSTANT < Fraction(1, 4)
 
 
 def test_greedy_disjoint_supports_disjoint_inputs():
@@ -262,6 +296,22 @@ def test_greedy_threshold_guarantees_full_width():
         supports = [frozenset(t) for t in pool[:q_count]]
         rep = check_greedy_support(supports, zeta, w, [frozenset(b) for b in blocks], [1] * p)
         assert rep.status == "holds" and rep.lhs == w, (p, w, threshold, q_count)
+
+
+def test_greedy_support_threshold_matches_defining_sum():
+    # blocks of multiplicity -1 (no composition), 0, or above p, no blocks
+    # at all, and zeta above 1 (an empty omega range) included
+    rng = random.Random(24)
+    for _ in range(1500):
+        p = rng.randint(1, 7)
+        rho = rng.randint(0, 5)
+        zeta = Fraction(rng.randint(0, 12), rng.randint(1, 8))
+        sizes = [rng.randint(1, 9) for _ in range(rho)]
+        mults = [rng.randint(-1, 5) for _ in range(rho)]
+        width = rng.randint(1, 6)
+        got = greedy_support_threshold(p, width, zeta, sizes, mults)
+        want = greedy_support_threshold_sum(p, width, zeta, sizes, mults)
+        assert got == want and type(got) is Fraction, (p, width, zeta, sizes, mults)
 
 
 def test_greedy_support_refusals():
