@@ -1,22 +1,26 @@
 """Permanents, Frobenius-Koenig structure, and the reduced-permanent lemma.
 
-The permanent of an x-by-y matrix (x <= y) sums products over injective
-row-to-column maps; tall matrices are transposed first, which matches the
-combinatorial usage.  Zero-permanent certification goes through bipartite
-matching with a Koenig cover witness, cross-checked against the
-inclusion-exclusion permanent in the tests.
+The permanent of an x-by-y matrix (x <= y; tall matrices are transposed
+first) sums products over injective row-to-column maps.  It is taken exactly
+by the cheaper of two walks, counted in units of about x adds and multiplies:
+  row-subset DP, y 2^(x-1) units: per H = [x_1...x_x] prod_j (1 + sum_i h_ij x_i), x_i^2 = 0;
+  Nijenhuis-Wilf, 2^(y-1) units, v_i = 2 h_iy - sum_j h_ij: 2^(y-1) (y-x)! per H =
+    (-1)^(y-1) sum_{S <= [y-1]} (-1)^|S| (2|S|+2-y)^(y-x) prod_i (v_i + sum_{j in S} 2 h_ij).
+So the DP is taken exactly when y 2^(x-1) < 2^(y-1), i.e. when y - x > log2 y.
+Zero-permanent certification goes through bipartite matching with a Koenig
+cover witness, cross-checked against the permanent in the tests.
 """
 
 from __future__ import annotations
 
-from math import comb, prod
+from math import factorial, prod
 from operator import add
 from typing import Optional
 
 from .core import BudgetError, Value
 from .exact import ExactnessError
 
-RYSER_BUDGET = 1 << 22  # every y <= 22 fits: sum_{s<=x} C(y, s) <= 2^y
+PERMANENT_BUDGET = 1 << 22  # units of the walk taken: min(y 2^(x-1), 2^(y-1))
 
 
 class CombMatrix(Value):
@@ -75,48 +79,53 @@ def parse_matrix(text: str) -> CombMatrix:
 
 
 def permanent(h: CombMatrix) -> int:
-    """Exact permanent by Ryser inclusion-exclusion in one depth-first walk.
+    """Exact permanent by the cheaper walk of the module docstring.
 
-    Wide input walks S <= [y], |S| <= x, from the zero vector:
-      per H = (-1)^x sum_S (-1)^|S| C(y-|S|, y-x) prod_i sum_{j in S} h_ij.
-    Square input (Nijenhuis-Wilf) walks every S <= [n-1] with doubled columns
-    from v_i = 2 h_in - sum_j h_ij, and the sum is divided exactly:
-      2^(n-1) per H = (-1)^(n-1) sum_S (-1)^|S| prod_i (v_i + sum_{j in S} 2 h_ij).
-    Tall input is transposed.  Each subset adds one column to its parent's
-    row sums; childless subsets are summed in the loop.  More than
-    RYSER_BUDGET subsets of the wide form raises BudgetError.
+    The DP maps a mask of matched rows to its matchings' product sum.  Column
+    j stays unused by a mask whose rows left fit in the columns after it, or
+    takes a free row i with h_ij != 0: x 2^(x-1) steps over the 2^x masks.
+    Nijenhuis-Wilf walks the y-by-y matrix padded with y-x rows of ones, never
+    built: each adds the factor 2|S| + 2 - y.  A subset adds one doubled
+    column to its parent's row sums, x steps; childless ones are summed in
+    the loop.  Over PERMANENT_BUDGET units of the walk taken: BudgetError.
     """
     if h.x > h.y:
         h = h.transpose()
     x, y = h.x, h.y
-    work = sum(comb(y, s) for s in range(x + 1))
-    if work > RYSER_BUDGET:
-        raise BudgetError(f"Ryser subset count {work} exceeds budget {RYSER_BUDGET}")
-    cols = list(zip(*h.rows))
-    start = [0] * x
-    if x == y:
-        start = [2 * row[-1] - sum(row) for row in h.rows]
-        cols = [tuple(2 * v for v in col) for col in cols[:-1]]
-    last = len(cols) - 1
-    sub = [prod(start)] + [0] * x  # sub[s]: sum over |S| = s of prod_i (start_i + row sum i over S)
+    rows_dp = y << (x - 1) < 1 << (y - 1)
+    walk_name, units = ("row-subset DP", y << (x - 1)) if rows_dp else ("Nijenhuis-Wilf", 1 << (y - 1))
+    if units > PERMANENT_BUDGET:
+        raise BudgetError(f"{walk_name} count {units} exceeds budget {PERMANENT_BUDGET}")
+    if rows_dp:
+        ways = {0: 1}  # ways[mask]: product sum of the matchings of mask's rows into the columns so far
+        for j, col in enumerate(zip(*h.rows)):
+            need = x - y + j + 1  # rows a mask must hold to leave column j unused
+            nonzero = [(1 << i, v) for i, v in enumerate(col) if v]
+            nxt = {m: c for m, c in ways.items() if m.bit_count() >= need}
+            for m, c in ways.items():
+                for bit, v in nonzero:
+                    if not m & bit:
+                        nxt[m | bit] = nxt.get(m | bit, 0) + c * v
+            ways = nxt
+        return ways.get((1 << x) - 1, 0)
+    start = [2 * row[-1] - sum(row) for row in h.rows]
+    cols = [tuple(2 * v for v in col) for col in list(zip(*h.rows))[:-1]]
+    last = y - 2
+    sub = [prod(start)] + [0] * (y - 1)  # sub[s]: sum over |S| = s of prod_i (start_i + row sum i over S)
 
     def walk(sums: list[int], first: int, s: int) -> None:
-        if s == x:
-            sub[s] += sum(prod(map(add, sums, col)) for col in cols[first:])
-            return
         for j in range(first, last):
             row_sums = list(map(add, sums, cols[j]))
             sub[s] += prod(row_sums)
             walk(row_sums, j + 1, s + 1)
         sub[s] += prod(map(add, sums, cols[last]))
 
-    walk(start, 0, 1)
-    total = sum((-1) ** (x - s) * comb(y - s, y - x) * sub[s] for s in range(x + 1))
-    if x < y:
-        return total
-    per, rem = divmod(-total, 1 << (x - 1))
+    if cols:
+        walk(start, 0, 1)
+    total = sum((-1) ** s * (2 * s + 2 - y) ** (y - x) * sub[s] for s in range(y))
+    per, rem = divmod((-1) ** (y - 1) * total, (1 << (y - 1)) * factorial(y - x))
     if rem:
-        raise ExactnessError("Nijenhuis-Wilf sum not divisible by 2^(n-1) (bug)")
+        raise ExactnessError("Nijenhuis-Wilf sum not divisible by 2^(y-1) (y-x)! (bug)")
     return per
 
 

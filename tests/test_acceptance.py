@@ -190,7 +190,7 @@ def test_criterion_05_majority_construction():
 
 
 def test_criterion_06_permanent_frobenius_koenig():
-    """fk_zero_test vs Ryser permanent: exhaustive 4x4 and random 8x8;
+    """fk_zero_test vs the exact permanent: exhaustive 4x4 and random 8x8;
     reduced-permanent lemma never falsified on its exhaustive family."""
     start = time.perf_counter()
     mismatches = 0

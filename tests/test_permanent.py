@@ -2,7 +2,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction
-from math import comb
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -70,31 +70,66 @@ def small_matrices(draw):
 @example([[2, 0, 1], [1, 1 << 40, 0], [3, 1, 1]])
 @example([[1] * 7] * 7)
 @example([[1] * 6] * 6)
+@example([[1 << 40, 0, 3]])
+@example([[1 << 40], [0]])
+@example([[1, 2, 0, 3, 1, 1, 2], [2, 0, 1 << 40, 1, 1, 0, 3], [1, 1, 1, 0, 2, 3, 1], [0, 3, 1, 1, 1, 2, 1]])
+@example([[1, 2, 0, 3, 1, 1], [2, 0, 1 << 40, 1, 1, 0], [1, 1, 1, 0, 2, 3], [0, 3, 1, 1, 1, 2]])
 def test_permanent_matches_oracle_hypothesis(rows):
-    # square input takes the Nijenhuis-Wilf start, wide and tall the zero start
+    # about two fifths of the draws take the row-subset DP (y 2^(x-1) < 2^(y-1)
+    # for x <= y: 1x3..1x7, 2x5..2x7, 3x7, 4x7, either way round), the rest
+    # Nijenhuis-Wilf; the examples 1x3 and 4x7 against 2x1 and 4x6 sit on
+    # both sides of the rule
     assert permanent(m(*rows)) == permanent_perms(rows)
+
+
+@pytest.mark.parametrize("x, y", [(8, 21), (9, 22), (12, 24), (6, 40)])
+def test_permanent_all_ones_closed_form(x, y):
+    # each injective map of the x rows has product 1: y! / (y-x)! of them
+    ones = m(*[[1] * y] * x)
+    assert permanent(ones) == permanent(ones.transpose()) == factorial(y) // factorial(y - x)
+
+
+@pytest.mark.parametrize("x, y", [(10, 13), (12, 16)])
+def test_permanent_zero_column_crosses_the_rule(x, y):
+    # x-by-y takes Nijenhuis-Wilf and x-by-(y+1) the DP; a zero column adds
+    # no injective map with a nonzero product
+    rng = random.Random(x * y)
+    for hi in (3, 1 << 40):
+        rows = [[rng.randint(0, hi) for _ in range(y)] for _ in range(x)]
+        assert permanent(m(*rows)) == permanent(m(*(row + [0] for row in rows)))
 
 
 @pytest.mark.parametrize("n", range(9, 15))
 def test_permanent_square_start_matches_wide_start(n):
-    # a zero column adds no injective map with a nonzero product, so the
-    # n-by-(n+1) matrix takes the wide walk and must give the same permanent
+    # a zero column adds no injective map with a nonzero product; n-by-(n+1)
+    # takes Nijenhuis-Wilf with one implicit row of ones (factor 2|S| + 1 - n),
+    # n-by-n the plain square walk
     rng = random.Random(n)
     hi = 1 << 40 if n == 11 else 3
     rows = [[rng.randint(0, hi) for _ in range(n)] for _ in range(n)]
     assert permanent(m(*rows)) == permanent(m(*(row + [0] for row in rows)))
 
 
-@pytest.mark.parametrize("x, y", [(3, 7), (5, 5)])
+# the walk each shape takes and its units, min(y 2^(x-1), 2^(y-1)); 5x8 is a
+# tie, 8 * 2^4 = 2^7, which Nijenhuis-Wilf takes
+WALK_UNITS = {
+    (3, 7): ("row-subset DP", 28),
+    (5, 5): ("Nijenhuis-Wilf", 16),
+    (2, 9): ("row-subset DP", 18),
+    (5, 8): ("Nijenhuis-Wilf", 128),
+}
+
+
+@pytest.mark.parametrize("x, y", list(WALK_UNITS))
 def test_permanent_budget_is_the_subset_count(monkeypatch, x, y):
+    walk, units = WALK_UNITS[x, y]
     rng = random.Random(10 * x + y)
     rows = [[rng.randint(0, 3) for _ in range(y)] for _ in range(x)]
-    w = sum(comb(y, s) for s in range(x + 1))
     # f2lab.permanent names the function, so reach the module through sys.modules
-    monkeypatch.setattr(sys.modules["f2lab.permanent"], "RYSER_BUDGET", w)
+    monkeypatch.setattr(sys.modules["f2lab.permanent"], "PERMANENT_BUDGET", units)
     assert permanent(m(*rows)) == permanent_perms(rows)
-    monkeypatch.setattr(sys.modules["f2lab.permanent"], "RYSER_BUDGET", w - 1)
-    with pytest.raises(BudgetError):
+    monkeypatch.setattr(sys.modules["f2lab.permanent"], "PERMANENT_BUDGET", units - 1)
+    with pytest.raises(BudgetError, match=f"{walk} count {units} "):
         permanent(m(*rows))
 
 
