@@ -1,13 +1,27 @@
-"""Connectedness refinement, support selection, and rectangle extraction.
+"""Rectangle extraction, support selection, and the connectedness certifier.
 
-Refine a set until every mid-sized subset keeps a proportional energy
-share, split the dissociated ground set, decompose into fibers, pick
-near-disjoint supports greedily, intersect fibers Bombieri-style, and peel
-combinatorial rectangles L + L' out of Q.  The full-strength guarantees
-behind this pipeline carry constants far beyond desk scale, so outputs are
-validated by direct containment checks and planted-instance recovery
-instead; every search is seeded and tie-broken lexicographically for
-reproducibility.
+Split the dissociated ground set, decompose into fibers, pick near-disjoint
+supports greedily, intersect fibers Bombieri-style, and peel combinatorial
+rectangles L + L' out of Q.  The full-strength guarantees behind this
+pipeline carry constants far beyond desk scale, so outputs are validated by
+direct containment checks and planted-instance recovery instead; every
+search is seeded and tie-broken lexicographically for reproducibility.
+
+The paper refines Q until it is connected before the split; the pipeline
+does not, because at desk scale that stage does not fire.  `refine_connected`
+steps only on a window subset B with T_k(B) below (C |B|/|Q|)^2k T_k(Q),
+yet every B has T_k(B) >= |B|^k and T_k(Q) <= |Q|^(2k-1).  At C = 1/8 and
+the window (1/4, 1/2), that floor rules out every window size unless |Q|
+is at least
+
+    k = max(2, p)    2       3     4    5    6    8
+    least |Q|        16 386  1 450 646  432  338  258
+
+while Q inside Lambda + Lambda has at most C(|Lambda|, 2) points: 435 for
+an independent Lambda in F_2^30.  For such Lambda no step can fire at
+p <= 4, and above only on a Q holding nearly every pair sum of a Lambda of
+24 or more elements.  `refine_connected` stays as the certifier of that
+claim: the floor rule, and an exhaustive window search on small Q.
 """
 
 from __future__ import annotations
@@ -33,9 +47,7 @@ REFINE_EXHAUSTIVE_LIMIT = 14  # |Q| up to which the refinement searches every wi
 # connectedness refinement
 
 
-def refine_connected(
-    q: F2Set, k: int, search_budget: int, seed: int
-) -> tuple[F2Set, tuple[tuple[int, int, int, int], ...], bool]:
+def refine_connected(q: F2Set, k: int) -> tuple[F2Set, tuple[tuple[int, int, int, int], ...], bool]:
     """Iteratively delete energy-poor mid-sized subsets; returns (result,
     steps, certified), each step (size_before, removed, energy_before,
     energy_after), certified when no window subset of the result violates.
@@ -48,12 +60,12 @@ def refine_connected(
     which even that floor meets the share cannot fire.  A pass with no size
     left ends the run "certified", at any |Q|; otherwise it searches every
     window subset of the kept sizes when |Q| <= REFINE_EXHAUSTIVE_LIMIT
-    (certified too), and larger sets get `search_budget` subsets of a search
-    seeded by `seed`, plus local moves, and an honest best-effort tag.
+    (certified too), and a larger set ends the run with no step, not
+    certified.  The module docstring gives the least |Q| at which a size is
+    kept: the reason the extraction does not refine.
 
-    Q must lie in a 2-fold sumset Lambda_1 + Lambda_2, the only kind of Q
-    the extraction refines: the step-count bound asserted at the end is the
-    bound for such Q.
+    Q must lie in a 2-fold sumset Lambda_1 + Lambda_2: the step-count bound
+    asserted at the end is the bound for such Q.
     """
     if k < 2:
         raise ValueError("degree k must be >= 2")
@@ -67,7 +79,6 @@ def refine_connected(
             val = memo[elems] = additive_energy(F2Set(q.dim, elems), k)
         return val
 
-    rng: Optional[random.Random] = None  # seeded at the first random-search pass
     cur = q
     t_cur = energy(cur.elems)
     t_initial = t_cur
@@ -83,40 +94,20 @@ def refine_connected(
         lhs_scale = constant.denominator**e * m**e
         rhs_base = constant.numerator**e * t_cur
         sizes = [s for s in range(lo, hi + 1) if s**k * lhs_scale < rhs_base * s**e]
-        if not sizes:
-            certified = True
+        if not sizes or m > REFINE_EXHAUSTIVE_LIMIT:
+            certified = not sizes
             break
-        violation = None
-        exhaustive = m <= REFINE_EXHAUSTIVE_LIMIT
-        if exhaustive:
-            for size in sizes:
-                rhs_size = rhs_base * size**e
-                for combo in itertools.combinations(cur.elems, size):
-                    if energy(combo) * lhs_scale < rhs_size:
-                        violation = combo
-                        break
-                if violation is not None:
-                    break
-        else:
-            best: Optional[tuple[Fraction, tuple[int, ...]]] = None
-            rng = rng or random.Random(seed)
-            for _ in range(search_budget):
-                size = rng.randint(lo, hi)
-                combo = tuple(sorted(rng.sample(cur.elems, size)))
-                lhs = energy(combo) * lhs_scale
-                rhs = rhs_base * size**e
-                if lhs < rhs:
-                    violation = combo
-                    break
-                margin = Fraction(lhs, rhs)
-                if best is None or margin < best[0]:
-                    best = (margin, combo)
-            if violation is None and best is not None:
-                violation = _local_descent(
-                    best[1], cur, energy, lhs_scale, rhs_base, k, search_budget, rng
-                )
+        violation = next(
+            (
+                combo
+                for size in sizes
+                for combo in itertools.combinations(cur.elems, size)
+                if energy(combo) * lhs_scale < rhs_base * size**e
+            ),
+            None,
+        )
         if violation is None:
-            certified = exhaustive
+            certified = True
             break
         nxt = cur.difference(F2Set(cur.dim, violation))
         t_nxt = energy(nxt.elems)
@@ -141,30 +132,6 @@ def refine_connected(
         if x.numerator ** (s * k) * t_initial > rhs * x.denominator ** (s * k):
             raise AssertionError("step-count bound violated")
     return cur, tuple(steps), certified
-
-
-def _local_descent(start, cur, energy, lhs_scale, rhs_base, k, search_budget, rng):
-    """Swap-based descent from the least-connected sampled subset."""
-    e = 2 * k
-    b = list(start)
-    outside = [x for x in cur.elems if x not in set(b)]
-
-    def margin(elems):
-        return energy(tuple(sorted(elems))) * lhs_scale - rhs_base * len(elems) ** e
-
-    cur_margin = margin(b)
-    for _ in range(max(8, search_budget // 8)):
-        if cur_margin < 0 or not outside:
-            break
-        i = rng.randrange(len(b))
-        j = rng.randrange(len(outside))
-        b[i], outside[j] = outside[j], b[i]
-        new_margin = margin(b)
-        if new_margin < cur_margin:
-            cur_margin = new_margin
-        else:
-            b[i], outside[j] = outside[j], b[i]
-    return tuple(sorted(b)) if cur_margin < 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +270,9 @@ class InverseParams:
 
     epsilon defaults to 1/4 at desk scale; the full-strength analysis would
     take 1/(16 K_1) with K_1 = 2^13 K, which is reported alongside for
-    reference but is degenerate for desk-sized instances.
+    reference but is degenerate for desk-sized instances.  No stage reads
+    eta or refine_budget, and refine gates only one discarded draw per
+    round; they stay so that recorded reports replay.
     """
 
     DEFAULTS = {
@@ -347,6 +316,8 @@ class InverseParams:
             raise ValueError("epsilon and zeta must be positive")
         if min(self.min_rows, self.min_cols) < 1:
             raise ValueError("min_rows and min_cols must be >= 1")
+        if self.refine_budget < 0:
+            raise ValueError("refine_budget must be >= 0")
 
     def reference_epsilon(self) -> Fraction:
         k1 = 2**13 * self.big_k
@@ -459,11 +430,11 @@ def _bite_once(
 ) -> Optional[Rectangle]:
     """One split + fiber + support + intersection pass; returns a rectangle
     with all points inside `remaining`, or None."""
-    q_now = F2Set.from_bits(lam.dim, remaining)
-    work = q_now
+    work = F2Set.from_bits(lam.dim, remaining)
     if params.refine and len(work) > 2:
-        seed = rng.randrange(1 << 30)
-        work = refine_connected(work, max(2, params.p), params.refine_budget, seed)[0]
+        # no stage reads this draw; it keeps the random splits (|Lambda| >= 17)
+        # of recorded reports byte for byte
+        rng.randrange(1 << 30)
     lam1, lam2, crossing, split_exhaustive = _best_split(
         list(work.elems), pair_of, lam, params.split_trials, params.split_exhaustive_limit, rng
     )

@@ -264,7 +264,7 @@ def test_criterion_08_connectedness_certification():
     fired = 0
     for size in range(3, 13):
         for combo in itertools.combinations(ground.elems, size):
-            _, steps, certified = refine_connected(F2Set(6, combo), 2, 256, 0)
+            _, steps, certified = refine_connected(F2Set(6, combo), 2)
             assert certified, combo
             total += 1
             fired += len(steps)

@@ -599,6 +599,7 @@ def test_each_command_loads_only_its_own_layer(tmp_path, args, layer, heavy):
         '{"coverage_target": "0"}',
         '{"coverage_target": "3/2"}',
         '{"stall_limit": 0}',
+        '{"refine_budget": -1}',
     ],
 )
 def test_extract_bad_params_exit2(tmp_path, capsys, params):
@@ -708,6 +709,49 @@ def test_extract_params_overrides_resolved(tmp_path):
     assert code == 0
     resolved = report["results"]["params_resolved"]
     assert (resolved["epsilon"], resolved["min_rows"], resolved["refine"]) == ("1/3", 2, False)
+
+
+def test_extract_p4_on_every_pair_sum_of_a_basis_of_f2_30(tmp_path):
+    # T_4 of these 435 points needs a 2^29-entry table, over the transform cap;
+    # no stage of the extraction computes it
+    basis = F2Set(30, tuple(1 << i for i in range(30)))
+    pairs = {a ^ b for a, b in itertools.combinations(basis.elems, 2)}
+    q = write(tmp_path, "q.set", serialize_set(F2Set.from_bits(30, pairs)))
+    lam = write(tmp_path, "lam.set", serialize_set(basis))
+    code, report = run_cli(["extract", "--q", q, "--lambda", lam, "--p", "4"], tmp_path)
+    assert code == 0
+    res = report["results"]
+    assert res["rectangles"] and res["family_status"] == "true"
+    union = set()
+    for rect in res["rectangles"]:
+        rows = parse_set("30\n" + "\n".join(rect["rows"]) + "\n").elems
+        cols = parse_set("30\n" + "\n".join(rect["cols"]) + "\n").elems
+        pts = {r ^ c for r in rows for c in cols}
+        assert pts <= pairs and not pts & union
+        union |= pts
+    assert res["covered"] == len(union)
+
+
+@pytest.mark.parametrize(
+    "refine, digest",
+    [
+        (True, "c95ea92cc22588526240016d7fa0c43d8924bb1b9d95e1eaa689aea0ad6d4afb"),
+        (False, "9a4a8f6af7f08cf4f884ea0b71043bd803a926a33ad8837695e594e9c2a5cc50"),
+    ],
+    ids=["refine", "no-refine"],
+)
+def test_extract_random_splits_keep_their_bytes(refine, digest):
+    # at |Lambda| = 20 the splits are random, and `refine` gates one draw per
+    # round that no stage reads: these digests of recorded results fail when
+    # that draw moves or goes
+    planted = run_config(
+        {"command": "plant", "h": 3, "lsize": 4, "lpsize": 4, "noise": "1/2", "seed": 3,
+         "n": 24, "lambda_size": 20}
+    ).results
+    config = {"command": "extract", "q_text": planted["q"], "lambda_text": planted["lambda"],
+              "seed": 5, "params": {"refine": refine}}
+    results = run_config(config).results
+    assert hashlib.sha256(canonical_results(results).encode()).hexdigest() == digest
 
 
 # One argument list per command with every optional flag; recorded reports
