@@ -7,20 +7,43 @@ by the cheaper of two walks, counted in units of about x adds and multiplies:
   Nijenhuis-Wilf, 2^(y-1) units, v_i = 2 h_iy - sum_j h_ij: 2^(y-1) (y-x)! per H =
     (-1)^(y-1) sum_{S <= [y-1]} (-1)^|S| (2|S|+2-y)^(y-x) prod_i (v_i + sum_{j in S} 2 h_ij).
 So the DP is taken exactly when y 2^(x-1) < 2^(y-1), i.e. when y - x > log2 y.
+Nijenhuis-Wilf takes S = S' + T in blocks: S' over the first y-1-k columns,
+T over all subsets of the last k = min(BLOCK_BITS, y-1) at once, by popcount,
+skipping the popcount of weight 0 (y even, x < y).  When each row total R_i
+<= 127, each factor r has |r| <= R_i <= 127, so row i of a block is one int
+with byte lane T = 127 - r in [0, 254]: one big-int op moves every lane, with
+no carry or borrow.  Bit 7 of a lane is set iff r < 0, so the rows' XOR holds
+each lane's sign parity, and a table maps bytes to |r|.  Larger rows: int lists.
 Zero-permanent certification goes through bipartite matching with a Koenig
 cover witness, cross-checked against the permanent in the tests.
 """
 
 from __future__ import annotations
 
-from math import factorial, prod
-from operator import add
+from functools import cache, reduce
+from itertools import accumulate, compress, islice, repeat
+from math import comb, factorial, prod
+from operator import add, mul, xor
 from typing import Optional
 
 from .core import BudgetError, Value
 from .exact import ExactnessError
 
 PERMANENT_BUDGET = 1 << 22  # units of the walk taken: min(y 2^(x-1), 2^(y-1))
+BLOCK_BITS = 8  # Nijenhuis-Wilf takes the subsets of its last BLOCK_BITS columns as one block
+
+_ABS = bytes(abs(127 - b) for b in range(256))  # lane byte 127 - r -> |r|
+
+
+@cache
+def _block_lanes(k: int) -> tuple[list[tuple[int, int, int]], int, list[int], list[int]]:
+    """One byte lane per subset T of k columns, in popcount order: (|T|, first, end lane) per |T|,
+    low (1 in each lane), -2 times each column's indicator int over the lanes, and T by lane."""
+    order = sorted(range(1 << k), key=int.bit_count)
+    cuts = list(accumulate((comb(k, g) for g in range(k + 1)), initial=0))
+    marks = [-2 * int.from_bytes(bytes(t >> c & 1 for t in order), "big") for c in range(k)]
+    low = int.from_bytes(bytes([1] * len(order)), "big")
+    return list(zip(range(k + 1), cuts, cuts[1:])), low, marks, order
 
 
 class CombMatrix(Value):
@@ -85,9 +108,10 @@ def permanent(h: CombMatrix) -> int:
     j stays unused by a mask whose rows left fit in the columns after it, or
     takes a free row i with h_ij != 0: x 2^(x-1) steps over the 2^x masks.
     Nijenhuis-Wilf walks the y-by-y matrix padded with y-x rows of ones, never
-    built: each adds the factor 2|S| + 2 - y.  A subset adds one doubled
-    column to its parent's row sums, x steps; childless ones are summed in
-    the loop.  Over PERMANENT_BUDGET units of the walk taken: BudgetError.
+    built: each adds the factor 2|S| + 2 - y.  An outer subset S' adds one
+    doubled column to its parent's row sums, x steps, and then sums its block
+    of products by popcount |T|.  Over PERMANENT_BUDGET units of the walk
+    taken: BudgetError.
     """
     if h.x > h.y:
         h = h.transpose()
@@ -108,20 +132,43 @@ def permanent(h: CombMatrix) -> int:
                         nxt[m | bit] = nxt.get(m | bit, 0) + c * v
             ways = nxt
         return ways.get((1 << x) - 1, 0)
-    start = [2 * row[-1] - sum(row) for row in h.rows]
-    cols = [tuple(2 * v for v in col) for col in list(zip(*h.rows))[:-1]]
-    last = y - 2
-    sub = [prod(start)] + [0] * (y - 1)  # sub[s]: sum over |S| = s of prod_i (start_i + row sum i over S)
+    k = min(BLOCK_BITS, y - 1)
+    outer = y - 1 - k
+    groups, low, marks, order = _block_lanes(k)
+    totals = list(map(sum, h.rows))
+    start = [2 * row[-1] - t for row, t in zip(h.rows, totals)]
+    cols = [tuple(2 * v for v in col) for col in islice(zip(*h.rows), outer)]
+    bytewise = max(totals) < 128
+    if bytewise:  # row i as an int whose lane T holds 127 - (sum of 2 h_ij over j in T)
+        inner = [sum(map(mul, row[outer:-1], marks), 127 * low) for row in h.rows]
+    else:  # row i as the list of those sums by lane, built by doubling
+        inner = []
+        for row in h.rows:
+            vals = [0]
+            for v in row[outer:-1]:
+                vals += [u + 2 * v for u in vals]
+            inner.append([vals[t] for t in order])
+    zero = y // 2 - 1 if x < y and y % 2 == 0 else -1  # |S| of weight 0
+    sub = [0] * y  # sub[s]: sum over |S| = s of prod_i (start_i + row sum i over S)
 
     def walk(sums: list[int], first: int, s: int) -> None:
-        for j in range(first, last):
-            row_sums = list(map(add, sums, cols[j]))
-            sub[s] += prod(row_sums)
-            walk(row_sums, j + 1, s + 1)
-        sub[s] += prod(map(add, sums, cols[last]))
+        if bytewise:
+            lanes = [q - a * low for q, a in zip(inner, sums)]
+            factors = zip(*[v.to_bytes(len(order), "big").translate(_ABS) for v in lanes])
+            odd = (reduce(xor, lanes) >> 7 & low).to_bytes(len(order), "big")
+        else:
+            factors = zip(*[map(add, vals, repeat(a)) for a, vals in zip(sums, inner)])
+            odd = bytes(len(order))  # the factors carry their own signs
+        for g, lo, hi in groups:
+            if s + g == zero:  # skip the group's products
+                next(islice(factors, hi - lo, hi - lo), None)
+            else:
+                ps = list(map(prod, islice(factors, hi - lo)))
+                sub[s + g] += sum(ps) - 2 * sum(compress(ps, odd[lo:hi]))
+        for j in range(first, outer):
+            walk(list(map(add, sums, cols[j])), j + 1, s + 1)
 
-    if cols:
-        walk(start, 0, 1)
+    walk(start, 0, 0)
     total = sum((-1) ** s * (2 * s + 2 - y) ** (y - x) * sub[s] for s in range(y))
     per, rem = divmod((-1) ** (y - 1) * total, (1 << (y - 1)) * factorial(y - x))
     if rem:

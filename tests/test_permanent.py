@@ -3,6 +3,7 @@ import random
 import sys
 from fractions import Fraction
 from math import factorial
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -74,12 +75,22 @@ def small_matrices(draw):
 @example([[1 << 40], [0]])
 @example([[1, 2, 0, 3, 1, 1, 2], [2, 0, 1 << 40, 1, 1, 0, 3], [1, 1, 1, 0, 2, 3, 1], [0, 3, 1, 1, 1, 2, 1]])
 @example([[1, 2, 0, 3, 1, 1], [2, 0, 1 << 40, 1, 1, 0], [1, 1, 1, 0, 2, 3], [0, 3, 1, 1, 1, 2]])
+@example([[127, 0, 0, 0], [0, 100, 27, 0], [1, 2, 3, 121], [64, 0, 0, 63]])
+@example([[128, 0, 0, 0], [0, 100, 27, 0], [1, 2, 3, 121], [64, 0, 0, 63]])
+@example([[1 << 64, 1, 0], [2, 3, 1], [1, 1, 1]])
+@example([[1, 1 << 70, 0], [2, 3, 1], [1, 1, 1]])
 def test_permanent_matches_oracle_hypothesis(rows):
     # about two fifths of the draws take the row-subset DP (y 2^(x-1) < 2^(y-1)
     # for x <= y: 1x3..1x7, 2x5..2x7, 3x7, 4x7, either way round), the rest
     # Nijenhuis-Wilf; the examples 1x3 and 4x7 against 2x1 and 4x6 sit on
-    # both sides of the rule
-    assert permanent(m(*rows)) == permanent_perms(rows)
+    # both sides of the rule, and the 4x4 ones with largest row total 127 and
+    # 128 on both sides of the byte lanes
+    expected = permanent_perms(rows)
+    assert permanent(m(*rows)) == expected
+    # blocks of 2 and 4 subsets: many blocks per walk at oracle sizes
+    for bits in (1, 2):
+        with mock.patch.object(sys.modules["f2lab.permanent"], "BLOCK_BITS", bits):
+            assert permanent(m(*rows)) == expected
 
 
 @pytest.mark.parametrize("x, y", [(8, 21), (9, 22), (12, 24), (6, 40)])
