@@ -31,7 +31,7 @@ from .exact import (
     pow_bounds,
     root_sum_dominates,
 )
-from .inverse import _best_common_intersection, _fibers, greedy_disjoint_supports
+from .inverse import _best_intersections, _fibers, greedy_disjoint_supports
 from .permanent import CombMatrix, permanent
 from .wht import (
     IntFunction,
@@ -43,7 +43,6 @@ from .wht import (
 
 SOPHISTICATED_P_CAP = 4
 INVERSE2_S1_CAP, INVERSE2_P_CAP = 14, 6
-BOMBIERI_NODE_CAP = 10**6  # search nodes per t-fold intersection
 
 
 class BoundReport(Value):
@@ -434,12 +433,13 @@ def check_bombieri(universe: F2Set, subsets: Sequence[F2Set], lam: Fraction, t: 
         return _precondition_failed(name, inst, "some B_i outside B")
     if t > lam * q:
         return _precondition_failed(name, inst, "t > lam q")
-    sets = [frozenset(b.elems) for b in subsets]
-    idx, inter, exhaustive = _best_common_intersection(sets, t, BOMBIERI_NODE_CAP)
+    index = {x: i for i, x in enumerate(universe.elems)}
+    profile, exhaustive = _best_intersections([sum(1 << index[x] for x in b) for b in subsets], t, t)
+    idx, inter = profile[t]
     bound = (lam - Fraction(t, q)) / comb(q, t) * size
-    status = None if exhaustive or len(inter) >= bound else "undecided"
+    status = None if exhaustive or inter.bit_count() >= bound else "undecided"
     detail = f"sets={list(idx)} " + ("exhaustive" if exhaustive else "node cap reached")
-    return _finish(name, inst, len(inter), bound, "ge", detail, status)
+    return _finish(name, inst, inter.bit_count(), bound, "ge", detail, status)
 
 
 def greedy_support_threshold(

@@ -29,7 +29,9 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import or_
 from typing import Optional, Sequence
 
 from .core import BudgetError, F2Set, Value, subset_sums
@@ -37,7 +39,7 @@ from .dissociation import FamilySpec, in_family, random_dissociated
 from .energy import additive_energy, energy_excess_compare
 
 SUBSET_TABLE_BUDGET = 2_000_000  # d-subsets of Lambda in one sum table
-BITE_NODE_CAP = 200_000  # search nodes per common intersection of one bite
+INTERSECTION_NODE_CAP = 200_000  # search nodes per row count of one common-intersection walk
 REFINE_WINDOW = (Fraction(1, 4), Fraction(1, 2))  # (beta1, beta2): sizes of a refinement's B
 REFINE_CONSTANT = Fraction(1, 8)  # C of the refinement's proportional-energy share
 REFINE_EXHAUSTIVE_LIMIT = 14  # |Q| up to which the refinement searches every window subset
@@ -175,48 +177,55 @@ def greedy_disjoint_supports(
 # Bombieri-style intersections
 
 
-def _best_common_intersection(
-    sets: Sequence[frozenset], t: int, budget: int
-) -> tuple[tuple[int, ...], frozenset, bool]:
-    """Indices of t sets with the largest common intersection, and whether
-    that is proved maximal.
+def _best_intersections(
+    masks: Sequence[int], t_lo: int, t_hi: int
+) -> tuple[dict[int, tuple[tuple[int, ...], int]], bool]:
+    """For every row count t in [t_lo, t_hi], the indices of t rows whose
+    AND has the most bits, with that AND, and whether all are proved maximal.
 
-    A depth-first walk over index tuples in `combinations` order carries each
-    prefix's intersection.  Intersections only shrink, so a prefix no larger
-    than the best is not extended, and the best is replaced only on a strict
-    `>`: the answer is the lexicographically first maximiser.  After
-    t * budget nodes (prefixes) the walk stops and returns its best tuple, a
-    real witness, with the flag False.  It never stops while C(q, t) <= budget:
-    a node (i_1, ..., i_l) has i_l <= q - t + l, so it has a first completion
-    (..., i_l + 1, ..., i_l + t - l), and a t-tuple is the first completion
-    of at most its t prefixes, so there are at most t * C(q, t) nodes.
+    One depth-first walk over index tuples in `combinations` order carries
+    each prefix's AND.  ANDs only shrink, so a prefix is not extended when it
+    cannot reach t_lo, or when its AND has no more bits than the least best
+    over the row counts it can still reach; a count's best moves only on
+    strictly more bits, so each t gets the lexicographically first maximiser.
+    After t_hi * INTERSECTION_NODE_CAP nodes (prefixes) the walk stops and
+    returns its best tuples, real witnesses, with the flag False.  It never
+    stops while every C(q, t) in the window is at most the cap: a node
+    (i_1, ..., i_l) is either an l-tuple with l >= t_lo, or has a first
+    completion (..., i_l + 1, ..., i_l + t_lo - l) to a t_lo-tuple, which is
+    the first completion of fewer than t_lo of its prefixes, so there are at
+    most t_lo * C(q, t_lo) + C(q, t_lo + 1) + ... + C(q, t_hi) <= t_hi * cap
+    nodes.
     """
-    q = len(sets)
-    if not 1 <= t <= q or budget < 1:
-        raise ValueError("need 1 <= t <= q and budget >= 1")
-    best, best_idx, best_inter = -1, (), frozenset()
-    nodes_left = t * budget
+    q = len(masks)
+    if not 1 <= t_lo <= t_hi <= q:
+        raise ValueError("need 1 <= t_lo <= t_hi <= q")
+    bits = [-1] * (t_hi + 1)  # bits[t]: the size of the best t-fold AND so far
+    best: dict[int, tuple[tuple[int, ...], int]] = {}
+    nodes_left = t_hi * INTERSECTION_NODE_CAP
     prefix: list[int] = []
-    inters = [frozenset().union(*sets)]  # inters[l] meets prefix[:l]; l = 0: union
+    ands = [reduce(or_, masks)]  # ands[l] is the AND of prefix[:l]; l = 0: the union
     i = 0
     while True:
-        inter = inters[-1]
-        if len(inter) <= best or i > q - t + len(prefix):
+        l = len(prefix)
+        # the bests of the row counts that prefix + (i, ...) can still reach
+        reach = bits[max(t_lo, l + 1) : min(t_hi, q - i + l) + 1]
+        if not reach or ands[-1].bit_count() <= min(reach):
             if not prefix:
-                return best_idx, best_inter, True
+                return best, True
             i = prefix.pop() + 1
-            inters.pop()
+            ands.pop()
             continue
         if not nodes_left:
-            return best_idx, best_inter, False
+            return best, False
         nodes_left -= 1
-        cand = inter & sets[i]
-        if len(cand) > best:
-            if len(prefix) == t - 1:
-                best, best_idx, best_inter = len(cand), (*prefix, i), cand
-            else:
-                prefix.append(i)
-                inters.append(cand)
+        cand = ands[-1] & masks[i]
+        size = cand.bit_count()
+        if l + 1 >= t_lo and size > bits[l + 1]:
+            bits[l + 1], best[l + 1] = size, ((*prefix, i), cand)
+        if l + 1 < t_hi:
+            prefix.append(i)
+            ands.append(cand)
         i += 1
 
 
@@ -349,37 +358,27 @@ def _contained_table(q: F2Set, lam: F2Set, d: int) -> dict[int, tuple[int, ...]]
 
 
 def _best_split(
-    q_elems: list[int],
-    pair_of: dict[int, tuple[int, int]],
-    lam: F2Set,
-    trials: int,
-    exhaustive_limit: int,
-    rng: random.Random,
-) -> tuple[F2Set, F2Set, int, bool]:
-    """Balanced split of Lambda maximizing the crossing mass of Q.
+    adj: list[int], m: int, trials: int, exhaustive_limit: int, rng: random.Random
+) -> tuple[int, int, bool]:
+    """Balanced split of Lambda maximizing the crossing mass of Q; returns
+    (mask of the first half, crossing mass, exhaustive).
 
-    Exhaustive over all balanced splits when their number is within the
-    limit (the averaging argument then guarantees the best split carries at
-    least half the mass); otherwise best of `trials` seeded random splits.
-    Q is a graph on Lambda, one edge per pair, and the mass of a half S is
-    its cut; adding i to S adds the gain deg(i) - 2|adj(i) & S|.  Ties keep
-    the first split in `combinations` order.  The exhaustive walk is branch
-    and bound: gains only fall as S grows, so a node is skipped when its
-    score plus its `left` largest gains is <= best, which keeps the first
-    maximum, since the best moves only on a strictly larger score.  At
-    2a = |Lambda| a split and its complement cut alike, and only the half
-    of the tree holding index 0, which comes first, is walked.
+    Q is a graph on Lambda's indices, adj[i] the bitmask of i's neighbours,
+    with m edges.  Exhaustive over all balanced splits when their number is
+    within the limit (the averaging argument then guarantees the best split
+    carries at least half the mass); otherwise best of `trials` seeded random
+    splits.  The mass of a half S is its cut; adding i to S adds the gain
+    deg(i) - 2|adj(i) & S|.  Ties keep the first split in `combinations`
+    order.  The exhaustive walk is branch and bound: gains only fall as S
+    grows, so a node is skipped when its score plus its `left` largest gains
+    is <= best, which keeps the first maximum, since the best moves only on
+    a strictly larger score.  At 2a = |Lambda| a split and its complement
+    cut alike, and only the half of the tree holding index 0, which comes
+    first, is walked.
     """
-    n_lam = len(lam)
+    n_lam = len(adj)
     a = -((-n_lam) // 2)  # ceil
-    elems = lam.elems
-    index = {x: i for i, x in enumerate(elems)}
-    adj = [0] * n_lam
-    for qq in q_elems:
-        i, j = (index[x] for x in pair_of[qq])
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    deg = [m.bit_count() for m in adj]
+    deg = [mask.bit_count() for mask in adj]
 
     def cut(mask: int) -> int:
         return sum((adj[i] & ~mask).bit_count() for i in range(n_lam) if mask >> i & 1)
@@ -406,18 +405,16 @@ def _best_split(
         walk(0, a, 0, 0)
     else:
         for t in range(trials):
-            mask = sum(1 << index[x] for x in rng.sample(elems, a))  # distinct bits
+            mask = sum(1 << i for i in rng.sample(range(n_lam), a))  # distinct bits
             s = cut(mask)
             if t == 0 or s > best:
                 best, best_mask = s, mask
     if exhaustive and n_lam >= 2:
         # averaging guarantee: the best balanced split crosses at least
         # 2 a (L - a) / (L (L-1)) of the mass, which exceeds half of it
-        m = len(q_elems)
         if best * n_lam * (n_lam - 1) < 2 * a * (n_lam - a) * m:
             raise AssertionError("best split below the averaging guarantee (bug)")
-    lam1 = F2Set(lam.dim, tuple(x for i, x in enumerate(elems) if best_mask >> i & 1))
-    return lam1, lam.difference(lam1), best, exhaustive
+    return best_mask, best, exhaustive
 
 
 def _bite_once(
@@ -429,30 +426,35 @@ def _bite_once(
     trace: list,
 ) -> Optional[Rectangle]:
     """One split + fiber + support + intersection pass; returns a rectangle
-    with all points inside `remaining`, or None."""
-    work = F2Set.from_bits(lam.dim, remaining)
-    if params.refine and len(work) > 2:
+    with all points inside `remaining`, or None.
+
+    The pass reads Q as a graph on Lambda's indices, whose order is element
+    order: rows and columns are indices, and a fiber is a neighbour mask."""
+    if params.refine and len(remaining) > 2:
         # no stage reads this draw; it keeps the random splits (|Lambda| >= 17)
         # of recorded reports byte for byte
         rng.randrange(1 << 30)
-    lam1, lam2, crossing, split_exhaustive = _best_split(
-        list(work.elems), pair_of, lam, params.split_trials, params.split_exhaustive_limit, rng
+    elems = lam.elems
+    index = {x: i for i, x in enumerate(elems)}
+    adj = [0] * len(elems)
+    for qq in remaining:
+        i, j = (index[x] for x in pair_of[qq])
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    mask, crossing, split_exhaustive = _best_split(
+        adj, len(remaining), params.split_trials, params.split_exhaustive_limit, rng
     )
-    averaging_met = 2 * crossing >= len(work)
-    nonempty = _fibers(work, lam1, lam2)
-    if not nonempty:
+    averaging_met = 2 * crossing >= len(remaining)
+    # fibers: the neighbours across the split of each row in the first half
+    fiber_of = {i: f for i, a in enumerate(adj) if mask >> i & 1 and (f := a & ~mask)}
+    if not fiber_of:
         trace.append({"stage": "fibers", "note": "no nonempty fibers"})
         return None
-    fiber_of = dict(nonempty)
-    p1 = params.p
     eps = params.epsilon
-    min_support = max(params.min_rows, -((-eps.numerator * p1) // eps.denominator))
+    min_support = max(params.min_rows, -((-eps.numerator * params.p) // eps.denominator))
     # supports: for each second coordinate, the set of rows whose fiber holds it
-    col_rows: dict[int, set[int]] = {}
-    for lam_, d in nonempty:
-        for mu in d:
-            col_rows.setdefault(mu, set()).add(lam_)
-    raw_supports = {frozenset(rows) for rows in col_rows.values() if len(rows) >= min_support}
+    col_rows = (frozenset(i for i, f in fiber_of.items() if f >> j & 1) for j in range(len(adj)))
+    raw_supports = {rows for rows in col_rows if len(rows) >= min_support}
     if not raw_supports:
         trace.append({"stage": "supports", "note": "no supports above threshold"})
         return None
@@ -461,28 +463,25 @@ def _bite_once(
     psize = min(len(s) for s in raw_supports)
     trimmed = []
     for s in sorted(raw_supports, key=lambda fs: (-len(fs), tuple(sorted(fs)))):
-        ranked = sorted(s, key=lambda lam_: (-len(fiber_of[lam_]), lam_))
+        ranked = sorted(s, key=lambda i: (-fiber_of[i].bit_count(), i))
         trimmed.append(frozenset(ranked[:psize]))
     supports = list(dict.fromkeys(trimmed))
     chosen = greedy_disjoint_supports(supports, params.zeta, params.width)
     candidate_rows = sorted(set().union(*(supports[i] for i in chosen)))
-    sets = [fiber_of[lam_] for lam_ in candidate_rows]
-    best_rect = None
-    best_score = None
-    for depth in range(params.min_rows, min(params.depth, len(sets)) + 1):
-        idx, inter, _ = _best_common_intersection(sets, depth, BITE_NODE_CAP)
-        if len(inter) < params.min_cols:
-            continue
-        score = (depth * len(inter), depth)
-        if best_score is None or score > best_score:
-            best_score = score
-            rows = F2Set.from_bits(lam.dim, (candidate_rows[i] for i in idx))
-            cols = F2Set.from_bits(lam.dim, inter)
-            best_rect = Rectangle((), rows, cols)
-    if best_rect is None:
+    t_hi = min(params.depth, len(candidate_rows))
+    profile = {}
+    if params.min_rows <= t_hi:
+        profile, _ = _best_intersections([fiber_of[i] for i in candidate_rows], params.min_rows, t_hi)
+    sizes = {t: inter.bit_count() for t, (_, inter) in profile.items()}
+    scores = [(t * size, t) for t, size in sizes.items() if size >= params.min_cols]
+    if not scores:
         trace.append({"stage": "intersection", "note": "no admissible rectangle"})
         return None
-    pts = best_rect.points()
+    idx, inter = profile[max(scores)[1]]
+    rows = F2Set.from_bits(lam.dim, (elems[candidate_rows[i]] for i in idx))
+    cols = F2Set.from_bits(lam.dim, (x for j, x in enumerate(elems) if inter >> j & 1))
+    rect = Rectangle((), rows, cols)
+    pts = rect.points()
     if not pts <= remaining:
         raise AssertionError("extracted rectangle leaves the current set (bug)")
     trace.append(
@@ -491,12 +490,12 @@ def _bite_once(
             "split_mass": crossing,
             "split_exhaustive": split_exhaustive,
             "averaging_met": averaging_met,
-            "rows": len(best_rect.rows),
-            "cols": len(best_rect.cols),
+            "rows": len(rows),
+            "cols": len(cols),
             "points": len(pts),
         }
     )
-    return best_rect
+    return rect
 
 
 def _peel_rectangles(
@@ -619,10 +618,10 @@ def extract_rectangles_d(
         for e in pref:
             shift ^= e
         translated = F2Set.from_bits(lam.dim, (p_ ^ shift for p_ in pts))
-        t_p = additive_energy(translated, params.p)
-        excess = (
-            Fraction(t_p) * m_cor**params.p
-            > params.p ** (2 * params.p) * Fraction(len(translated)) ** params.p
+        # T_p(X) >= |X|^p, so the excess holds without T_p when m_cor > p^2
+        excess = m_cor > params.p**2 or (
+            additive_energy(translated, params.p) * m_cor**params.p
+            > params.p ** (2 * params.p) * len(translated) ** params.p
         )
         fibers.append((not excess, -len(pts), pref, translated))
     fibers.sort(key=lambda f: f[:3])

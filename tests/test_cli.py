@@ -23,6 +23,7 @@ from f2lab.cli import (
 )
 from f2lab.bench import FAMILIES, _finish, _precondition_failed
 from f2lab.core import F2Set, bits_to_string, parse_set, serialize_set
+from f2lab.dissociation import random_dissociated
 from f2lab.permanent import CombMatrix, parse_matrix, reduced_permanent_check
 
 from oracles import naive_wht
@@ -751,6 +752,40 @@ def test_extract_random_splits_keep_their_bytes(refine, digest):
     config = {"command": "extract", "q_text": planted["q"], "lambda_text": planted["lambda"],
               "seed": 5, "params": {"refine": refine}}
     results = run_config(config).results
+    assert hashlib.sha256(canonical_results(results).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "h, digest",
+    [
+        (1, "192cc8830e1853dff046c2b9de8eab13f3122c40eb21be06a1d64389a4a4371a"),
+        (2, "7fce4ddde8119d538a1ff997c34ee0aec041e20d6c23e413abe0de585c867eb8"),
+        (3, "1e854b412cba33c8dad4d0f1b25c0e2d587bdb2f5150143db1ef6be5dec05f68"),
+    ],
+)
+def test_extract_exhaustive_splits_keep_their_bytes(h, digest):
+    # the extract benchmark's shape: h rectangles of 4 x 4 in the pair sums
+    # of |Lambda| = 16, whose C(16, 8) splits are all searched, noise 1/10
+    planted = run_config(
+        {"command": "plant", "h": h, "lsize": 4, "lpsize": 4, "noise": "1/10", "seed": h,
+         "n": 18, "lambda_size": 16}
+    ).results
+    config = {"command": "extract", "q_text": planted["q"], "lambda_text": planted["lambda"],
+              "seed": 7}
+    results = run_config(config).results
+    assert hashlib.sha256(canonical_results(results).encode()).hexdigest() == digest
+
+
+def test_extract_d3_keeps_its_bytes():
+    # 120 of the 560 3-fold sums of a 16-element Lambda: a prefix part of 6
+    # and a pair block of 10, whose splits are all searched
+    lam = random_dissociated(18, 16, seed=3)
+    sums = sorted(a ^ b ^ c for a, b, c in itertools.combinations(lam.elems, 3))
+    q = F2Set.from_bits(18, random.Random(3).sample(sums, 120))
+    config = {"command": "extract", "q_text": serialize_set(q), "lambda_text": serialize_set(lam),
+              "d": 3, "seed": 7}
+    results = run_config(config).results
+    digest = "0657e40d1476165e13523efffa845e9247a3b01c0388bf9f6cde8435569a1823"
     assert hashlib.sha256(canonical_results(results).encode()).hexdigest() == digest
 
 

@@ -54,29 +54,45 @@ def test_no_unused_imports_in_src_and_tests():
     assert found == {}
 
 
-def unused_parameters(source: str) -> list[str]:
-    """Parameters that their function's body never reads, as
-    "function:parameter"; `self` and `cls` are exempt."""
+def flagged_parameters(source: str, flag) -> list[str]:
+    """The parameters of every function and lambda for which
+    flag(node, name) holds, as "function:parameter (line n)"."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        args = node.args
-        params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+            name = getattr(node, "name", "<lambda>")
+            found += [
+                f"{name}:{a.arg} (line {a.lineno})"
+                for a in params
+                if a is not None and flag(node, a.arg)
+            ]
+    return found
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Parameters that their function's body never reads; `self` and `cls`
+    are exempt."""
+
+    def unread(node, arg: str) -> bool:
         body = node.body if isinstance(node.body, list) else [node.body]
-        read = {
-            n.id
+        return arg not in ("self", "cls") and not any(
+            isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id == arg
             for stmt in body
             for n in ast.walk(stmt)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-        }
-        name = getattr(node, "name", "<lambda>")
-        found += [
-            f"{name}:{a.arg} (line {a.lineno})"
-            for a in params
-            if a is not None and a.arg not in read and a.arg not in ("self", "cls")
-        ]
-    return found
+        )
+
+    return flagged_parameters(source, unread)
+
+
+def scan_src(scan) -> dict[str, list[str]]:
+    """scan(source) over every module of `src/`, keeping the nonempty ones."""
+    return {
+        str(path.relative_to(ROOT)): names
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if (names := scan(path.read_text(encoding="utf-8")))
+    }
 
 
 def test_unused_parameters_detector():
@@ -93,12 +109,31 @@ def test_unused_parameters_detector():
 
 
 def test_no_unused_parameters_in_src():
-    found = {
-        str(path.relative_to(ROOT)): names
-        for path in sorted((ROOT / "src").rglob("*.py"))
-        if (names := unused_parameters(path.read_text(encoding="utf-8")))
-    }
-    assert found == {}
+    assert scan_src(unused_parameters) == {}
+
+
+def budget_parameters(source: str) -> list[str]:
+    """Parameters named `budget` or `*_budget`: every cap is a module-level
+    constant read at call time, never an argument."""
+    return flagged_parameters(source, lambda _, arg: arg == "budget" or arg.endswith("_budget"))
+
+
+def test_budget_parameters_detector():
+    # the common-intersection search took its cap as the argument `budget`
+    src = "def _best_common_intersection(sets, t, budget):\n    return t * budget\n"
+    src += "def f(a, *, node_budget=3, **budget):\n    return a\n"
+    src += "g = lambda refine_budget: 0\n"
+    src += "def h(budgets, budgeted, BUDGET=1):\n    return 0\n"
+    assert budget_parameters(src) == [
+        "_best_common_intersection:budget (line 1)",
+        "f:node_budget (line 3)",
+        "f:budget (line 3)",
+        "<lambda>:refine_budget (line 5)",
+    ]
+
+
+def test_no_budget_parameters_in_src():
+    assert scan_src(budget_parameters) == {}
 
 
 def class_literal(cls: ast.ClassDef, target: str) -> list[str]:

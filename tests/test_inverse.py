@@ -25,7 +25,7 @@ from f2lab.inverse import (
     extract_rectangles_d,
     extract_rectangles_pair,
     greedy_disjoint_supports,
-    _best_common_intersection,
+    _best_intersections,
     _best_split,
     _fibers,
     plant_instance,
@@ -382,35 +382,98 @@ def fiber_sets(draw):
     return sets, draw(st.integers(1, len(sets)))
 
 
-@settings(max_examples=300, deadline=None)
-@given(fiber_sets())
-@example(([frozenset()] * 3, 2))
-@example(([frozenset({1, 2})] * 4 + [frozenset({1})], 3))
-def test_best_common_intersection_matches_scan(inst):
-    # budget C(q, t) is the smallest that the node-count proof covers
-    sets, t = inst
-    want = best_common_intersection(sets, t)
-    assert _best_common_intersection(sets, t, comb(len(sets), t)) == (*want, True)
+def as_mask(points):
+    return sum(1 << x for x in points)
+
+
+def kernel_capped(masks, t_lo, t_hi, cap):
+    """_best_intersections with INTERSECTION_NODE_CAP patched for the call."""
+    with mock.patch.object(inverse, "INTERSECTION_NODE_CAP", cap):
+        return _best_intersections(masks, t_lo, t_hi)
+
+
+def scan_profile(masks, t_lo, t_hi):
+    """{t: (indices, AND)} from a scan of every row subset: the AND of each
+    subset extends the AND of the subset without its highest row, and a
+    subset replaces its size's best on more bits, or on as many bits and
+    an earlier index tuple."""
+    ands = [0] * (1 << len(masks))
+    ands[0] = (1 << 64) - 1  # the empty AND; no subset of size >= 1 keeps it
+    best = {}
+    for sub in range(1, 1 << len(masks)):
+        top = sub.bit_length() - 1
+        ands[sub] = ands[sub ^ 1 << top] & masks[top]
+        t = sub.bit_count()
+        if t_lo <= t <= t_hi:
+            idx = tuple(i for i in range(len(masks)) if sub >> i & 1)
+            key = (-ands[sub].bit_count(), idx)
+            if t not in best or key < best[t][0]:
+                best[t] = (key, (idx, ands[sub]))
+    return {t: got for t, (_, got) in best.items()}
+
+
+@pytest.mark.parametrize("q", range(1, 13))
+def test_best_intersections_match_subset_scan(q):
+    # every window [t_lo, t_hi] of every row count at q <= 12 rows, on sparse,
+    # half and dense rows over 10 columns; C(12, 6) = 924 is far below the cap
+    rng = random.Random(q)
+    for density in (0.2, 0.5, 0.8):
+        masks = [as_mask(j for j in range(10) if rng.random() < density) for _ in range(q)]
+        for t_lo in range(1, q + 1):
+            for t_hi in range(t_lo, q + 1):
+                profile, exhaustive = _best_intersections(masks, t_lo, t_hi)
+                assert exhaustive and profile == scan_profile(masks, t_lo, t_hi)
 
 
 @settings(max_examples=300, deadline=None)
-@given(fiber_sets(), st.integers(1, 4))
-def test_capped_common_intersection_is_a_witness(inst, budget):
+@given(fiber_sets(), st.data())
+@example(([frozenset()] * 3, 2), None)
+@example(([frozenset({1, 2})] * 4 + [frozenset({1})], 3), None)
+def test_best_common_intersection_matches_scan(inst, data):
+    # the largest C(q, t) in the window is the smallest cap that the
+    # node-count proof covers
     sets, t = inst
-    idx, inter, exact = _best_common_intersection(sets, t, budget)
-    assert len(set(idx)) == t and inter == frozenset.intersection(*(sets[i] for i in idx))
-    want = best_common_intersection(sets, t)
-    assert len(inter) <= len(want[1])
-    if exact:
-        assert (idx, inter) == want
+    t_hi = t if data is None else data.draw(st.integers(t, len(sets)))
+    masks = [as_mask(s) for s in sets]
+    cap = max(comb(len(sets), u) for u in range(t, t_hi + 1))
+    profile, exhaustive = kernel_capped(masks, t, t_hi, cap)
+    assert exhaustive and sorted(profile) == list(range(t, t_hi + 1))
+    for u, (idx, inter) in profile.items():
+        want_idx, want = best_common_intersection(sets, u)
+        assert (idx, inter) == (want_idx, as_mask(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fiber_sets(), st.integers(0, 3), st.integers(1, 4))
+def test_capped_common_intersection_is_a_witness(inst, extra, cap):
+    sets, t = inst
+    t_hi = min(len(sets), t + extra)
+    masks = [as_mask(s) for s in sets]
+    profile, exact = kernel_capped(masks, t, t_hi, cap)
+    assert sorted(profile) == list(range(t, t_hi + 1))
+    for u, (idx, inter) in profile.items():
+        and_ = masks[idx[0]]
+        for i in idx:
+            and_ &= masks[i]
+        assert len(set(idx)) == u and inter == and_
+        want = best_common_intersection(sets, u)
+        assert inter.bit_count() <= len(want[1])
+        if exact:
+            assert (idx, inter) == (want[0], as_mask(want[1]))
 
 
 def test_common_intersection_node_cap():
-    # t * budget = 2 nodes reach only (0, 1); the maximum is (4, 5)
+    # t_hi * cap = 2 nodes reach only (0, 1); the maximum is (4, 5)
     sets = [frozenset({i}) for i in range(4)] + [frozenset({9})] * 2
-    assert _best_common_intersection(sets, 2, 1) == ((0, 1), frozenset(), False)
+    masks = [as_mask(s) for s in sets]
+    assert kernel_capped(masks, 2, 2, 1) == ({2: ((0, 1), 0)}, False)
     assert best_common_intersection(sets, 2) == ((4, 5), frozenset({9}))
-    assert _best_common_intersection(sets, 2, comb(6, 2)) == ((4, 5), frozenset({9}), True)
+    assert kernel_capped(masks, 2, 2, comb(6, 2)) == ({2: ((4, 5), 1 << 9)}, True)
+    # a window counts t_hi * cap nodes: (0), (0, 1) and (0, 1, 2)
+    assert kernel_capped(masks, 1, 3, 1) == (
+        {1: ((0,), 1), 2: ((0, 1), 0), 3: ((0, 1, 2), 0)},
+        False,
+    )
 
 
 def test_bombieri_capped_witness(monkeypatch):
@@ -419,7 +482,7 @@ def test_bombieri_capped_witness(monkeypatch):
     halves = [(0, 1, 2, 3), (4, 5, 6, 7), (0, 1, 4, 5), (2, 3, 6, 7), (0, 2, 4, 6), (1, 3, 5, 7)]
     subsets = [F2Set(4, h) for h in halves]
     with monkeypatch.context() as patch:
-        patch.setattr(sys.modules["f2lab.bench"], "BOMBIERI_NODE_CAP", 1)
+        patch.setattr(inverse, "INTERSECTION_NODE_CAP", 1)
         rep = check_bombieri(universe, subsets, Fraction(1, 2), 2)
         assert (rep.lhs, rep.status, rep.detail) == (0, "undecided", "sets=[0, 1] node cap reached")
         rep = check_bombieri(universe, subsets[1:] + subsets[:1], Fraction(1, 2), 2)
@@ -435,7 +498,7 @@ def test_bombieri_search_outcomes_are_reported(monkeypatch):
     universe = F2Set(4, (1, 2, 4, 8))
     for exhaustive, status in ((True, "violated"), (False, "undecided")):
         monkeypatch.setattr(
-            bench, "_best_common_intersection", lambda *a, e=exhaustive: ((0, 1), frozenset(), e)
+            bench, "_best_intersections", lambda *a, e=exhaustive: ({2: ((0, 1), 0)}, e)
         )
         rep = check_bombieri(universe, [universe] * 3, Fraction(1), 2)
         assert (rep.lhs, rep.rhs, rep.status) == (0, Fraction(4, 9), status)
@@ -681,6 +744,32 @@ def test_extract_d3_full_sumset_containment():
     _assert_disjoint_cover(rects, covered, q, 3)
 
 
+@pytest.mark.parametrize("big_k, computed", [(Fraction(1), False), (Fraction(1, 10**6), True)])
+def test_extract_d3_energy_only_where_the_floor_leaves_the_flag_open(monkeypatch, big_k, computed):
+    # T_p(X) >= |X|^p decides the excess flag whenever m_cor = 2^13 (8K)^(d-1)
+    # exceeds p^2: at the default K = 1 no fiber's T_p is computed; at
+    # K = 10^-6, m_cor is about 5e-7, every fiber's T_p is computed, and
+    # T_p <= |X|^(2p-1) leaves each flag false
+    calls = []
+
+    def counting(a, k):
+        calls.append(len(a))
+        return additive_energy(a, k)
+
+    monkeypatch.setattr(inverse, "additive_energy", counting)
+    q, lam = _plant_prefixed(3, 2, 3, 16, seed=5)
+    params = InverseParams(p=2, seed=5, big_k=big_k)
+    rects, covered, _, trace, _ = extract_rectangles_d(q, lam, 3, params)
+    _assert_disjoint_cover(rects, covered, q, 3)
+    prefixes = [t for t in trace if t["stage"] == "prefix"]
+    assert prefixes and bool(calls) == computed
+    assert all(t["excess"] is not computed for t in prefixes)
+    if computed:
+        sizes = sorted(calls)
+        for t in prefixes:
+            sizes.remove(t["points"])
+
+
 def test_extract_deterministic_under_seed():
     lam, _, _, planted, noise = plant_instance(2, 4, 4, Fraction(1, 10), seed=33)
     q = planted.union(noise)
@@ -691,11 +780,14 @@ def test_extract_deterministic_under_seed():
 
 def _split_matches_oracle(lam, pairs, exhaustive_limit, seed):
     """_best_split against the frozenset scorer over the same halves: every
-    balanced split in `combinations` order, or the same 9 seeded draws."""
-    pair_of = dict(enumerate(pairs))  # the split reads Q only through pair_of
-    lam1, lam2, crossing, exhaustive = _best_split(
-        list(pair_of), pair_of, lam, 9, exhaustive_limit, random.Random(seed)
-    )
+    balanced split in `combinations` order, or the same 9 seeded draws (the
+    split draws indices, the oracle elements)."""
+    index = {x: i for i, x in enumerate(lam.elems)}
+    adj = [0] * len(lam)
+    for x, y in pairs:
+        adj[index[x]] |= 1 << index[y]
+        adj[index[y]] |= 1 << index[x]
+    mask, crossing, exhaustive = _best_split(adj, len(pairs), 9, exhaustive_limit, random.Random(seed))
     a = -(-len(lam) // 2)
     rng = random.Random(seed)
     want_exhaustive = comb(len(lam), a) <= exhaustive_limit
@@ -704,9 +796,8 @@ def _split_matches_oracle(lam, pairs, exhaustive_limit, seed):
     else:
         halves = (rng.sample(lam.elems, a) for _ in range(9))
     score, first = best_balanced_split(pairs, halves)
-    assert (lam1.elems, crossing, exhaustive) == (tuple(sorted(first)), score, want_exhaustive)
-    assert lam2.elems == tuple(x for x in lam.elems if x not in first)
-    return lam1
+    assert (mask, crossing, exhaustive) == (as_mask(index[x] for x in first), score, want_exhaustive)
+    return tuple(x for i, x in enumerate(lam.elems) if mask >> i & 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -730,7 +821,7 @@ def test_best_split_empty_and_complete_q(n):
     limit = max(12870, comb(n, -(-n // 2)))
     _split_matches_oracle(lam, [], limit, 0)
     lam1 = _split_matches_oracle(lam, list(itertools.combinations(lam.elems, 2)), limit, 0)
-    assert lam1.elems == lam.elems[:-(-n // 2)]
+    assert lam1 == lam.elems[:-(-n // 2)]
 
 
 def _planted_pairs(lam, h, side, seed):
