@@ -31,7 +31,7 @@ from .exact import (
     pow_bounds,
     root_sum_dominates,
 )
-from .inverse import _best_intersections, _fibers, greedy_disjoint_supports
+from .inverse import _best_intersections, greedy_disjoint_supports
 from .permanent import CombMatrix, permanent
 from .wht import (
     IntFunction,
@@ -344,6 +344,17 @@ def check_sophisticated(
     ]
 
 
+def _fiber_masks(q: F2Set, lam1: F2Set, lam2: F2Set) -> list[tuple[int, int]]:
+    """The nonempty fibers of Q inside Lambda_1 + Lambda_2 in Lambda_1 order:
+    the pairs (a, D_a), D_a = {b in Lambda_2 : a + b in Q} as a bitmask over
+    Lambda_2's indices."""
+    if lam1.intersection(lam2).elems:
+        raise ValueError("Lambda_1 and Lambda_2 must be disjoint")
+    qset = set(q.elems)
+    masks = [sum(1 << j for j, b in enumerate(lam2.elems) if a ^ b in qset) for a in lam1.elems]
+    return [(a, d) for a, d in zip(lam1.elems, masks) if d]
+
+
 def check_inverse2(q: F2Set, lam1: F2Set, lam2: F2Set, p: int, m_param: Fraction) -> BoundReport:
     """T_p(Q) against the fiber-intersection upper bound, for Q inside
     Lambda_1 + Lambda_2 with fibers D_a = {b in Lambda_2 : a + b in Q}.
@@ -355,8 +366,8 @@ def check_inverse2(q: F2Set, lam1: F2Set, lam2: F2Set, p: int, m_param: Fraction
     (4 delta0), 1).  Transcendental pieces are bracketed rationally; a
     ladder that never pins ceil(delta0) is undecided with rhs None.
     """
-    nonempty = _fibers(q, lam1, lam2)
-    s1, s2, m = len(nonempty), len(lam2), len(q)
+    fibers = [d for _, d in _fiber_masks(q, lam1, lam2)]
+    s1, s2, m = len(fibers), len(lam2), len(q)
     if s1 > INVERSE2_S1_CAP or p > INVERSE2_P_CAP:
         raise BudgetError(f"s1 = {s1}, p = {p} beyond caps ({INVERSE2_S1_CAP}, {INVERSE2_P_CAP})")
     if not set(q.elems) <= {l1 ^ l2 for l1 in lam1 for l2 in lam2}:
@@ -372,7 +383,10 @@ def check_inverse2(q: F2Set, lam1: F2Set, lam2: F2Set, p: int, m_param: Fraction
         return refused
     energy = additive_energy(q, p)
     ratio = Fraction(m, s2 * p)
-    inter = [[len(da & db) for _, db in nonempty] for _, da in nonempty]
+    inter = [[(da & db).bit_count() for db in fibers] for da in fibers]
+    # inner[r]: the r-subset sum of the bound, which no precision changes
+    subsets = (itertools.combinations(range(s1), r) for r in range(min(p, s1) + 1))
+    inner = [sum(prod(sum(inter[a][b] for b in s) for a in s) for s in by_r) for by_r in subsets]
     ceil_d0 = None
 
     def bracket_at(prec: int) -> Optional[tuple[Fraction, Fraction]]:
@@ -395,18 +409,9 @@ def check_inverse2(q: F2Set, lam1: F2Set, lam2: F2Set, p: int, m_param: Fraction
         else:
             pw = pow_bounds(d0, (4 * d0[0], 4 * d0[1]), prec)
             x_bounds = (max(pw[0], Fraction(1)), max(pw[1], Fraction(1)))
-        double_sum = Fraction(0)
-        for r in range(max(0, p - ceil_d0), min(p, s1) + 1):
-            inner = 0
-            for combo in itertools.combinations(range(s1), r):
-                term = 1
-                for a in combo:
-                    row = inter[a]
-                    term *= sum(row[b] for b in combo)
-                    if term == 0:
-                        break
-                inner += term
-            double_sum += Fraction(inner, (p * s2) ** r)
+        double_sum = sum(
+            Fraction(v, (p * s2) ** r) for r, v in enumerate(inner) if r >= p - ceil_d0
+        )
         tail = Fraction(p ** (2 * p) * m**p) / (2 * m_param**p)
         scale = 2 ** (5 * p) * p ** (3 * p) * s2**p
         return scale * x_bounds[0] * double_sum + tail, scale * x_bounds[1] * double_sum + tail

@@ -51,17 +51,9 @@ def floor_log2(x: Fraction) -> int:
         raise ValueError("floor_log2 needs x > 0")
     num, den = x.numerator, x.denominator
     e = num.bit_length() - den.bit_length()
-    # adjust: compare num against den << e (or den against num << -e)
-    def ge(exp: int) -> bool:  # 2^exp <= x ?
-        if exp >= 0:
-            return (den << exp) <= num
-        return den <= (num << -exp)
-
-    while not ge(e):
-        e -= 1
-    while ge(e + 1):
-        e += 1
-    return e
+    # num and den lie in [2^(len - 1), 2^len), so x lies in (2^(e-1), 2^(e+1))
+    # and floor log2 x is e exactly when 2^e <= x, else e - 1
+    return e if den << max(e, 0) <= num << max(-e, 0) else e - 1
 
 
 def log2_bounds(x: Fraction, prec: int) -> tuple[Fraction, Fraction]:

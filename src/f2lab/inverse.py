@@ -230,25 +230,6 @@ def _best_intersections(
 
 
 # ---------------------------------------------------------------------------
-# fiber decompositions
-
-
-def _fibers(q: F2Set, lam1: F2Set, lam2: F2Set) -> list[tuple[int, frozenset[int]]]:
-    """The nonempty fibers of Q inside Lambda_1 + Lambda_2, organised by
-    first coordinate: the pairs (lambda, D(lambda)) in Lambda_1 order, with
-    D(lambda) = {mu in Lambda_2 : lambda + mu in Q}."""
-    if lam1.intersection(lam2).elems:
-        raise ValueError("Lambda_1 and Lambda_2 must be disjoint")
-    qset = set(q.elems)
-    fibers = []
-    for lam in lam1.elems:
-        d = frozenset(mu for mu in lam2.elems if (lam ^ mu) in qset)
-        if d:
-            fibers.append((lam, d))
-    return fibers
-
-
-# ---------------------------------------------------------------------------
 # rectangles and the extraction pipelines
 
 
@@ -418,33 +399,24 @@ def _best_split(
 
 
 def _bite_once(
-    remaining: set[int],
-    lam: F2Set,
-    pair_of: dict[int, tuple[int, int]],
-    params: InverseParams,
-    rng: random.Random,
-    trace: list,
-) -> Optional[Rectangle]:
-    """One split + fiber + support + intersection pass; returns a rectangle
-    with all points inside `remaining`, or None.
+    remaining: set[tuple[int, int]], n: int, params: InverseParams, rng: random.Random, trace: list
+) -> Optional[tuple[tuple[int, ...], int]]:
+    """One split + fiber + support + intersection pass over the edges (i, j),
+    i < j, of Q's graph on n indices; returns (row indices, column mask), a
+    rectangle whose edges all lie in `remaining`, or None.
 
-    The pass reads Q as a graph on Lambda's indices, whose order is element
-    order: rows and columns are indices, and a fiber is a neighbour mask."""
+    Rows and columns are indices, and a fiber is a neighbour mask."""
     if params.refine and len(remaining) > 2:
         # no stage reads this draw; it keeps the random splits (|Lambda| >= 17)
         # of recorded reports byte for byte
         rng.randrange(1 << 30)
-    elems = lam.elems
-    index = {x: i for i, x in enumerate(elems)}
-    adj = [0] * len(elems)
-    for qq in remaining:
-        i, j = (index[x] for x in pair_of[qq])
+    adj = [0] * n
+    for i, j in remaining:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
     mask, crossing, split_exhaustive = _best_split(
         adj, len(remaining), params.split_trials, params.split_exhaustive_limit, rng
     )
-    averaging_met = 2 * crossing >= len(remaining)
     # fibers: the neighbours across the split of each row in the first half
     fiber_of = {i: f for i, a in enumerate(adj) if mask >> i & 1 and (f := a & ~mask)}
     if not fiber_of:
@@ -453,7 +425,7 @@ def _bite_once(
     eps = params.epsilon
     min_support = max(params.min_rows, -((-eps.numerator * params.p) // eps.denominator))
     # supports: for each second coordinate, the set of rows whose fiber holds it
-    col_rows = (frozenset(i for i, f in fiber_of.items() if f >> j & 1) for j in range(len(adj)))
+    col_rows = (frozenset(i for i, f in fiber_of.items() if f >> j & 1) for j in range(n))
     raw_supports = {rows for rows in col_rows if len(rows) >= min_support}
     if not raw_supports:
         trace.append({"stage": "supports", "note": "no supports above threshold"})
@@ -477,59 +449,68 @@ def _bite_once(
     if not scores:
         trace.append({"stage": "intersection", "note": "no admissible rectangle"})
         return None
-    idx, inter = profile[max(scores)[1]]
-    rows = F2Set.from_bits(lam.dim, (elems[candidate_rows[i]] for i in idx))
-    cols = F2Set.from_bits(lam.dim, (x for j, x in enumerate(elems) if inter >> j & 1))
-    rect = Rectangle((), rows, cols)
-    pts = rect.points()
-    if not pts <= remaining:
-        raise AssertionError("extracted rectangle leaves the current set (bug)")
+    t = max(scores)[1]
+    idx, inter = profile[t]
     trace.append(
         {
             "stage": "bite",
             "split_mass": crossing,
             "split_exhaustive": split_exhaustive,
-            "averaging_met": averaging_met,
-            "rows": len(rows),
-            "cols": len(cols),
-            "points": len(pts),
+            "averaging_met": 2 * crossing >= len(remaining),
+            "rows": t,
+            "cols": sizes[t],
+            "points": t * sizes[t],
         }
     )
-    return rect
+    return tuple(candidate_rows[i] for i in idx), inter
 
 
 def _peel_rectangles(
     q: F2Set,
-    lam: F2Set,
-    pair_of: dict[int, tuple[int, int]],
+    edges: set[tuple[int, int]],
+    elems: tuple[int, ...],
+    prefix: tuple[int, ...],
     params: InverseParams,
     rng: random.Random,
     trace: list,
 ) -> tuple[list[Rectangle], int]:
-    """The rounds of `_bite_once` on Q minus the points already covered, up
-    to the coverage target or `stall_limit` empty rounds in a row; returns
-    the disjoint rectangles and the number of points they cover."""
-    q_set = set(q.elems)
-    remaining = set(q_set)
+    """The rounds of `_bite_once` on the edges not yet covered, up to the
+    coverage target or `stall_limit` empty rounds in a row; returns the
+    disjoint rectangles (sum of prefix) + L + L' and the number of edges
+    they cover.
+
+    An edge (i, j) is the point prefix + elems[i] + elems[j] of Q.  Every
+    rectangle is machine-checked twice: its edges lie in the edges left, and
+    its points lie in Q."""
+    remaining = set(edges)
     rects: list[Rectangle] = []
     stalls = 0
-    q_size = len(q)
+    size = len(edges)
     for _ in range(params.rounds):
-        if not remaining or Fraction(q_size - len(remaining), q_size) >= params.coverage_target:
+        if not remaining or Fraction(size - len(remaining), size) >= params.coverage_target:
             break
-        rect = _bite_once(remaining, lam, pair_of, params, rng, trace)
-        if rect is None:
+        bite = _bite_once(remaining, len(elems), params, rng, trace)
+        if bite is None:
             stalls += 1
             if stalls >= params.stall_limit:
                 break
             continue
         stalls = 0
-        pts = rect.points()
-        if not pts <= q_set:
-            raise AssertionError("rectangle not contained in the original Q (bug)")
-        remaining -= pts
+        rows, inter = bite
+        cols = [j for j in range(len(elems)) if inter >> j & 1]
+        cut = {(min(i, j), max(i, j)) for i in rows for j in cols}
+        if not cut <= remaining:
+            raise AssertionError("extracted rectangle leaves the edges left (bug)")
+        rect = Rectangle(
+            prefix,
+            F2Set.from_bits(q.dim, (elems[i] for i in rows)),
+            F2Set.from_bits(q.dim, (elems[j] for j in cols)),
+        )
+        if not all(x in q for x in rect.points()):
+            raise AssertionError("rectangle not contained in Q (bug)")
+        remaining -= cut
         rects.append(rect)
-    return rects, q_size - len(remaining)
+    return rects, size - len(remaining)
 
 
 def extract_rectangles_pair(
@@ -539,19 +520,23 @@ def extract_rectangles_pair(
 
     Returns (rectangles, covered, family_status, trace, warnings): covered
     counts the points of Q in the rectangles, and family_status is Lambda's
-    status in the weight-4p family.  Every returned rectangle is
-    machine-checked to satisfy L + L' <= Q; pairwise disjointness holds
-    because each round works on Q minus the points already covered.  An
-    empty result with diagnostics is a legitimate outcome; rectangles are
-    never fabricated.
+    status in the weight-4p family.  Q is read once, from the sum table, as
+    a graph on Lambda's indices: the point a + b is the edge between the
+    indices of a and b.  Every returned rectangle is machine-checked to
+    satisfy L + L' <= Q; pairwise disjointness holds because each round
+    works on the edges not yet covered.  An empty result with diagnostics
+    is a legitimate outcome; rectangles are never fabricated.
     """
     warnings = []
     fam = in_family(lam, FamilySpec.zero(4 * params.p, lam.dim))
     if fam.status != "true":
         warnings.append(f"Lambda family status: {fam.status}")
     pair_of = _contained_table(q, lam, 2)
+    index = {x: i for i, x in enumerate(lam.elems)}
+    edges = {(index[a], index[b]) for a, b in map(pair_of.__getitem__, q.elems)}
     trace: list[dict] = []
-    rects, covered = _peel_rectangles(q, lam, pair_of, params, random.Random(params.seed), trace)
+    rng = random.Random(params.seed)
+    rects, covered = _peel_rectangles(q, edges, lam.elems, (), params, rng, trace)
     return tuple(rects), covered, fam.status, tuple(trace), tuple(warnings)
 
 
@@ -577,9 +562,11 @@ def extract_rectangles_d(
 
     At d = 2 this is `extract_rectangles_pair`.  Above, Lambda is cut into
     d - 2 prefix parts and one pair block; Q is grouped by the prefix of its
-    decomposition, and the fibers are peeled in turn (energy excess first,
-    then by mass) on their translates inside the pair block's pair sums,
-    until the coverage target.  Every returned rectangle satisfies
+    decomposition, each group a fiber of edges on the pair block's indices,
+    and the fibers are peeled in turn (energy excess first, then by mass)
+    until the coverage target.  The pair block's pair sums are distinct,
+    since the d-subset sums are: two pairs with one sum would be an even
+    dependency of weight 4 <= 2d.  Every returned rectangle satisfies
     (sum of prefix) + L + L' <= Q, machine-checked; each point of Q has one
     decomposition, so the fibers, and with them the rectangles, are disjoint.
     """
@@ -605,42 +592,37 @@ def extract_rectangles_d(
         if best_split is None or mass > best_split[0]:
             best_split = (mass, part_of)
     part_of = best_split[1]
-    # group Q by the (d-2)-prefix of its decomposition
-    by_prefix: dict[tuple[int, ...], list[int]] = {}
+    pair = tuple(e for e in lam.elems if e not in part_of)
+    index = {x: i for i, x in enumerate(pair)}
+    # group Q by the (d-2)-prefix of its decomposition, as edges on the pair block
+    by_prefix: dict[tuple[int, ...], set[tuple[int, int]]] = {}
     for qq in q.elems:
-        pref = _prefix(subset_of[qq], part_of)
+        combo = subset_of[qq]
+        pref = _prefix(combo, part_of)
         if pref is not None:
-            by_prefix.setdefault(pref, []).append(qq)
-    m_cor = 2**13 * (8 * params.big_k) ** (d - 1)
+            edge = tuple(index[e] for e in combo if e not in part_of)
+            by_prefix.setdefault(pref, set()).add(edge)
+    m_cor, p = 2**13 * (8 * params.big_k) ** (d - 1), params.p
     fibers = []
-    for pref, pts in by_prefix.items():
-        shift = 0
-        for e in pref:
-            shift ^= e
-        translated = F2Set.from_bits(lam.dim, (p_ ^ shift for p_ in pts))
+    for pref, edges in by_prefix.items():
         # T_p(X) >= |X|^p, so the excess holds without T_p when m_cor > p^2
-        excess = m_cor > params.p**2 or (
-            additive_energy(translated, params.p) * m_cor**params.p
-            > params.p ** (2 * params.p) * len(translated) ** params.p
+        excess = m_cor > p**2 or (
+            additive_energy(F2Set.from_bits(lam.dim, (pair[i] ^ pair[j] for i, j in edges)), p)
+            * m_cor**p
+            > p ** (2 * p) * len(edges) ** p
         )
-        fibers.append((not excess, -len(pts), pref, translated))
+        fibers.append((not excess, -len(edges), pref, edges))
     fibers.sort(key=lambda f: f[:3])
-    lam_pair = F2Set.from_bits(lam.dim, (e for e in lam.elems if e not in part_of))
-    pair_of, pair_rng = _subset_table(lam_pair, 2), random.Random(rng.randrange(1 << 30))
-    q_set = set(q.elems)
+    pair_rng = random.Random(rng.randrange(1 << 30))
     rects: list[Rectangle] = []
     covered = 0
     trace: list[dict] = []
-    for no_excess, _, pref, translated in fibers:
+    for no_excess, _, pref, edges in fibers:
         if Fraction(covered, len(q)) >= params.coverage_target:
             break
-        trace.append({"stage": "prefix", "points": len(translated), "excess": not no_excess})
-        found, count = _peel_rectangles(translated, lam_pair, pair_of, params, pair_rng, trace)
-        for r in found:
-            rect = Rectangle(pref, r.rows, r.cols)
-            if not rect.points() <= q_set:
-                raise AssertionError("prefixed rectangle escapes Q (bug)")
-            rects.append(rect)
+        trace.append({"stage": "prefix", "points": len(edges), "excess": not no_excess})
+        found, count = _peel_rectangles(q, edges, pair, pref, params, pair_rng, trace)
+        rects += found
         covered += count
     return tuple(rects), covered, fam.status, tuple(trace), tuple(warnings)
 

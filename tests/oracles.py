@@ -13,6 +13,16 @@ from functools import reduce
 from math import factorial, prod
 
 
+def floor_log2_loop(x):
+    """Largest e with 2^e <= x, for x > 0, stepping e from 0 one unit at a time."""
+    e = 0
+    while Fraction(2) ** e > x:
+        e -= 1
+    while Fraction(2) ** (e + 1) <= x:
+        e += 1
+    return e
+
+
 def naive_wht(values):
     """O(N^2) transform straight from the character-sum definition."""
     n = len(values)

@@ -789,6 +789,48 @@ def test_extract_d3_keeps_its_bytes():
     assert hashlib.sha256(canonical_results(results).encode()).hexdigest() == digest
 
 
+def test_extract_d3_energy_branch_keeps_its_bytes():
+    # the same instance at big_k = 1/1000000, where m_cor <= p^2 and every
+    # prefix fiber's T_p is computed from its point set
+    lam = random_dissociated(18, 16, seed=3)
+    sums = sorted(a ^ b ^ c for a, b, c in itertools.combinations(lam.elems, 3))
+    q = F2Set.from_bits(18, random.Random(3).sample(sums, 120))
+    config = {"command": "extract", "q_text": serialize_set(q), "lambda_text": serialize_set(lam),
+              "d": 3, "seed": 7, "params": {"big_k": "1/1000000"}}
+    results = run_config(config).results
+    digest = "e80f947fc1f64f13d291afd95ef2c1320f83638120556d0bddab9442e1676350"
+    assert hashlib.sha256(canonical_results(results).encode()).hexdigest() == digest
+
+
+def test_extract_d4_keeps_its_bytes():
+    # 200 of the 715 4-fold sums of a 13-element Lambda: two prefix parts of
+    # 4 and a pair block of 5
+    lam = random_dissociated(18, 13, seed=4)
+    sums = sorted(a ^ b ^ c ^ d for a, b, c, d in itertools.combinations(lam.elems, 4))
+    q = F2Set.from_bits(18, random.Random(4).sample(sums, 200))
+    config = {"command": "extract", "q_text": serialize_set(q), "lambda_text": serialize_set(lam),
+              "d": 4, "seed": 7}
+    results = run_config(config).results
+    digest = "a596efbfa395a080d5494e23737d78411171090779b0e0ddf338c4fb189cc1c8"
+    assert hashlib.sha256(canonical_results(results).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (1, "c85a3bcfe251c4fd314293fe022887ad20db20147ef15ce1e896b43d1ff890ee"),
+        (2, "35cbe69ab5647d5a726883a30cf0e0efd44dfb4abe7c2755d338fc0fb183196e"),
+        (3, "ba1f3335ce1291deb26b5d2261c88d1db2d634c040a076cbd4673f5ff1b70774"),
+    ],
+)
+def test_inverse2_rows_keep_their_bytes(seed, digest):
+    # every row of these seeds holds, so each reads the fiber masks and the
+    # r-subset sums through the exact ladder
+    config = {"command": "bench", "theorem": "inverse2", "count": 10, "seed": seed}
+    results = run_config(config).results
+    assert hashlib.sha256(canonical_results(results).encode()).hexdigest() == digest
+
+
 # One argument list per command with every optional flag; recorded reports
 # replay only while these config keys hold.
 CONFIG_CASES = {

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from f2lab.exact import (
@@ -17,7 +17,7 @@ from f2lab.exact import (
     root_sum_dominates,
 )
 
-from oracles import root_sum_dominates_sq
+from oracles import floor_log2_loop, root_sum_dominates_sq
 
 
 @given(st.integers(min_value=0, max_value=10**24), st.integers(min_value=1, max_value=7))
@@ -43,6 +43,32 @@ def test_floor_log2_matches_float(x):
         return
     e = floor_log2(x)
     assert Fraction(2) ** e <= x < Fraction(2) ** (e + 1)
+
+
+POWER_OF_TWO_NEIGHBOURS = st.builds(
+    lambda e, step, den: Fraction(2) ** e * Fraction(den + step, den),
+    st.integers(min_value=-80, max_value=80),
+    st.sampled_from((-1, 0, 1)),
+    st.integers(min_value=2, max_value=2**70),
+)
+
+
+@given(
+    st.one_of(
+        POWER_OF_TWO_NEIGHBOURS,
+        st.fractions(
+            min_value=Fraction(1, 2**90), max_value=Fraction(2**90), max_denominator=2**90
+        ),
+    )
+)
+@example(Fraction(1))
+@example(Fraction(2**64 - 1, 2**64))
+@example(Fraction(2**64 + 1, 2**128))
+@example(Fraction(2**100, 3))
+def test_floor_log2_matches_loop_oracle(x):
+    # powers of two, their neighbours just above and below, and any rational
+    if x > 0:
+        assert floor_log2(x) == floor_log2_loop(x)
 
 
 @pytest.mark.parametrize("x", [Fraction(3), Fraction(1, 3), Fraction(7, 5), Fraction(1023, 512)])

@@ -27,7 +27,6 @@ from f2lab.inverse import (
     greedy_disjoint_supports,
     _best_intersections,
     _best_split,
-    _fibers,
     plant_instance,
     refine_connected,
 )
@@ -514,16 +513,18 @@ def test_fiber_decomposition_mass_and_disjointness():
         pairs = [(a, b) for a in l1 for b in l2]
         chosen = rng.sample(pairs, rng.randint(1, len(pairs)))
         q = F2Set.from_bits(n, (a ^ b for a, b in chosen))
-        fibers = _fibers(q, l1, l2)
-        mass = sum(len(d) for _, d in fibers)
+        # the fibers check_inverse2 reads: D(lambda) as a mask over Lambda_2's indices
+        fibers = bench._fiber_masks(q, l1, l2)
+        mass = sum(d.bit_count() for _, d in fibers)
         assert mass == len(q)  # unique representation
-        assert {lam ^ mu for lam, d in fibers for mu in d} == set(q.elems)
+        rebuilt = {lam ^ mu for lam, d in fibers for j, mu in enumerate(l2.elems) if d >> j & 1}
+        assert rebuilt == set(q.elems)
         # only the nonempty fibers, in Lambda_1 order
         firsts = {a for a, _ in chosen}
         assert [lam for lam, _ in fibers] == [lam for lam in l1.elems if lam in firsts]
         # power-sum bound: sum |D|^x <= s2^(x-1) * mass for integer x >= 1
         for x in (1, 2, 3):
-            assert sum(len(d) ** x for _, d in fibers) <= len(l2) ** (x - 1) * mass
+            assert sum(d.bit_count() ** x for _, d in fibers) <= len(l2) ** (x - 1) * mass
 
 
 def full_product_instance():

@@ -1,0 +1,156 @@
+"""Hash the canonical `results` and exit code of a fixed corpus of configs.
+
+usage: python tools/results_corpus.py SRC_DIR [--list]
+
+SRC_DIR is the `src` directory of the tree under test, so that two checkouts
+(say a parent commit and a change) can be compared by running this script
+once against each.  It prints the number of configs and one SHA-256 over
+every config's canonical `results` plus exit code; `--list` first prints one
+line per config (index, command, exit code, digest prefix), which locates
+the first config where two trees differ.  A change that claims to keep
+every `results` block byte for byte should print the same hash on both
+sides.
+
+The corpus covers `plant`, `extract` at d = 2 to 5 (planted and random Q,
+both split branches, parameter overrides including big_k 1/1000000 and a
+coverage target of 1/2, and Lambdas that are not dissociated), and the
+`bench` families that read the inverse layer (`bombieri`, `inverse2`,
+`greedy`) or the permanent (`soph`).  Every config is generated from fixed
+seeds; errors are hashed as their type and message.
+"""
+
+import hashlib
+import itertools
+import random
+import sys
+from functools import reduce
+from operator import xor
+
+sys.path.insert(0, sys.argv[1])
+from f2lab.cli import canonical_results, run_config  # noqa: E402
+from f2lab.core import F2Set, serialize_set  # noqa: E402
+from f2lab.dissociation import random_dissociated  # noqa: E402
+
+PARAMS_CYCLE = [
+    {}, {"depth": 1}, {"depth": 6}, {"min_rows": 2, "min_cols": 2},
+    {"width": 2, "zeta": "1/2"}, {"split_exhaustive_limit": 10}, {"min_rows": 3},
+    {"zeta": "1/8", "width": 3, "depth": 2}, {"epsilon": "1/2"}, {"split_trials": 3},
+]
+
+
+def run(config):
+    try:
+        out = run_config(config)
+        return canonical_results(out.results), out.exit_code
+    except AssertionError as exc:
+        return "ASSERT " + str(exc), 3
+    except Exception as exc:  # noqa: BLE001
+        return type(exc).__name__ + " " + str(exc), 2
+
+
+def _extract(q, lam, **extra):
+    return {"command": "extract", "q_text": serialize_set(q), "lambda_text": serialize_set(lam),
+            **extra}
+
+
+def _sample_sums(rng, lam, d, dens):
+    """A random share dens of the d-fold distinct sums of lam."""
+    sums = sorted({reduce(xor, c) for c in itertools.combinations(lam.elems, d)})
+    return F2Set.from_bits(lam.dim, rng.sample(sums, max(1, int(dens * len(sums)))))
+
+
+def configs():
+    rng = random.Random(2026)
+    k = 0
+    # A. planted pair instances, |Lambda| 10..30, both split branches
+    for lsize in (10, 12, 14, 16, 17, 18, 20, 24, 30):
+        n = 18 if lsize <= 18 else 30
+        for h in (1, 2, 3):
+            for side, noise in ((3, "1/10"), (4, "1/10"), (3, "1/2")):
+                seed = rng.randrange(100)
+                plant = {"command": "plant", "h": h, "lsize": side, "lpsize": side, "noise": noise,
+                         "seed": seed, "n": n, "lambda_size": lsize}
+                yield plant
+                try:
+                    res = run_config(plant).results
+                except Exception:  # noqa: BLE001
+                    continue
+                for p in (2, 3):
+                    k += 1
+                    yield {"command": "extract", "q_text": res["q"], "lambda_text": res["lambda"],
+                           "p": p, "seed": rng.randrange(1000), "params": PARAMS_CYCLE[k % 10]}
+    # B. random Q in Lambda + Lambda at several densities
+    for lsize in (10, 13, 16, 17, 20, 25, 30):
+        n = 20 if lsize <= 17 else 30
+        for dens in (0.15, 0.3, 0.5, 0.8):
+            lam = random_dissociated(n, lsize, seed=rng.randrange(1 << 30))
+            q = _sample_sums(rng, lam, 2, dens)
+            for p in (2, 3):
+                k += 1
+                yield _extract(q, lam, p=p, seed=rng.randrange(1000), params=PARAMS_CYCLE[k % 10])
+    # C. d = 3: random subsets of 3-fold sums and prefixed plants
+    for lsize in (9, 10, 12, 14, 16):
+        for dens in (0.1, 0.3, 0.6):
+            lam = random_dissociated(24, lsize, seed=rng.randrange(1 << 30))
+            q = _sample_sums(rng, lam, 3, dens)
+            for p, extra in ((2, {}), (3, {}), (2, {"big_k": "1/1000000"}),
+                             (2, PARAMS_CYCLE[(k + 3) % 10])):
+                k += 1
+                yield _extract(q, lam, d=3, p=p, seed=rng.randrange(1000), params=extra)
+    for seed in range(12):
+        lam = random_dissociated(24, 14, seed=seed)
+        perm = random.Random(seed).sample(lam.elems, 14)
+        pts = set()
+        for i in range(2):
+            block = perm[i * 7:(i + 1) * 7]
+            for r in block[1:4]:
+                for c in block[4:7]:
+                    pts.add(block[0] ^ r ^ c)
+        q = F2Set.from_bits(24, pts)
+        for p in (2, 3):
+            yield _extract(q, lam, d=3, p=p, seed=seed, params=PARAMS_CYCLE[seed % 10])
+    # D. bench rows that read the intersection walk or the fibers
+    for theorem in ("bombieri", "inverse2", "greedy"):
+        for seed in range(1, 11):
+            yield {"command": "bench", "theorem": theorem, "count": 10, "seed": seed}
+    # E. d = 4 and 5: random subsets of d-fold sums, with overrides
+    extras = ({}, {"big_k": "1/1000000"}, {"coverage_target": "1/2"}, {"depth": 1},
+              {"min_rows": 2, "min_cols": 2}, {"split_trials": 3})
+    for d, sizes in ((4, (8, 10, 12, 13)), (5, (10, 14, 15))):
+        for lsize in sizes:
+            lam = random_dissociated(24, lsize, seed=rng.randrange(1 << 30))
+            for dens in (0.2, 0.5):
+                q = _sample_sums(rng, lam, d, dens)
+                for p in (2, 3):
+                    k += 1
+                    yield _extract(q, lam, d=d, p=p, seed=rng.randrange(1000),
+                                   params=extras[k % len(extras)])
+    # F. Lambdas with a dependency of weight <= 2d (refused), and too small
+    for d in (2, 3, 4):
+        lam = F2Set.from_bits(8, rng.sample(range(1, 256), 12))
+        q = _sample_sums(rng, lam, d, 0.3)
+        yield _extract(q, lam, d=d, seed=1)
+    lam = random_dissociated(12, 5, seed=4)
+    yield _extract(_sample_sums(rng, lam, 4, 1.0), lam, d=4, seed=1)
+    # G. more inverse2 rows, and the permanent-backed soph rows
+    for theorem, seeds in (("inverse2", range(11, 21)), ("soph", range(1, 11))):
+        for seed in seeds:
+            yield {"command": "bench", "theorem": theorem, "count": 10, "seed": seed}
+
+
+def main():
+    h = hashlib.sha256()
+    n = 0
+    lines = []
+    for config in configs():
+        text, code = run(config)
+        digest = hashlib.sha256(f"{text}\n{code}".encode()).hexdigest()
+        h.update(f"{digest}\n".encode())
+        lines.append(f"{n} {config['command']} {code} {digest[:16]}")
+        n += 1
+    if "--list" in sys.argv:
+        print("\n".join(lines))
+    print(n, h.hexdigest())
+
+
+main()
