@@ -445,11 +445,19 @@ def execute(config: dict, out_path: str | None = None) -> tuple[dict, int]:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a malformed argument list as every other input error is
+    refused: `main` prints one JSON error object and exits 2.  The parser
+    of each command is of this class too (argparse builds subparsers with
+    the class of their parent)."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Every flag's dest is its config key; file flags end in `_text`."""
-    parser = argparse.ArgumentParser(
-        prog="f2lab", description="Exact additive-combinatorics toolkit for F_2^n"
-    )
+    parser = _Parser(prog="f2lab", description="Exact additive-combinatorics toolkit for F_2^n")
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--report", dest="report_out", help="write the JSON report here")
@@ -535,8 +543,8 @@ def config_from_args(args: argparse.Namespace) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report, exit_code = execute(config_from_args(args), getattr(args, "out", None))
     except (SetFileError, BudgetError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

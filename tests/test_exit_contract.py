@@ -7,8 +7,10 @@ stderr and nothing on stdout.  Exit 3 is a failed internal invariant and an
 escaped exception is a crash: both are faults on any input.  The inputs are
 set files, matrix files, `extract --params` JSON and replayed reports; the
 caps are patched small so that their refusals are reached at desk scale.
-The argument list itself is well formed: each value is passed as
-`--flag=value`, so that a value starting with "-" is not read as a flag.
+Those properties pass each value as `--flag=value`, so that a value
+starting with "-" is not read as a flag; the argument lists themselves are
+fuzzed apart, with values as separate arguments and flags dropped or
+repeated, since a malformed list is an input error like any other.
 """
 
 import io
@@ -238,3 +240,60 @@ def report_texts(draw) -> str:
 @given(report_texts())
 def test_replay_keeps_the_exit_contract(files, text):
     run_main(["replay", files("report.json", text)])
+
+
+# ---------------------------------------------------------------------------
+# argument lists
+
+ARG_VALUES = st.sampled_from(["2", "0", "-1", "1/4", "-1/2", "x", "", "--k", "-", "3 4", "all"])
+COMMAND_FLAGS = {
+    "energy": ("--set", "--k", "--method"),
+    "spectrum": ("--set", "--alpha"),
+    "dissociate": ("--check", "--k", "--R"),
+    "permanent": ("--matrix",),
+    "plant": ("--h", "--lsize", "--lpsize", "--noise", "--n", "--lambda-size"),
+    "extract": ("--q", "--lambda", "--d", "--p", "--params"),
+    "nosuch": ("--k",),
+}
+FILE_FLAGS = {"--set": BASIS4, "--check": BASIS4, "--R": "4\n0000\n", "--q": "4\n1100\n",
+              "--lambda": BASIS4, "--matrix": "2 2\n1 1\n1 1\n"}
+
+
+@FUZZ
+@given(st.sampled_from(sorted(COMMAND_FLAGS)), st.data())
+def test_argument_lists_keep_the_exit_contract(files, command, data):
+    # each flag is dropped, given once or given twice, its value a separate
+    # argument that may look like a flag, a negative number or nothing at
+    # all; a file flag mostly names a real file.  The flags come in any order
+    argv = [command]
+    for flag in data.draw(st.permutations(COMMAND_FLAGS[command])):
+        for _ in range(data.draw(st.sampled_from([0, 1, 1, 1, 2]))):
+            if flag in FILE_FLAGS and data.draw(st.integers(0, 3)):
+                value = files(flag.strip("-") + ".txt", FILE_FLAGS[flag])
+            else:
+                value = data.draw(ARG_VALUES)
+            argv += [flag, value] if data.draw(st.integers(0, 5)) else [flag]
+    run_main(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--set", "SET", "--alpha", "-1/2"], ["energy", "--set", "SET"], ["nosuch"]],
+    ids=["value-like-a-flag", "missing-required-flag", "unknown-command"],
+)
+def test_malformed_argument_list_is_one_json_error(files, argv):
+    path = files("basis.set", BASIS4)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([path if a == "SET" else a for a in argv])
+    assert code == 2 and out.getvalue() == ""
+    error = json.loads(err.getvalue())
+    assert list(error) == ["error"] and error["error"].startswith("f2lab")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["spectrum", "-h"]])
+def test_help_still_prints_usage_and_exits_0(argv):
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 0 and out.getvalue().startswith("usage: f2lab")

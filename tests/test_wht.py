@@ -141,6 +141,79 @@ def test_inverse_wht_non_image_table_reported_at_every_width():
             inverse_wht(IntFunction(dim, tuple(table)))
 
 
+def _indicator_table(a):
+    return [int(x in a) for x in range(1 << a.dim)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.data())
+def test_spectrum_of_set_matches_naive_oracle(dim, data):
+    # the points enter the lanes directly, without a 0/1 table
+    n = 1 << dim
+    size = min(n, data.draw(st.sampled_from([0, 1, n, 63, 64]) | st.integers(0, n)))
+    a = F2Set.from_bits(dim, data.draw(st.permutations(range(n)))[:size])
+    assert list(spectrum_of_set(a).values) == naive_wht(_indicator_table(a))
+
+
+def test_spectrum_of_set_at_lane_width_steps():
+    # lanes take w8 bytes while 4|A| < 2^(8 w8): |A| = 63 fills 1-byte lanes
+    # and 64 takes 2, 2^14 - 1 and 2^14 straddle the step from 2 to 3; with
+    # the empty set, one point and the full group at every n up to 8
+    rng = random.Random(30)
+    for dim in range(1, 9):
+        n = 1 << dim
+        for size in sorted({0, 1, n - 1, n, 63, 64} - set(range(n + 1, 65))):
+            a = F2Set.from_bits(dim, rng.sample(range(n), size))
+            assert list(spectrum_of_set(a).values) == naive_wht(_indicator_table(a))
+            assert wht(a).values == wht(IntFunction.indicator(a)).values
+    for size in ((1 << 14) - 1, 1 << 14):
+        a = F2Set.from_bits(15, rng.sample(range(1 << 15), size))
+        assert list(spectrum_of_set(a).values) == butterfly_wht(_indicator_table(a))
+
+
+def test_spectrum_of_set_refuses_tables_above_cap(monkeypatch):
+    # the points entry never builds `IntFunction.indicator`, whose check it
+    # would otherwise inherit, so `wht` checks the cap for a set too
+    monkeypatch.setattr(sys.modules["f2lab.wht"], "WHT_DIM_CAP", 4)
+    with pytest.raises(BudgetError):
+        spectrum_of_set(F2Set(12, (1,)))
+    with pytest.raises(BudgetError):
+        wht(F2Set(5, ()))
+    assert spectrum_of_set(F2Set(4, (1,))).values == tuple((-1) ** (r & 1) for r in range(16))
+
+
+def test_inverse_wht_divides_inside_the_lanes():
+    # inverse_wht divides by N = 2^n in the lanes, with s = sum |table|.
+    # The zero table (s = 0 < N) comes back zero, also at n >= w = 8; a
+    # nonzero table with s < N is no transform and is refused, also at
+    # n >= w; +-1 everywhere (s = N) is +-N times a point mass
+    for dim in (1, 2, 5, 8, 9, 12):
+        n = 1 << dim
+        assert inverse_wht(IntFunction(dim, (0,) * n)).values == (0,) * n
+        for c in {1, 3, n - 1}:
+            for at in (0, n - 1):
+                with pytest.raises(ExactnessError):
+                    inverse_wht(IntFunction(dim, tuple(c if x == at else 0 for x in range(n))))
+        for sign in (1, -1):
+            assert inverse_wht(IntFunction(dim, (sign,) * n)).values == (sign,) + (0,) * (n - 1)
+    # transforms scaled so that s lies on both sides of every lane-width
+    # step, s < 2^(8 w8 - 2), from 1-byte lanes to 10-byte ones
+    rng = random.Random(32)
+    for dim in (1, 3, 6):
+        n = 1 << dim
+        f = [rng.randint(-3, 3) for _ in range(n - 1)] + [5]
+        base = wht(IntFunction(dim, tuple(f))).values
+        s0 = sum(map(abs, base))
+        for w8 in range(1, 11):
+            edge = 1 << (8 * w8 - 2)
+            scales = [k for k in (edge // s0 - 1, edge // s0, edge // s0 + 1) if k > 0]
+            masses = [k * s0 for k in scales]
+            assert min(masses) < edge <= max(masses) or edge <= s0
+            for k in scales:
+                table = IntFunction(dim, tuple(k * v for v in base))
+                assert inverse_wht(table).values == tuple(k * v for v in f)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=8), st.data())
 def test_parseval_exact(dim, data):

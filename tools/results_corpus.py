@@ -15,8 +15,10 @@ The corpus covers `plant`, `extract` at d = 2 to 5 (planted and random Q,
 both split branches, parameter overrides including big_k 1/1000000 and a
 coverage target of 1/2, and Lambdas that are not dissociated), and the
 `bench` families that read the inverse layer (`bombieri`, `inverse2`,
-`greedy`) or the permanent (`soph`).  Every config is generated from fixed
-seeds; errors are hashed as their type and message.
+`greedy`) or the permanent (`soph`), and `spectrum` and `energy --method
+conv` (k = 2..4) on sets at the 1- to 2-byte lane step, in F_2^1 and of the
+full group.  Every config is generated from fixed seeds; errors are hashed
+as their type and message.
 """
 
 import hashlib
@@ -136,6 +138,19 @@ def configs():
     for theorem, seeds in (("inverse2", range(11, 21)), ("soph", range(1, 11))):
         for seed in seeds:
             yield {"command": "bench", "theorem": theorem, "count": 10, "seed": seed}
+    # H. spectra of sets on both sides of the lane-width step (4|A| < 2^8 at
+    # |A| = 63, not at 64), in F_2^1 and of the full group, with the
+    # convolution energies, whose inverse transform divides inside the lanes
+    sets = [F2Set.from_bits(8, rng.sample(range(256), size)) for size in (63, 64)]
+    sets += [F2Set(1, elems) for elems in ((), (0,), (1,), (0, 1))]
+    sets += [F2Set(n, tuple(range(1 << n))) for n in (3, 8, 12)]
+    sets += [F2Set.from_bits(10, rng.sample(range(1024), size)) for size in (5, 300)]
+    for a in sets:
+        text = serialize_set(a)
+        yield {"command": "spectrum", "set_text": text}
+        yield {"command": "spectrum", "set_text": text, "alpha": "1/4"}
+        for k in (2, 3, 4):
+            yield {"command": "energy", "set_text": text, "k": k, "method": "conv"}
 
 
 def main():
