@@ -70,8 +70,9 @@ def _spectral_moment(table: IntFunction, k: int) -> int:
 
 
 def energy_convolution(a: F2Set, k: int) -> int:
-    """T_k via the k-fold convolution power of the indicator."""
-    g = conv_power(IntFunction.indicator(a), k)
+    """T_k via the k-fold convolution power of the indicator, which `wht`
+    reads from the set's points."""
+    g = conv_power(a, k)
     return sum(map(mul, g.values, g.values))
 
 
@@ -145,8 +146,9 @@ def convolve(f: IntFunction, g: IntFunction) -> IntFunction:
     return inverse_wht(prod)
 
 
-def conv_power(f: IntFunction, k: int) -> IntFunction:
-    """k-fold convolution power f * f * ... * f (k factors)."""
+def conv_power(f: IntFunction | F2Set, k: int) -> IntFunction:
+    """k-fold convolution power f * f * ... * f (k factors); a set stands
+    for its 0/1 indicator."""
     if k < 1:
         raise ValueError("k must be >= 1")
     fh = wht(f)

@@ -131,6 +131,79 @@ def test_wht_matches_butterfly_oracle_large_dims():
         assert list(wht(IntFunction(dim, values)).values) == butterfly_wht(values)
 
 
+def test_split_tables_and_sets_match_butterfly_oracle():
+    # pieces of 2^12 lanes: n = 11 and 12 are one piece, n = 13 and 14 run
+    # one and two outer stages; values up to 2^40 take 6-byte lanes in
+    # 8-byte items, and 63 points take 1-byte lanes
+    assert sys.modules["f2lab.wht"].PIECE_BITS == 12
+    rng = random.Random(31)
+    for dim in range(11, 15):
+        n = 1 << dim
+        values = tuple(rng.choice((0, 0, 1, -1, rng.randint(-(2**40), 2**40))) for _ in range(n))
+        table = wht(IntFunction(dim, values))
+        assert list(table.values) == butterfly_wht(values)
+        assert inverse_wht(table).values == values
+        for size in (63, 1 << 10, n):
+            a = F2Set.from_bits(dim, rng.sample(range(n), size))
+            spectrum = spectrum_of_set(a)
+            assert list(spectrum.values) == butterfly_wht(_indicator_table(a))
+            assert inverse_wht(spectrum).values == tuple(_indicator_table(a))
+
+
+@pytest.mark.parametrize("piece_bits", [0, 1, 2])
+def test_outer_stages_match_naive_oracle(piece_bits, monkeypatch):
+    # pieces of 1, 2 and 4 lanes, so every dim up to 8 runs outer stages,
+    # down to P = 2^n pieces of one lane, at every lane width from 1 byte
+    # to the 14 of to_bytes
+    monkeypatch.setattr(sys.modules["f2lab.wht"], "PIECE_BITS", piece_bits)
+    rng = random.Random(piece_bits)
+    for dim in range(0, 9):
+        n = 1 << dim
+        for bound in (1, 50, 2**20, 2**60, 2**100):
+            values = tuple(rng.randint(-bound, bound) for _ in range(n))
+            table = wht(IntFunction(dim, values))
+            assert list(table.values) == naive_wht(values)
+            assert inverse_wht(table).values == values
+        for size in sorted({0, 1, n // 2, n, min(n, 63), min(n, 64)}) if dim else ():
+            a = F2Set.from_bits(dim, rng.sample(range(n), size))
+            assert list(spectrum_of_set(a).values) == naive_wht(_indicator_table(a))
+
+
+@pytest.mark.parametrize("piece_bits", [2, 12])
+def test_inverse_wht_checks_every_piece(piece_bits, monkeypatch):
+    # Tables that are no transform are refused, also when the entries that
+    # are not divisible by N sit in the first or the last piece only.  One
+    # entry off by 1 in the first or the last piece shifts every output by
+    # 1/N.  k chi_z on the multiples of sub has, over N, the output k/sub on
+    # the piece of z and 0 on every other (the sum of chi_(y+z) over the
+    # multiples of sub counts P where y and z agree above the low bits).  At
+    # k = 1, s = P takes 1-byte lanes, w = 8 <= n; at k = N + 1 and added to
+    # a transform of entries in [-3, 3], s >= N puts n below w.  Pieces of 4
+    # lanes split n = 8 too; the unperturbed transforms round-trip
+    monkeypatch.setattr(sys.modules["f2lab.wht"], "PIECE_BITS", piece_bits)
+    rng = random.Random(piece_bits)
+    for dim in (8, 13, 14) if piece_bits == 2 else (13, 14):
+        n, sub = 1 << dim, 1 << piece_bits
+        values = tuple(rng.randint(-3, 3) for _ in range(n))
+        table = wht(IntFunction(dim, values))
+        assert inverse_wht(table).values == values
+        for at in (0, sub - 1, n - sub, n - 1):
+            for base in (table.values, (0,) * n):
+                bad = list(base)
+                bad[at] += 1
+                with pytest.raises(ExactnessError):
+                    inverse_wht(IntFunction(dim, tuple(bad)))
+        for z in (0, n - 1):
+            for k in (1, n + 1):
+                chi = tuple(0 if r % sub else k * (-1) ** (r & z).bit_count() for r in range(n))
+                with pytest.raises(ExactnessError):
+                    inverse_wht(IntFunction(dim, chi))
+                whole = tuple(sub * v for v in chi)
+                assert inverse_wht(IntFunction(dim, whole)).values == tuple(
+                    k if x // sub == z // sub else 0 for x in range(n)
+                )
+
+
 def test_inverse_wht_non_image_table_reported_at_every_width():
     rng = random.Random(77)
     for dim, bound in ((1, 3), (6, 2**20), (8, 2**100)):

@@ -17,7 +17,8 @@ coverage target of 1/2, and Lambdas that are not dissociated), and the
 `bench` families that read the inverse layer (`bombieri`, `inverse2`,
 `greedy`) or the permanent (`soph`), and `spectrum` and `energy --method
 conv` (k = 2..4) on sets at the 1- to 2-byte lane step, in F_2^1 and of the
-full group.  Every config is generated from fixed seeds; errors are hashed
+full group, and on sets of 63 and 2^10 points and the full group in F_2^13
+and F_2^14, whose transforms run in pieces.  Every config is generated from fixed seeds; errors are hashed
 as their type and message.
 """
 
@@ -151,6 +152,15 @@ def configs():
         yield {"command": "spectrum", "set_text": text, "alpha": "1/4"}
         for k in (2, 3, 4):
             yield {"command": "energy", "set_text": text, "k": k, "method": "conv"}
+    # and at n = 13 and 14, where the transform runs in pieces of 2^12 lanes
+    for n in (13, 14):
+        for a in [F2Set.from_bits(n, rng.sample(range(1 << n), size)) for size in (63, 1 << 10)] + [
+            F2Set(n, tuple(range(1 << n)))
+        ]:
+            text = serialize_set(a)
+            yield {"command": "spectrum", "set_text": text}
+            for k in (2, 3, 4):
+                yield {"command": "energy", "set_text": text, "k": k, "method": "conv"}
 
 
 def main():
