@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 from .core import BudgetError, F2Set, Value, distinct_sumset_power
 from .dissociation import FamilySpec, _extend_basis, in_family, is_dissociated, random_dissociated
-from .energy import additive_energy, convolve, energy_function, energy_multiset
+from .energy import additive_energy, convolve, energy_function, energy_multiset, full_sumset_energy
 from .exact import (
     EULER_HI,
     EULER_LO,
@@ -133,11 +133,12 @@ def _chang_row(lam, spectrum, delta, alpha, inst) -> BoundReport:
 
 
 def check_diss_energy(lam: F2Set, p: int) -> BoundReport:
-    """T_p(Lambda) <= p^p |Lambda|^p for Lambda in the weight-2p family."""
+    """T_p(Lambda) <= p^p |Lambda|^p for Lambda in the weight-2p family
+    (Lambda is its own 1-fold distinct sumset)."""
     name, inst = "diss-energy", f"n={lam.dim} |L|={len(lam)} p={p}"
     if refused := _family_refusal(name, inst, lam, 2 * p):
         return refused
-    return _finish(name, inst, additive_energy(lam, p), p**p * len(lam) ** p, "le")
+    return _finish(name, inst, full_sumset_energy(lam, 1, p), p**p * len(lam) ** p, "le")
 
 
 def check_rudin_even(lam: F2Set, coeffs: Sequence[int], p: int) -> BoundReport:
@@ -182,7 +183,7 @@ def check_full_sumset_lower(lam1: F2Set, d: int, p: int) -> BoundReport:
     q = distinct_sumset_power(lam1, d)
     if len(q) != comb(len(lam1), d):
         return _precondition_failed(name, inst, "sumset collision (family bug)")
-    lhs = additive_energy(q, p)
+    lhs = full_sumset_energy(lam1, d, p)
     ways = factorial(p * d) // factorial(d) ** p
     intermediate = comb(len(lam1), p * d) * ways * ways
     rhs = Fraction(p ** (p * d) * len(q) ** p, 2 ** (3 * p * d))

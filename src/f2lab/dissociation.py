@@ -70,7 +70,7 @@ class FamilyCheck:
     def __init__(self, status: str, witness: Optional[tuple[int, ...]], work: int) -> None:
         self.status = status  # "true" | "false" | "undecided"
         self.witness = witness  # offending subset when status == "false"
-        self.work = work  # subsets enumerated (or the estimate that broke the budget)
+        self.work = work  # the meet-in-the-middle count of subsets for the shape (|L|, k, |R|)
 
 
 def in_family(l: F2Set, spec: FamilySpec) -> FamilyCheck:
@@ -78,7 +78,9 @@ def in_family(l: F2Set, spec: FamilySpec) -> FamilyCheck:
 
     Splits the ground set in half; any violating subset S splits as
     (S cap A, S cap B) with the halves enumerated independently, so the
-    work is ~ C(|L|/2, <=k) per side instead of C(|L|, <=k).
+    work is ~ C(|L|/2, <=k) per side instead of C(|L|, <=k).  A test within
+    the budget with R = {0} and L independent (full GF(2) rank) is "true"
+    without the walk; the reported work is the same.
     """
     if l.dim != spec.forbidden.dim:
         raise ValueError("set and forbidden set live in different groups")
@@ -93,6 +95,8 @@ def in_family(l: F2Set, spec: FamilySpec) -> FamilyCheck:
     total_work = work + work_b * len(spec.forbidden)
     if total_work > DEFAULT_WORK_BUDGET:
         return FamilyCheck("undecided", None, total_work)
+    if len(spec.forbidden) == 1 and gf2_rank(elems) == len(elems):
+        return FamilyCheck("true", None, total_work)  # R = {0} and L independent
 
     # first smallest nonempty A-side subset reaching each XOR
     first: dict[int, tuple[int, ...]] = {}

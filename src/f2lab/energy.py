@@ -3,19 +3,21 @@
 T_k counts 2k-tuples with equal k-fold sums.  Three independent routes are
 implemented (tuple counting, spectral moments, convolution powers); they
 must agree exactly, and the spectral route asserts the divisibility of the
-moment sum by N, which would only fail on an implementation bug.
+moment sum by N, which would only fail on an implementation bug.  T_p of
+the full d-fold sumset of an independent set has a closed form, the
+Krawtchouk sum of `_krawtchouk_energy`.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from itertools import combinations, repeat, starmap
-from math import prod
+from math import comb, prod
 from operator import mul, xor
 from typing import Optional, Sequence
 
-from .core import BudgetError, DimensionError, F2Set
-from .dissociation import _extend_basis
+from .core import BudgetError, DimensionError, F2Set, distinct_sumset_power
+from .dissociation import _extend_basis, is_dissociated
 from .exact import ExactnessError
 from .wht import IntFunction, inverse_wht, spectrum_of_set, wht
 
@@ -117,6 +119,41 @@ def additive_energy(a: F2Set, k: int, method: str = "auto") -> int:
     if method == "auto":
         method = "brute" if _brute_preferred(len(a), a.dim, k) else "spectral"
     return routes[method](a, k)
+
+
+def full_sumset_energy(lam: F2Set, d: int, p: int) -> int:
+    """T_p(Q) of the full d-fold distinct sumset Q = d Lambda: the Krawtchouk
+    sum `_krawtchouk_energy` when Lambda is independent (one GF(2) rank),
+    else `additive_energy` of the built sumset."""
+    if d < 1 or p < 1:
+        raise ValueError("d and p must be >= 1")
+    if is_dissociated(lam):
+        return _krawtchouk_energy(len(lam), d, p)
+    return additive_energy(distinct_sumset_power(lam, d), p)
+
+
+def _krawtchouk_energy(m: int, d: int, p: int) -> int:
+    """T_p(d Lambda) for m independent elements: 2^-m sum_j C(m, j)
+    K_d(j; m)^2p, with K_d(j; m) = sum_t (-1)^t C(j, t) C(m - j, d - t).
+
+    The d-subsets S of an independent Lambda have distinct sums, so
+    Q_hat(r) = sum_S prod_{l in S} (-1)^<r,l> depends only on the number j
+    of l with <r, l> = 1: taking t of S among those j gives K_d(j; m).
+    Independence makes r -> (<r, l>)_l a linear map from F_2^n onto F_2^m,
+    every fibre of size N/2^m, so C(m, j) N/2^m of the r give j, and
+    T_p = N^-1 sum_r Q_hat(r)^2p is the sum above, which must divide
+    exactly by 2^m.  With a dependency the map is not onto, and the sum
+    misses relations of weight <= 2dp even when the d-fold sums stay
+    distinct: a basis of F_2^7 and the sum of its words has T_2 = 9856 at
+    d = 2, where the sum gives 7336."""
+    total = 0
+    for j in range(m + 1):
+        k = sum((-1) ** t * comb(j, t) * comb(m - j, d - t) for t in range(d + 1))
+        total += comb(m, j) * k ** (2 * p)
+    q, r = divmod(total, 1 << m)
+    if r:
+        raise ExactnessError("Krawtchouk moment sum not divisible by 2^m (bug)")
+    return q
 
 
 def energy_multiset(sets: Sequence[F2Set]) -> int:

@@ -26,7 +26,7 @@ from f2lab.bench import (
 from f2lab.cli import run_config
 from f2lab.core import BudgetError, F2Set, distinct_sumset_power
 from f2lab.dissociation import random_dissociated
-from f2lab.energy import additive_energy
+from f2lab.energy import _krawtchouk_energy, additive_energy, full_sumset_energy
 from f2lab.inverse import (
     InverseParams,
     _subset_table,
@@ -353,6 +353,23 @@ INV2_L2 = F2Set(16, ((1 << 11) - 1,))
 # leaves Lambda outside the weight-8 (weight-12) family that p = 2 asks for
 PAIR_LAM = F2Set(5, (1, 2, 4, 8, 16, 31))
 TRIPLE_LAM = F2Set(7, (1, 2, 4, 8, 16, 32, 64, 127))
+
+
+def test_full_sumset_lower_dependent_lambda_takes_additive_energy():
+    # TRIPLE_LAM's weight-8 relation passes the weight-4 family test at
+    # d = p = 2 but is seen by T_2 of its pair sums: the Krawtchouk sum,
+    # which assumes independence, would give 7336
+    q = distinct_sumset_power(TRIPLE_LAM, 2)
+    assert additive_energy(q, 2) == full_sumset_energy(TRIPLE_LAM, 2, 2) == 9856
+    assert _krawtchouk_energy(len(TRIPLE_LAM), 2, 2) == 7336
+    rep = check_full_sumset_lower(TRIPLE_LAM, 2, 2)
+    assert (rep.status, rep.lhs) == ("holds", 9856)
+
+
+def test_diss_energy_dependent_lambda_takes_additive_energy():
+    # PAIR_LAM's weight-6 relation is outside what T_2 sees
+    rep = check_diss_energy(PAIR_LAM, 2)
+    assert (rep.status, rep.lhs) == ("holds", additive_energy(PAIR_LAM, 2))
 
 
 @pytest.mark.parametrize(

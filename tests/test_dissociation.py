@@ -144,3 +144,40 @@ def test_random_dissociated_deterministic_and_valid():
 def test_random_dissociated_too_many():
     with pytest.raises(ValueError):
         random_dissociated(4, 5, seed=0)
+
+
+def test_in_family_rank_shortcut_keeps_status_witness_and_work(monkeypatch):
+    # R = {0}: an independent L is "true" from its rank; the walk, run with
+    # the rank test disabled, must give the same status, witness and work
+    module = sys.modules["f2lab.dissociation"]
+    rng = random.Random(32)
+    cases = []
+    for _ in range(60):
+        dim = rng.randint(3, 10)
+        size = rng.randint(1, min(dim + 3, 12))
+        if rng.random() < 0.5:
+            l = random_dissociated(dim, min(size, dim), seed=rng.randrange(1 << 30))
+        else:
+            l = F2Set.from_bits(dim, rng.sample(range(1, 1 << dim), size))
+        cases.append((l, rng.randint(1, len(l))))
+    got = [in_family(l, zero_spec(k, l.dim)) for l, k in cases]
+    with monkeypatch.context() as m:
+        m.setattr(module, "subset_sums", None)  # an independent L never walks
+        for l, k in cases:
+            if is_dissociated(l):
+                assert in_family(l, zero_spec(k, l.dim)).status == "true"
+    monkeypatch.setattr(module, "gf2_rank", lambda vectors: -1)
+    walked = [in_family(l, zero_spec(k, l.dim)) for l, k in cases]
+    assert {c.status for c in got} == {"true", "false"}
+    for (l, k), c, w in zip(cases, got, walked):
+        hits = subset_xor_hits(l.elems, k, {0})
+        assert c.status == ("false" if hits else "true")
+        assert (c.status, c.witness, c.work) == (w.status, w.witness, w.work)
+
+
+def test_in_family_rank_shortcut_comes_after_the_budget(monkeypatch):
+    monkeypatch.setattr(sys.modules["f2lab.dissociation"], "DEFAULT_WORK_BUDGET", 1000)
+    basis = F2Set(20, tuple(1 << i for i in range(20)))
+    check = in_family(basis, zero_spec(12, 20))
+    assert (check.status, check.witness) == ("undecided", None)
+    assert check.work > 1000

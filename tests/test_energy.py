@@ -8,9 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from f2lab.bench import check_holder, check_subadditivity
-from f2lab.core import BudgetError, F2Set
-from f2lab.dissociation import gf2_rank
+from f2lab.core import BudgetError, F2Set, distinct_sumset_power
+from f2lab.dissociation import gf2_rank, random_dissociated
 from f2lab.energy import (
+    _krawtchouk_energy,
     _span_coordinates,
     additive_energy,
     convolve,
@@ -20,6 +21,7 @@ from f2lab.energy import (
     energy_function,
     energy_multiset,
     energy_spectral,
+    full_sumset_energy,
 )
 from f2lab.wht import IntFunction
 
@@ -341,3 +343,40 @@ def test_energy_cap_applies_to_the_rank(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 18
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10), st.integers(1, 3), st.integers(1, 3), st.integers(0, 4), st.integers(0, 1 << 30))
+def test_full_sumset_energy_matches_additive_energy(m, d, p, extra, seed):
+    # independent Lambda, 2dp > m included: the Krawtchouk sum against the
+    # built sumset's T_p, which takes the tuple, spectral or conv route
+    lam = random_dissociated(max(1, m + extra), m, seed=seed)
+    want = additive_energy(distinct_sumset_power(lam, d), p)
+    assert _krawtchouk_energy(m, d, p) == want
+    assert full_sumset_energy(lam, d, p) == want
+
+
+def test_full_sumset_energy_independent_route_builds_no_sumset(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sumset was built")
+
+    monkeypatch.setattr(sys.modules["f2lab.energy"], "distinct_sumset_power", refuse)
+    monkeypatch.setattr(sys.modules["f2lab.energy"], "additive_energy", refuse)
+    basis = F2Set(12, tuple(1 << i for i in range(12)))
+    assert full_sumset_energy(basis, 2, 2) == _krawtchouk_energy(12, 2, 2)
+    with pytest.raises(AssertionError, match="sumset was built"):
+        full_sumset_energy(F2Set(3, (1, 2, 3)), 1, 2)
+
+
+def test_full_sumset_energy_refuses_d_or_p_below_1():
+    for d, p in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError):
+            full_sumset_energy(F2Set(4, (1, 2, 4)), d, p)
+
+
+def test_krawtchouk_energy_at_a_thousand_elements():
+    # m = 1000 has no F2Set (n <= 30); the sum alone answers in milliseconds
+    q = math.comb(1000, 2)
+    t2 = _krawtchouk_energy(1000, 2, 2)
+    assert round(t2 / q**2, 3) == 14.952
+    assert _krawtchouk_energy(1000, 2, 1) == q  # T_1 = |Q| by orthogonality

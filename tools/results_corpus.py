@@ -18,8 +18,13 @@ coverage target of 1/2, and Lambdas that are not dissociated), and the
 `greedy`) or the permanent (`soph`), and `spectrum` and `energy --method
 conv` (k = 2..4) on sets at the 1- to 2-byte lane step, in F_2^1 and of the
 full group, and on sets of 63 and 2^10 points and the full group in F_2^13
-and F_2^14, whose transforms run in pieces.  Every config is generated from fixed seeds; errors are hashed
-as their type and message.
+and F_2^14, whose transforms run in pieces; the `diss`, `exact` and `dissd`
+families, the `full-sumset-lower` and `diss-energy` rows on dependent
+Lambdas (configs with command "row" call the checker directly, since no
+command takes a Lambda; the row's fields are hashed as strings with exit
+code 0), and `dissociate` with R = {0} and with larger R on independent,
+dependent and over-budget Lambdas.  Every config is generated from fixed
+seeds; errors are hashed as their type and message.
 """
 
 import hashlib
@@ -30,8 +35,9 @@ from functools import reduce
 from operator import xor
 
 sys.path.insert(0, sys.argv[1])
+from f2lab import bench  # noqa: E402
 from f2lab.cli import canonical_results, run_config  # noqa: E402
-from f2lab.core import F2Set, serialize_set  # noqa: E402
+from f2lab.core import F2Set, parse_set, serialize_set  # noqa: E402
 from f2lab.dissociation import random_dissociated  # noqa: E402
 
 PARAMS_CYCLE = [
@@ -43,6 +49,9 @@ PARAMS_CYCLE = [
 
 def run(config):
     try:
+        if config["command"] == "row":  # a checker on a given Lambda; no command takes one
+            rep = getattr(bench, config["check"])(parse_set(config["lambda_text"]), *config["args"])
+            return canonical_results({key: str(getattr(rep, key)) for key in rep.__slots__}), 0
         out = run_config(config)
         return canonical_results(out.results), out.exit_code
     except AssertionError as exc:
@@ -161,6 +170,35 @@ def configs():
             yield {"command": "spectrum", "set_text": text}
             for k in (2, 3, 4):
                 yield {"command": "energy", "set_text": text, "k": k, "method": "conv"}
+    # I. the families whose lhs is T_p of a full sumset or of a subset of one
+    for theorem in ("diss", "exact", "dissd"):
+        for seed in range(1, 11):
+            yield {"command": "bench", "theorem": theorem, "count": 20, "seed": seed}
+    # J. both rows on dependent Lambdas, which take `additive_energy`: a basis
+    # with the sum of its words (one relation, of weight 6 and 8), then
+    # m - r independent words and r sums of random subsets of them
+    lams = [F2Set(m - 1, tuple(1 << i for i in range(m - 1)) + ((1 << m - 1) - 1,)) for m in (6, 8)]
+    for n, base, sums in ((8, 7, 1), (9, 8, 1), (10, 8, 2), (12, 9, 2), (12, 10, 3), (13, 10, 1)):
+        indep = random_dissociated(n, base, seed=rng.randrange(1 << 30)).elems
+        extra = [reduce(xor, rng.sample(indep, rng.randint(2, base))) for _ in range(sums)]
+        lams.append(F2Set.from_bits(n, set(indep) | set(extra)))
+    for lam in lams:
+        text = serialize_set(lam)
+        for d, p in ((1, 2), (1, 3), (2, 2), (2, 3)):
+            yield {"command": "row", "check": "check_full_sumset_lower", "lambda_text": text, "args": (d, p)}
+        for p in (2, 3):
+            yield {"command": "row", "check": "check_diss_energy", "lambda_text": text, "args": (p,)}
+    # K. the family test with R = {0} and with a larger R, on independent,
+    # dependent and over-budget Lambdas (the budget is 5 000 000 subsets)
+    lams = [random_dissociated(n, m, seed=rng.randrange(1 << 30)) for n, m in ((8, 5), (16, 12), (30, 30))]
+    lams += [F2Set.from_bits(n, rng.sample(range(1, 1 << n), m)) for n, m in ((6, 7), (12, 14), (20, 100))]
+    for lam in lams:
+        rs = [F2Set(lam.dim, (0,)), F2Set.from_bits(lam.dim, [0] + rng.sample(range(1, 1 << lam.dim), 3))]
+        rs.append(F2Set.from_bits(lam.dim, [0] + rng.sample(range(1, 1 << lam.dim), min(200, (1 << lam.dim) - 1))))
+        for r in rs:
+            for k in (2, 4, len(lam)):
+                yield {"command": "dissociate", "set_text": serialize_set(lam), "k": k,
+                       "r_text": serialize_set(r)}
 
 
 def main():
