@@ -10,25 +10,32 @@ Exit codes: 0 all bounds hold / decided true, 1 any violation / false,
 internal invariant (a bug).
 
 Each handler imports the modules it runs, so a command loads only its own
-layer of f2lab at start-up.
+layer of f2lab at start-up, and `fractions` only where a rational is read.
+The argument list is read from one command table, `_COMMANDS`, which also
+renders `-h` and gives each config key its JSON type.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 import time
-from fractions import Fraction
+from itertools import islice
+from typing import TYPE_CHECKING
 
-from .core import BudgetError, F2Set, SetFileError, bits_to_string, parse_set, serialize_set
-from .exact import ExactnessError
+from .core import BudgetError, ExactnessError, F2Set, SetFileError, bits_to_string, parse_set, serialize_set
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 LEMMA_PER0_CELL_CAP = 16  # p*r cells of the exhaustive family: 3^16 matrices
 
 
 def parse_fraction(text: str) -> Fraction:
     """Exact "p/q" (or integer "p") rational parsing; floats rejected."""
+    from fractions import Fraction
+
     text = text.strip()
     if "." in text or "e" in text.lower():
         raise ValueError(f"rational required (p/q), got {text!r}")
@@ -96,19 +103,48 @@ class _Config(dict):
         raise ValueError(f"config lacks required key {key!r}")
 
 
-# The JSON type of each config key as the parser records it: inlined files,
-# rationals and choices are strings, integer flags are ints (never bools).
-_CONFIG_TYPES = {
-    **dict.fromkeys(
-        ("command", "set_text", "r_text", "matrix_text", "q_text", "lambda_text",
-         "report_text", "method", "theorem", "alpha", "delta", "noise"),
-        str,
-    ),
-    **dict.fromkeys(
-        ("k", "p", "r", "count", "seed", "d", "n", "h", "lsize", "lpsize", "lambda_size"), int
-    ),
-    "params": dict,
+# command -> (help, flags).  A flag is (name, config key, kind, default): the
+# kind is str, int or a tuple of choices, and the default ... marks a
+# required flag and None one left out of the config when not given.  A
+# name without dashes is the positional argument; a key of two words takes
+# two values.  File flags' keys end in `_text`; `out` is an output path.
+_MATRIX = ("--matrix", "matrix_text", str, ...)
+_SEED = ("--seed", "seed", int, 0)
+_COMMANDS = {
+    "energy": ("additive energy of a set", (
+        ("--set", "set_text", str, ...), ("--k", "k", int, ...),
+        ("--method", "method", ("brute", "spectral", "conv", "all"), "all"))),
+    "spectrum": ("Fourier table dump (--out, CSV) and large spectrum above --alpha p/q", (
+        ("--set", "set_text", str, ...), ("--alpha", "alpha", str, None), ("--out", "out", str, None))),
+    "dissociate": ("family membership test", (
+        ("--check", "set_text", str, ...), ("--k", "k", int, ...), ("--R", "r_text", str, None))),
+    "permanent": ("exact permanent of a matrix file", (_MATRIX,)),
+    "fk-test": ("zero-permanent certificate", (_MATRIX,)),
+    "lemma-per0": ("exhaustive reduced-permanent family", (("--exhaustive", "p r", int, ...),)),
+    "bench": ("theorem sweep of a seeded family, or majority (one instance at --n)", (
+        ("--theorem", "theorem", str, ...), ("--count", "count", int, 20), _SEED,
+        ("--delta", "delta", str, "1/64"), ("--d", "d", int, 1), ("--n", "n", int, None),
+        ("--out", "out", str, None))),
+    "extract": ("rectangle extraction pipeline; --params is a JSON object of overrides", (
+        ("--q", "q_text", str, ...), ("--lambda", "lambda_text", str, ...), ("--d", "d", int, 2),
+        ("--p", "p", int, 2), _SEED, ("--params", "params", str, None))),
+    "plant": ("planted-instance generator", (
+        ("--h", "h", int, ...), ("--lsize", "lsize", int, ...), ("--lpsize", "lpsize", int, ...),
+        ("--noise", "noise", str, "0"), _SEED, ("--n", "n", int, 18),
+        ("--lambda-size", "lambda_size", int, 16), ("--out-prefix", "out", str, None))),
+    "replay": ("re-run a recorded report", (("REPORT", "report_text", str, ...),)),
 }
+_REPORT = ("--report", "report_out", str, None)  # every command writes its JSON report here
+# The JSON type of each config key as `parse_argv` records it: inlined files,
+# rationals and choices are strings, integer flags are ints (never bools),
+# and `params` is the decoded JSON object.
+_CONFIG_TYPES = {
+    key: int if kind is int else str
+    for _, flags in _COMMANDS.values()
+    for _, keys, kind, _ in flags
+    for key in keys.split()
+    if key != "out"
+} | {"command": str, "params": dict}
 _TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object"}
 
 
@@ -295,6 +331,8 @@ def _cmd_bench(config: dict) -> Outcome:
 def _extract_params(config: dict):
     """The InverseParams of a config.  Overrides name its fields; each value
     has its default's JSON type, except that rationals are "p/q" strings."""
+    from fractions import Fraction
+
     from .inverse import InverseParams
 
     kwargs = {"p": config.get("p", 2), "seed": config.get("seed", 0)}
@@ -312,11 +350,12 @@ def _extract_params(config: dict):
 
 
 def _params_resolved(params) -> dict:
-    """Every pipeline parameter, defaults included, for the report."""
+    """Every pipeline parameter, defaults included, for the report; the
+    rationals (every value not an int or a bool) as "p/q" strings."""
     out = {}
     for name in params.DEFAULTS:
         val = getattr(params, name)
-        out[name] = str(val) if isinstance(val, Fraction) else val
+        out[name] = val if isinstance(val, int) else str(val)
     return out
 
 
@@ -329,6 +368,8 @@ def _rectangle_json(rect, dim: int) -> dict:
 
 
 def _cmd_extract(config: dict) -> Outcome:
+    from fractions import Fraction
+
     from .inverse import extract_rectangles_d
 
     q = parse_set(config["q_text"])
@@ -445,79 +486,27 @@ def execute(config: dict, out_path: str | None = None) -> tuple[dict, int]:
 # argument parsing
 
 
-class _Parser(argparse.ArgumentParser):
-    """Refuses a malformed argument list as every other input error is
-    refused: `main` prints one JSON error object and exits 2.  The parser
-    of each command is of this class too (argparse builds subparsers with
-    the class of their parent)."""
-
-    def error(self, message: str):
-        raise ValueError(f"{self.prog}: {message}")
+_HELP = ("-h", "--help")
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's: such a token is a value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Every flag's dest is its config key; file flags end in `_text`."""
-    parser = _Parser(prog="f2lab", description="Exact additive-combinatorics toolkit for F_2^n")
-    sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--report", dest="report_out", help="write the JSON report here")
-    matrix = argparse.ArgumentParser(add_help=False)
-    matrix.add_argument("--matrix", dest="matrix_text", metavar="MATRIX", required=True)
-
-    def command(name: str, help: str, *extra) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help, parents=[common, *extra])
-
-    p_energy = command("energy", "additive energy of a set")
-    p_energy.add_argument("--set", dest="set_text", metavar="SET", required=True)
-    p_energy.add_argument("--k", type=int, required=True)
-    p_energy.add_argument("--method", choices=("brute", "spectral", "conv", "all"), default="all")
-
-    p_spec = command("spectrum", "Fourier table dump and large spectrum")
-    p_spec.add_argument("--set", dest="set_text", metavar="SET", required=True)
-    p_spec.add_argument("--alpha", help="threshold as exact rational p/q")
-    p_spec.add_argument("--out", help="CSV output path")
-
-    p_diss = command("dissociate", "family membership test")
-    p_diss.add_argument("--check", dest="set_text", metavar="CHECK", required=True)
-    p_diss.add_argument("--k", type=int, required=True)
-    p_diss.add_argument("--R", dest="r_text", metavar="RFILE")
-
-    command("permanent", "exact permanent of a matrix file", matrix)
-    command("fk-test", "zero-permanent certificate", matrix)
-
-    p_l0 = command("lemma-per0", "exhaustive reduced-permanent family")
-    p_l0.add_argument("--exhaustive", nargs=2, type=int, metavar=("P", "R"), required=True)
-
-    p_bench = command("bench", "theorem sweep")
-    p_bench.add_argument("--theorem", required=True, help="a seeded family, or majority")
-    p_bench.add_argument("--count", type=int, default=20)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--delta", default="1/64")
-    p_bench.add_argument("--d", type=int, default=1)
-    p_bench.add_argument("--n", type=int, help="single majority instance at this n")
-    p_bench.add_argument("--out", help="CSV output path")
-
-    p_ext = command("extract", "rectangle extraction pipeline")
-    p_ext.add_argument("--q", dest="q_text", metavar="Q", required=True)
-    p_ext.add_argument("--lambda", dest="lambda_text", metavar="LAM", required=True)
-    p_ext.add_argument("--d", type=int, default=2)
-    p_ext.add_argument("--p", type=int, default=2)
-    p_ext.add_argument("--seed", type=int, default=0)
-    p_ext.add_argument("--params", help="JSON object of parameter overrides")
-
-    p_plant = command("plant", "planted-instance generator")
-    p_plant.add_argument("--h", type=int, required=True)
-    p_plant.add_argument("--lsize", type=int, required=True)
-    p_plant.add_argument("--lpsize", type=int, required=True)
-    p_plant.add_argument("--noise", default="0")
-    p_plant.add_argument("--seed", type=int, default=0)
-    p_plant.add_argument("--n", type=int, default=18)
-    p_plant.add_argument("--lambda-size", type=int, default=16)
-    p_plant.add_argument("--out-prefix", dest="out", metavar="PREFIX")
-
-    p_replay = command("replay", "re-run a recorded report")
-    p_replay.add_argument("report_text", metavar="REPORT")
-    return parser
+def _usage(command: str | None) -> str:
+    """The help text, rendered from the command table: an optional flag
+    shows its default, if it has one, in place of its value."""
+    if command is None:
+        lines = [f"  {name:<12}{help}" for name, (help, _) in _COMMANDS.items()]
+        return "\n".join(["usage: f2lab [-h] COMMAND ...", "", "commands:", *lines])
+    help, flags = _COMMANDS[command]
+    usage = [f"usage: f2lab {command} [-h]"]
+    for name, key, kind, default in (*flags, _REPORT):
+        value = name[2:].upper() if default in (None, ...) else default
+        if isinstance(kind, tuple):
+            value = "{%s}" % ",".join(kind)
+        elif " " in key:
+            value = key.upper()
+        flag = f"{name} {value}" if name[0] == "-" else name
+        usage.append(flag if default is ... else f"[{flag}]")
+    return f"{' '.join(usage)}\n\n{help}"
 
 
 def _read(path: str) -> str:
@@ -525,27 +514,81 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-_OUTPUT_DESTS = ("report_out", "out")
+def parse_argv(argv: list[str]) -> tuple[dict, str | None, str | None]:
+    """(config, output path, report path) of an argument list.  The config
+    holds every given or defaulted flag under its key, output paths excepted,
+    with each `*_text` path replaced by the file's contents.
 
+    `--flag value` and `--flag=value` are one; the last of a repeated flag
+    wins.  A token is a flag if it names one (before any "="), or else if it
+    starts with "-" and is not "-", a negative number or a word with a space,
+    which argparse reads as values.  A malformed list is a ValueError; -h
+    prints the usage and raises SystemExit(0)."""
+    if argv[:1] and argv[0] in _HELP:
+        print(_usage(None))
+        raise SystemExit(0)
+    if not argv or argv[0] not in _COMMANDS:
+        got = f", got {argv[0]!r}" if argv else ""
+        raise ValueError(f"f2lab: expected a command ({', '.join(_COMMANDS)}){got}")
+    command, tokens = argv[0], iter(argv[1:])
+    prog = f"f2lab {command}"
+    specs = (*_COMMANDS[command][1], _REPORT)
+    flags = {spec[0]: spec for spec in specs if spec[0][0] == "-"}
+    positional = [spec for spec in specs if spec[0][0] != "-"]
 
-def config_from_args(args: argparse.Namespace) -> dict:
-    """Every given flag under its dest, output paths excepted, with each
-    `*_text` path replaced by the file's contents."""
-    config = {k: v for k, v in vars(args).items() if v is not None and k not in _OUTPUT_DESTS}
+    def is_flag(token: str) -> bool:
+        dashed = token[:1] == "-" and token != "-" and " " not in token
+        return token.partition("=")[0] in flags or dashed and not _NEGATIVE_NUMBER.match(token)
+
+    given = {}
+    for token in tokens:
+        if token in _HELP:
+            print(_usage(command))
+            raise SystemExit(0)
+        if not is_flag(token):
+            if not positional:
+                raise ValueError(f"{prog}: unrecognized argument {token!r}")
+            spec, values = positional.pop(0), [token]
+        else:
+            name, eq, value = token.partition("=")
+            if name not in flags:
+                raise ValueError(f"{prog}: unrecognized argument {token!r}")
+            spec = flags[name]
+            count = len(spec[1].split())
+            values = [value] if eq else list(islice(tokens, count))
+            if len(values) != count or not eq and any(map(is_flag, values)):
+                raise ValueError(f"{prog}: argument {name}: expected {count} value(s)")
+        name, keys, kind, _ = spec
+        for key, value in zip(keys.split(), values):
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise ValueError(f"{prog}: argument {name}: invalid int value {value!r}") from None
+            elif kind is not str and value not in kind:
+                raise ValueError(f"{prog}: argument {name}: {value!r} is not one of {kind}")
+            given[key] = value
+    config = {"command": command}
+    for name, keys, _, default in specs:
+        for key in keys.split():
+            value = given.get(key, default)
+            if value is ...:
+                raise ValueError(f"{prog}: the argument {name} is required")
+            if value is not None:
+                config[key] = value
+    out, report_out = config.pop("out", None), config.pop("report_out", None)
     for key in config:
         if key.endswith("_text"):
             config[key] = _read(config[key])
-    if "exhaustive" in config:
-        config["p"], config["r"] = config.pop("exhaustive")
     if "params" in config:
         config["params"] = _load_json(config["params"])
-    return config
+    return config, out, report_out
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        report, exit_code = execute(config_from_args(args), getattr(args, "out", None))
+        config, out_path, report_path = parse_argv(sys.argv[1:] if argv is None else argv)
+        report, exit_code = execute(config, out_path)
     except (SetFileError, BudgetError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
@@ -553,8 +596,8 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": f"internal invariant failed: {exc}"}), file=sys.stderr)
         return 3
     text = json.dumps(report, indent=2, sort_keys=True)
-    if args.report_out:
-        with open(args.report_out, "w", encoding="ascii") as fh:
+    if report_path:
+        with open(report_path, "w", encoding="ascii") as fh:
             fh.write(text + "\n")
     print(text)
     return exit_code

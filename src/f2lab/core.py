@@ -29,6 +29,10 @@ class BudgetError(RuntimeError):
     """An exact enumeration would exceed its documented budget."""
 
 
+class ExactnessError(ArithmeticError):
+    """An exact computation failed to resolve (divisibility, bracketing)."""
+
+
 def _check_dim(dim: int) -> None:
     if not 1 <= dim <= MAX_DIM:
         raise DimensionError(f"dimension {dim} outside 1..{MAX_DIM}")

@@ -16,9 +16,8 @@ from math import comb, prod
 from operator import mul, xor
 from typing import Optional, Sequence
 
-from .core import BudgetError, DimensionError, F2Set, distinct_sumset_power
+from .core import BudgetError, DimensionError, ExactnessError, F2Set, distinct_sumset_power
 from .dissociation import _extend_basis, is_dissociated
-from .exact import ExactnessError
 from .wht import IntFunction, inverse_wht, spectrum_of_set, wht
 
 BRUTE_BUDGET = 10**8

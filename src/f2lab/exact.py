@@ -20,10 +20,6 @@ EULER_LO = Fraction(27182818284590452353602874713526624977, 10**37)
 EULER_HI = Fraction(27182818284590452353602874713526624978, 10**37)
 
 
-class ExactnessError(ArithmeticError):
-    """An exact computation failed to resolve (divisibility, bracketing)."""
-
-
 def iroot(n: int, k: int) -> int:
     """Floor of the k-th root of a nonnegative integer."""
     if n < 0:

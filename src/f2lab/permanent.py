@@ -26,8 +26,7 @@ from math import comb, factorial, prod
 from operator import add, mul, xor
 from typing import Optional
 
-from .core import BudgetError, Value
-from .exact import ExactnessError
+from .core import BudgetError, ExactnessError, Value
 
 PERMANENT_BUDGET = 1 << 22  # units of the walk taken: min(y 2^(x-1), 2^(y-1))
 BLOCK_BITS = 8  # Nijenhuis-Wilf takes the subsets of its last BLOCK_BITS columns as one block

@@ -9,13 +9,14 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import deque
-from fractions import Fraction
 from itertools import repeat
 from operator import setitem
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .core import BudgetError, DimensionError, F2Set, Value
-from .exact import ExactnessError
+from .core import BudgetError, DimensionError, ExactnessError, F2Set, Value
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 WHT_DIM_CAP = 26  # full tables above 2^26 entries are out of desk scale
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import f2lab
-from f2lab import bench, cli, core, energy, exact, inverse, wht
+from f2lab import bench, cli, core, energy, inverse, wht
 from f2lab.cli import (
     canonical_results,
     execute,
@@ -377,7 +377,7 @@ def test_plant_bad_noise_exit2(tmp_path, capsys, noise):
     "exc, code, prefix",
     [
         (AssertionError, 3, "internal invariant failed: "),
-        (exact.ExactnessError, 3, "internal invariant failed: "),
+        (core.ExactnessError, 3, "internal invariant failed: "),
         (RuntimeError, 3, "internal invariant failed: "),
         (core.BudgetError, 2, ""),  # a RuntimeError, but a refusal, not a bug
     ],
@@ -531,32 +531,42 @@ def test_console_entrypoint_subprocess(tmp_path):
     assert json.loads(proc.stdout)["results"]["value"] == 21
 
 
-BASE_LAYER = {"cli", "core", "exact"}
+BASE_LAYER = {"cli", "core"}
 PERMANENT_LAYER = BASE_LAYER | {"permanent"}
 ENERGY_LAYER = BASE_LAYER | {"wht", "dissociation", "energy"}
 INVERSE_LAYER = ENERGY_LAYER | {"inverse"}
-EVERY_MODULE = INVERSE_LAYER | PERMANENT_LAYER | {"bench"}
+EVERY_MODULE = INVERSE_LAYER | PERMANENT_LAYER | {"bench", "exact"}
 MAIN_THEN_MODULES = (
     "import json, sys\n"
     "from f2lab import cli\n"
     "code = cli.main(sys.argv[1:])\n"
     "print(json.dumps([code, sorted(sys.modules)]))\n"
 )
-LAYER_CASES = [
-    (["energy", "--set", "{set}", "--k", "2"], ENERGY_LAYER, set()),
-    (["spectrum", "--set", "{set}", "--alpha", "1/4"], BASE_LAYER | {"wht"}, {"hashlib"}),
-    (["dissociate", "--check", "{set}", "--k", "2"], BASE_LAYER | {"dissociation"}, set()),
-    (["permanent", "--matrix", "{matrix}"], PERMANENT_LAYER, set()),
-    (["fk-test", "--matrix", "{matrix}"], PERMANENT_LAYER, set()),
-    (["lemma-per0", "--exhaustive", "2", "2"], PERMANENT_LAYER, set()),
-    (["bench", "--theorem", "diss", "--count", "1"], EVERY_MODULE, {"csv"}),
-    (["extract", "--q", "{q}", "--lambda", "{set}"], INVERSE_LAYER, set()),
-    (["plant", "--h", "1", "--lsize", "3", "--lpsize", "3"], INVERSE_LAYER, set()),
-    (["replay", "{report}"], PERMANENT_LAYER, set()),  # a permanent report
-]
+# The standard modules a command may pay for: no command loads argparse,
+# gettext or locale, and fractions (with its decimal) only loads where a
+# rational is read
+RATIONAL = {"fractions", "decimal"}
+HEAVY = {"dataclasses", "inspect", "hashlib", "csv", "argparse", "gettext", "locale", *RATIONAL}
+LAYER_CASES = {
+    "energy": (["energy", "--set", "{set}", "--k", "2"], ENERGY_LAYER, set()),
+    "spectrum": (
+        ["spectrum", "--set", "{set}", "--alpha", "1/4"], BASE_LAYER | {"wht"}, {"hashlib", *RATIONAL}
+    ),
+    "spectrum-no-alpha": (["spectrum", "--set", "{set}"], BASE_LAYER | {"wht"}, {"hashlib"}),
+    "dissociate": (
+        ["dissociate", "--check", "{set}", "--k", "2"], BASE_LAYER | {"dissociation"}, set()
+    ),
+    "permanent": (["permanent", "--matrix", "{matrix}"], PERMANENT_LAYER, set()),
+    "fk-test": (["fk-test", "--matrix", "{matrix}"], PERMANENT_LAYER, set()),
+    "lemma-per0": (["lemma-per0", "--exhaustive", "2", "2"], PERMANENT_LAYER, set()),
+    "bench": (["bench", "--theorem", "diss", "--count", "1"], EVERY_MODULE, {"csv", *RATIONAL}),
+    "extract": (["extract", "--q", "{q}", "--lambda", "{set}"], INVERSE_LAYER, RATIONAL),
+    "plant": (["plant", "--h", "1", "--lsize", "3", "--lpsize", "3"], INVERSE_LAYER, RATIONAL),
+    "replay": (["replay", "{report}"], PERMANENT_LAYER, set()),  # a permanent report
+}
 
 
-@pytest.mark.parametrize("args, layer, heavy", LAYER_CASES, ids=[case[0][0] for case in LAYER_CASES])
+@pytest.mark.parametrize("args, layer, heavy", LAYER_CASES.values(), ids=list(LAYER_CASES))
 def test_each_command_loads_only_its_own_layer(tmp_path, args, layer, heavy):
     # every command pays its imports at start-up; -S keeps the environment's
     # site-packages, which may import anything, out of the check
@@ -578,7 +588,7 @@ def test_each_command_loads_only_its_own_layer(tmp_path, args, layer, heavy):
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
     assert {m[len("f2lab."):] for m in modules if m.startswith("f2lab.")} == layer
-    assert {"dataclasses", "inspect", "hashlib", "csv"} & set(modules) == heavy
+    assert HEAVY & set(modules) == heavy
 
 
 @pytest.mark.parametrize(
@@ -892,8 +902,10 @@ def test_config_from_args_pins_keys(tmp_path, command):
         "MAT": write(tmp_path, "m.mat", MATRIX_ALL_ONES),
         "OUT": str(tmp_path / "out"),
     }
-    args = cli.build_parser().parse_args([paths.get(a, a) for a in argv])
-    assert cli.config_from_args(args) == expected
+    config, out, report_out = cli.parse_argv([paths.get(a, a) for a in argv])
+    assert config == expected
+    assert report_out == paths["OUT"]
+    assert out == (paths["OUT"] if command in ("spectrum", "bench", "plant") else None)
 
 
 def test_config_types_cover_every_parser_key():

@@ -10,7 +10,10 @@ caps are patched small so that their refusals are reached at desk scale.
 Those properties pass each value as `--flag=value`, so that a value
 starting with "-" is not read as a flag; the argument lists themselves are
 fuzzed apart, with values as separate arguments and flags dropped or
-repeated, since a malformed list is an input error like any other.
+repeated, since a malformed list is an input error like any other.  The
+grammar of a list is pinned too: `--flag=value` is `--flag value`, the last
+of a repeated flag wins, a negative number is a value, and `-h` lists every
+flag of a command's table entry.
 """
 
 import io
@@ -23,8 +26,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from f2lab import dissociation, inverse, permanent, wht
-from f2lab.cli import execute, main
+from f2lab import cli, dissociation, inverse, permanent, wht
+from f2lab.cli import execute, main, parse_argv
 from f2lab.inverse import InverseParams
 
 FUZZ = settings(
@@ -278,8 +281,8 @@ def test_argument_lists_keep_the_exit_contract(files, command, data):
 
 @pytest.mark.parametrize(
     "argv",
-    [["spectrum", "--set", "SET", "--alpha", "-1/2"], ["energy", "--set", "SET"], ["nosuch"]],
-    ids=["value-like-a-flag", "missing-required-flag", "unknown-command"],
+    [["spectrum", "--set", "SET", "--alpha", "-1/2"], ["energy", "--set", "SET"], ["nosuch"], []],
+    ids=["value-like-a-flag", "missing-required-flag", "unknown-command", "empty"],
 )
 def test_malformed_argument_list_is_one_json_error(files, argv):
     path = files("basis.set", BASIS4)
@@ -291,9 +294,55 @@ def test_malformed_argument_list_is_one_json_error(files, argv):
     assert list(error) == ["error"] and error["error"].startswith("f2lab")
 
 
-@pytest.mark.parametrize("argv", [["-h"], ["spectrum", "-h"]])
-def test_help_still_prints_usage_and_exits_0(argv):
+def run_help(argv: list[str]) -> str:
     out = io.StringIO()
     with redirect_stdout(out), pytest.raises(SystemExit) as stop:
         main(argv)
-    assert stop.value.code == 0 and out.getvalue().startswith("usage: f2lab")
+    assert stop.value.code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["spectrum", "-h"]])
+def test_help_still_prints_usage_and_exits_0(argv):
+    assert run_help(argv).startswith("usage: f2lab")
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_command_help_lists_every_flag_of_its_table_entry(command):
+    text = run_help([command, "-h"])
+    usage, _, help = text.splitlines()
+    assert usage.startswith(f"usage: f2lab {command} [-h] ") and help == cli._COMMANDS[command][0]
+    words = {word.strip("[]") for word in usage.split()}
+    for name, *_ in (*cli._COMMANDS[command][1], cli._REPORT):
+        assert name in words, name
+    assert run_help([command, "--help"]) == text
+    assert command in run_help(["--help"])
+
+
+def test_flag_equals_value_gives_the_same_config(files):
+    q, lam = files("q.set", "4\n1100\n1010\n0110\n"), files("l.set", BASIS4)
+    spaced = ["extract", "--q", q, "--lambda", lam, "--d", "3", "--p", "-1", "--params",
+              '{"depth": 1}', "--report", "r.json"]
+    joined = ["extract", f"--q={q}", f"--lambda={lam}", "--d=3", "--p=-1", '--params={"depth": 1}',
+              "--report=r.json"]
+    assert parse_argv(spaced) == parse_argv(joined)
+    assert parse_argv(spaced)[0] == {"command": "extract", "q_text": "4\n1100\n1010\n0110\n",
+                                     "lambda_text": BASIS4, "d": 3, "p": -1, "seed": 0,
+                                     "params": {"depth": 1}}
+
+
+def test_a_repeated_flag_keeps_its_last_value(files):
+    path = files("basis.set", BASIS4)
+    argv = ["energy", "--set", "nosuch.set", "--k", "5", "--method", "brute", "--set", path,
+            "--k=2", "--method=conv", "--report", "a.json", "--report=b.json"]
+    config, out, report_out = parse_argv(argv)
+    assert config == {"command": "energy", "set_text": BASIS4, "k": 2, "method": "conv"}
+    assert (out, report_out) == (None, "b.json")
+
+
+def test_a_negative_int_reaches_the_handler(files):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["dissociate", "--check", files("basis.set", BASIS4), "--k", "-3"])
+    assert code == 2 and out.getvalue() == ""
+    assert json.loads(err.getvalue()) == {"error": "weight cap k must be >= 1"}

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f2lab.cli import execute
-from f2lab.core import BudgetError, F2Set
-from f2lab.exact import ExactnessError
+from f2lab.core import BudgetError, ExactnessError, F2Set
 from f2lab.wht import (
     IntFunction,
     inverse_wht,

@@ -25,17 +25,31 @@ command takes a Lambda; the row's fields are hashed as strings with exit
 code 0), and `dissociate` with R = {0} and with larger R on independent,
 dependent and over-budget Lambdas.  Every config is generated from fixed
 seeds; errors are hashed as their type and message.
+
+Last come argument lists, run through `cli.main` over files written to a
+temporary directory: every flag of every command, in the `--flag value`
+and the `--flag=value` form, repeated flags, negative ints, a CRLF set
+file, the benchmark's command shapes and malformed lists.  For each the
+report's command, config and results are hashed (never its `meta`, which
+holds the run time), with the exit code and whether stdout is the report
+at `indent=2, sort_keys`; a list that prints no report, an input error,
+hashes its exit code and its empty stdout, not the message on stderr.
 """
 
 import hashlib
+import io
 import itertools
+import json
+import os
 import random
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from functools import reduce
 from operator import xor
 
 sys.path.insert(0, sys.argv[1])
-from f2lab import bench  # noqa: E402
+from f2lab import bench, cli  # noqa: E402
 from f2lab.cli import canonical_results, run_config  # noqa: E402
 from f2lab.core import F2Set, parse_set, serialize_set  # noqa: E402
 from f2lab.dissociation import random_dissociated  # noqa: E402
@@ -201,16 +215,137 @@ def configs():
                        "r_text": serialize_set(r)}
 
 
+def run_argv(argv):
+    """A report's command, config and results (never its meta) and the exit
+    code of `cli.main`; a list that prints no report hashes its empty stdout."""
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    except Exception as exc:  # noqa: BLE001  (an escaped exception is a crash)
+        return "CRASH " + type(exc).__name__, 3
+    text = out.getvalue()
+    if not text:
+        return "", code
+    report = json.loads(text)
+    layout = "" if text == json.dumps(report, indent=2, sort_keys=True) + "\n" else "UNSORTED "
+    del report["meta"]
+    return layout + canonical_results(report), code
+
+
+def argv_lists(root):
+    """L. argument lists over files written to `root`: every flag of every
+    command, in the `--flag value` and the `--flag=value` form, repeated
+    flags, negative ints, the benchmark's command shapes and malformed lists.
+    A plant writes the Q and Lambda that the extractions after it read."""
+
+    def write(name, text):
+        path = os.path.join(root, name)
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+        return path
+
+    def both(command, *pairs):
+        """The list with each (flag, value) as two tokens, then as one."""
+        yield [command, *itertools.chain(*pairs)]
+        yield [command, *(f"{flag}={value}" for flag, value in pairs)]
+
+    rng = random.Random(34)
+    a = write("a.set", serialize_set(F2Set.from_bits(6, rng.sample(range(64), 20))))
+    basis = write("basis.set", serialize_set(F2Set(6, tuple(1 << i for i in range(6)))))
+    crlf = write("crlf.set", serialize_set(F2Set(6, (3, 5, 6, 9))).replace("\n", "\r\n"))
+    r = write("r.set", serialize_set(F2Set.from_bits(6, [0, *rng.sample(range(1, 64), 3)])))
+    mats = [write(f"m{i}.mat", text) for i, text in enumerate(
+        ("3 4\n1 2 0 1\n0 1 3 1\n2 0 1 1\n", "2 5\n1 0 1 1 2\n0 3 1 0 1\n", "2 2\n0 0\n1 1\n"))]
+    report = {"config": {"command": "permanent", "matrix_text": "2 3\n1 1 1\n1 1 1\n"},
+              "results": {"permanent": 6, "x": 2, "y": 3}}
+    rep = write("rep.json", json.dumps(report))
+    report["results"]["permanent"] = 7
+    wrong = write("wrong.json", json.dumps(report))
+    out = os.path.join(root, "out")
+    for method in ("brute", "spectral", "conv", "all"):
+        yield from both("energy", ("--set", a), ("--k", "2"), ("--method", method))
+    yield from both("energy", ("--set", basis), ("--k", "3"), ("--report", out))
+    yield from both("energy", ("--set", a), ("--k", "-3"))
+    yield ["energy", "--set", crlf, "--k", "2"]  # the config inlines the text with "\n" line ends
+    yield ["energy", "--k", "5", "--set", "nosuch.set", "--method", "brute", "--k", "2",
+           "--set", a, "--method=conv"]
+    yield from both("spectrum", ("--set", a))
+    yield ["spectrum", "--set", a, "--alpha", "1/8"]  # the benchmark's shapes, as `transform` runs them
+    for method, k in (("spectral", "2"), ("conv", "3")):
+        yield ["energy", "--set", a, "--method", method, "--k", k]
+    for alpha in ("1/4", "3/16", "1", "0", "-1/2"):
+        yield from both("spectrum", ("--set", a), ("--alpha", alpha), ("--out", out))
+    yield ["spectrum", "--set", basis, "--set", a, "--alpha", "1/2", "--alpha=1/8"]
+    for k in ("2", "6", "-3"):
+        yield from both("dissociate", ("--check", basis), ("--k", k))
+        yield from both("dissociate", ("--check", a), ("--k", k), ("--R", r), ("--report", out))
+    for mat in mats:
+        yield from both("permanent", ("--matrix", mat))
+        yield from both("fk-test", ("--matrix", mat), ("--report", out))
+    for p, q in (("2", "2"), ("2", "3"), ("3", "4"), ("1", "3"), ("-1", "2")):
+        yield ["lemma-per0", "--exhaustive", p, q]
+    yield ["lemma-per0", "--exhaustive", "2", "2", "--report", out, "--exhaustive", "1", "2"]
+    for theorem in ("chang", "diss", "dissd", "exact", "maing", "bourgain"):
+        yield ["bench", "--theorem", theorem, "--count", "2", "--seed", str(rng.randrange(1 << 30))]
+    yield ["bench", "--theorem", "majority", "--delta", "1/64"]
+    yield from both("bench", ("--theorem", "majority"), ("--delta", "1/32"), ("--d", "2"),
+                    ("--n", "8"), ("--out", out), ("--report", out))
+    for count, seed in (("3", "-5"), ("-2", "1"), ("1", "7")):
+        yield from both("bench", ("--theorem", "soph"), ("--count", count), ("--seed", seed))
+    yield ["bench", "--theorem", "diss", "--seed", "1", "--count", "1", "--seed=2"]
+    yield from both("bench", ("--theorem", "majority"), ("--n", "-4"))
+    prefix = os.path.join(root, "inst")
+    yield from both("plant", ("--h", "2"), ("--lsize", "3"), ("--lpsize", "3"), ("--noise", "1/10"),
+                    ("--seed", "5"), ("--n", "14"), ("--lambda-size", "12"), ("--out-prefix", prefix))
+    yield from both("plant", ("--h", "1"), ("--lsize", "2"), ("--lpsize", "3"), ("--seed", "-7"))
+    yield ["plant", "--h", "1", "--lsize", "3", "--lpsize", "3", "--noise=-1/2"]
+    q, lam = prefix + "_q.set", prefix + "_lambda.set"
+    yield ["extract", "--q", q, "--lambda", lam, "--d", "2", "--p", "2", "--seed", "11"]
+    yield from both("extract", ("--q", q), ("--lambda", lam), ("--d", "2"), ("--p", "3"),
+                    ("--seed", "-1"), ("--params", '{"depth": 1, "zeta": "1/2"}'), ("--report", out))
+    for d, p in (("3", "2"), ("-1", "2"), ("2", "-1")):
+        yield from both("extract", ("--q", q), ("--lambda", lam), ("--d", d), ("--p", p))
+    yield ["extract", "--q", q, "--lambda", lam, "--params", '{"depth": 1}', "--params", "{}"]
+    for path in (rep, wrong):
+        yield ["replay", path]
+        yield ["replay", "--report", out, path]
+    # malformed lists: each is an input error, exit 2 with nothing on stdout
+    yield []
+    yield ["nosuch"]
+    yield ["energy"]
+    yield ["energy", "--set", a]
+    yield ["energy", "--set", a, "--k"]
+    yield ["energy", "--set", a, "--k", "x"]
+    yield ["energy", "--set", a, "--k", "2", "--method", "fast"]
+    yield ["energy", "--set", a, "--k", "2", "--bogus", "1"]
+    yield ["energy", "--set", a, "--k", "2", "--report"]
+    yield ["energy", "--set", a, "--k", "2", "stray"]
+    yield ["spectrum", "--set", a, "--alpha", "-1/2"]
+    yield ["lemma-per0", "--exhaustive", "2"]
+    yield ["lemma-per0", "--exhaustive=2"]
+    yield ["replay"]
+    yield ["replay", rep, wrong]
+    yield ["permanent", "--matrix", mats[0], "--matrix"]
+
+
 def main():
     h = hashlib.sha256()
     n = 0
     lines = []
-    for config in configs():
-        text, code = run(config)
+
+    def add(name, text, code):
+        nonlocal n
         digest = hashlib.sha256(f"{text}\n{code}".encode()).hexdigest()
         h.update(f"{digest}\n".encode())
-        lines.append(f"{n} {config['command']} {code} {digest[:16]}")
+        lines.append(f"{n} {name} {code} {digest[:16]}")
         n += 1
+
+    for config in configs():
+        add(config["command"], *run(config))
+    with tempfile.TemporaryDirectory() as root:
+        for argv in argv_lists(root):
+            add("argv:" + (argv[0] if argv else ""), *run_argv(argv))
     if "--list" in sys.argv:
         print("\n".join(lines))
     print(n, h.hexdigest())
