@@ -173,20 +173,19 @@ def check_sumset_energy(q: F2Set, lam: F2Set, d: int, p: int) -> BoundReport:
 
 def check_full_sumset_lower(lam1: F2Set, d: int, p: int) -> BoundReport:
     """T_p of the full d-fold distinct sumset is at least
-    2^(-3pd) p^(pd) |Q|^p, plus the exact factorial intermediate bound."""
+    2^(-3pd) p^(pd) |Q|^p, plus the exact factorial intermediate bound.
+    In the weight-2d family two d-subsets with one sum would give a relation
+    of weight at most 2d, so |Q| = C(|Lambda_1|, d)."""
     name = "full-sumset-lower"
     inst = f"n={lam1.dim} |L1|={len(lam1)} d={d} p={p}"
     if refused := _family_refusal(name, inst, lam1, 2 * d):
         return refused
     if 2 * d * p > len(lam1):
         return _precondition_failed(name, inst, "p > |Lambda_1|/(2d)")
-    q = distinct_sumset_power(lam1, d)
-    if len(q) != comb(len(lam1), d):
-        return _precondition_failed(name, inst, "sumset collision (family bug)")
     lhs = full_sumset_energy(lam1, d, p)
     ways = factorial(p * d) // factorial(d) ** p
     intermediate = comb(len(lam1), p * d) * ways * ways
-    rhs = Fraction(p ** (p * d) * len(q) ** p, 2 ** (3 * p * d))
+    rhs = Fraction(p ** (p * d) * comb(len(lam1), d) ** p, 2 ** (3 * p * d))
     if lhs < intermediate:
         return _finish(name, inst, lhs, intermediate, "ge", "intermediate bound failed")
     return _finish(name, inst, lhs, rhs, "ge", f"intermediate={intermediate}")

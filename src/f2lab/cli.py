@@ -11,8 +11,11 @@ internal invariant (a bug).
 
 Each handler imports the modules it runs, so a command loads only its own
 layer of f2lab at start-up, and `fractions` only where a rational is read.
-The argument list is read from one command table, `_COMMANDS`, which also
-renders `-h` and gives each config key its JSON type.
+One command table, `_COMMANDS`, describes every command: its help, its flags
+with their defaults, and its handler.  The argument list is read from it,
+`-h` is rendered from it, each config key takes its JSON type from it, and
+`run_config` completes a copy of a config, a replayed one too, with its
+defaults before the handler reads it.
 """
 
 from __future__ import annotations
@@ -95,84 +98,12 @@ class Outcome:
         self.side_files = side_files or {}
 
 
-class _Config(dict):
-    """A configuration whose missing required key is an input error; a
-    KeyError raised inside library code stays a KeyError."""
-
-    def __missing__(self, key):
-        raise ValueError(f"config lacks required key {key!r}")
-
-
-# command -> (help, flags).  A flag is (name, config key, kind, default): the
-# kind is str, int or a tuple of choices, and the default ... marks a
-# required flag and None one left out of the config when not given.  A
-# name without dashes is the positional argument; a key of two words takes
-# two values.  File flags' keys end in `_text`; `out` is an output path.
-_MATRIX = ("--matrix", "matrix_text", str, ...)
-_SEED = ("--seed", "seed", int, 0)
-_COMMANDS = {
-    "energy": ("additive energy of a set", (
-        ("--set", "set_text", str, ...), ("--k", "k", int, ...),
-        ("--method", "method", ("brute", "spectral", "conv", "all"), "all"))),
-    "spectrum": ("Fourier table dump (--out, CSV) and large spectrum above --alpha p/q", (
-        ("--set", "set_text", str, ...), ("--alpha", "alpha", str, None), ("--out", "out", str, None))),
-    "dissociate": ("family membership test", (
-        ("--check", "set_text", str, ...), ("--k", "k", int, ...), ("--R", "r_text", str, None))),
-    "permanent": ("exact permanent of a matrix file", (_MATRIX,)),
-    "fk-test": ("zero-permanent certificate", (_MATRIX,)),
-    "lemma-per0": ("exhaustive reduced-permanent family", (("--exhaustive", "p r", int, ...),)),
-    "bench": ("theorem sweep of a seeded family, or majority (one instance at --n)", (
-        ("--theorem", "theorem", str, ...), ("--count", "count", int, 20), _SEED,
-        ("--delta", "delta", str, "1/64"), ("--d", "d", int, 1), ("--n", "n", int, None),
-        ("--out", "out", str, None))),
-    "extract": ("rectangle extraction pipeline; --params is a JSON object of overrides", (
-        ("--q", "q_text", str, ...), ("--lambda", "lambda_text", str, ...), ("--d", "d", int, 2),
-        ("--p", "p", int, 2), _SEED, ("--params", "params", str, None))),
-    "plant": ("planted-instance generator", (
-        ("--h", "h", int, ...), ("--lsize", "lsize", int, ...), ("--lpsize", "lpsize", int, ...),
-        ("--noise", "noise", str, "0"), _SEED, ("--n", "n", int, 18),
-        ("--lambda-size", "lambda_size", int, 16), ("--out-prefix", "out", str, None))),
-    "replay": ("re-run a recorded report", (("REPORT", "report_text", str, ...),)),
-}
-_REPORT = ("--report", "report_out", str, None)  # every command writes its JSON report here
-# The JSON type of each config key as `parse_argv` records it: inlined files,
-# rationals and choices are strings, integer flags are ints (never bools),
-# and `params` is the decoded JSON object.
-_CONFIG_TYPES = {
-    key: int if kind is int else str
-    for _, flags in _COMMANDS.values()
-    for _, keys, kind, _ in flags
-    for key in keys.split()
-    if key != "out"
-} | {"command": str, "params": dict}
-_TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object"}
-
-
-def _check_config_types(config: dict) -> None:
-    for key, val in config.items():
-        kind = _CONFIG_TYPES.get(key)
-        if kind is None:
-            continue
-        if type(val) is not kind:
-            raise ValueError(f"config key {key!r} must be {_TYPE_NAMES[kind]}")
-
-
-def run_config(config: dict) -> Outcome:
-    _check_config_types(config)
-    config = _Config(config)
-    command = config["command"]
-    handler = _HANDLERS.get(command)
-    if handler is None:
-        raise ValueError(f"unknown command {command!r}")
-    return handler(config)
-
-
 def _cmd_energy(config: dict) -> Outcome:
     from .energy import additive_energy
 
     a = parse_set(config["set_text"])
     k = config["k"]
-    method = config.get("method", "all")
+    method = config["method"]
     methods = ("brute", "spectral", "conv") if method == "all" else (method,)
     values = {m: additive_energy(a, k, method=m) for m in methods}
     agree = len(set(values.values())) == 1
@@ -303,13 +234,13 @@ def _cmd_bench(config: dict) -> Outcome:
 
     theorem = config["theorem"]
     if theorem == "majority":
-        delta = parse_fraction(config.get("delta", "1/64"))
-        reports = sweep_majority(delta, config.get("d", 1), config.get("n"))
+        delta = parse_fraction(config["delta"])
+        reports = sweep_majority(delta, config["d"], config.get("n"))
     elif theorem in FAMILIES:
-        count = config.get("count", 20)
+        count = config["count"]
         if count < 1:
             raise ValueError(f"--count must be at least 1, got {count}")
-        reports = run_family(theorem, count, config.get("seed", 0))
+        reports = run_family(theorem, count, config["seed"])
     else:
         raise ValueError(f"unknown theorem family {theorem!r}")
     rows = _report_rows(reports)
@@ -335,10 +266,9 @@ def _extract_params(config: dict):
 
     from .inverse import InverseParams
 
-    kwargs = {"p": config.get("p", 2), "seed": config.get("seed", 0)}
-    overrides = config.get("params", {})
+    kwargs = {"p": config["p"], "seed": config["seed"]}
     defaults = InverseParams.DEFAULTS
-    for key, val in overrides.items():
+    for key, val in (config.get("params") or {}).items():
         if key not in defaults:
             raise ValueError(f"unknown parameter {key!r}")
         kind = type(defaults[key])
@@ -375,9 +305,7 @@ def _cmd_extract(config: dict) -> Outcome:
     q = parse_set(config["q_text"])
     lam = parse_set(config["lambda_text"])
     params = _extract_params(config)
-    rects, covered, family_status, trace, warnings = extract_rectangles_d(
-        q, lam, config.get("d", 2), params
-    )
+    rects, covered, family_status, trace, warnings = extract_rectangles_d(q, lam, config["d"], params)
     results = {
         "rectangles": [_rectangle_json(r, q.dim) for r in rects],
         "covered": covered,
@@ -399,10 +327,10 @@ def _cmd_plant(config: dict) -> Outcome:
         config["h"],
         config["lsize"],
         config["lpsize"],
-        parse_fraction(config.get("noise", "0")),
-        config.get("seed", 0),
-        n=config.get("n", 18),
-        lambda_size=config.get("lambda_size", 16),
+        parse_fraction(config["noise"]),
+        config["seed"],
+        n=config["n"],
+        lambda_size=config["lambda_size"],
     )
     q = planted.union(noise)
     q_text, lam_text = serialize_set(q), serialize_set(lam)
@@ -422,15 +350,12 @@ def _cmd_plant(config: dict) -> Outcome:
     return Outcome(results, 0, {"_q.set": (q_text,), "_lambda.set": (lam_text,)})
 
 
-_SEEDED_COMMANDS = ("bench", "extract", "plant")
-
-
 def replay(report: dict) -> tuple[dict, int]:
     """Re-execute a recorded configuration and compare results bytes."""
     config = report.get("config") if isinstance(report, dict) else None
     if not isinstance(config, dict) or "command" not in config or "results" not in report:
         raise ValueError("report lacks a replayable config or its results")
-    if "seed" not in config and config["command"] in _SEEDED_COMMANDS:
+    if "seed" not in config and _SEED in _entry(config["command"])[1]:
         raise ValueError("report config lacks the seed needed for replay")
     old = canonical_results(report["results"])
     new = canonical_results(run_config(config).results)
@@ -451,18 +376,92 @@ def _cmd_replay(config: dict) -> Outcome:
     return Outcome(*replay(_load_json(config["report_text"])))
 
 
-_HANDLERS = {
-    "energy": _cmd_energy,
-    "spectrum": _cmd_spectrum,
-    "dissociate": _cmd_dissociate,
-    "permanent": _cmd_permanent,
-    "fk-test": _cmd_fk_test,
-    "lemma-per0": _cmd_lemma_per0,
-    "bench": _cmd_bench,
-    "extract": _cmd_extract,
-    "plant": _cmd_plant,
-    "replay": _cmd_replay,
+# command -> (help, flags, handler).  A flag is (name, config key, kind,
+# default): the kind is str, int or a tuple of choices, and the default ...
+# marks a required flag and None one left out of the config when not given.
+# A name without dashes is the positional argument; a key of two words takes
+# two values.  File flags' keys end in `_text`; `out` is an output path.
+_MATRIX = ("--matrix", "matrix_text", str, ...)
+_SEED = ("--seed", "seed", int, 0)  # replay asks a seeded command's config for it
+_COMMANDS = {
+    "energy": ("additive energy of a set", (
+        ("--set", "set_text", str, ...), ("--k", "k", int, ...),
+        ("--method", "method", ("brute", "spectral", "conv", "all"), "all")), _cmd_energy),
+    "spectrum": ("Fourier table dump (--out, CSV) and large spectrum above --alpha p/q", (
+        ("--set", "set_text", str, ...), ("--alpha", "alpha", str, None), ("--out", "out", str, None)),
+        _cmd_spectrum),
+    "dissociate": ("family membership test", (
+        ("--check", "set_text", str, ...), ("--k", "k", int, ...), ("--R", "r_text", str, None)),
+        _cmd_dissociate),
+    "permanent": ("exact permanent of a matrix file", (_MATRIX,), _cmd_permanent),
+    "fk-test": ("zero-permanent certificate", (_MATRIX,), _cmd_fk_test),
+    "lemma-per0": ("exhaustive reduced-permanent family", (("--exhaustive", "p r", int, ...),),
+                   _cmd_lemma_per0),
+    "bench": ("theorem sweep of a seeded family, or majority (one instance at --n)", (
+        ("--theorem", "theorem", str, ...), ("--count", "count", int, 20), _SEED,
+        ("--delta", "delta", str, "1/64"), ("--d", "d", int, 1), ("--n", "n", int, None),
+        ("--out", "out", str, None)), _cmd_bench),
+    "extract": ("rectangle extraction pipeline; --params is a JSON object of overrides", (
+        ("--q", "q_text", str, ...), ("--lambda", "lambda_text", str, ...), ("--d", "d", int, 2),
+        ("--p", "p", int, 2), _SEED, ("--params", "params", str, None)), _cmd_extract),
+    "plant": ("planted-instance generator", (
+        ("--h", "h", int, ...), ("--lsize", "lsize", int, ...), ("--lpsize", "lpsize", int, ...),
+        ("--noise", "noise", str, "0"), _SEED, ("--n", "n", int, 18),
+        ("--lambda-size", "lambda_size", int, 16), ("--out-prefix", "out", str, None)), _cmd_plant),
+    "replay": ("re-run a recorded report", (("REPORT", "report_text", str, ...),), _cmd_replay),
 }
+_REPORT = ("--report", "report_out", str, None)  # every command writes its JSON report here
+# The JSON type of each config key as `parse_argv` records it: inlined files,
+# rationals and choices are strings, integer flags are ints (never bools),
+# and `params` is the decoded JSON object.
+_CONFIG_TYPES = {
+    key: int if kind is int else str
+    for _, flags, _ in _COMMANDS.values()
+    for _, keys, kind, _ in flags
+    for key in keys.split()
+    if key != "out"
+} | {"command": str, "params": dict}
+_TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object"}
+
+
+def _check_config_types(config: dict) -> None:
+    for key, val in config.items():
+        kind = _CONFIG_TYPES.get(key)
+        if kind is None:
+            continue
+        if type(val) is not kind:
+            raise ValueError(f"config key {key!r} must be {_TYPE_NAMES[kind]}")
+
+
+def _entry(command) -> tuple:
+    """The table entry of a config's command; an unknown one is an input error."""
+    entry = _COMMANDS.get(command) if isinstance(command, str) else None
+    if entry is None:
+        raise ValueError(f"unknown command {command!r}")
+    return entry
+
+
+def _complete(given: dict, flags, missing: str) -> dict:
+    """A copy of the config `given` holding every key of `flags`, in their
+    order: a key it lacks takes the flag's default, one whose default is None
+    stays absent, and a required one raises ValueError(missing), formatted
+    with the flag's name and key.  Keys outside `flags` follow unchanged."""
+    config = {"command": given["command"]}
+    for name, keys, _, default in flags:
+        for key in keys.split():
+            value = given.get(key, default)
+            if value is ...:
+                raise ValueError(missing.format(name=name, key=key))
+            if value is not None:
+                config[key] = value
+    return config | given
+
+
+def run_config(config: dict) -> Outcome:
+    """Run a config on a copy completed from its command's table entry."""
+    _check_config_types(config)
+    _, flags, handler = _entry(config.get("command"))
+    return handler(_complete(config, flags, "config lacks required key {key!r}"))
 
 
 def execute(config: dict, out_path: str | None = None) -> tuple[dict, int]:
@@ -494,9 +493,9 @@ def _usage(command: str | None) -> str:
     """The help text, rendered from the command table: an optional flag
     shows its default, if it has one, in place of its value."""
     if command is None:
-        lines = [f"  {name:<12}{help}" for name, (help, _) in _COMMANDS.items()]
+        lines = [f"  {name:<12}{help}" for name, (help, *_) in _COMMANDS.items()]
         return "\n".join(["usage: f2lab [-h] COMMAND ...", "", "commands:", *lines])
-    help, flags = _COMMANDS[command]
+    help, flags, _ = _COMMANDS[command]
     usage = [f"usage: f2lab {command} [-h]"]
     for name, key, kind, default in (*flags, _REPORT):
         value = name[2:].upper() if default in (None, ...) else default
@@ -568,14 +567,7 @@ def parse_argv(argv: list[str]) -> tuple[dict, str | None, str | None]:
             elif kind is not str and value not in kind:
                 raise ValueError(f"{prog}: argument {name}: {value!r} is not one of {kind}")
             given[key] = value
-    config = {"command": command}
-    for name, keys, _, default in specs:
-        for key in keys.split():
-            value = given.get(key, default)
-            if value is ...:
-                raise ValueError(f"{prog}: the argument {name} is required")
-            if value is not None:
-                config[key] = value
+    config = _complete({"command": command, **given}, specs, f"{prog}: the argument {{name}} is required")
     out, report_out = config.pop("out", None), config.pop("report_out", None)
     for key in config:
         if key.endswith("_text"):

@@ -25,7 +25,7 @@ from f2lab.bench import (
 )
 from f2lab.cli import run_config
 from f2lab.core import BudgetError, F2Set, distinct_sumset_power
-from f2lab.dissociation import random_dissociated
+from f2lab.dissociation import FamilySpec, in_family, random_dissociated
 from f2lab.energy import _krawtchouk_energy, additive_energy, full_sumset_energy
 from f2lab.inverse import (
     InverseParams,
@@ -364,6 +364,20 @@ def test_full_sumset_lower_dependent_lambda_takes_additive_energy():
     assert _krawtchouk_energy(len(TRIPLE_LAM), 2, 2) == 7336
     rep = check_full_sumset_lower(TRIPLE_LAM, 2, 2)
     assert (rep.status, rep.lhs) == ("holds", 9856)
+
+
+def test_full_sumset_lower_sumsets_have_every_d_subset_sum(monkeypatch):
+    # the row takes |Q| = C(|Lambda_1|, d) from its weight-2d family test
+    # without building Q: check that on every Lambda that `exact` draws, and
+    # on dependent Lambdas inside the family
+    drawn = []
+    monkeypatch.setattr(bench, "check_full_sumset_lower", lambda lam, d, p: drawn.append((lam, d)))
+    for seed in range(1, 11):
+        run_family("exact", 20, seed)
+    assert len(drawn) == 200
+    for lam, d in drawn + [(PAIR_LAM, 2), (TRIPLE_LAM, 2), (TRIPLE_LAM, 3)]:
+        assert in_family(lam, FamilySpec.zero(2 * d, lam.dim)).status == "true"
+        assert len(distinct_sumset_power(lam, d)) == comb(len(lam), d)
 
 
 def test_diss_energy_dependent_lambda_takes_additive_energy():

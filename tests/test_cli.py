@@ -912,3 +912,47 @@ def test_config_types_cover_every_parser_key():
     for _, expected in CONFIG_CASES.values():
         assert set(expected) <= set(cli._CONFIG_TYPES)
         cli._check_config_types(expected)
+
+
+# argument lists that give only required flags, so that `parse_argv` fills
+# in every default that the handler reads
+COMPLETION_CASES = {
+    "energy": ["energy", "--set", "SET", "--k", "2"],
+    "bench-family": ["bench", "--theorem", "diss"],
+    "bench-majority": ["bench", "--theorem", "majority", "--n", "8"],
+    "extract": ["extract", "--q", "PAIRS", "--lambda", "SET"],
+    "plant": ["plant", "--h", "1", "--lsize", "3", "--lpsize", "3"],
+}
+
+
+def completion_config(tmp_path, case):
+    paths = {"SET": write(tmp_path, "s.set", SET_BASIS3), "PAIRS": write(tmp_path, "q.set", SET_PAIRS3)}
+    config, _, _ = cli.parse_argv([paths.get(a, a) for a in COMPLETION_CASES[case]])
+    return config, cli._COMMANDS[config["command"]][1]
+
+
+@pytest.mark.parametrize("case", sorted(COMPLETION_CASES))
+def test_a_config_without_its_defaults_runs_as_the_argv_config(tmp_path, case):
+    config, flags = completion_config(tmp_path, case)
+    defaulted = {key for _, keys, _, default in flags if default not in (..., None) for key in keys.split()}
+    stripped = {key: val for key, val in config.items() if key not in defaulted}
+    assert stripped != config
+    given = dict(stripped)
+    full, bare = run_config(config), run_config(stripped)
+    assert stripped == given  # completed on a copy
+    assert canonical_results(bare.results) == canonical_results(full.results)
+    assert bare.exit_code == full.exit_code
+    report, _ = execute(stripped)
+    assert report["config"] == given  # the report records the config as given
+
+
+@pytest.mark.parametrize("case", sorted(COMPLETION_CASES))
+def test_replaying_a_config_without_a_required_key_exits_2(tmp_path, capsys, case):
+    config, flags = completion_config(tmp_path, case)
+    for _, keys, _, default in flags:
+        for key in keys.split() if default is ... else ():
+            cut = {k: v for k, v in config.items() if k != key}
+            report = {"command": cut["command"], "config": cut, "results": {}}
+            code, out = run_cli(["replay", write(tmp_path, "r.json", json.dumps(report))], tmp_path)
+            assert (code, out) == (2, None)
+            assert json.loads(capsys.readouterr().err) == {"error": f"config lacks required key {key!r}"}

@@ -338,3 +338,101 @@ def test_no_unread_slot_fields_in_src():
             scanned[cls] = scanned.get(cls, ()) + (field,)
         assert scanned == runtime, name
     assert unread_fields(modules, readers) == []
+
+
+def _reads_config(node: ast.AST) -> bool:
+    return getattr(node, "id", None) == "config"
+
+
+def _walk_in_line_order(tree: ast.AST) -> list[ast.AST]:
+    return sorted(ast.walk(tree), key=lambda n: getattr(n, "lineno", 0))
+
+
+def config_defaults(source: str) -> list[str]:
+    """`config.get` calls that carry a default, as "line n": the command
+    table holds every default, and `run_config` fills it in."""
+    return [
+        f"line {n.lineno}"
+        for n in _walk_in_line_order(ast.parse(source))
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "get"
+        and _reads_config(n.func.value)
+        and (len(n.args) > 1 or n.keywords)
+    ]
+
+
+def config_key(node: ast.AST) -> str | None:
+    """The literal key that `node` reads from `config`, if it reads one:
+    `config["k"]`, `config.get("k")` or `"k" in config`."""
+    if isinstance(node, ast.Subscript) and _reads_config(node.value):
+        key = node.slice
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.args:
+        key = node.args[0] if node.func.attr == "get" and _reads_config(node.func.value) else None
+    elif isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn)):
+        key = node.left if _reads_config(node.comparators[0]) else None
+    else:
+        return None
+    return key.value if isinstance(key, ast.Constant) else None
+
+
+def unlisted_config_reads(source: str, keys_of: dict[str, set[str]]) -> list[str]:
+    """Keys that a handler, or a function of the module that it hands
+    `config` to, reads from `config` though its table entry, `keys_of[handler]`,
+    does not list them, as "handler:key (line n)"; a handler that the source
+    does not define is "handler: not defined"."""
+    functions = {n.name: n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
+    found = []
+    for handler, keys in keys_of.items():
+        todo, seen = [handler], set()
+        while todo:
+            name = todo.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            if name not in functions:
+                found.append(f"{name}: not defined")
+                continue
+            for node in _walk_in_line_order(functions[name]):
+                key = config_key(node)
+                if key is not None and key not in keys:
+                    found.append(f"{handler}:{key} (line {node.lineno})")
+                callee = getattr(node.func, "id", None) if isinstance(node, ast.Call) else None
+                if callee in functions and any(map(_reads_config, node.args)):
+                    todo.append(callee)
+    return found
+
+
+def test_config_scans_detector():
+    src = "def _cmd_a(config):\n    x = config['k'] + config.get('n', 3)\n"
+    src += "    if 'alpha' in config or 'r' not in config:\n        return _helper(x, config)\n"
+    src += "    return config.get('params', default={})\n"
+    src += "def _helper(x, config):\n    return config['seed'], config.get('params')\n"
+    src += "def _cmd_b(config):\n    return len(config), config['q'], _cmd_a(config)\n"
+    src += "def other(config):\n    return config.get('z', 1), other(config)\n"
+    assert config_defaults(src) == ["line 2", "line 5", "line 11"]
+    keys_of = {"_cmd_a": {"k", "n", "alpha", "r", "params"}, "_cmd_b": {"q"}, "_cmd_c": set()}
+    assert unlisted_config_reads(src, keys_of) == [
+        "_cmd_a:seed (line 7)",
+        "_cmd_b:k (line 2)",
+        "_cmd_b:n (line 2)",
+        "_cmd_b:alpha (line 3)",
+        "_cmd_b:r (line 3)",
+        "_cmd_b:params (line 5)",
+        "_cmd_b:seed (line 7)",
+        "_cmd_b:params (line 7)",
+        "_cmd_c: not defined",
+    ]
+
+
+def test_cli_handlers_read_only_their_table_entry():
+    from f2lab import cli
+
+    source = (ROOT / "src" / "f2lab" / "cli.py").read_text(encoding="utf-8")
+    keys_of = {
+        handler.__name__: {key for flag in flags for key in flag[1].split()}
+        for _, flags, handler in cli._COMMANDS.values()
+    }
+    assert len(keys_of) == len(cli._COMMANDS)
+    assert config_defaults(source) == []
+    assert unlisted_config_reads(source, keys_of) == []

@@ -1,15 +1,29 @@
 """Hash the canonical `results` and exit code of a fixed corpus of configs.
 
-usage: python tools/results_corpus.py SRC_DIR [--list]
+usage: python tools/results_corpus.py SRC_DIR [--list | --check FILE]
 
 SRC_DIR is the `src` directory of the tree under test, so that two checkouts
 (say a parent commit and a change) can be compared by running this script
 once against each.  It prints the number of configs and one SHA-256 over
-every config's canonical `results` plus exit code; `--list` first prints one
-line per config (index, command, exit code, digest prefix), which locates
-the first config where two trees differ.  A change that claims to keep
-every `results` block byte for byte should print the same hash on both
-sides.
+every config's canonical `results` plus exit code; `--list` first prints the
+interpreter and then one line per config (index, command, exit code, digest
+prefix), which locates the first config where two trees differ.  A change
+that claims to keep every `results` block byte for byte should print the
+same hash on both sides.
+
+`tools/results_corpus.txt` is the `--list` output of the tree it is
+committed with, so a change's diff of it shows which configs moved:
+`--check FILE` names every config whose line differs from FILE, as changed,
+added or gone, and exits 1 if there is one.  A change that moves bytes on
+purpose regenerates the file with `--list > tools/results_corpus.txt`; one
+that extends the corpus appends to it.
+
+Another interpreter: error texts, and `random`'s draws, may differ between
+minor versions of CPython, so the file's digests hold only for the
+implementation and minor version on its first line.  On any other,
+`--check` compares nothing and exits 2, and the tier-1 test that checks
+every 8th config is skipped; the hash of two trees, each run on one
+interpreter, is still a valid comparison there.
 
 The corpus covers `plant`, `extract` at d = 2 to 5 (planted and random Q,
 both split branches, parameter overrides including big_k 1/1000000 and a
@@ -48,7 +62,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from functools import reduce
 from operator import xor
 
-sys.path.insert(0, sys.argv[1])
+if __name__ == "__main__":
+    sys.path.insert(0, sys.argv[1])
 from f2lab import bench, cli  # noqa: E402
 from f2lab.cli import canonical_results, run_config  # noqa: E402
 from f2lab.core import F2Set, parse_set, serialize_set  # noqa: E402
@@ -329,26 +344,78 @@ def argv_lists(root):
     yield ["permanent", "--matrix", mats[0], "--matrix"]
 
 
-def main():
-    h = hashlib.sha256()
-    n = 0
-    lines = []
+INTERPRETER = f"{sys.implementation.name} {sys.version_info.major}.{sys.version_info.minor}"
 
-    def add(name, text, code):
-        nonlocal n
-        digest = hashlib.sha256(f"{text}\n{code}".encode()).hexdigest()
-        h.update(f"{digest}\n".encode())
-        lines.append(f"{n} {name} {code} {digest[:16]}")
-        n += 1
 
+def digests(every=1):
+    """(index, name, exit code, digest) of every `every`-th config, the
+    digest a SHA-256 of its canonical text and exit code.  The argument lists
+    all run, since a plant among them writes the files that later lists
+    read, but only every `every`-th is kept."""
+
+    def digest(text, code):
+        return hashlib.sha256(f"{text}\n{code}".encode()).hexdigest()
+
+    index = itertools.count()
     for config in configs():
-        add(config["command"], *run(config))
+        i = next(index)
+        if i % every == 0:
+            text, code = run(config)
+            yield i, config["command"], code, digest(text, code)
     with tempfile.TemporaryDirectory() as root:
         for argv in argv_lists(root):
-            add("argv:" + (argv[0] if argv else ""), *run_argv(argv))
+            i = next(index)
+            text, code = run_argv(argv)
+            if i % every == 0:
+                yield i, "argv:" + (argv[0] if argv else ""), code, digest(text, code)
+
+
+def listing_line(row):
+    i, name, code, digest = row
+    return f"{i} {name} {code} {digest[:16]}"
+
+
+def read_listing(path):
+    """The interpreter of a `--list` file ("cpython 3.11") and its config
+    lines by index."""
+    with open(path, encoding="ascii") as fh:
+        head, *lines = fh.read().splitlines()
+    interpreter = head.removeprefix("# ").rpartition(".")[0]
+    return interpreter, {int(line.split()[0]): line for line in lines if len(line.split()) == 4}
+
+
+def differences(pinned, rows):
+    """One line per config whose listing line is in only one of `pinned`
+    ({index: line}) and `rows`, or differs between them."""
+    got = {row[0]: listing_line(row) for row in rows}
+    out = []
+    for i in sorted(pinned.keys() | got.keys()):
+        if i not in got:
+            out.append(f"gone: {pinned[i]}")
+        elif i not in pinned:
+            out.append(f"added: {got[i]}")
+        elif pinned[i] != got[i]:
+            out.append(f"changed: {pinned[i]} -> {got[i]}")
+    return out
+
+
+def main():
+    if "--check" in sys.argv:
+        interpreter, pinned = read_listing(sys.argv[sys.argv.index("--check") + 1])
+        if interpreter != INTERPRETER:
+            print(f"the listing was taken on {interpreter}, not {INTERPRETER}: nothing compared")
+            sys.exit(2)
+    rows = list(digests())
+    total = hashlib.sha256("".join(f"{row[3]}\n" for row in rows).encode()).hexdigest()
     if "--list" in sys.argv:
-        print("\n".join(lines))
-    print(n, h.hexdigest())
+        print(f"# {INTERPRETER}.{sys.version_info.micro}")
+        print("\n".join(map(listing_line, rows)))
+    print(len(rows), total)
+    if "--check" in sys.argv:
+        found = differences(pinned, rows)
+        print("\n".join(found or ["no config moved"]))
+        sys.exit(1 if found else 0)
 
 
-main()
+if __name__ == "__main__":
+    main()
