@@ -617,8 +617,8 @@ def _draw_chang(rng: random.Random) -> list[BoundReport]:
     largest = heapq.nlargest(8, filter(None, map(abs, table.values[1:])))
     alpha = Fraction(largest[rng.randrange(len(largest))], n)
     spectrum = large_spectrum_from_table(table, alpha)
-    basis: list[int] = []
-    lam = F2Set.from_bits(dim, [r for r in spectrum.elems if _extend_basis(basis, r)])
+    pivots: dict[int, int] = {}
+    lam = F2Set.from_bits(dim, [r for r in spectrum.elems if _extend_basis(pivots, r)])
     return _chang_rows(a, alpha, lam, spectrum)
 
 

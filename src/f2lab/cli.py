@@ -70,14 +70,6 @@ def _report_rows(reports) -> list[dict]:
     return rows
 
 
-def _status_exit(statuses) -> int:
-    if any(s in ("violated", "false", "mismatch") for s in statuses):
-        return 1
-    if any(s in ("undecided", "precondition-failed") for s in statuses):
-        return 2
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # command execution on inlined configurations
 
@@ -87,7 +79,8 @@ class Outcome:
 
     `results` is the block that replay compares byte for byte.  When the
     command is given an output path, the chunks of `side_files[suffix]` are
-    written to that path followed by the suffix.
+    written to that path followed by the suffix; with none they are never
+    read, so a generator there costs nothing.
     """
 
     __slots__ = ("results", "exit_code", "side_files")
@@ -226,10 +219,20 @@ def _cmd_lemma_per0(config: dict) -> Outcome:
     return Outcome(results, (0 if all_positive else 1) if satisfied else 2)
 
 
-def _cmd_bench(config: dict) -> Outcome:
+def _bench_csv(rows):
+    """The CSV of the report rows, built only when an output path reads it."""
     import csv
     import io
 
+    buf = io.StringIO()
+    columns = ("theorem", "instance", "lhs", "rhs", "status", "slack")  # the row keys
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    yield buf.getvalue()
+
+
+def _cmd_bench(config: dict) -> Outcome:
     from .bench import FAMILIES, run_family, sweep_majority
 
     theorem = config["theorem"]
@@ -245,18 +248,10 @@ def _cmd_bench(config: dict) -> Outcome:
         raise ValueError(f"unknown theorem family {theorem!r}")
     rows = _report_rows(reports)
     statuses = [r.status for r in reports]
-    results = {
-        "rows": rows,
-        "holds": statuses.count("holds"),
-        "violated": statuses.count("violated"),
-        "other": len(statuses) - statuses.count("holds") - statuses.count("violated"),
-    }
-    csv_buf = io.StringIO()
-    columns = ("theorem", "instance", "lhs", "rhs", "status", "slack")  # the row keys
-    writer = csv.DictWriter(csv_buf, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return Outcome(results, _status_exit(statuses), {"": (csv_buf.getvalue(),)})
+    holds, violated = statuses.count("holds"), statuses.count("violated")
+    other = len(statuses) - holds - violated  # undecided or precondition-failed
+    results = {"rows": rows, "holds": holds, "violated": violated, "other": other}
+    return Outcome(results, 1 if violated else 2 if other else 0, {"": _bench_csv(rows)})
 
 
 def _extract_params(config: dict):

@@ -18,25 +18,26 @@ from .core import F2Set, Value, subset_sums
 DEFAULT_WORK_BUDGET = 5_000_000  # subsets; a test estimated above it is "undecided"
 
 
-def _extend_basis(basis: list[int], v: int) -> bool:
-    """Reduce v over GF(2) against the descending basis and append the
-    nonzero remainder; True iff v was independent of the basis."""
-    for b in basis:
-        w = v ^ b
-        if w < v:  # b's leading bit is set in v
-            v = w
-    if v:
-        basis.append(v)
-        basis.sort(reverse=True)
-    return v != 0
+def _extend_basis(pivots: dict[int, int], v: int) -> bool:
+    """Reduce v over GF(2) against the pivot table, leading bit -> basis
+    vector, and file the nonzero remainder under its leading bit; True iff v
+    was independent of the basis.  Each step clears v's leading bit, so the
+    remainder's leading bit is new, and the pivots span what was filed."""
+    while v:
+        b = pivots.get(top := v.bit_length() - 1)
+        if b is None:
+            pivots[top] = v
+            return True
+        v ^= b
+    return False
 
 
 def gf2_rank(vectors: Iterable[int]) -> int:
     """Rank of bit-vectors over GF(2), incremental elimination."""
-    basis: list[int] = []
+    pivots: dict[int, int] = {}
     for v in vectors:
-        _extend_basis(basis, v)
-    return len(basis)
+        _extend_basis(pivots, v)
+    return len(pivots)
 
 
 def is_dissociated(l: F2Set) -> bool:
@@ -129,12 +130,12 @@ def random_dissociated(n: int, m: int, seed: int = 0) -> F2Set:
         raise ValueError("a dissociated set in F_2^n has at most n elements")
     rng = random.Random(seed)
     chosen: list[int] = []
-    basis: list[int] = []
+    pivots: dict[int, int] = {}
     for _ in range(256 * m):
         if len(chosen) == m:
             break
         cand = rng.getrandbits(n)
-        if _extend_basis(basis, cand):  # rejects 0 and every repeat
+        if _extend_basis(pivots, cand):  # rejects 0 and every repeat
             chosen.append(cand)
     if len(chosen) < m:
         raise RuntimeError(f"could not extend to {m} elements within retry budget")

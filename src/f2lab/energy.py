@@ -87,20 +87,20 @@ def _span_coordinates(sets: Sequence[F2Set], cap: int) -> Optional[list[F2Set]]:
     combination of basis vectors the highest leading bit belongs to one term
     only, so it survives: the map is injective on the span, so it keeps every
     XOR relation, hence every T_k, plain or mixed."""
-    basis: list[int] = []
+    pivots: dict[int, int] = {}
     for s in sets:
         for e in s.elems:
-            if _extend_basis(basis, e) and len(basis) > cap:
+            if _extend_basis(pivots, e) and len(pivots) > cap:
                 return None
     runs: dict[int, int] = defaultdict(int)  # shift p - j -> mask of its positions p
-    for j, p in enumerate(sorted(b.bit_length() - 1 for b in basis)):
+    for j, p in enumerate(sorted(pivots)):
         runs[p - j] |= 1 << p
     shifts = tuple(runs.items())
 
     def gather(e: int) -> int:
         return sum((e & mask) >> shift for shift, mask in shifts)
 
-    return [F2Set.from_bits(max(1, len(basis)), map(gather, s.elems)) for s in sets]
+    return [F2Set.from_bits(max(1, len(pivots)), map(gather, s.elems)) for s in sets]
 
 
 def additive_energy(a: F2Set, k: int, method: str = "auto") -> int:

@@ -540,35 +540,21 @@ def extract_rectangles_pair(
     return tuple(rects), covered, fam.status, tuple(trace), tuple(warnings)
 
 
-def _prefix(combo: tuple[int, ...], part_of: dict[int, int]) -> Optional[tuple[int, ...]]:
-    """The d-subset's elements in the d - 2 prefix parts, ordered by part, or
-    None unless it meets each prefix part once (the other two then lie in
-    the pair block)."""
-    out = [None] * (len(combo) - 2)
-    for e in combo:
-        i = part_of.get(e)
-        if i is not None:
-            if out[i] is not None:
-                return None
-            out[i] = e
-    return None if None in out else tuple(out)
-
-
 def extract_rectangles_d(
     q: F2Set, lam: F2Set, d: int, params: InverseParams
 ) -> tuple[tuple[Rectangle, ...], int, str, tuple[dict, ...], tuple[str, ...]]:
     """Rectangle extraction inside the d-fold distinct sumset, d >= 2, with
     the return shape of `extract_rectangles_pair` (the family has weight 2dp).
 
-    At d = 2 this is `extract_rectangles_pair`.  Above, Lambda is cut into
-    d - 2 prefix parts and one pair block; Q is grouped by the prefix of its
-    decomposition, each group a fiber of edges on the pair block's indices,
-    and the fibers are peeled in turn (energy excess first, then by mass)
-    until the coverage target.  The pair block's pair sums are distinct,
-    since the d-subset sums are: two pairs with one sum would be an even
-    dependency of weight 4 <= 2d.  Every returned rectangle satisfies
-    (sum of prefix) + L + L' <= Q, machine-checked; each point of Q has one
-    decomposition, so the fibers, and with them the rectangles, are disjoint.
+    At d = 2 this is `extract_rectangles_pair`.  Above, a point of Q with
+    decomposition S lies in the fiber of every (d - 2)-subset P of S, as the
+    edge S - P on Lambda's indices.  The fibers are sorted once (energy
+    excess first, then by size, then by P) and peeled in that order until
+    the coverage target, each on the edges whose point no earlier rectangle
+    covers, over only the indices those edges touch.  Within a fiber each
+    point has one edge, since the d-subset sums are distinct, and each peel
+    sees only uncovered points, so the rectangles are disjoint.  Every
+    returned rectangle satisfies (sum of P) + L + L' <= Q, machine-checked.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -579,52 +565,43 @@ def extract_rectangles_d(
     if fam.status != "true":
         warnings.append(f"Lambda family status: {fam.status}")
     subset_of = _contained_table(q, lam, d)
-    rng = random.Random(params.seed)
-    n_lam = len(lam)
-    a = -((-n_lam) // d)  # ceil; the pair block takes the rest, at least a + 1
-    if n_lam - a * (d - 1) < 1:
-        raise ValueError("Lambda too small to split into d parts")
-    best_split = None
-    for _ in range(params.split_trials):
-        perm = rng.sample(lam.elems, n_lam)
-        part_of = {e: j // a for j, e in enumerate(perm[: a * (d - 2)])}  # prefix parts
-        mass = sum(1 for qq in q.elems if _prefix(subset_of[qq], part_of) is not None)
-        if best_split is None or mass > best_split[0]:
-            best_split = (mass, part_of)
-    part_of = best_split[1]
-    pair = tuple(e for e in lam.elems if e not in part_of)
-    index = {x: i for i, x in enumerate(pair)}
-    # group Q by the (d-2)-prefix of its decomposition, as edges on the pair block
-    by_prefix: dict[tuple[int, ...], set[tuple[int, int]]] = {}
+    index = {x: i for i, x in enumerate(lam.elems)}
+    by_prefix: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}  # P -> {edge: point}
     for qq in q.elems:
         combo = subset_of[qq]
-        pref = _prefix(combo, part_of)
-        if pref is not None:
-            edge = tuple(index[e] for e in combo if e not in part_of)
-            by_prefix.setdefault(pref, set()).add(edge)
+        for a, b in itertools.combinations(combo, 2):
+            pref = tuple(e for e in combo if e != a and e != b)
+            by_prefix.setdefault(pref, {})[index[a], index[b]] = qq
     m_cor, p = 2**13 * (8 * params.big_k) ** (d - 1), params.p
     fibers = []
     for pref, edges in by_prefix.items():
         # T_p(X) >= |X|^p, so the excess holds without T_p when m_cor > p^2
         excess = m_cor > p**2 or (
-            additive_energy(F2Set.from_bits(lam.dim, (pair[i] ^ pair[j] for i, j in edges)), p)
+            additive_energy(F2Set.from_bits(lam.dim, (lam.elems[i] ^ lam.elems[j] for i, j in edges)), p)
             * m_cor**p
             > p ** (2 * p) * len(edges) ** p
         )
         fibers.append((not excess, -len(edges), pref, edges))
     fibers.sort(key=lambda f: f[:3])
-    pair_rng = random.Random(rng.randrange(1 << 30))
+    rng = random.Random(params.seed)
     rects: list[Rectangle] = []
-    covered = 0
+    covered: set[int] = set()
     trace: list[dict] = []
     for no_excess, _, pref, edges in fibers:
-        if Fraction(covered, len(q)) >= params.coverage_target:
+        if Fraction(len(covered), len(q)) >= params.coverage_target:
             break
+        left = [edge for edge, qq in edges.items() if qq not in covered]
+        if not left:
+            continue
+        touched = sorted({i for edge in left for i in edge})
+        at = {i: k for k, i in enumerate(touched)}
+        elems = tuple(lam.elems[i] for i in touched)
         trace.append({"stage": "prefix", "points": len(edges), "excess": not no_excess})
-        found, count = _peel_rectangles(q, edges, pair, pref, params, pair_rng, trace)
+        found, _ = _peel_rectangles(q, {(at[i], at[j]) for i, j in left}, elems, pref, params, rng, trace)
+        for rect in found:
+            covered |= rect.points()
         rects += found
-        covered += count
-    return tuple(rects), covered, fam.status, tuple(trace), tuple(warnings)
+    return tuple(rects), len(covered), fam.status, tuple(trace), tuple(warnings)
 
 
 # ---------------------------------------------------------------------------

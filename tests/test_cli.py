@@ -201,8 +201,9 @@ def test_bench_checker_family_exit_and_replay(tmp_path, family):
         ["bench", "--theorem", family, "--count", "3", "--seed", "1", "--report", report_path],
         tmp_path,
     )
-    rows = report["results"]["rows"]
-    assert rows and code == cli._status_exit([row["status"] for row in rows])
+    statuses = [row["status"] for row in report["results"]["rows"]]
+    other = set(statuses) - {"holds", "violated"}
+    assert statuses and code == (1 if "violated" in statuses else 2 if other else 0)
     code, replayed = run_cli(["replay", report_path], tmp_path)
     assert code == 0 and replayed["results"]["match"] is True
 
@@ -224,6 +225,15 @@ def test_bench_exit_code_follows_row_statuses(tmp_path, monkeypatch, status, cod
     assert got == code
     lines = out_csv.read_text().splitlines()
     assert [line.split(",")[4] for line in lines] == ["status", "holds", status]
+
+
+def test_bench_csv_keeps_its_bytes(tmp_path):
+    # the CSV is built only when --out reads it; these are the bytes it had
+    # when every run built it
+    out_csv = tmp_path / "rows.csv"
+    execute({"command": "bench", "theorem": "diss", "count": 3, "seed": 1}, str(out_csv))
+    digest = "6afffc911b0ee5365affdf8be8bdda577ab500465a33d0db7e2c2257f51f1dd7"
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
 
 
 def test_bench_families_cover_every_checker():
@@ -559,7 +569,10 @@ LAYER_CASES = {
     "permanent": (["permanent", "--matrix", "{matrix}"], PERMANENT_LAYER, set()),
     "fk-test": (["fk-test", "--matrix", "{matrix}"], PERMANENT_LAYER, set()),
     "lemma-per0": (["lemma-per0", "--exhaustive", "2", "2"], PERMANENT_LAYER, set()),
-    "bench": (["bench", "--theorem", "diss", "--count", "1"], EVERY_MODULE, {"csv", *RATIONAL}),
+    "bench": (["bench", "--theorem", "diss", "--count", "1"], EVERY_MODULE, RATIONAL),
+    "bench-out": (
+        ["bench", "--theorem", "diss", "--count", "1", "--out", "{out}"], EVERY_MODULE, {"csv", *RATIONAL}
+    ),
     "extract": (["extract", "--q", "{q}", "--lambda", "{set}"], INVERSE_LAYER, RATIONAL),
     "plant": (["plant", "--h", "1", "--lsize", "3", "--lpsize", "3"], INVERSE_LAYER, RATIONAL),
     "replay": (["replay", "{report}"], PERMANENT_LAYER, set()),  # a permanent report
@@ -576,6 +589,7 @@ def test_each_command_loads_only_its_own_layer(tmp_path, args, layer, heavy):
         "q": write(tmp_path, "q.set", SET_PAIRS3),
         "matrix": write(tmp_path, "m.mat", MATRIX_ALL_ONES),
         "report": write(tmp_path, "run.json", json.dumps(report)),
+        "out": str(tmp_path / "rows.csv"),
     }
     src = os.path.dirname(os.path.dirname(f2lab.__file__))
     proc = subprocess.run(
@@ -648,7 +662,8 @@ def test_extract_d3_zero_split_trials_exit2(tmp_path, capsys):
 
 def test_extract_d3_cli_rectangle_inside_q_and_replays(tmp_path):
     # a 3 x 3 rectangle behind the prefix e_0, plus a few other 3-sums, all
-    # inside the 3-fold distinct sumset of the basis of F_2^9
+    # inside the 3-fold distinct sumset of the basis of F_2^9; e_0's fiber
+    # holds the whole rectangle, which comes back in one piece
     dim = 9
     basis = [1 << i for i in range(dim)]
     q_elems = {1 ^ r ^ c for r in basis[1:4] for c in basis[4:7]}
@@ -672,7 +687,9 @@ def test_extract_d3_cli_rectangle_inside_q_and_replays(tmp_path):
         assert pts <= q_elems and not pts & union
         union |= pts
     assert (res["covered"], res["q_size"]) == (len(union), len(q_elems))
-    assert res["coverage"] == str(Fraction(len(union), len(q_elems)))
+    assert res["coverage"] == str(Fraction(len(union), len(q_elems))) == "1"
+    e = [bits_to_string(b, dim) for b in basis]
+    assert [(r["rows"], r["cols"]) for r in res["rectangles"] if r["prefix"] == [e[0]]] == [(e[1:4], e[4:7])]
     code, replayed = run_cli(["replay", out], tmp_path)
     assert code == 0 and replayed["results"]["match"] is True
 
@@ -787,41 +804,44 @@ def test_extract_exhaustive_splits_keep_their_bytes(h, digest):
 
 
 def test_extract_d3_keeps_its_bytes():
-    # 120 of the 560 3-fold sums of a 16-element Lambda: a prefix part of 6
-    # and a pair block of 10, whose splits are all searched
+    # 120 of the 560 3-fold sums of a 16-element Lambda, each point in the
+    # fiber of every element of its decomposition; re-pinned when the fibers
+    # replaced the partition search (coverage 68/120 -> 120/120)
     lam = random_dissociated(18, 16, seed=3)
     sums = sorted(a ^ b ^ c for a, b, c in itertools.combinations(lam.elems, 3))
     q = F2Set.from_bits(18, random.Random(3).sample(sums, 120))
     config = {"command": "extract", "q_text": serialize_set(q), "lambda_text": serialize_set(lam),
               "d": 3, "seed": 7}
     results = run_config(config).results
-    digest = "0657e40d1476165e13523efffa845e9247a3b01c0388bf9f6cde8435569a1823"
+    digest = "c3ab9b6c33ddab7a56a773e8a989dc3728188409c0374c4349ef2dd4a26d6ddc"
     assert hashlib.sha256(canonical_results(results).encode()).hexdigest() == digest
 
 
 def test_extract_d3_energy_branch_keeps_its_bytes():
     # the same instance at big_k = 1/1000000, where m_cor <= p^2 and every
-    # prefix fiber's T_p is computed from its point set
+    # prefix fiber's T_p is computed from its point set; re-pinned with the
+    # fibers above (coverage 68/120 -> 120/120)
     lam = random_dissociated(18, 16, seed=3)
     sums = sorted(a ^ b ^ c for a, b, c in itertools.combinations(lam.elems, 3))
     q = F2Set.from_bits(18, random.Random(3).sample(sums, 120))
     config = {"command": "extract", "q_text": serialize_set(q), "lambda_text": serialize_set(lam),
               "d": 3, "seed": 7, "params": {"big_k": "1/1000000"}}
     results = run_config(config).results
-    digest = "e80f947fc1f64f13d291afd95ef2c1320f83638120556d0bddab9442e1676350"
+    digest = "01cc760e14befe820fbedfde76764d47f96388a37f4d85992f0711d3b14479fe"
     assert hashlib.sha256(canonical_results(results).encode()).hexdigest() == digest
 
 
 def test_extract_d4_keeps_its_bytes():
-    # 200 of the 715 4-fold sums of a 13-element Lambda: two prefix parts of
-    # 4 and a pair block of 5
+    # 200 of the 715 4-fold sums of a 13-element Lambda, each point in the
+    # fibers of the 6 pairs of its decomposition; re-pinned when the fibers
+    # replaced the partition search (coverage 56/200 -> 200/200)
     lam = random_dissociated(18, 13, seed=4)
     sums = sorted(a ^ b ^ c ^ d for a, b, c, d in itertools.combinations(lam.elems, 4))
     q = F2Set.from_bits(18, random.Random(4).sample(sums, 200))
     config = {"command": "extract", "q_text": serialize_set(q), "lambda_text": serialize_set(lam),
               "d": 4, "seed": 7}
     results = run_config(config).results
-    digest = "a596efbfa395a080d5494e23737d78411171090779b0e0ddf338c4fb189cc1c8"
+    digest = "b18774a49b710926a119d6ce433c736969d44be3332f14238d070f62c33d9f68"
     assert hashlib.sha256(canonical_results(results).encode()).hexdigest() == digest
 
 

@@ -702,9 +702,10 @@ def _assert_disjoint_cover(rects, covered, q, d):
 
 @pytest.mark.parametrize(
     "d, h, lambda_size, floor",
-    # mean shares 0.76, 0.70 and 0.52 over these seeds; the one-rectangle
-    # report covered 0.22, 0.11 and 0.12 of the planted points
-    [(3, 2, 16, Fraction(2, 3)), (3, 3, 21, Fraction(3, 5)), (4, 2, 18, Fraction(9, 20))],
+    # mean shares 1.000 on all three over these seeds; the one-partition
+    # search covered 0.76, 0.70 and 0.52, and the one-rectangle report 0.22,
+    # 0.11 and 0.12 of the planted points
+    [(3, 2, 16, Fraction(9, 10)), (3, 3, 21, Fraction(9, 10)), (4, 2, 18, Fraction(9, 10))],
     ids=["d3-h2", "d3-h3", "d4-h2"],
 )
 def test_extract_d_recovers_planted_share(d, h, lambda_size, floor):
@@ -743,6 +744,23 @@ def test_extract_d3_full_sumset_containment():
     q = distinct_sumset_power(lam, 3)
     rects, covered, *_ = extract_rectangles_d(q, lam, 3, InverseParams(p=2, seed=19))
     _assert_disjoint_cover(rects, covered, q, 3)
+
+
+@pytest.mark.parametrize(
+    "d, lam",
+    # 1140 and 1820 points; a Lambda of d elements, too small for the d parts
+    # of the partition search that the fibers replaced, gives one point
+    [(3, random_dissociated(20, 20, seed=1)), (4, random_dissociated(18, 16, seed=2)),
+     (4, random_dissociated(12, 4, seed=4))],
+    ids=["d3-20", "d4-16", "d4-4"],
+)
+def test_extract_d_covers_a_full_sumset_whole(d, lam):
+    # every point lies in the fiber of each (d-2)-subset of its decomposition;
+    # the partition search stopped at the aligned share (546 of 1140 at d = 3)
+    q = distinct_sumset_power(lam, d)
+    rects, covered, *_ = extract_rectangles_d(q, lam, d, InverseParams(seed=1))
+    _assert_disjoint_cover(rects, covered, q, d)
+    assert covered == len(q)
 
 
 @pytest.mark.parametrize("big_k, computed", [(Fraction(1), False), (Fraction(1, 10**6), True)])

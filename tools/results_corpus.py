@@ -48,6 +48,11 @@ report's command, config and results are hashed (never its `meta`, which
 holds the run time), with the exit code and whether stdout is the report
 at `indent=2, sort_keys`; a list that prints no report, an input error,
 hashes its exit code and its empty stdout, not the message on stderr.
+
+Configs added later come after the argument lists, so that every earlier
+index keeps its line: full d-fold sumsets and a planted rectangle behind a
+prefix, which cover the d-fold grouping of `extract` (each point in the
+fiber of every (d-2)-subset of its decomposition).
 """
 
 import hashlib
@@ -230,6 +235,20 @@ def configs():
                        "r_text": serialize_set(r)}
 
 
+def appended_configs():
+    """M. extract at d >= 3 on the full 3-fold sumset of 20 elements, the
+    full 4-fold sumset of 16, and a 3 x 3 rectangle behind e_0 in the basis
+    of F_2^9 with two other 3-sums."""
+    for n, d, seed in ((20, 3, 1), (16, 4, 2)):
+        lam = random_dissociated(n, n, seed=seed)
+        q = F2Set.from_bits(n, (reduce(xor, c) for c in itertools.combinations(lam.elems, d)))
+        yield _extract(q, lam, d=d, seed=1)
+    basis = [1 << i for i in range(9)]
+    pts = {1 ^ r ^ c for r in basis[1:4] for c in basis[4:7]}
+    pts |= {basis[6] ^ basis[7] ^ basis[8], basis[2] ^ basis[5] ^ basis[8]}
+    yield _extract(F2Set.from_bits(9, pts), F2Set(9, tuple(basis)), d=3, seed=1)
+
+
 def run_argv(argv):
     """A report's command, config and results (never its meta) and the exit
     code of `cli.main`; a list that prints no report hashes its empty stdout."""
@@ -357,17 +376,22 @@ def digests(every=1):
         return hashlib.sha256(f"{text}\n{code}".encode()).hexdigest()
 
     index = itertools.count()
-    for config in configs():
-        i = next(index)
-        if i % every == 0:
-            text, code = run(config)
-            yield i, config["command"], code, digest(text, code)
+
+    def hashed(source):
+        for config in source:
+            i = next(index)
+            if i % every == 0:
+                text, code = run(config)
+                yield i, config["command"], code, digest(text, code)
+
+    yield from hashed(configs())
     with tempfile.TemporaryDirectory() as root:
         for argv in argv_lists(root):
             i = next(index)
             text, code = run_argv(argv)
             if i % every == 0:
                 yield i, "argv:" + (argv[0] if argv else ""), code, digest(text, code)
+    yield from hashed(appended_configs())
 
 
 def listing_line(row):
