@@ -276,7 +276,7 @@ def _extract_params(config: dict):
 
 def _params_resolved(params) -> dict:
     """Every pipeline parameter, defaults included, for the report; the
-    rationals (every value not an int or a bool) as "p/q" strings."""
+    rationals (every value not an int) as "p/q" strings."""
     out = {}
     for name in params.DEFAULTS:
         val = getattr(params, name)

@@ -38,8 +38,12 @@ from .core import BudgetError, F2Set, Value, subset_sums
 from .dissociation import FamilySpec, in_family, random_dissociated
 from .energy import additive_energy, energy_excess_compare
 
-SUBSET_TABLE_BUDGET = 2_000_000  # d-subsets of Lambda in one sum table
+SUBSET_TABLE_BUDGET = 2_000_000  # d-subsets of Lambda in one sum table; edges of the d >= 3 fibers
 INTERSECTION_NODE_CAP = 200_000  # search nodes per row count of one common-intersection walk
+SPLIT_EXHAUSTIVE_LIMIT = 12870  # balanced splits of Lambda walked in full up to this many: C(16, 8)
+SPLIT_TRIALS = 32  # seeded random splits drawn past SPLIT_EXHAUSTIVE_LIMIT
+PEEL_ROUNDS = 24  # bites of one peel
+STALL_LIMIT = 3  # empty bites in a row that end a peel
 REFINE_WINDOW = (Fraction(1, 4), Fraction(1, 2))  # (beta1, beta2): sizes of a refinement's B
 REFINE_CONSTANT = Fraction(1, 8)  # C of the refinement's proportional-energy share
 REFINE_EXHAUSTIVE_LIMIT = 14  # |Q| up to which the refinement searches every window subset
@@ -256,33 +260,25 @@ class Rectangle(Value):
 
 
 class InverseParams:
-    """Free parameters of the extraction pipeline (all recorded in reports).
+    """The parameters that shape an extraction's answer (all recorded in
+    reports); how hard its searches work is set by the module constants.
 
     epsilon defaults to 1/4 at desk scale; the full-strength analysis would
     take 1/(16 K_1) with K_1 = 2^13 K, which is reported alongside for
-    reference but is degenerate for desk-sized instances.  No stage reads
-    eta or refine_budget, and refine gates only one discarded draw per
-    round; they stay so that recorded reports replay.
+    reference but is degenerate for desk-sized instances.
     """
 
     DEFAULTS = {
         "p": 2,
         "big_k": Fraction(1),
-        "eta": Fraction(1, 2),
         "epsilon": Fraction(1, 4),
         "zeta": Fraction(1, 4),
         "width": 8,
         "depth": 4,
-        "rounds": 24,
-        "split_trials": 32,
-        "split_exhaustive_limit": 12870,  # C(16, 8): full split search below this
         "coverage_target": Fraction(1),
         "min_rows": 1,
         "min_cols": 1,
         "seed": 0,
-        "refine": True,
-        "refine_budget": 96,
-        "stall_limit": 3,
     }
     __slots__ = tuple(DEFAULTS)
 
@@ -294,20 +290,16 @@ class InverseParams:
             setattr(self, name, overrides.get(name, default))
         if self.p < 1:
             raise ValueError("p must be >= 1")
-        if not 0 < self.eta <= Fraction(1, 2):
-            raise ValueError("eta must lie in (0, 1/2]")
         if self.big_k <= 0:
             raise ValueError("big_k must be positive")
-        if min(self.width, self.depth, self.rounds, self.split_trials, self.stall_limit) < 1:
-            raise ValueError("width, depth, rounds, split_trials and stall_limit must be >= 1")
+        if min(self.width, self.depth) < 1:
+            raise ValueError("width and depth must be >= 1")
         if not 0 < self.coverage_target <= 1:
             raise ValueError("coverage_target must lie in (0, 1]")
         if self.epsilon <= 0 or self.zeta <= 0:
             raise ValueError("epsilon and zeta must be positive")
         if min(self.min_rows, self.min_cols) < 1:
             raise ValueError("min_rows and min_cols must be >= 1")
-        if self.refine_budget < 0:
-            raise ValueError("refine_budget must be >= 0")
 
     def reference_epsilon(self) -> Fraction:
         k1 = 2**13 * self.big_k
@@ -338,24 +330,22 @@ def _contained_table(q: F2Set, lam: F2Set, d: int) -> dict[int, tuple[int, ...]]
     return table
 
 
-def _best_split(
-    adj: list[int], m: int, trials: int, exhaustive_limit: int, rng: random.Random
-) -> tuple[int, int, bool]:
+def _best_split(adj: list[int], m: int, rng: random.Random) -> tuple[int, int, bool]:
     """Balanced split of Lambda maximizing the crossing mass of Q; returns
     (mask of the first half, crossing mass, exhaustive).
 
     Q is a graph on Lambda's indices, adj[i] the bitmask of i's neighbours,
-    with m edges.  Exhaustive over all balanced splits when their number is
-    within the limit (the averaging argument then guarantees the best split
-    carries at least half the mass); otherwise best of `trials` seeded random
-    splits.  The mass of a half S is its cut; adding i to S adds the gain
-    deg(i) - 2|adj(i) & S|.  Ties keep the first split in `combinations`
-    order.  The exhaustive walk is branch and bound: gains only fall as S
-    grows, so a node is skipped when its score plus its `left` largest gains
-    is <= best, which keeps the first maximum, since the best moves only on
-    a strictly larger score.  At 2a = |Lambda| a split and its complement
-    cut alike, and only the half of the tree holding index 0, which comes
-    first, is walked.
+    with m edges.  Exhaustive over all balanced splits when there are at
+    most SPLIT_EXHAUSTIVE_LIMIT (the averaging argument then guarantees the
+    best split carries at least half the mass); otherwise best of
+    SPLIT_TRIALS seeded random splits.  The mass of a half S is its cut;
+    adding i to S adds the gain deg(i) - 2|adj(i) & S|.  Ties keep the first
+    split in `combinations` order.  The exhaustive walk is branch and bound:
+    gains only fall as S grows, so a node is skipped when its score plus its
+    `left` largest gains is <= best, which keeps the first maximum, since the
+    best moves only on a strictly larger score.  At 2a = |Lambda| a split
+    and its complement cut alike, and only the half of the tree holding
+    index 0, which comes first, is walked.
     """
     n_lam = len(adj)
     a = -((-n_lam) // 2)  # ceil
@@ -366,7 +356,7 @@ def _best_split(
 
     best_mask = (1 << a) - 1  # the first split in `combinations` order
     best = cut(best_mask)
-    exhaustive = comb(n_lam, a) <= exhaustive_limit
+    exhaustive = comb(n_lam, a) <= SPLIT_EXHAUSTIVE_LIMIT
 
     def walk(start: int, left: int, mask: int, score: int) -> None:
         nonlocal best, best_mask
@@ -385,7 +375,7 @@ def _best_split(
     elif exhaustive:
         walk(0, a, 0, 0)
     else:
-        for t in range(trials):
+        for t in range(SPLIT_TRIALS):
             mask = sum(1 << i for i in rng.sample(range(n_lam), a))  # distinct bits
             s = cut(mask)
             if t == 0 or s > best:
@@ -406,17 +396,11 @@ def _bite_once(
     rectangle whose edges all lie in `remaining`, or None.
 
     Rows and columns are indices, and a fiber is a neighbour mask."""
-    if params.refine and len(remaining) > 2:
-        # no stage reads this draw; it keeps the random splits (|Lambda| >= 17)
-        # of recorded reports byte for byte
-        rng.randrange(1 << 30)
     adj = [0] * n
     for i, j in remaining:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-    mask, crossing, split_exhaustive = _best_split(
-        adj, len(remaining), params.split_trials, params.split_exhaustive_limit, rng
-    )
+    mask, crossing, split_exhaustive = _best_split(adj, len(remaining), rng)
     # fibers: the neighbours across the split of each row in the first half
     fiber_of = {i: f for i, a in enumerate(adj) if mask >> i & 1 and (f := a & ~mask)}
     if not fiber_of:
@@ -474,10 +458,10 @@ def _peel_rectangles(
     rng: random.Random,
     trace: list,
 ) -> tuple[list[Rectangle], int]:
-    """The rounds of `_bite_once` on the edges not yet covered, up to the
-    coverage target or `stall_limit` empty rounds in a row; returns the
-    disjoint rectangles (sum of prefix) + L + L' and the number of edges
-    they cover.
+    """Up to PEEL_ROUNDS rounds of `_bite_once` on the edges not yet
+    covered, until the coverage target or STALL_LIMIT empty rounds in a row;
+    returns the disjoint rectangles (sum of prefix) + L + L' and the number
+    of edges they cover.
 
     An edge (i, j) is the point prefix + elems[i] + elems[j] of Q.  Every
     rectangle is machine-checked twice: its edges lie in the edges left, and
@@ -486,13 +470,13 @@ def _peel_rectangles(
     rects: list[Rectangle] = []
     stalls = 0
     size = len(edges)
-    for _ in range(params.rounds):
+    for _ in range(PEEL_ROUNDS):
         if not remaining or Fraction(size - len(remaining), size) >= params.coverage_target:
             break
         bite = _bite_once(remaining, len(elems), params, rng, trace)
         if bite is None:
             stalls += 1
-            if stalls >= params.stall_limit:
+            if stalls >= STALL_LIMIT:
                 break
             continue
         stalls = 0
@@ -555,6 +539,8 @@ def extract_rectangles_d(
     point has one edge, since the d-subset sums are distinct, and each peel
     sees only uncovered points, so the rectangles are disjoint.  Every
     returned rectangle satisfies (sum of P) + L + L' <= Q, machine-checked.
+    The fibers hold C(d, 2) |Q| edges, refused past SUBSET_TABLE_BUDGET
+    before any is built.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -565,6 +551,8 @@ def extract_rectangles_d(
     if fam.status != "true":
         warnings.append(f"Lambda family status: {fam.status}")
     subset_of = _contained_table(q, lam, d)
+    if (count := comb(d, 2) * len(q)) > SUBSET_TABLE_BUDGET:
+        raise BudgetError(f"prefix fibers too large: {count} edges exceed {SUBSET_TABLE_BUDGET}")
     index = {x: i for i, x in enumerate(lam.elems)}
     by_prefix: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}  # P -> {edge: point}
     for qq in q.elems:

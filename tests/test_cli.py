@@ -623,8 +623,6 @@ def test_each_command_loads_only_its_own_layer(tmp_path, args, layer, heavy):
         '{"coverage_target": "-1"}',
         '{"coverage_target": "0"}',
         '{"coverage_target": "3/2"}',
-        '{"stall_limit": 0}',
-        '{"refine_budget": -1}',
     ],
 )
 def test_extract_bad_params_exit2(tmp_path, capsys, params):
@@ -650,14 +648,26 @@ def test_deeply_nested_json_exit2(tmp_path, capsys, command):
     assert json.loads(capsys.readouterr().err) == {"error": "JSON nested too deeply to decode"}
 
 
-def test_extract_d3_zero_split_trials_exit2(tmp_path, capsys):
-    lam = write(tmp_path, "basis3.set", SET_BASIS3)
-    q = write(tmp_path, "triple.set", "4\n1110\n")
-    params = '{"split_trials": 0}'
-    args = ["extract", "--q", q, "--lambda", lam, "--d", "3", "--params", params]
+@pytest.mark.parametrize(
+    "key, value",
+    # the retired fields at their last defaults: three that no stage read and
+    # four search sizes that are module constants of `inverse` now
+    [("eta", "1/2"), ("refine", True), ("refine_budget", 96), ("rounds", 24),
+     ("split_trials", 32), ("split_exhaustive_limit", 12870), ("stall_limit", 3)],
+)
+@pytest.mark.parametrize("via", ["params", "replay"])
+def test_extract_retired_params_exit2(tmp_path, capsys, key, value, via):
+    if via == "params":
+        lam = write(tmp_path, "basis3.set", SET_BASIS3)
+        q = write(tmp_path, "pairs.set", SET_PAIRS3)
+        args = ["extract", "--q", q, "--lambda", lam, "--params", json.dumps({key: value})]
+    else:
+        config = {"command": "extract", "q_text": SET_PAIRS3, "lambda_text": SET_BASIS3, "seed": 0,
+                  "params": {key: value}}
+        args = ["replay", write(tmp_path, "old.json", json.dumps({"config": config, "results": {}}))]
     code, report = run_cli(args, tmp_path)
-    assert code == 2 and report is None
-    assert "error" in json.loads(capsys.readouterr().err)
+    assert (code, report) == (2, None)
+    assert json.loads(capsys.readouterr().err) == {"error": f"unknown parameter {key!r}"}
 
 
 def test_extract_d3_cli_rectangle_inside_q_and_replays(tmp_path):
@@ -732,11 +742,11 @@ def test_fk_cli_long_augmenting_path(tmp_path):
 def test_extract_params_overrides_resolved(tmp_path):
     lam = write(tmp_path, "basis3.set", SET_BASIS3)
     q = write(tmp_path, "pairs.set", SET_PAIRS3)
-    params = '{"epsilon": "1/3", "min_rows": 2, "refine": false}'
+    params = '{"epsilon": "1/3", "min_rows": 2}'
     code, report = run_cli(["extract", "--q", q, "--lambda", lam, "--params", params], tmp_path)
     assert code == 0
     resolved = report["results"]["params_resolved"]
-    assert (resolved["epsilon"], resolved["min_rows"], resolved["refine"]) == ("1/3", 2, False)
+    assert (resolved["epsilon"], resolved["min_rows"]) == ("1/3", 2)
 
 
 def test_extract_p4_on_every_pair_sum_of_a_basis_of_f2_30(tmp_path):
@@ -760,39 +770,34 @@ def test_extract_p4_on_every_pair_sum_of_a_basis_of_f2_30(tmp_path):
     assert res["covered"] == len(union)
 
 
-@pytest.mark.parametrize(
-    "refine, digest",
-    [
-        (True, "c95ea92cc22588526240016d7fa0c43d8924bb1b9d95e1eaa689aea0ad6d4afb"),
-        (False, "9a4a8f6af7f08cf4f884ea0b71043bd803a926a33ad8837695e594e9c2a5cc50"),
-    ],
-    ids=["refine", "no-refine"],
-)
-def test_extract_random_splits_keep_their_bytes(refine, digest):
-    # at |Lambda| = 20 the splits are random, and `refine` gates one draw per
-    # round that no stage reads: these digests of recorded results fail when
-    # that draw moves or goes
+def test_extract_random_splits_keep_their_bytes():
+    # at |Lambda| = 20 the splits are random, SPLIT_TRIALS seeded draws each;
+    # re-pinned when the unread draw before each split went (its rectangles
+    # are those of the old `"refine": false`) and params_resolved lost seven keys
     planted = run_config(
         {"command": "plant", "h": 3, "lsize": 4, "lpsize": 4, "noise": "1/2", "seed": 3,
          "n": 24, "lambda_size": 20}
     ).results
     config = {"command": "extract", "q_text": planted["q"], "lambda_text": planted["lambda"],
-              "seed": 5, "params": {"refine": refine}}
+              "seed": 5}
     results = run_config(config).results
+    digest = "24af849777ed67dd6cf0805eb4b4b5ff4cec57182fde9763f456fd6180a187d9"
     assert hashlib.sha256(canonical_results(results).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
     "h, digest",
     [
-        (1, "192cc8830e1853dff046c2b9de8eab13f3122c40eb21be06a1d64389a4a4371a"),
-        (2, "7fce4ddde8119d538a1ff997c34ee0aec041e20d6c23e413abe0de585c867eb8"),
-        (3, "1e854b412cba33c8dad4d0f1b25c0e2d587bdb2f5150143db1ef6be5dec05f68"),
+        (1, "4c91ab6239a07ec1cc1523622286cf984ea61c00d4e813c4b1323aad365985b4"),
+        (2, "326e9b5b44c1968102025570b460016d4f6ae3fb5955c26f887f7de4b2aa609e"),
+        (3, "816ccbee1b8266dd181eabfc7295b4ceaaa6c60ee5c4414d146f389736c2a00d"),
     ],
+    ids=["h1", "h2", "h3"],  # not the digests, so that a re-pin keeps the test names
 )
 def test_extract_exhaustive_splits_keep_their_bytes(h, digest):
     # the extract benchmark's shape: h rectangles of 4 x 4 in the pair sums
-    # of |Lambda| = 16, whose C(16, 8) splits are all searched, noise 1/10
+    # of |Lambda| = 16, whose C(16, 8) splits are all searched, noise 1/10;
+    # re-pinned when params_resolved lost seven keys (rectangles unchanged)
     planted = run_config(
         {"command": "plant", "h": h, "lsize": 4, "lpsize": 4, "noise": "1/10", "seed": h,
          "n": 18, "lambda_size": 16}
@@ -806,42 +811,44 @@ def test_extract_exhaustive_splits_keep_their_bytes(h, digest):
 def test_extract_d3_keeps_its_bytes():
     # 120 of the 560 3-fold sums of a 16-element Lambda, each point in the
     # fiber of every element of its decomposition; re-pinned when the fibers
-    # replaced the partition search (coverage 68/120 -> 120/120)
+    # replaced the partition search (coverage 68/120 -> 120/120), and when
+    # params_resolved lost seven keys (rectangles unchanged)
     lam = random_dissociated(18, 16, seed=3)
     sums = sorted(a ^ b ^ c for a, b, c in itertools.combinations(lam.elems, 3))
     q = F2Set.from_bits(18, random.Random(3).sample(sums, 120))
     config = {"command": "extract", "q_text": serialize_set(q), "lambda_text": serialize_set(lam),
               "d": 3, "seed": 7}
     results = run_config(config).results
-    digest = "c3ab9b6c33ddab7a56a773e8a989dc3728188409c0374c4349ef2dd4a26d6ddc"
+    digest = "37fe6c56ad69a15cd13c7767f7c7dda7584cd514ad9563bb6783ea3261e6972a"
     assert hashlib.sha256(canonical_results(results).encode()).hexdigest() == digest
 
 
 def test_extract_d3_energy_branch_keeps_its_bytes():
     # the same instance at big_k = 1/1000000, where m_cor <= p^2 and every
     # prefix fiber's T_p is computed from its point set; re-pinned with the
-    # fibers above (coverage 68/120 -> 120/120)
+    # test above, both times
     lam = random_dissociated(18, 16, seed=3)
     sums = sorted(a ^ b ^ c for a, b, c in itertools.combinations(lam.elems, 3))
     q = F2Set.from_bits(18, random.Random(3).sample(sums, 120))
     config = {"command": "extract", "q_text": serialize_set(q), "lambda_text": serialize_set(lam),
               "d": 3, "seed": 7, "params": {"big_k": "1/1000000"}}
     results = run_config(config).results
-    digest = "01cc760e14befe820fbedfde76764d47f96388a37f4d85992f0711d3b14479fe"
+    digest = "8d4e315786badfc9df00ff386f57d8cb3761f5e50710c9f900a282f56b282793"
     assert hashlib.sha256(canonical_results(results).encode()).hexdigest() == digest
 
 
 def test_extract_d4_keeps_its_bytes():
     # 200 of the 715 4-fold sums of a 13-element Lambda, each point in the
     # fibers of the 6 pairs of its decomposition; re-pinned when the fibers
-    # replaced the partition search (coverage 56/200 -> 200/200)
+    # replaced the partition search (coverage 56/200 -> 200/200), and when
+    # params_resolved lost seven keys (rectangles unchanged)
     lam = random_dissociated(18, 13, seed=4)
     sums = sorted(a ^ b ^ c ^ d for a, b, c, d in itertools.combinations(lam.elems, 4))
     q = F2Set.from_bits(18, random.Random(4).sample(sums, 200))
     config = {"command": "extract", "q_text": serialize_set(q), "lambda_text": serialize_set(lam),
               "d": 4, "seed": 7}
     results = run_config(config).results
-    digest = "b18774a49b710926a119d6ce433c736969d44be3332f14238d070f62c33d9f68"
+    digest = "bae153e67efbe2b71f1ddf12f67efc93b32f682bafa9516bb3a2e174319a03b9"
     assert hashlib.sha256(canonical_results(results).encode()).hexdigest() == digest
 
 

@@ -113,9 +113,12 @@ def test_no_unused_parameters_in_src():
 
 
 def budget_parameters(source: str) -> list[str]:
-    """Parameters named `budget` or `*_budget`: every cap is a module-level
-    constant read at call time, never an argument."""
-    return flagged_parameters(source, lambda _, arg: arg == "budget" or arg.endswith("_budget"))
+    """Parameters named `budget`, `*_budget`, `trials` or `*_limit`: every
+    cap and search size is a module-level constant read at call time, never
+    an argument."""
+    return flagged_parameters(
+        source, lambda _, arg: arg in ("budget", "trials") or arg.endswith(("_budget", "_limit"))
+    )
 
 
 def test_budget_parameters_detector():
@@ -124,10 +127,15 @@ def test_budget_parameters_detector():
     src += "def f(a, *, node_budget=3, **budget):\n    return a\n"
     src += "g = lambda refine_budget: 0\n"
     src += "def h(budgets, budgeted, BUDGET=1):\n    return 0\n"
+    # the split search took its sizes as the arguments `trials` and `exhaustive_limit`
+    src += "def _best_split(adj, m, trials, exhaustive_limit, rng):\n    return trials\n"
+    src += "def k(trial, limits, limit):\n    return 0\n"
     assert budget_parameters(src) == [
         "_best_common_intersection:budget (line 1)",
         "f:node_budget (line 3)",
         "f:budget (line 3)",
+        "_best_split:trials (line 8)",
+        "_best_split:exhaustive_limit (line 8)",
         "<lambda>:refine_budget (line 5)",
     ]
 

@@ -763,6 +763,22 @@ def test_extract_d_covers_a_full_sumset_whole(d, lam):
     assert covered == len(q)
 
 
+@pytest.mark.parametrize("budget, refused", [(100, True), (168, False)])
+def test_extract_d3_caps_the_fibers(monkeypatch, budget, refused):
+    # the full 3-fold sumset of 8 elements: a table of C(8, 3) = 56 sums and
+    # fibers of 3 * 56 = 168 edges; a budget of 100 passes the table and
+    # refuses the fibers before any is built
+    lam = random_dissociated(12, 8, seed=3)
+    q = distinct_sumset_power(lam, 3)
+    monkeypatch.setattr(inverse, "SUBSET_TABLE_BUDGET", budget)
+    if refused:
+        with pytest.raises(BudgetError, match="168 edges exceed 100"):
+            extract_rectangles_d(q, lam, 3, InverseParams(seed=1))
+    else:
+        rects, covered, *_ = extract_rectangles_d(q, lam, 3, InverseParams(seed=1))
+        _assert_disjoint_cover(rects, covered, q, 3)
+
+
 @pytest.mark.parametrize("big_k, computed", [(Fraction(1), False), (Fraction(1, 10**6), True)])
 def test_extract_d3_energy_only_where_the_floor_leaves_the_flag_open(monkeypatch, big_k, computed):
     # T_p(X) >= |X|^p decides the excess flag whenever m_cor = 2^13 (8K)^(d-1)
@@ -797,23 +813,23 @@ def test_extract_deterministic_under_seed():
     assert a == b
 
 
-def _split_matches_oracle(lam, pairs, exhaustive_limit, seed):
+def _split_matches_oracle(lam, pairs, seed):
     """_best_split against the frozenset scorer over the same halves: every
-    balanced split in `combinations` order, or the same 9 seeded draws (the
-    split draws indices, the oracle elements)."""
+    balanced split in `combinations` order, or the same SPLIT_TRIALS seeded
+    draws (the split draws indices, the oracle elements)."""
     index = {x: i for i, x in enumerate(lam.elems)}
     adj = [0] * len(lam)
     for x, y in pairs:
         adj[index[x]] |= 1 << index[y]
         adj[index[y]] |= 1 << index[x]
-    mask, crossing, exhaustive = _best_split(adj, len(pairs), 9, exhaustive_limit, random.Random(seed))
+    mask, crossing, exhaustive = _best_split(adj, len(pairs), random.Random(seed))
     a = -(-len(lam) // 2)
     rng = random.Random(seed)
-    want_exhaustive = comb(len(lam), a) <= exhaustive_limit
+    want_exhaustive = comb(len(lam), a) <= inverse.SPLIT_EXHAUSTIVE_LIMIT
     if want_exhaustive:
         halves = itertools.combinations(lam.elems, a)
     else:
-        halves = (rng.sample(lam.elems, a) for _ in range(9))
+        halves = (rng.sample(lam.elems, a) for _ in range(inverse.SPLIT_TRIALS))
     score, first = best_balanced_split(pairs, halves)
     assert (mask, crossing, exhaustive) == (as_mask(index[x] for x in first), score, want_exhaustive)
     return tuple(x for i, x in enumerate(lam.elems) if mask >> i & 1)
@@ -829,17 +845,17 @@ def test_best_split_matches_frozenset_oracle(data):
     all_pairs = list(itertools.combinations(lam.elems, 2))
     keep = data.draw(st.integers(min_value=0, max_value=(1 << len(all_pairs)) - 1))
     pairs = [pq for i, pq in enumerate(all_pairs) if keep >> i & 1]
-    _split_matches_oracle(lam, pairs, 12870, data.draw(st.integers(0, 3)))
+    _split_matches_oracle(lam, pairs, data.draw(st.integers(0, 3)))
 
 
 @pytest.mark.parametrize("n", range(1, 18))
-def test_best_split_empty_and_complete_q(n):
+def test_best_split_empty_and_complete_q(n, monkeypatch):
     # empty Q: every split scores 0; complete pair graph: every split ties, so
     # the first half (1 << a) - 1 wins; the limit keeps n = 17 exhaustive too
     lam = random_dissociated(max(16, n), n, seed=n)
-    limit = max(12870, comb(n, -(-n // 2)))
-    _split_matches_oracle(lam, [], limit, 0)
-    lam1 = _split_matches_oracle(lam, list(itertools.combinations(lam.elems, 2)), limit, 0)
+    monkeypatch.setattr(inverse, "SPLIT_EXHAUSTIVE_LIMIT", max(12870, comb(n, -(-n // 2))))
+    _split_matches_oracle(lam, [], 0)
+    lam1 = _split_matches_oracle(lam, list(itertools.combinations(lam.elems, 2)), 0)
     assert lam1 == lam.elems[:-(-n // 2)]
 
 
@@ -863,17 +879,19 @@ def _planted_pairs(lam, h, side, seed):
 
 @pytest.mark.parametrize("h", (1, 2, 3))
 @pytest.mark.parametrize("n", (15, 16, 17))
-def test_best_split_planted_at_workload_size(n, h):
+def test_best_split_planted_at_workload_size(n, h, monkeypatch):
     # |Lambda| = 16 is the extract benchmark's size; the limit makes n = 17
     # exhaustive too, and the even n = 16 walks only the half holding index 0
     lam = random_dissociated(18, n, seed=n)
-    _split_matches_oracle(lam, _planted_pairs(lam, h, 4, h), comb(n, -(-n // 2)), 0)
+    monkeypatch.setattr(inverse, "SPLIT_EXHAUSTIVE_LIMIT", comb(n, -(-n // 2)))
+    _split_matches_oracle(lam, _planted_pairs(lam, h, 4, h), 0)
 
 
 @pytest.mark.parametrize("n", (4, 7, 10, 13, 14))
-def test_best_split_random_branch_replays_draws(n):
+def test_best_split_random_branch_replays_draws(n, monkeypatch):
     lam = random_dissociated(16, n, seed=n)
     rng = random.Random(n)
     pairs = rng.sample(list(itertools.combinations(lam.elems, 2)), n + 2)
+    monkeypatch.setattr(inverse, "SPLIT_EXHAUSTIVE_LIMIT", 5)
     for seed in range(3):
-        _split_matches_oracle(lam, pairs, 5, seed)
+        _split_matches_oracle(lam, pairs, seed)

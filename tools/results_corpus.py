@@ -76,8 +76,8 @@ from f2lab.dissociation import random_dissociated  # noqa: E402
 
 PARAMS_CYCLE = [
     {}, {"depth": 1}, {"depth": 6}, {"min_rows": 2, "min_cols": 2},
-    {"width": 2, "zeta": "1/2"}, {"split_exhaustive_limit": 10}, {"min_rows": 3},
-    {"zeta": "1/8", "width": 3, "depth": 2}, {"epsilon": "1/2"}, {"split_trials": 3},
+    {"width": 2, "zeta": "1/2"}, {"coverage_target": "3/4"}, {"min_rows": 3},
+    {"zeta": "1/8", "width": 3, "depth": 2}, {"epsilon": "1/2"}, {"min_cols": 3},
 ]
 
 
@@ -161,7 +161,7 @@ def configs():
             yield {"command": "bench", "theorem": theorem, "count": 10, "seed": seed}
     # E. d = 4 and 5: random subsets of d-fold sums, with overrides
     extras = ({}, {"big_k": "1/1000000"}, {"coverage_target": "1/2"}, {"depth": 1},
-              {"min_rows": 2, "min_cols": 2}, {"split_trials": 3})
+              {"min_rows": 2, "min_cols": 2}, {"min_cols": 3})
     for d, sizes in ((4, (8, 10, 12, 13)), (5, (10, 14, 15))):
         for lsize in sizes:
             lam = random_dissociated(24, lsize, seed=rng.randrange(1 << 30))
