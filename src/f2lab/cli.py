@@ -255,8 +255,9 @@ def _cmd_bench(config: dict) -> Outcome:
 
 
 def _extract_params(config: dict):
-    """The InverseParams of a config.  Overrides name its fields; each value
-    has its default's JSON type, except that rationals are "p/q" strings."""
+    """The InverseParams of a config.  Overrides name its fields other than
+    p and the seed, which only their flags set; each value has its default's
+    JSON type, except that rationals are "p/q" strings."""
     from fractions import Fraction
 
     from .inverse import InverseParams
@@ -264,6 +265,8 @@ def _extract_params(config: dict):
     kwargs = {"p": config["p"], "seed": config["seed"]}
     defaults = InverseParams.DEFAULTS
     for key, val in (config.get("params") or {}).items():
+        if key in kwargs:
+            raise ValueError(f"parameter {key!r} is set by --{key}, not in params")
         if key not in defaults:
             raise ValueError(f"unknown parameter {key!r}")
         kind = type(defaults[key])
@@ -300,7 +303,7 @@ def _cmd_extract(config: dict) -> Outcome:
     q = parse_set(config["q_text"])
     lam = parse_set(config["lambda_text"])
     params = _extract_params(config)
-    rects, covered, family_status, trace, warnings = extract_rectangles_d(q, lam, config["d"], params)
+    rects, covered, family_status, trace = extract_rectangles_d(q, lam, config["d"], params)
     results = {
         "rectangles": [_rectangle_json(r, q.dim) for r in rects],
         "covered": covered,
@@ -308,9 +311,7 @@ def _cmd_extract(config: dict) -> Outcome:
         "coverage": str(Fraction(covered, len(q)) if q else Fraction(1)),
         "family_status": family_status,
         "trace": list(trace),
-        "warnings": list(warnings),
         "params_resolved": _params_resolved(params),
-        "reference_epsilon": str(params.reference_epsilon()),
     }
     return Outcome(results, 0)
 

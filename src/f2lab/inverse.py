@@ -264,13 +264,12 @@ class InverseParams:
     reports); how hard its searches work is set by the module constants.
 
     epsilon defaults to 1/4 at desk scale; the full-strength analysis would
-    take 1/(16 K_1) with K_1 = 2^13 K, which is reported alongside for
-    reference but is degenerate for desk-sized instances.
+    take 1/(16 K_1) with K_1 = 2^13 K, degenerate for desk-sized instances,
+    and no stage reads the paper's K, so it is not a parameter.
     """
 
     DEFAULTS = {
         "p": 2,
-        "big_k": Fraction(1),
         "epsilon": Fraction(1, 4),
         "zeta": Fraction(1, 4),
         "width": 8,
@@ -290,8 +289,6 @@ class InverseParams:
             setattr(self, name, overrides.get(name, default))
         if self.p < 1:
             raise ValueError("p must be >= 1")
-        if self.big_k <= 0:
-            raise ValueError("big_k must be positive")
         if min(self.width, self.depth) < 1:
             raise ValueError("width and depth must be >= 1")
         if not 0 < self.coverage_target <= 1:
@@ -300,10 +297,6 @@ class InverseParams:
             raise ValueError("epsilon and zeta must be positive")
         if min(self.min_rows, self.min_cols) < 1:
             raise ValueError("min_rows and min_cols must be >= 1")
-
-    def reference_epsilon(self) -> Fraction:
-        k1 = 2**13 * self.big_k
-        return 1 / (16 * k1)
 
 
 def _subset_table(lam: F2Set, d: int) -> dict[int, tuple[int, ...]]:
@@ -499,57 +492,56 @@ def _peel_rectangles(
 
 def extract_rectangles_pair(
     q: F2Set, lam: F2Set, params: InverseParams
-) -> tuple[tuple[Rectangle, ...], int, str, tuple[dict, ...], tuple[str, ...]]:
+) -> tuple[tuple[Rectangle, ...], int, str, tuple[dict, ...]]:
     """Peel disjoint rectangles L + L' out of Q inside Lambda + Lambda.
 
-    Returns (rectangles, covered, family_status, trace, warnings): covered
-    counts the points of Q in the rectangles, and family_status is Lambda's
-    status in the weight-4p family.  Q is read once, from the sum table, as
+    Returns (rectangles, covered, family_status, trace): covered counts
+    the points of Q in the rectangles, and family_status is Lambda's status
+    in the weight-4p family.  Q is read once, from the sum table, as
     a graph on Lambda's indices: the point a + b is the edge between the
     indices of a and b.  Every returned rectangle is machine-checked to
     satisfy L + L' <= Q; pairwise disjointness holds because each round
     works on the edges not yet covered.  An empty result with diagnostics
     is a legitimate outcome; rectangles are never fabricated.
     """
-    warnings = []
     fam = in_family(lam, FamilySpec.zero(4 * params.p, lam.dim))
-    if fam.status != "true":
-        warnings.append(f"Lambda family status: {fam.status}")
     pair_of = _contained_table(q, lam, 2)
     index = {x: i for i, x in enumerate(lam.elems)}
     edges = {(index[a], index[b]) for a, b in map(pair_of.__getitem__, q.elems)}
     trace: list[dict] = []
     rng = random.Random(params.seed)
     rects, covered = _peel_rectangles(q, edges, lam.elems, (), params, rng, trace)
-    return tuple(rects), covered, fam.status, tuple(trace), tuple(warnings)
+    return tuple(rects), covered, fam.status, tuple(trace)
 
 
 def extract_rectangles_d(
     q: F2Set, lam: F2Set, d: int, params: InverseParams
-) -> tuple[tuple[Rectangle, ...], int, str, tuple[dict, ...], tuple[str, ...]]:
+) -> tuple[tuple[Rectangle, ...], int, str, tuple[dict, ...]]:
     """Rectangle extraction inside the d-fold distinct sumset, d >= 2, with
     the return shape of `extract_rectangles_pair` (the family has weight 2dp).
 
     At d = 2 this is `extract_rectangles_pair`.  Above, a point of Q with
     decomposition S lies in the fiber of every (d - 2)-subset P of S, as the
-    edge S - P on Lambda's indices.  The fibers are sorted once (energy
-    excess first, then by size, then by P) and peeled in that order until
-    the coverage target, each on the edges whose point no earlier rectangle
-    covers, over only the indices those edges touch.  Within a fiber each
-    point has one edge, since the d-subset sums are distinct, and each peel
-    sees only uncovered points, so the rectangles are disjoint.  Every
+    edge S - P on Lambda's indices.  The fibers are sorted once, largest
+    first and then by P, and peeled in that order until the coverage
+    target, each on the edges whose point no earlier rectangle covers, over
+    only the indices those edges touch.  Within a fiber each point has one
+    edge, since the d-subset sums are distinct, and each peel sees only
+    uncovered points, so the rectangles are disjoint.  Every
     returned rectangle satisfies (sum of P) + L + L' <= Q, machine-checked.
     The fibers hold C(d, 2) |Q| edges, refused past SUBSET_TABLE_BUDGET
     before any is built.
+
+    The paper takes first the fibers X with energy excess, T_p(X) m^p >
+    p^2p |X|^p with m = 2^13 (8K)^(d-1).  Every X has T_p(X) >= |X|^p, so
+    the test holds for every fiber whenever m > p^2: at K >= 1, for every
+    p <= 724 at d = 3 and for more above.  The order by size is that order.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
     if d == 2:
         return extract_rectangles_pair(q, lam, params)
-    warnings = []
     fam = in_family(lam, FamilySpec.zero(2 * d * params.p, lam.dim))
-    if fam.status != "true":
-        warnings.append(f"Lambda family status: {fam.status}")
     subset_of = _contained_table(q, lam, d)
     if (count := comb(d, 2) * len(q)) > SUBSET_TABLE_BUDGET:
         raise BudgetError(f"prefix fibers too large: {count} edges exceed {SUBSET_TABLE_BUDGET}")
@@ -560,22 +552,12 @@ def extract_rectangles_d(
         for a, b in itertools.combinations(combo, 2):
             pref = tuple(e for e in combo if e != a and e != b)
             by_prefix.setdefault(pref, {})[index[a], index[b]] = qq
-    m_cor, p = 2**13 * (8 * params.big_k) ** (d - 1), params.p
-    fibers = []
-    for pref, edges in by_prefix.items():
-        # T_p(X) >= |X|^p, so the excess holds without T_p when m_cor > p^2
-        excess = m_cor > p**2 or (
-            additive_energy(F2Set.from_bits(lam.dim, (lam.elems[i] ^ lam.elems[j] for i, j in edges)), p)
-            * m_cor**p
-            > p ** (2 * p) * len(edges) ** p
-        )
-        fibers.append((not excess, -len(edges), pref, edges))
-    fibers.sort(key=lambda f: f[:3])
+    fibers = sorted(by_prefix.items(), key=lambda f: (-len(f[1]), f[0]))
     rng = random.Random(params.seed)
     rects: list[Rectangle] = []
     covered: set[int] = set()
     trace: list[dict] = []
-    for no_excess, _, pref, edges in fibers:
+    for pref, edges in fibers:
         if Fraction(len(covered), len(q)) >= params.coverage_target:
             break
         left = [edge for edge, qq in edges.items() if qq not in covered]
@@ -584,12 +566,12 @@ def extract_rectangles_d(
         touched = sorted({i for edge in left for i in edge})
         at = {i: k for k, i in enumerate(touched)}
         elems = tuple(lam.elems[i] for i in touched)
-        trace.append({"stage": "prefix", "points": len(edges), "excess": not no_excess})
+        trace.append({"stage": "prefix", "points": len(edges)})
         found, _ = _peel_rectangles(q, {(at[i], at[j]) for i, j in left}, elems, pref, params, rng, trace)
         for rect in found:
             covered |= rect.points()
         rects += found
-    return tuple(rects), len(covered), fam.status, tuple(trace), tuple(warnings)
+    return tuple(rects), len(covered), fam.status, tuple(trace)
 
 
 # ---------------------------------------------------------------------------

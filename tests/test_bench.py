@@ -451,20 +451,20 @@ def test_diss_energy_dependent_lambda_takes_additive_energy():
             id="bombieri-outside",
         ),
         # the tuple-valued refusals: (failures, reduced, per_reduced_positive)
-        # and (rectangles, covered, family_status, trace, warnings)
+        # and (rectangles, covered, family_status, trace)
         pytest.param(
             lambda: reduced_permanent_check(CombMatrix(((2, 1),))),
             (("total != 2p",), None, None),
             id="reduced-permanent-total",
         ),
         pytest.param(
-            lambda: extract_rectangles_pair(F2Set(5, (3,)), PAIR_LAM, InverseParams())[2::2],
-            ("false", ("Lambda family status: false",)),
+            lambda: extract_rectangles_pair(F2Set(5, (3,)), PAIR_LAM, InverseParams())[2],
+            "false",
             id="extract-pair-family",
         ),
         pytest.param(
-            lambda: extract_rectangles_d(F2Set(7, (7,)), TRIPLE_LAM, 3, InverseParams())[4],
-            ("Lambda family status: false",),
+            lambda: extract_rectangles_d(F2Set(7, (7,)), TRIPLE_LAM, 3, InverseParams())[2],
+            "false",
             id="extract-d-family",
         ),
     ],

@@ -648,26 +648,55 @@ def test_deeply_nested_json_exit2(tmp_path, capsys, command):
     assert json.loads(capsys.readouterr().err) == {"error": "JSON nested too deeply to decode"}
 
 
-@pytest.mark.parametrize(
-    "key, value",
-    # the retired fields at their last defaults: three that no stage read and
-    # four search sizes that are module constants of `inverse` now
-    [("eta", "1/2"), ("refine", True), ("refine_budget", 96), ("rounds", 24),
-     ("split_trials", 32), ("split_exhaustive_limit", 12870), ("stall_limit", 3)],
-)
-@pytest.mark.parametrize("via", ["params", "replay"])
-def test_extract_retired_params_exit2(tmp_path, capsys, key, value, via):
+def _extract_args_with_params(tmp_path, params, via):
+    """An extract at p = 2 and seed 1 with these params, from the flags or
+    from a replayed config."""
     if via == "params":
         lam = write(tmp_path, "basis3.set", SET_BASIS3)
         q = write(tmp_path, "pairs.set", SET_PAIRS3)
-        args = ["extract", "--q", q, "--lambda", lam, "--params", json.dumps({key: value})]
-    else:
-        config = {"command": "extract", "q_text": SET_PAIRS3, "lambda_text": SET_BASIS3, "seed": 0,
-                  "params": {key: value}}
-        args = ["replay", write(tmp_path, "old.json", json.dumps({"config": config, "results": {}}))]
-    code, report = run_cli(args, tmp_path)
+        return ["extract", "--q", q, "--lambda", lam, "--p", "2", "--seed", "1",
+                "--params", json.dumps(params)]
+    config = {"command": "extract", "q_text": SET_PAIRS3, "lambda_text": SET_BASIS3, "p": 2,
+              "seed": 1, "params": params}
+    return ["replay", write(tmp_path, "old.json", json.dumps({"config": config, "results": {}}))]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    # the retired fields at their last defaults: three that no stage read,
+    # four search sizes that are module constants of `inverse` now, and the
+    # paper's K, whose excess test every fiber passed
+    [("eta", "1/2"), ("refine", True), ("refine_budget", 96), ("rounds", 24),
+     ("split_trials", 32), ("split_exhaustive_limit", 12870), ("stall_limit", 3), ("big_k", "1")],
+)
+@pytest.mark.parametrize("via", ["params", "replay"])
+def test_extract_retired_params_exit2(tmp_path, capsys, key, value, via):
+    code, report = run_cli(_extract_args_with_params(tmp_path, {key: value}, via), tmp_path)
     assert (code, report) == (2, None)
     assert json.loads(capsys.readouterr().err) == {"error": f"unknown parameter {key!r}"}
+
+
+@pytest.mark.parametrize("key, value", [("p", 5), ("seed", 9)])
+@pytest.mark.parametrize("via", ["params", "replay"])
+def test_extract_p_and_seed_only_from_their_flags(tmp_path, capsys, key, value, via):
+    # else a run could differ from the p and the seed that its config records
+    code, report = run_cli(_extract_args_with_params(tmp_path, {key: value}, via), tmp_path)
+    assert (code, report) == (2, None)
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"parameter {key!r} is set by --{key}, not in params"
+
+
+@pytest.mark.parametrize(
+    "d, q_text, lam_text",
+    [(2, SET_PAIRS3, SET_BASIS3), (3, "4\n1110\n0111\n", "4\n1000\n0100\n0010\n0001\n")],
+    ids=["d2", "d3"],
+)
+def test_extract_report_keys(d, q_text, lam_text):
+    config = {"command": "extract", "q_text": q_text, "lambda_text": lam_text, "d": d, "seed": 1}
+    results = run_config(config).results
+    assert set(results) == {
+        "rectangles", "covered", "q_size", "coverage", "family_status", "trace", "params_resolved"
+    }
 
 
 def test_extract_d3_cli_rectangle_inside_q_and_replays(tmp_path):
@@ -773,7 +802,8 @@ def test_extract_p4_on_every_pair_sum_of_a_basis_of_f2_30(tmp_path):
 def test_extract_random_splits_keep_their_bytes():
     # at |Lambda| = 20 the splits are random, SPLIT_TRIALS seeded draws each;
     # re-pinned when the unread draw before each split went (its rectangles
-    # are those of the old `"refine": false`) and params_resolved lost seven keys
+    # are those of the old `"refine": false`) and params_resolved lost seven keys,
+    # and when the report lost `warnings`, `reference_epsilon` and `big_k`
     planted = run_config(
         {"command": "plant", "h": 3, "lsize": 4, "lpsize": 4, "noise": "1/2", "seed": 3,
          "n": 24, "lambda_size": 20}
@@ -781,23 +811,24 @@ def test_extract_random_splits_keep_their_bytes():
     config = {"command": "extract", "q_text": planted["q"], "lambda_text": planted["lambda"],
               "seed": 5}
     results = run_config(config).results
-    digest = "24af849777ed67dd6cf0805eb4b4b5ff4cec57182fde9763f456fd6180a187d9"
+    digest = "862ce96a9dbf1dfa0029f4a0bf0ef4e850be3acc62b9468255feb8a09865ef30"
     assert hashlib.sha256(canonical_results(results).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
     "h, digest",
     [
-        (1, "4c91ab6239a07ec1cc1523622286cf984ea61c00d4e813c4b1323aad365985b4"),
-        (2, "326e9b5b44c1968102025570b460016d4f6ae3fb5955c26f887f7de4b2aa609e"),
-        (3, "816ccbee1b8266dd181eabfc7295b4ceaaa6c60ee5c4414d146f389736c2a00d"),
+        (1, "1354dd5d50c84f3543fd5209d40c4979801bf0873165e2abab3d7dcfb7054adf"),
+        (2, "2da931a7473ef44d0d6a06570050a0081e05310aca48bf40506bcabfafdcc78a"),
+        (3, "24cbfd6341c7479d8d34e0a6e4a2be516e7c3ada895b05466d85eea3985e8b62"),
     ],
     ids=["h1", "h2", "h3"],  # not the digests, so that a re-pin keeps the test names
 )
 def test_extract_exhaustive_splits_keep_their_bytes(h, digest):
     # the extract benchmark's shape: h rectangles of 4 x 4 in the pair sums
     # of |Lambda| = 16, whose C(16, 8) splits are all searched, noise 1/10;
-    # re-pinned when params_resolved lost seven keys (rectangles unchanged)
+    # re-pinned when params_resolved lost seven keys, and when the report lost
+    # `warnings`, `reference_epsilon` and `big_k` (rectangles unchanged both times)
     planted = run_config(
         {"command": "plant", "h": h, "lsize": 4, "lpsize": 4, "noise": "1/10", "seed": h,
          "n": 18, "lambda_size": 16}
@@ -811,44 +842,32 @@ def test_extract_exhaustive_splits_keep_their_bytes(h, digest):
 def test_extract_d3_keeps_its_bytes():
     # 120 of the 560 3-fold sums of a 16-element Lambda, each point in the
     # fiber of every element of its decomposition; re-pinned when the fibers
-    # replaced the partition search (coverage 68/120 -> 120/120), and when
-    # params_resolved lost seven keys (rectangles unchanged)
+    # replaced the partition search (coverage 68/120 -> 120/120), when
+    # params_resolved lost seven keys, and when the report lost `warnings`,
+    # `reference_epsilon` and `big_k` and the trace `excess` (rectangles unchanged)
     lam = random_dissociated(18, 16, seed=3)
     sums = sorted(a ^ b ^ c for a, b, c in itertools.combinations(lam.elems, 3))
     q = F2Set.from_bits(18, random.Random(3).sample(sums, 120))
     config = {"command": "extract", "q_text": serialize_set(q), "lambda_text": serialize_set(lam),
               "d": 3, "seed": 7}
     results = run_config(config).results
-    digest = "37fe6c56ad69a15cd13c7767f7c7dda7584cd514ad9563bb6783ea3261e6972a"
-    assert hashlib.sha256(canonical_results(results).encode()).hexdigest() == digest
-
-
-def test_extract_d3_energy_branch_keeps_its_bytes():
-    # the same instance at big_k = 1/1000000, where m_cor <= p^2 and every
-    # prefix fiber's T_p is computed from its point set; re-pinned with the
-    # test above, both times
-    lam = random_dissociated(18, 16, seed=3)
-    sums = sorted(a ^ b ^ c for a, b, c in itertools.combinations(lam.elems, 3))
-    q = F2Set.from_bits(18, random.Random(3).sample(sums, 120))
-    config = {"command": "extract", "q_text": serialize_set(q), "lambda_text": serialize_set(lam),
-              "d": 3, "seed": 7, "params": {"big_k": "1/1000000"}}
-    results = run_config(config).results
-    digest = "8d4e315786badfc9df00ff386f57d8cb3761f5e50710c9f900a282f56b282793"
+    digest = "a008d25304900c809a0d5e02061ffe8799c8719988a55fdb49a3083ad7bf9ce6"
     assert hashlib.sha256(canonical_results(results).encode()).hexdigest() == digest
 
 
 def test_extract_d4_keeps_its_bytes():
     # 200 of the 715 4-fold sums of a 13-element Lambda, each point in the
     # fibers of the 6 pairs of its decomposition; re-pinned when the fibers
-    # replaced the partition search (coverage 56/200 -> 200/200), and when
-    # params_resolved lost seven keys (rectangles unchanged)
+    # replaced the partition search (coverage 56/200 -> 200/200), when
+    # params_resolved lost seven keys, and when the report lost `warnings`,
+    # `reference_epsilon` and `big_k` and the trace `excess` (rectangles unchanged)
     lam = random_dissociated(18, 13, seed=4)
     sums = sorted(a ^ b ^ c ^ d for a, b, c, d in itertools.combinations(lam.elems, 4))
     q = F2Set.from_bits(18, random.Random(4).sample(sums, 200))
     config = {"command": "extract", "q_text": serialize_set(q), "lambda_text": serialize_set(lam),
               "d": 4, "seed": 7}
     results = run_config(config).results
-    digest = "bae153e67efbe2b71f1ddf12f67efc93b32f682bafa9516bb3a2e174319a03b9"
+    digest = "65bda74557a2c7c1934ae699792edebcdfe80122716b989a560de3c1229af25c"
     assert hashlib.sha256(canonical_results(results).encode()).hexdigest() == digest
 
 
@@ -859,6 +878,7 @@ def test_extract_d4_keeps_its_bytes():
         (2, "35cbe69ab5647d5a726883a30cf0e0efd44dfb4abe7c2755d338fc0fb183196e"),
         (3, "ba1f3335ce1291deb26b5d2261c88d1db2d634c040a076cbd4673f5ff1b70774"),
     ],
+    ids=["seed1", "seed2", "seed3"],  # not the digests, so that a re-pin keeps the test names
 )
 def test_inverse2_rows_keep_their_bytes(seed, digest):
     # every row of these seeds holds, so each reads the fiber masks and the

@@ -646,7 +646,7 @@ def test_extract_never_fabricates():
     rep_params = InverseParams(seed=9, min_rows=3, min_cols=3)
     lam = random_dissociated(14, 10, seed=8)
     q = F2Set.from_bits(14, (lam.elems[0] ^ lam.elems[1],))
-    rects, _, _, trace, _ = extract_rectangles_pair(q, lam, rep_params)
+    rects, _, _, trace = extract_rectangles_pair(q, lam, rep_params)
     assert rects == ()
     assert trace  # diagnostics recorded
 
@@ -712,7 +712,7 @@ def test_extract_d_recovers_planted_share(d, h, lambda_size, floor):
     covered = planted = 0
     for seed in range(10):
         q, lam = _plant_prefixed(d, h, 3, lambda_size, seed)
-        rects, count, _, trace, _ = extract_rectangles_d(q, lam, d, InverseParams(seed=seed))
+        rects, count, _, trace = extract_rectangles_d(q, lam, d, InverseParams(seed=seed))
         _assert_disjoint_cover(rects, count, q, d)
         assert trace[0]["stage"] == "prefix"
         covered += count
@@ -779,30 +779,16 @@ def test_extract_d3_caps_the_fibers(monkeypatch, budget, refused):
         _assert_disjoint_cover(rects, covered, q, 3)
 
 
-@pytest.mark.parametrize("big_k, computed", [(Fraction(1), False), (Fraction(1, 10**6), True)])
-def test_extract_d3_energy_only_where_the_floor_leaves_the_flag_open(monkeypatch, big_k, computed):
-    # T_p(X) >= |X|^p decides the excess flag whenever m_cor = 2^13 (8K)^(d-1)
-    # exceeds p^2: at the default K = 1 no fiber's T_p is computed; at
-    # K = 10^-6, m_cor is about 5e-7, every fiber's T_p is computed, and
-    # T_p <= |X|^(2p-1) leaves each flag false
-    calls = []
-
-    def counting(a, k):
-        calls.append(len(a))
-        return additive_energy(a, k)
-
-    monkeypatch.setattr(inverse, "additive_energy", counting)
+def test_extract_d3_computes_no_energy():
+    # T_p(X) >= |X|^p gives every fiber the paper's energy excess at K >= 1,
+    # so the fibers go by size alone and no fiber's T_p is computed
     q, lam = _plant_prefixed(3, 2, 3, 16, seed=5)
-    params = InverseParams(p=2, seed=5, big_k=big_k)
-    rects, covered, _, trace, _ = extract_rectangles_d(q, lam, 3, params)
+    with mock.patch.object(inverse, "additive_energy", wraps=additive_energy) as energy:
+        rects, covered, _, trace = extract_rectangles_d(q, lam, 3, InverseParams(p=2, seed=5))
     _assert_disjoint_cover(rects, covered, q, 3)
-    prefixes = [t for t in trace if t["stage"] == "prefix"]
-    assert prefixes and bool(calls) == computed
-    assert all(t["excess"] is not computed for t in prefixes)
-    if computed:
-        sizes = sorted(calls)
-        for t in prefixes:
-            sizes.remove(t["points"])
+    sizes = [t["points"] for t in trace if t["stage"] == "prefix"]
+    assert sizes and sizes == sorted(sizes, reverse=True)
+    assert energy.call_count == 0
 
 
 def test_extract_deterministic_under_seed():

@@ -26,8 +26,8 @@ every 8th config is skipped; the hash of two trees, each run on one
 interpreter, is still a valid comparison there.
 
 The corpus covers `plant`, `extract` at d = 2 to 5 (planted and random Q,
-both split branches, parameter overrides including big_k 1/1000000 and a
-coverage target of 1/2, and Lambdas that are not dissociated), and the
+both split branches, parameter overrides of every field but p and the
+seed, which their flags set, and Lambdas that are not dissociated), and the
 `bench` families that read the inverse layer (`bombieri`, `inverse2`,
 `greedy`) or the permanent (`soph`), and `spectrum` and `energy --method
 conv` (k = 2..4) on sets at the 1- to 2-byte lane step, in F_2^1 and of the
@@ -139,7 +139,7 @@ def configs():
         for dens in (0.1, 0.3, 0.6):
             lam = random_dissociated(24, lsize, seed=rng.randrange(1 << 30))
             q = _sample_sums(rng, lam, 3, dens)
-            for p, extra in ((2, {}), (3, {}), (2, {"big_k": "1/1000000"}),
+            for p, extra in ((2, {}), (3, {}), (2, {"coverage_target": "1/2"}),
                              (2, PARAMS_CYCLE[(k + 3) % 10])):
                 k += 1
                 yield _extract(q, lam, d=3, p=p, seed=rng.randrange(1000), params=extra)
@@ -160,7 +160,7 @@ def configs():
         for seed in range(1, 11):
             yield {"command": "bench", "theorem": theorem, "count": 10, "seed": seed}
     # E. d = 4 and 5: random subsets of d-fold sums, with overrides
-    extras = ({}, {"big_k": "1/1000000"}, {"coverage_target": "1/2"}, {"depth": 1},
+    extras = ({}, {"width": 2, "zeta": "1/2"}, {"coverage_target": "1/2"}, {"depth": 1},
               {"min_rows": 2, "min_cols": 2}, {"min_cols": 3})
     for d, sizes in ((4, (8, 10, 12, 13)), (5, (10, 14, 15))):
         for lsize in sizes:
