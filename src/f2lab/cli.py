@@ -21,6 +21,7 @@ defaults before the handler reads it.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 import time
@@ -125,14 +126,14 @@ def _cmd_spectrum(config: dict) -> Outcome:
     import hashlib
     from operator import mul
 
-    from .wht import check_alpha, large_spectrum_from_table, spectrum_of_set
+    from .wht import check_alpha, read_spectrum
 
     alpha = None
     if "alpha" in config:
         alpha = parse_fraction(config["alpha"])
         check_alpha(alpha)
     a = parse_set(config["set_text"])
-    table = spectrum_of_set(a)
+    table, nonzero, spec = read_spectrum(a, alpha)
     csv_chunks = tuple(_spectrum_csv(table))
     digest = hashlib.sha256()
     for chunk in csv_chunks:
@@ -143,10 +144,9 @@ def _cmd_spectrum(config: dict) -> Outcome:
         "set_size": len(a),
         "parseval_ok": sum(map(mul, table.values, table.values)) == n * len(a),
         "csv_sha256": digest.hexdigest(),
-        "nonzero": n - table.values.count(0),
+        "nonzero": nonzero,
     }
     if alpha is not None:
-        spec = large_spectrum_from_table(table, alpha)
         results["alpha"] = str(alpha)
         results["large_spectrum"] = [bits_to_string(e, a.dim) for e in spec.elems]
     return Outcome(results, 0 if results["parseval_ok"] else 1, {"": csv_chunks})
@@ -587,7 +587,11 @@ def main(argv: list[str] | None = None) -> int:
     if report_path:
         with open(report_path, "w", encoding="ascii") as fh:
             fh.write(text + "\n")
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader has gone, as after `| head`; the exit flush must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return exit_code
 
 

@@ -154,9 +154,10 @@ def parse_set(text: str) -> F2Set:
 
     First line is the dimension n, each following nonempty line one element
     as an n-character {0,1} string (leftmost character = coordinate 1).
-    Duplicate lines are a hard error, never silently merged.  Lengths,
-    characters and duplicates are checked over the whole file at once; only
-    a file that fails is walked line by line, to report its first fault.
+    Duplicate lines are a hard error, never silently merged.  Lengths and
+    characters are checked over the whole file at once, and duplicates by
+    F2Set's strict order on the sorted elements; only a file that fails is
+    walked line by line, to report its first fault.
     """
     lines = text.splitlines()
     if not lines:
@@ -167,13 +168,13 @@ def parse_set(text: str) -> F2Set:
         raise SetFileError(f"bad dimension header {lines[0]!r}") from None
     _check_dim(dim)
     rows = list(filter(None, map(str.strip, lines[1:])))
-    if not (
-        set(map(len, rows)) <= {dim}
-        and not "".join(rows).translate(_DROP_BITS)
-        and len(set(rows)) == len(rows)
-    ):
+    if not set(map(len, rows)) <= {dim} or "".join(rows).translate(_DROP_BITS):
         _raise_first_fault(lines, dim)
-    return F2Set(dim, tuple(sorted([int(row[::-1], 2) for row in rows])))
+    elems = tuple(sorted([int(row[::-1], 2) for row in rows]))
+    try:
+        return F2Set(dim, elems)
+    except ValueError:  # a duplicate line breaks the strict order
+        _raise_first_fault(lines, dim)
 
 
 def _raise_first_fault(lines: list[str], dim: int) -> None:

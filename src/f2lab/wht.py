@@ -1,7 +1,9 @@
 """Exact fast Walsh-Hadamard transform and large-spectrum extraction.
 
 Tables hold arbitrary-precision Python integers throughout, so Parseval and
-all downstream energy computations are exact.
+all downstream energy computations are exact.  A set's large spectrum and
+its count of nonzero coefficients are read from the kernel's final lanes
+(`read_spectrum`); `large_spectrum_from_table` scans a table already held.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import deque
-from itertools import repeat
+from itertools import compress, repeat
 from operator import setitem
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -94,12 +96,16 @@ def _transform(values: Sequence[int], shift: int = 0) -> tuple[int, ...]:
             lanes = bytearray(count * w8)
             for j, k in enumerate(order[:w8]):
                 lanes[j::w8] = items[k::size]
-    return _butterfly(lanes, count, w8, order, s, shift)
+    return _butterfly(lanes, count, w8, order, s, shift)[0]
 
 
-def _butterfly(lanes: bytes, count: int, w8: int, order: range | None, s: int, shift: int) -> tuple[int, ...]:
+def _butterfly(
+    lanes: bytes, count: int, w8: int, order: range | None, s: int, shift: int, least: int | None = None
+) -> tuple[tuple[int, ...], int | None, list[int] | None]:
     """The one transform kernel: `lanes` holds `count` values v, each as its
     w-bit two's complement in w = 8 w8 bits, s bounds every |v| and 4s < 2^w.
+    It returns the table and, with `least` given at shift 0, the count of its
+    nonzero entries and the r with |table(r)| >= least, in order (else None).
     It runs as (H_P x I)(I x H_sub): P = max(1, count >> PIECE_BITS) pieces
     of sub = count / P lanes (lane sub p + i is lane i of piece p, so
     H_N = H_P x H_sub), each lifted and taken through every inner stage
@@ -136,6 +142,20 @@ def _butterfly(lanes: bytes, count: int, w8: int, order: range | None, s: int, s
     >> k leaves v/N + c in each lane (at k >= w all lanes and c are 0); the
     exit reads offset c.
 
+    The answers, read at shift 0 on the final pieces, before the exit: each
+    lane holds u = v + s in [0, 2s], and 2s < 2^(w-1).  Let L and T hold 1
+    and 2^(w-1) in every lane.  v = 0 iff u ^ s = 0; (x ^ S) + T - L holds
+    (u ^ s) + 2^(w-1) - 1 < 2^w in every lane, as u ^ s < 2^(w-1), so no
+    lane carries, and its top bit is set iff v != 0: the nonzero count is
+    the popcount of those top bits.  |v| >= least iff u >= s + least or
+    u <= s - least.  At least > s no lane is a hit, as |v| <= s.  At
+    least <= s, s + least <= 2s < 2^(w-1), and x + T - (s + least) L and
+    T + (s - least) L - x hold u - s - least + 2^(w-1) and
+    s - least - u + 2^(w-1), both in [2^(w-1) - 2s, 2^(w-1) + s) inside
+    [0, 2^w), so neither carries nor borrows, and each top bit is set iff
+    its case holds.  Only a piece with some top bit set is read lane by
+    lane, so a dense threshold costs one pass over its hits.
+
     The exit is the lift's inverse: adding 2^(w-1) - s in each lane gives
     v + 2^(w-1) < 2^w, so no lane carries, and XOR with 2^(w-1) gives
     v mod 2^w.  An item's bytes above its lane repeat the sign of v, the top
@@ -167,6 +187,18 @@ def _butterfly(lanes: bytes, count: int, w8: int, order: range | None, s: int, s
                 a, b = xs[i], xs[i + h]
                 xs[i], xs[i + h] = a + b - spread, a + spread - b
         h *= 2
+    nonzero = hits = None
+    if least is not None:
+        ones = top - low
+        nonzero = sum([(((x ^ spread) + ones) & top).bit_count() for x in xs])
+        hits = []
+        if least <= s:
+            up, down = top - (s + least) * low, top + (s - least) * low
+            for p, x in enumerate(xs):
+                flags = ((x + up) | (down - x)) & top
+                if flags:
+                    on = (flags >> (w - 1)).to_bytes(step, "little")[::w8]
+                    hits += compress(range(p * sub, (p + 1) * sub), on)
     if shift:
         rem = (1 << min(shift, w)) - 1
         check, residues = rem * low, (s & rem) * low
@@ -177,40 +209,46 @@ def _butterfly(lanes: bytes, count: int, w8: int, order: range | None, s: int, s
         gap = top - (s >> shift) * low
     lanes = b"".join([((x + gap) ^ top).to_bytes(step, "little") for x in xs])
     if order is None:
-        return tuple(int.from_bytes(lanes[i : i + w8], "little", signed=True) for i in range(0, len(lanes), w8))
-    size = len(order)
-    if order == range(w8):  # the lanes are the items
-        return tuple(memoryview(lanes).cast(_ITEMS[size]))
-    items = bytearray(count * size)
-    for j, k in enumerate(order[:w8]):
-        items[k::size] = lanes[j::w8]
-    if size > w8:
-        sign = lanes[w8 - 1 :: w8].translate(_SIGN)
-        for k in order[w8:]:
-            items[k::size] = sign
-    return tuple(memoryview(items).cast(_ITEMS[size]))
+        values = tuple(int.from_bytes(lanes[i : i + w8], "little", signed=True) for i in range(0, len(lanes), w8))
+    elif order == range(w8):  # the lanes are the items
+        values = tuple(memoryview(lanes).cast(_ITEMS[w8]))
+    else:
+        size = len(order)
+        items = bytearray(count * size)
+        for j, k in enumerate(order[:w8]):
+            items[k::size] = lanes[j::w8]
+        if size > w8:
+            sign = lanes[w8 - 1 :: w8].translate(_SIGN)
+            for k in order[w8:]:
+                items[k::size] = sign
+        values = tuple(memoryview(items).cast(_ITEMS[size]))
+    return values, nonzero, hits
 
 
 def wht(f: IntFunction | F2Set) -> IntFunction:
     """A_hat(r) = sum_x f(x) (-1)^<r,x>, exact, O(N log N) integer ops.  A
     set stands for its 0/1 indicator and enters the lanes from its points."""
-    _check_table_dim(f.dim)
     if isinstance(f, F2Set):
-        return IntFunction(f.dim, _points(f))
+        return read_spectrum(f)[0]
+    _check_table_dim(f.dim)
     return IntFunction(f.dim, _transform(f.values))
 
 
-def _points(a: F2Set) -> tuple[int, ...]:
-    """The transform of the indicator of A, the set's entry into
-    `_butterfly`: byte 1 at the low byte of lane p for each p in A, the
-    two's complement of 1 in any lane width, with s = |A|."""
+def read_spectrum(a: F2Set, alpha: Fraction | None = None) -> tuple[IntFunction, int, F2Set | None]:
+    """The transform of the indicator of A, its count of nonzero entries and,
+    given alpha, R_alpha(A), the last two read from the kernel's final lanes.
+    The set's entry into `_butterfly`: byte 1 at the low byte of lane p for
+    each p in A, the two's complement of 1 in any lane width, with s = |A|."""
     count, s = 1 << a.dim, len(a)
+    least = s + 1 if alpha is None else _least(alpha, a.dim)
+    _check_table_dim(a.dim)
     w8, order = _lane_format(s)
     ones = bytearray(count)
     deque(map(setitem, repeat(ones), a.elems, repeat(1)), 0)
     lanes = bytearray(count * w8)
     lanes[::w8] = ones
-    return _butterfly(lanes, count, w8, order, s, 0)
+    values, nonzero, hits = _butterfly(lanes, count, w8, order, s, 0, least)
+    return IntFunction(a.dim, values), nonzero, None if alpha is None else F2Set(a.dim, tuple(hits))
 
 
 def spectrum_of_set(a: F2Set) -> IntFunction:
@@ -228,8 +266,13 @@ def large_spectrum(a: F2Set, alpha: Fraction) -> F2Set:
     """R_alpha = { r : |A_hat(r)| >= alpha * N }, threshold compared exactly."""
     if len(a) == 0:
         raise ValueError("large spectrum of an empty set")
+    return read_spectrum(a, alpha)[2]
+
+
+def _least(alpha: Fraction, dim: int) -> int:
+    """ceil(alpha N), the least |A_hat(r)| of an r in R_alpha, once alpha is checked."""
     check_alpha(alpha)
-    return large_spectrum_from_table(spectrum_of_set(a), alpha)
+    return -(-(alpha.numerator << dim) // alpha.denominator)
 
 
 _SCAN_BLOCK = 64  # entries per block of the large-spectrum scan
@@ -238,8 +281,7 @@ _SCAN_BLOCK = 64  # entries per block of the large-spectrum scan
 def large_spectrum_from_table(table: IntFunction, alpha: Fraction) -> F2Set:
     """The r with |table(r)| >= alpha N.  Blocks whose max and min stay
     inside (-alpha N, alpha N) are skipped whole by two C-level passes."""
-    check_alpha(alpha)
-    least = -(-(alpha.numerator << table.dim) // alpha.denominator)  # ceil(alpha N)
+    least = _least(alpha, table.dim)
     values, hits = table.values, []
     for start in range(0, len(values), _SCAN_BLOCK):
         block = values[start : start + _SCAN_BLOCK]

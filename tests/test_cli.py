@@ -520,10 +520,10 @@ def test_hash_seed_does_not_change_results(tmp_path):
 
 @pytest.mark.parametrize("alpha", ["0", "-1/2", "1/0"])
 def test_spectrum_bad_alpha_exit2(tmp_path, capsys, monkeypatch, alpha):
-    def no_transform(a):
+    def no_transform(*args):
         raise AssertionError("alpha must be refused before the transform")
 
-    monkeypatch.setattr(wht, "spectrum_of_set", no_transform)
+    monkeypatch.setattr(wht, "read_spectrum", no_transform)
     path = write(tmp_path, "basis3.set", SET_BASIS3)
     code, report = run_cli(["spectrum", "--set", path, f"--alpha={alpha}"], tmp_path)
     assert code == 2 and report is None
@@ -539,6 +539,27 @@ def test_console_entrypoint_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["value"] == 21
+
+
+@pytest.mark.parametrize("set_text", [SET_BASIS3, "14\n" + "1" * 14 + "\n"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_prints_no_traceback(tmp_path, set_text):
+    # a reader that has gone (`f2lab ... | head`): the report fits the
+    # stdout buffer at n = 4 and does not at n = 14
+    path = write(tmp_path, "a.set", set_text)
+    src = os.path.dirname(os.path.dirname(f2lab.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "f2lab.cli", "spectrum", "--set", path, "--alpha", "1/16384"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0 and proc.stderr == ""
 
 
 BASE_LAYER = {"cli", "core"}

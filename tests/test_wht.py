@@ -13,6 +13,7 @@ from f2lab.wht import (
     inverse_wht,
     large_spectrum,
     large_spectrum_from_table,
+    read_spectrum,
     spectrum_of_set,
     wht,
 )
@@ -423,6 +424,50 @@ def test_large_spectrum_from_table_matches_plain_scan():
         assert large_spectrum_from_table(IntFunction(dim, (0,) * n), alpha).elems == ()
 
 
+def _check_lane_answers(a, table):
+    # read_spectrum's nonzero count and R_alpha against the scans of a table
+    # from the butterfly oracle, at alpha = 1/N, 1/64, 1/2 and 1, at
+    # least = s and at least = s + 1 > s (no hits, |A_hat| <= s)
+    n, s = 1 << a.dim, len(a)
+    got, nonzero, spectrum = read_spectrum(a)
+    assert list(got.values) == table and spectrum is None
+    assert nonzero == n - table.count(0)
+    alphas = {Fraction(1, n), Fraction(1, 64), Fraction(1, 2), Fraction(1)}
+    alphas |= {Fraction(least, n) for least in (s, s + 1) if 0 < least <= n}
+    hits = []
+    for alpha in sorted(alphas):
+        got, nonzero, spectrum = read_spectrum(a, alpha)
+        assert list(got.values) == table and nonzero == n - table.count(0)
+        assert spectrum == large_spectrum_from_table(IntFunction(a.dim, tuple(table)), alpha)
+        hits += spectrum.elems
+    return hits
+
+
+def test_read_spectrum_answers_match_table_scans():
+    # pieces of 2^12 lanes: n = 13 and 14 read hits from two and four pieces
+    rng = random.Random(40)
+    for dim in range(1, 15):
+        n = 1 << dim
+        for elems in ((), (rng.randrange(n),), range(n), rng.sample(range(n), rng.randint(1, n))):
+            a = F2Set.from_bits(dim, elems)
+            _check_lane_answers(a, butterfly_wht(_indicator_table(a)))
+
+
+@pytest.mark.parametrize("piece_bits", [0, 2])
+def test_read_spectrum_answers_in_later_pieces(piece_bits, monkeypatch):
+    # pieces of 1 and 4 lanes, so hits land in pieces after the first
+    monkeypatch.setattr(sys.modules["f2lab.wht"], "PIECE_BITS", piece_bits)
+    rng = random.Random(piece_bits)
+    late = 0
+    for dim in range(1, 9):
+        n = 1 << dim
+        for elems in ((), (rng.randrange(n),), range(n), rng.sample(range(n), rng.randint(1, n))):
+            a = F2Set.from_bits(dim, elems)
+            hits = _check_lane_answers(a, naive_wht(_indicator_table(a)))
+            late += sum(r >> piece_bits > 0 for r in hits)
+    assert late > 0
+
+
 def test_spectrum_rows_format(tmp_path):
     out = tmp_path / "spectrum.csv"
     execute({"command": "spectrum", "set_text": "2\n00\n"}, str(out))
@@ -443,9 +488,9 @@ def test_indicator_refuses_tables_above_cap(monkeypatch):
 
 
 def test_large_spectrum_checks_alpha_before_transform(monkeypatch):
-    def no_transform(a):
+    def no_transform(*args):
         raise AssertionError("alpha must be refused before the transform")
 
-    monkeypatch.setattr(sys.modules["f2lab.wht"], "spectrum_of_set", no_transform)
+    monkeypatch.setattr(sys.modules["f2lab.wht"], "_butterfly", no_transform)
     with pytest.raises(ValueError):
         large_spectrum(F2Set(4, (1, 2)), Fraction(0))
