@@ -33,13 +33,7 @@ from .exact import (
 )
 from .inverse import _best_intersections, greedy_disjoint_supports
 from .permanent import CombMatrix, permanent
-from .wht import (
-    IntFunction,
-    _check_table_dim,
-    large_spectrum,
-    large_spectrum_from_table,
-    spectrum_of_set,
-)
+from .wht import IntFunction, _check_table_dim, large_spectrum_from_table, read_spectrum, wht
 
 SOPHISTICATED_P_CAP = 4
 INVERSE2_S1_CAP, INVERSE2_P_CAP = 14, 6
@@ -103,7 +97,7 @@ def check_chang(a: F2Set, alpha: Fraction, lam: F2Set) -> list[BoundReport]:
     """Dissociated subsets of the large spectrum have size at most
     2 (delta/alpha)^2 log(1/delta) ("chang"), and |R_alpha| <= delta /
     alpha^2 is the Parseval baseline ("parseval-spectrum")."""
-    return _chang_rows(a, alpha, lam, large_spectrum(a, alpha))
+    return _chang_rows(a, alpha, lam, read_spectrum(a, alpha)[2])
 
 
 def _chang_rows(a: F2Set, alpha: Fraction, lam: F2Set, spectrum: F2Set) -> list[BoundReport]:
@@ -115,6 +109,8 @@ def _chang_rows(a: F2Set, alpha: Fraction, lam: F2Set, spectrum: F2Set) -> list[
 
 
 def _chang_row(lam, spectrum, delta, alpha, inst) -> BoundReport:
+    if delta == 0:
+        return _precondition_failed("chang", inst, "A is empty")
     if not is_dissociated(lam):
         return _precondition_failed("chang", inst, "Lambda not dissociated")
     if not lam.issubset(spectrum):
@@ -193,13 +189,15 @@ def check_full_sumset_lower(lam1: F2Set, d: int, p: int) -> BoundReport:
 
 def check_spectrum_energy_lower(a: F2Set, b: F2Set, k: int, alpha: Fraction) -> BoundReport:
     """T_k(B) >= delta^(1-2k) alpha^(2k) |B|^(2k) for B inside R_alpha(A)."""
-    return _spectrum_energy_lower_row(a, b, k, alpha, large_spectrum(a, alpha))
+    return _spectrum_energy_lower_row(a, b, k, alpha, read_spectrum(a, alpha)[2])
 
 
 def _spectrum_energy_lower_row(a: F2Set, b: F2Set, k: int, alpha: Fraction, spectrum: F2Set) -> BoundReport:
     """The row of `check_spectrum_energy_lower`, given R_alpha(A)."""
     name = "spectrum-energy-lower"
     inst = f"n={a.dim} |A|={len(a)} |B|={len(b)} k={k} alpha={alpha}"
+    if len(a) == 0:
+        return _precondition_failed(name, inst, "A is empty")
     if not b.issubset(spectrum):
         return _precondition_failed(name, inst, "B not inside R_alpha")
     n = 1 << a.dim
@@ -219,10 +217,12 @@ def check_bourgain_intersection(a: F2Set, lam: F2Set, alpha: Fraction, d: int) -
         return _precondition_failed(name, inst, "delta > 1/4")
     if 2 ** (4 * d) * delta > 1:
         return _precondition_failed(name, inst, "d > log(1/delta)/4")
+    if delta == 0:
+        return _precondition_failed(name, inst, "A is empty")
     if refused := _family_refusal(name, inst, lam, 2 * floor_log2(1 / delta)):
         return refused
     sumset = distinct_sumset_power(lam, d)
-    spectrum = large_spectrum(a, alpha)
+    spectrum = read_spectrum(a, alpha)[2]
     lhs = len(sumset.intersection(spectrum))
     factor = (delta / alpha) ** 2
 
@@ -423,7 +423,7 @@ def check_inverse2(q: F2Set, lam1: F2Set, lam2: F2Set, p: int, m_param: Fraction
 
 def check_bombieri(universe: F2Set, subsets: Sequence[F2Set], lam: Fraction, t: int) -> BoundReport:
     """Some t of q subsets B_i of B with |B_i| >= lam |B| share at least
-    (lam - t/q) C(q, t)^-1 |B| elements, for t <= lam q.
+    (lam - t/q) C(q, t)^-1 |B| elements, for 1 <= t <= lam q.
 
     The largest t-fold intersection comes from a branch and bound, exact up
     to a node cap; a capped search that misses the bound is undecided.
@@ -436,6 +436,8 @@ def check_bombieri(universe: F2Set, subsets: Sequence[F2Set], lam: Fraction, t: 
         return _precondition_failed(name, inst, "some |B_i| < lam |B|")
     if not all(b.issubset(universe) for b in subsets):
         return _precondition_failed(name, inst, "some B_i outside B")
+    if t < 1:
+        return _precondition_failed(name, inst, "t < 1")
     if t > lam * q:
         return _precondition_failed(name, inst, "t > lam q")
     index = {x: i for i, x in enumerate(universe.elems)}
@@ -536,7 +538,7 @@ def verify_majority(n: int, delta: Fraction, d: int = 1) -> list[BoundReport]:
     threshold = (nprime + 1) // 2  # at least nprime/2 ones
     inner_elems = [x for x in range(1 << nprime) if x.bit_count() >= threshold]
     inner = F2Set.from_bits(nprime, inner_elems)
-    table = spectrum_of_set(inner)
+    table = wht(inner)
     weight_values = [table.values[(1 << w) - 1] for w in range(nprime + 1)]
     if any(v != weight_values[r.bit_count()] for r, v in enumerate(table.values)):
         raise ArithmeticError("inner spectrum not weight-symmetric (bug)")
@@ -612,7 +614,7 @@ def _draw_chang(rng: random.Random) -> list[BoundReport]:
     n = 1 << dim
     size = rng.randint(2, max(2, n // 4))
     a = F2Set.from_bits(dim, rng.sample(range(n), size))
-    table = spectrum_of_set(a)
+    table = wht(a)
     import heapq  # a shared library: loaded here, not at every command's start-up
     largest = heapq.nlargest(8, filter(None, map(abs, table.values[1:])))
     alpha = Fraction(largest[rng.randrange(len(largest))], n)
@@ -656,7 +658,7 @@ def _draw_spectrum_energy_lower(rng: random.Random) -> list[BoundReport]:
     n = 1 << dim
     size = rng.randint(1, max(1, n // 2))
     a = F2Set.from_bits(dim, rng.sample(range(n), size))
-    table = spectrum_of_set(a)
+    table = wht(a)
     nonzero = sorted(set(map(abs, table.values)) - {0}, reverse=True)
     alpha = Fraction(nonzero[rng.randrange(min(4, len(nonzero)))], n)
     spectrum = large_spectrum_from_table(table, alpha)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .core import BudgetError, DimensionError, ExactnessError, F2Set, distinct_sumset_power
 from .dissociation import _extend_basis, is_dissociated
-from .wht import IntFunction, inverse_wht, spectrum_of_set, wht
+from .wht import IntFunction, inverse_wht, wht
 
 BRUTE_BUDGET = 10**8
 
@@ -57,8 +57,7 @@ def energy_spectral(a: F2Set, k: int) -> int:
     """T_k = N^-1 sum_r A_hat(r)^(2k); the sum must divide exactly."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    table = spectrum_of_set(a)
-    return _spectral_moment(table, k)
+    return _spectral_moment(wht(a), k)
 
 
 def _spectral_moment(table: IntFunction, k: int) -> int:
@@ -165,7 +164,7 @@ def energy_multiset(sets: Sequence[F2Set]) -> int:
             raise DimensionError("sets live in different groups")
     sets = _span_coordinates(sets, dim - 1) or sets
     n = 1 << sets[0].dim
-    total = sum(map(prod, zip(*[spectrum_of_set(s).values for s in sets])))
+    total = sum(map(prod, zip(*[wht(s).values for s in sets])))
     q, rem = divmod(total, n)
     if rem:
         raise ExactnessError("mixed energy spectral sum not divisible by N (bug)")

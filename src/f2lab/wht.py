@@ -29,12 +29,6 @@ def _check_table_dim(dim: int) -> None:
         raise BudgetError(f"transform table 2^{dim} exceeds cap 2^{WHT_DIM_CAP}")
 
 
-def check_alpha(alpha: Fraction) -> None:
-    """Large-spectrum thresholds must lie in (0, 1]."""
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-
-
 class IntFunction(Value):
     """An integer-valued function on F_2^n as a table of length 2^n; a
     Fourier table {f_hat(r)} is one too, on the same group."""
@@ -50,15 +44,15 @@ class IntFunction(Value):
     @classmethod
     def from_points(cls, dim: int, points: Iterable[int], values: Iterable[int]) -> "IntFunction":
         """The function taking the i-th of `values` at the i-th of `points`,
-        zero elsewhere; the table cap is checked before the table is allocated."""
+        zero elsewhere; the table cap, and that every point lies in [0, 2^n),
+        are checked before the table is allocated."""
         _check_table_dim(dim)
+        points = tuple(points)
+        if points and not 0 <= min(points) <= max(points) < 1 << dim:
+            raise DimensionError(f"points must lie in [0, 2^{dim})")
         vals = [0] * (1 << dim)
         deque(map(setitem, repeat(vals), points, values), 0)  # no tuple per point
         return cls(dim, tuple(vals))
-
-    @classmethod
-    def indicator(cls, s: F2Set) -> "IntFunction":
-        return cls.from_points(s.dim, s.elems, repeat(1))
 
 
 _ITEMS = {1: "b", 2: "h", 4: "i", 8: "q"}  # signed native items of 1, 2, 4 and 8 bytes
@@ -251,27 +245,17 @@ def read_spectrum(a: F2Set, alpha: Fraction | None = None) -> tuple[IntFunction,
     return IntFunction(a.dim, values), nonzero, None if alpha is None else F2Set(a.dim, tuple(hits))
 
 
-def spectrum_of_set(a: F2Set) -> IntFunction:
-    """Fourier table of the 0/1 indicator of a set."""
-    return wht(a)
-
-
 def inverse_wht(s: IntFunction) -> IntFunction:
     """Inverse transform; the WHT is an involution up to the factor N, which
     the kernel divides out inside the lanes."""
     return IntFunction(s.dim, _transform(s.values, s.dim))
 
 
-def large_spectrum(a: F2Set, alpha: Fraction) -> F2Set:
-    """R_alpha = { r : |A_hat(r)| >= alpha * N }, threshold compared exactly."""
-    if len(a) == 0:
-        raise ValueError("large spectrum of an empty set")
-    return read_spectrum(a, alpha)[2]
-
-
 def _least(alpha: Fraction, dim: int) -> int:
-    """ceil(alpha N), the least |A_hat(r)| of an r in R_alpha, once alpha is checked."""
-    check_alpha(alpha)
+    """ceil(alpha N), the least |A_hat(r)| of an r in R_alpha; a threshold
+    outside (0, 1] is refused here, before any lanes are allocated."""
+    if not 0 < alpha <= 1:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     return -(-(alpha.numerator << dim) // alpha.denominator)
 
 
@@ -280,7 +264,13 @@ _SCAN_BLOCK = 64  # entries per block of the large-spectrum scan
 
 def large_spectrum_from_table(table: IntFunction, alpha: Fraction) -> F2Set:
     """The r with |table(r)| >= alpha N.  Blocks whose max and min stay
-    inside (-alpha N, alpha N) are skipped whole by two C-level passes."""
+    inside (-alpha N, alpha N) are skipped whole by two C-level passes.
+
+    It stays beside `read_spectrum` for the `chang` and `maing` draws, which
+    pick alpha from a table they already hold, so the lanes would cost a
+    second transform: 200 such `read_spectrum` calls at n = 4..12 take
+    0.023 s, against 0.083 s for the 200 draws of a whole `chang` family
+    (in process, best of 5, CPython 3.11 on 2 cores)."""
     least = _least(alpha, table.dim)
     values, hits = table.values, []
     for start in range(0, len(values), _SCAN_BLOCK):

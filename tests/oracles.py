@@ -13,6 +13,11 @@ from functools import reduce
 from math import factorial, prod
 
 
+def indicator_table(a):
+    """The 0/1 table of a set: entry x is 1 exactly when x is in A."""
+    return tuple(int(x in a) for x in range(1 << a.dim))
+
+
 def floor_log2_loop(x):
     """Largest e with 2^e <= x, for x > 0, stepping e from 0 one unit at a time."""
     e = 0

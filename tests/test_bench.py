@@ -34,7 +34,7 @@ from f2lab.inverse import (
     extract_rectangles_pair,
 )
 from f2lab.permanent import CombMatrix, reduced_permanent_check
-from f2lab.wht import spectrum_of_set
+from f2lab.wht import wht
 
 from oracles import naive_wht
 
@@ -216,6 +216,21 @@ def test_spectrum_energy_lower_precondition():
     assert rep.status == "precondition-failed"
 
 
+def test_spectrum_checkers_refuse_an_empty_a():
+    # R_alpha of an empty A is empty and delta = 0, so log(1/delta) has no
+    # value: each R_alpha row is refused; Parseval's 0 <= 0 still holds
+    empty = F2Set(8, ())
+    for lam in (F2Set(8, ()), F2Set(8, (1, 2))):
+        chang, parseval = check_chang(empty, Fraction(1, 4), lam)
+        assert (chang.theorem, chang.status, chang.detail) == ("chang", "precondition-failed", "A is empty")
+        assert (parseval.status, parseval.lhs, parseval.rhs) == ("holds", 0, 0)
+        for rep in (
+            check_spectrum_energy_lower(empty, lam, 2, Fraction(1, 4)),
+            check_bourgain_intersection(empty, lam, Fraction(1, 4), 1),
+        ):
+            assert (rep.status, rep.detail) == ("precondition-failed", "A is empty")
+
+
 def test_bourgain_subspace_basis():
     h = subspace(8, 4)  # delta = 1/16, log(1/delta) = 4, d = 1 allowed
     lam = F2Set(8, (16, 32, 64, 128))  # basis of the annihilator directions
@@ -272,7 +287,7 @@ def test_majority_spectrum_count_matches_direct():
         nprime = n - 4
         inner = [x for x in range(1 << nprime) if x.bit_count() >= (nprime + 1) // 2]
         full = F2Set.from_bits(n, inner)  # embedding: outer coords zero
-        table = spectrum_of_set(full)
+        table = wht(full)
         alpha_used = Fraction(rows["majority-weight1-formula"].lhs, 1 << n)
         alpha_sq = min(delta**2 / (2**24 * n), alpha_used**2)
         n_full = 1 << n

@@ -523,7 +523,7 @@ def test_spectrum_bad_alpha_exit2(tmp_path, capsys, monkeypatch, alpha):
     def no_transform(*args):
         raise AssertionError("alpha must be refused before the transform")
 
-    monkeypatch.setattr(wht, "read_spectrum", no_transform)
+    monkeypatch.setattr(wht, "_butterfly", no_transform)
     path = write(tmp_path, "basis3.set", SET_BASIS3)
     code, report = run_cli(["spectrum", "--set", path, f"--alpha={alpha}"], tmp_path)
     assert code == 2 and report is None

@@ -21,7 +21,7 @@ from f2lab.bench import BoundReport
 from f2lab.dissociation import FamilySpec
 from f2lab.inverse import Rectangle
 from f2lab.permanent import CombMatrix
-from f2lab.wht import IntFunction, spectrum_of_set
+from f2lab.wht import IntFunction, wht
 
 from oracles import distinct_sums
 
@@ -69,7 +69,7 @@ def test_add_is_xor():
 
 def pairing(r: str, x: str) -> int:
     """<r, x> read off the transform of a point: A_hat(r) = (-1)^<r,x> for A = {x}."""
-    table = spectrum_of_set(F2Set(len(x), (string_to_bits(x),)))
+    table = wht(F2Set(len(x), (string_to_bits(x),)))
     return (1 - table.values[string_to_bits(r)]) // 2
 
 
@@ -80,7 +80,7 @@ def test_dot_examples():
 
 
 def test_dot_bilinear():
-    chars = [spectrum_of_set(F2Set(3, (x,))).values for x in range(8)]
+    chars = [wht(F2Set(3, (x,))).values for x in range(8)]
     for x, y in itertools.product(range(8), repeat=2):
         assert chars[x ^ y] == tuple(a * b for a, b in zip(chars[x], chars[y]))
 

@@ -25,7 +25,7 @@ from f2lab.energy import (
 )
 from f2lab.wht import IntFunction
 
-from oracles import convolve_defn, energy_sum_counts, energy_tuples, energy_tuples_multiset
+from oracles import convolve_defn, energy_sum_counts, energy_tuples, energy_tuples_multiset, indicator_table
 
 
 def test_singleton_energy():
@@ -144,7 +144,7 @@ def test_multiset_matches_oracle_random():
 
 
 def test_convolve_identity():
-    delta = IntFunction.indicator(F2Set(3, (0,)))
+    delta = IntFunction(3, (1,) + (0,) * 7)
     rng = random.Random(2)
     f = IntFunction(3, tuple(rng.randint(-5, 5) for _ in range(8)))
     assert convolve(delta, f).values == f.values
@@ -158,7 +158,7 @@ def test_convolve_support_is_sumset():
         n = 1 << dim
         a = F2Set.from_bits(dim, rng.sample(range(n), rng.randint(1, min(5, n))))
         b = F2Set.from_bits(dim, rng.sample(range(n), rng.randint(1, min(5, n))))
-        conv = convolve(IntFunction.indicator(a), IntFunction.indicator(b))
+        conv = convolve(IntFunction(a.dim, indicator_table(a)), IntFunction(b.dim, indicator_table(b)))
         sumset = {x ^ y for x in a for y in b}
         for x, v in enumerate(conv.values):
             assert (v != 0) == (x in sumset)
@@ -179,7 +179,7 @@ def test_convolve_commutative_and_matches_direct():
 def test_energy_function_indicator_agreement():
     a = F2Set(4, (1, 2, 4, 11))
     for k in (2, 3):
-        assert energy_function(IntFunction.indicator(a), k) == additive_energy(a, k)
+        assert energy_function(IntFunction(a.dim, indicator_table(a)), k) == additive_energy(a, k)
 
 
 def test_energy_function_scaled_point():
@@ -200,7 +200,7 @@ def test_energy_function_vs_abs():
 
 
 def test_holder_equality_case():
-    a = IntFunction.indicator(F2Set(3, (1, 2, 5)))
+    a = IntFunction(3, indicator_table(F2Set(3, (1, 2, 5))))
     rep = check_holder([a, a], [a, a])
     assert rep.status == "holds"
     # f_i = g_j identical, s = t = 2: LHS = T_2(A) and both sides agree
@@ -221,7 +221,7 @@ def test_holder_random_01_functions():
 def test_holder_zero_function():
     dim = 3
     zero = IntFunction(dim, (0,) * 8)
-    f = IntFunction.indicator(F2Set(dim, (1, 2)))
+    f = IntFunction(dim, indicator_table(F2Set(dim, (1, 2))))
     rep = check_holder([f, zero], [f, f])
     assert rep.lhs == 0 and rep.status == "holds"
 

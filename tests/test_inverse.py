@@ -371,6 +371,9 @@ def test_bombieri_precondition_errors():
     assert (rep.status, rep.detail) == ("precondition-failed", "some |B_i| < lam |B|")
     rep = check_bombieri(universe, [universe], Fraction(1, 2), 1)  # t > lam q
     assert (rep.status, rep.detail) == ("precondition-failed", "t > lam q")
+    for t in (0, -1):  # the intersection walk takes 1 <= t
+        rep = check_bombieri(universe, [universe, universe], Fraction(1, 2), t)
+        assert (rep.status, rep.detail) == ("precondition-failed", "t < 1")
 
 
 @st.composite

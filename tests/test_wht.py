@@ -7,27 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f2lab.cli import execute
-from f2lab.core import BudgetError, ExactnessError, F2Set
-from f2lab.wht import (
-    IntFunction,
-    inverse_wht,
-    large_spectrum,
-    large_spectrum_from_table,
-    read_spectrum,
-    spectrum_of_set,
-    wht,
-)
+from f2lab.core import BudgetError, DimensionError, ExactnessError, F2Set
+from f2lab.wht import IntFunction, inverse_wht, large_spectrum_from_table, read_spectrum, wht
 
-from oracles import butterfly_wht, naive_wht
+from oracles import butterfly_wht, indicator_table, naive_wht
 
 
 def test_wht_point_mass():
-    f = IntFunction.indicator(F2Set(2, (0,)))
+    f = IntFunction(2, (1, 0, 0, 0))  # the point mass at 0
     assert wht(f).values == (1, 1, 1, 1)
 
 
 def test_wht_full_group():
-    f = IntFunction.indicator(F2Set(3, tuple(range(8))))
+    f = IntFunction(3, (1,) * 8)
     got = wht(f)
     assert got.values[0] == 8
     assert all(v == 0 for v in got.values[1:])
@@ -36,7 +28,7 @@ def test_wht_full_group():
 def test_wht_subspace_indicator():
     # H = span(e1, e2) inside F_2^4; A_hat = |H| on the annihilator, else 0
     h = F2Set(4, (0, 1, 2, 3))
-    table = wht(IntFunction.indicator(h))
+    table = wht(IntFunction(h.dim, indicator_table(h)))
     annihilator = {0, 4, 8, 12}
     for r, v in enumerate(table.values):
         assert v == (4 if r in annihilator else 0)
@@ -145,9 +137,9 @@ def test_split_tables_and_sets_match_butterfly_oracle():
         assert inverse_wht(table).values == values
         for size in (63, 1 << 10, n):
             a = F2Set.from_bits(dim, rng.sample(range(n), size))
-            spectrum = spectrum_of_set(a)
-            assert list(spectrum.values) == butterfly_wht(_indicator_table(a))
-            assert inverse_wht(spectrum).values == tuple(_indicator_table(a))
+            spectrum = wht(a)
+            assert list(spectrum.values) == butterfly_wht(indicator_table(a))
+            assert inverse_wht(spectrum).values == indicator_table(a)
 
 
 @pytest.mark.parametrize("piece_bits", [0, 1, 2])
@@ -166,7 +158,7 @@ def test_outer_stages_match_naive_oracle(piece_bits, monkeypatch):
             assert inverse_wht(table).values == values
         for size in sorted({0, 1, n // 2, n, min(n, 63), min(n, 64)}) if dim else ():
             a = F2Set.from_bits(dim, rng.sample(range(n), size))
-            assert list(spectrum_of_set(a).values) == naive_wht(_indicator_table(a))
+            assert list(wht(a).values) == naive_wht(indicator_table(a))
 
 
 @pytest.mark.parametrize("piece_bits", [2, 12])
@@ -214,21 +206,17 @@ def test_inverse_wht_non_image_table_reported_at_every_width():
             inverse_wht(IntFunction(dim, tuple(table)))
 
 
-def _indicator_table(a):
-    return [int(x in a) for x in range(1 << a.dim)]
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=8), st.data())
-def test_spectrum_of_set_matches_naive_oracle(dim, data):
+def test_wht_of_set_matches_naive_oracle(dim, data):
     # the points enter the lanes directly, without a 0/1 table
     n = 1 << dim
     size = min(n, data.draw(st.sampled_from([0, 1, n, 63, 64]) | st.integers(0, n)))
     a = F2Set.from_bits(dim, data.draw(st.permutations(range(n)))[:size])
-    assert list(spectrum_of_set(a).values) == naive_wht(_indicator_table(a))
+    assert list(wht(a).values) == naive_wht(indicator_table(a))
 
 
-def test_spectrum_of_set_at_lane_width_steps():
+def test_wht_of_set_at_lane_width_steps():
     # lanes take w8 bytes while 4|A| < 2^(8 w8): |A| = 63 fills 1-byte lanes
     # and 64 takes 2, 2^14 - 1 and 2^14 straddle the step from 2 to 3; with
     # the empty set, one point and the full group at every n up to 8
@@ -237,22 +225,22 @@ def test_spectrum_of_set_at_lane_width_steps():
         n = 1 << dim
         for size in sorted({0, 1, n - 1, n, 63, 64} - set(range(n + 1, 65))):
             a = F2Set.from_bits(dim, rng.sample(range(n), size))
-            assert list(spectrum_of_set(a).values) == naive_wht(_indicator_table(a))
-            assert wht(a).values == wht(IntFunction.indicator(a)).values
+            assert list(wht(a).values) == naive_wht(indicator_table(a))
+            assert wht(a).values == wht(IntFunction(a.dim, indicator_table(a))).values
     for size in ((1 << 14) - 1, 1 << 14):
         a = F2Set.from_bits(15, rng.sample(range(1 << 15), size))
-        assert list(spectrum_of_set(a).values) == butterfly_wht(_indicator_table(a))
+        assert list(wht(a).values) == butterfly_wht(indicator_table(a))
 
 
-def test_spectrum_of_set_refuses_tables_above_cap(monkeypatch):
-    # the points entry never builds `IntFunction.indicator`, whose check it
-    # would otherwise inherit, so `wht` checks the cap for a set too
+def test_wht_of_set_refuses_tables_above_cap(monkeypatch):
+    # the points entry never builds a table with `IntFunction.from_points`,
+    # whose check it would otherwise inherit, so it checks the cap for a set too
     monkeypatch.setattr(sys.modules["f2lab.wht"], "WHT_DIM_CAP", 4)
     with pytest.raises(BudgetError):
-        spectrum_of_set(F2Set(12, (1,)))
+        wht(F2Set(12, (1,)))
     with pytest.raises(BudgetError):
         wht(F2Set(5, ()))
-    assert spectrum_of_set(F2Set(4, (1,))).values == tuple((-1) ** (r & 1) for r in range(16))
+    assert wht(F2Set(4, (1,))).values == tuple((-1) ** (r & 1) for r in range(16))
 
 
 def test_inverse_wht_divides_inside_the_lanes():
@@ -294,7 +282,7 @@ def test_parseval_exact(dim, data):
     size = data.draw(st.integers(min_value=0, max_value=n))
     elems = data.draw(st.permutations(range(n)))[:size]
     a = F2Set.from_bits(dim, elems)
-    table = spectrum_of_set(a)
+    table = wht(a)
     assert sum(v * v for v in table.values) == n * len(a)
     assert table.values[0] == len(a)
 
@@ -306,7 +294,7 @@ def test_parseval_exhaustive_all_sets_small():
         for mask in range(1 << n):
             elems = [x for x in range(n) if (mask >> x) & 1]
             a = F2Set.from_bits(dim, elems)
-            table = spectrum_of_set(a)
+            table = wht(a)
             assert sum(v * v for v in table.values) == n * len(a)
 
 
@@ -315,7 +303,7 @@ def test_parseval_randomized_large_dims():
     for dim in (13, 14, 15, 16):
         n = 1 << dim
         a = F2Set.from_bits(dim, rng.sample(range(n), rng.randint(1, 2000)))
-        table = spectrum_of_set(a)
+        table = wht(a)
         assert sum(v * v for v in table.values) == n * len(a)
 
 
@@ -342,10 +330,10 @@ def test_inverse_wht_non_integer_reported():
 def test_large_spectrum_subspace():
     # codimension-2 subspace: R_alpha = annihilator (size 4) for alpha <= 2^-2
     h = F2Set(4, (0, 1, 2, 3))
-    got = large_spectrum(h, Fraction(1, 4))
+    got = read_spectrum(h, Fraction(1, 4))[2]
     assert got.elems == (0, 4, 8, 12)
     # naive-threshold oracle
-    table = [abs(v) for v in naive_wht(list(IntFunction.indicator(h).values))]
+    table = [abs(v) for v in naive_wht(indicator_table(h))]
     expect = [r for r, v in enumerate(table) if 4 * v >= 16]
     assert list(got.elems) == expect
 
@@ -353,28 +341,28 @@ def test_large_spectrum_subspace():
 def test_large_spectrum_threshold_between_integers():
     # alpha N need not be an integer; |A_hat(r)| >= alpha N is compared exactly
     a = F2Set(4, (1, 2, 4, 9, 13))
-    table = naive_wht(list(IntFunction.indicator(a).values))
+    table = naive_wht(indicator_table(a))
     for q in range(1, 65):
         for p in range(1, q + 1):
             alpha = Fraction(p, q)
             expect = [r for r, v in enumerate(table) if abs(v) >= alpha * 16]
-            assert list(large_spectrum(a, alpha).elems) == expect
+            assert list(read_spectrum(a, alpha)[2].elems) == expect
 
 
 def test_large_spectrum_full_group_alpha_one():
     g = F2Set(3, tuple(range(8)))
-    assert large_spectrum(g, Fraction(1)).elems == (0,)
+    assert read_spectrum(g, Fraction(1))[2].elems == (0,)
 
 
 def test_large_spectrum_above_density_empty():
     a = F2Set(3, (0, 1))
-    assert large_spectrum(a, Fraction(1, 2)).elems == ()
+    assert read_spectrum(a, Fraction(1, 2))[2].elems == ()
 
 
 def test_large_spectrum_contains_zero_when_alpha_below_density():
     a = F2Set(4, (0, 3, 5, 9, 12))
     alpha = Fraction(5, 16)
-    got = large_spectrum(a, alpha)
+    got = read_spectrum(a, alpha)[2]
     assert 0 in got
 
 
@@ -386,7 +374,7 @@ def test_large_spectrum_parseval_bound_random():
         size = rng.randint(1, n)
         a = F2Set.from_bits(dim, rng.sample(range(n), size))
         alpha = Fraction(rng.randint(1, size), n)
-        got = large_spectrum(a, alpha)
+        got = read_spectrum(a, alpha)[2]
         delta = Fraction(len(a), n)
         assert len(got) <= delta / alpha**2
 
@@ -394,9 +382,9 @@ def test_large_spectrum_parseval_bound_random():
 def test_exact_threshold_boundary_inclusive():
     # |A_hat(r)| == alpha*N exactly must be included ("large" is >=)
     h = F2Set(4, (0, 1, 2, 3))  # spectrum is 4 on the annihilator
-    assert large_spectrum(h, Fraction(4, 16)).elems == (0, 4, 8, 12)
+    assert read_spectrum(h, Fraction(4, 16))[2].elems == (0, 4, 8, 12)
     # just above the density everything drops out, including 0
-    assert large_spectrum(h, Fraction(5, 16)).elems == ()
+    assert read_spectrum(h, Fraction(5, 16))[2].elems == ()
 
 
 def test_large_spectrum_from_table_matches_plain_scan():
@@ -450,7 +438,7 @@ def test_read_spectrum_answers_match_table_scans():
         n = 1 << dim
         for elems in ((), (rng.randrange(n),), range(n), rng.sample(range(n), rng.randint(1, n))):
             a = F2Set.from_bits(dim, elems)
-            _check_lane_answers(a, butterfly_wht(_indicator_table(a)))
+            _check_lane_answers(a, butterfly_wht(indicator_table(a)))
 
 
 @pytest.mark.parametrize("piece_bits", [0, 2])
@@ -463,7 +451,7 @@ def test_read_spectrum_answers_in_later_pieces(piece_bits, monkeypatch):
         n = 1 << dim
         for elems in ((), (rng.randrange(n),), range(n), rng.sample(range(n), rng.randint(1, n))):
             a = F2Set.from_bits(dim, elems)
-            hits = _check_lane_answers(a, naive_wht(_indicator_table(a)))
+            hits = _check_lane_answers(a, naive_wht(indicator_table(a)))
             late += sum(r >> piece_bits > 0 for r in hits)
     assert late > 0
 
@@ -484,7 +472,15 @@ def test_indicator_refuses_tables_above_cap(monkeypatch):
     # f2lab.wht names the function, so reach the module through sys.modules
     monkeypatch.setattr(sys.modules["f2lab.wht"], "WHT_DIM_CAP", 4)
     with pytest.raises(BudgetError):
-        IntFunction.indicator(F2Set(12, (1,)))
+        IntFunction.from_points(12, (1,), (1,))
+
+
+@pytest.mark.parametrize("point", [-1, 8, 1 << 70])
+def test_from_points_refuses_points_outside_the_group(point):
+    # -1 would otherwise be written at entry 7, and 8 past the table's end
+    with pytest.raises(DimensionError):
+        IntFunction.from_points(3, [2, point], [1, 5])
+    assert IntFunction.from_points(3, [0, 7], [5, -1]).values == (5, 0, 0, 0, 0, 0, 0, -1)
 
 
 def test_large_spectrum_checks_alpha_before_transform(monkeypatch):
@@ -492,5 +488,6 @@ def test_large_spectrum_checks_alpha_before_transform(monkeypatch):
         raise AssertionError("alpha must be refused before the transform")
 
     monkeypatch.setattr(sys.modules["f2lab.wht"], "_butterfly", no_transform)
-    with pytest.raises(ValueError):
-        large_spectrum(F2Set(4, (1, 2)), Fraction(0))
+    for alpha in (Fraction(0), Fraction(-1, 2), Fraction(3, 2)):
+        with pytest.raises(ValueError):
+            read_spectrum(F2Set(4, (1, 2)), alpha)

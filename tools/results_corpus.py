@@ -52,7 +52,8 @@ hashes its exit code and its empty stdout, not the message on stderr.
 Configs added later come after the argument lists, so that every earlier
 index keeps its line: full d-fold sumsets and a planted rectangle behind a
 prefix, which cover the d-fold grouping of `extract` (each point in the
-fiber of every (d-2)-subset of its decomposition).
+fiber of every (d-2)-subset of its decomposition), then the `chang`, `maing`
+and `bourgain` families, which read R_alpha of a set.
 """
 
 import hashlib
@@ -238,7 +239,9 @@ def configs():
 def appended_configs():
     """M. extract at d >= 3 on the full 3-fold sumset of 20 elements, the
     full 4-fold sumset of 16, and a 3 x 3 rectangle behind e_0 in the basis
-    of F_2^9 with two other 3-sums."""
+    of F_2^9 with two other 3-sums.  N. the families that read R_alpha of a
+    set, from a table they hold (`chang`, `maing`) or from the lanes
+    (`bourgain`)."""
     for n, d, seed in ((20, 3, 1), (16, 4, 2)):
         lam = random_dissociated(n, n, seed=seed)
         q = F2Set.from_bits(n, (reduce(xor, c) for c in itertools.combinations(lam.elems, d)))
@@ -247,6 +250,9 @@ def appended_configs():
     pts = {1 ^ r ^ c for r in basis[1:4] for c in basis[4:7]}
     pts |= {basis[6] ^ basis[7] ^ basis[8], basis[2] ^ basis[5] ^ basis[8]}
     yield _extract(F2Set.from_bits(9, pts), F2Set(9, tuple(basis)), d=3, seed=1)
+    for theorem in ("chang", "maing", "bourgain"):
+        for seed in (1, 2):
+            yield {"command": "bench", "theorem": theorem, "count": 20, "seed": seed}
 
 
 def run_argv(argv):
